@@ -33,7 +33,6 @@ from .errors import (
     InsufficientScanError,
     NoHeraldError,
     PcbsError,
-    PrecisionError,
     TruncationError,
     UnachievableTargetError,
 )
@@ -46,7 +45,6 @@ from .fock import (
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
-    two_mode_squeeze_element,
 )
 from .oracle import oracle_state
 from .source import (
@@ -78,7 +76,7 @@ __all__ = [
     "__version__",
     # fock
     "SqueezedInput", "TruncationPolicy", "AmplitudeMatrix", "coherent_amplitudes",
-    "squeeze_matrix", "two_mode_squeeze_element", "output_amplitudes",
+    "squeeze_matrix", "output_amplitudes",
     "box_probability", "suggest_n_max", "oracle_state",
     # stats
     "JointDistribution", "HeraldedStats", "ThresholdProbs", "SweepPoint",
@@ -97,7 +95,7 @@ __all__ = [
     # config
     "RunConfig", "load_config", "config_from_tree",
     # errors
-    "PcbsError", "TruncationError", "PrecisionError", "NoHeraldError",
+    "PcbsError", "TruncationError", "NoHeraldError",
     "InsufficientScanError", "DegeneratePointError", "UnachievableTargetError",
     "EmptySessionError", "ConfigError",
 ]

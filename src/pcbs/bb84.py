@@ -142,12 +142,13 @@ def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: flo
 
 
 def simulate_session(jd: JointDistribution, n_pulses: int,
-                     attack: AttackModel = AttackModel(), seed: int = 0) -> SessionReport:
+                     attack: AttackModel = AttackModel(), seed: int = 0,
+                     z_threshold: float = 5.0) -> SessionReport:
     """Run one session; deterministic given (jd, n_pulses, attack, seed).
 
     The verdict is judged against the closed-form no-attack baseline
-    (q1 - q2)/q1 of the same source at the default threshold z = 5;
-    detect_attack re-judges a report against any other baseline.
+    (q1 - q2)/q1 of the same source at ``z_threshold``; detect_attack
+    re-judges a report against any other baseline.
     """
     rng = np.random.default_rng(seed)
     n1, n2 = sample_cells(jd, n_pulses, rng)
@@ -175,7 +176,7 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
         bob_miss_given_herald=miss_given_herald,
         bob_miss_joint=(herald_count - detect_count) / n_pulses,
         sifted_key_bits=sifted,
-        verdict=_judge(miss_given_herald, herald_count, baseline, 5.0),
+        verdict=_judge(miss_given_herald, herald_count, baseline, z_threshold),
         seed=seed,
     )
 

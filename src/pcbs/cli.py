@@ -6,8 +6,7 @@ significant digits and '\\n' line endings so repeated runs are
 byte-identical.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 truncation
-failure, 4 numerical degeneracy (precision loss, touching bands, missed
-scan).
+failure, 4 numerical degeneracy (touching bands, missed band scan).
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bands import CrystalSpec, solve_band, tune_to_group_velocity
-from .bb84 import detect_attack, simulate_session
+from .bands import solve_band, tune_to_group_velocity
+from .bb84 import simulate_session
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -31,14 +30,13 @@ from .errors import (
     EmptySessionError,
     InsufficientScanError,
     NoHeraldError,
-    PrecisionError,
     TruncationError,
     UnachievableTargetError,
 )
-from .fock import SqueezedInput, TruncationPolicy, output_amplitudes, suggest_n_max
+from .fock import SqueezedInput, TruncationPolicy, suggest_n_max
 from .oracle import oracle_state
 from .selftest import run_all
-from .source import CODATA, flux_to_amplitude, squeeze_parameter
+from .source import CODATA, squeeze_parameter
 from .stats import heralded_stats, joint_distribution, locate_maximum, sweep_r, threshold_probs
 
 __all__ = ["main", "entry_point"]
@@ -82,8 +80,8 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     jd = joint_distribution(state, policy)
 
     out_dir = _resolve(args.out_dir, cfg.output.directory)
-    rows = [(str(n1), str(n2), _num(jd.p[n1, n2]))
-            for n1 in range(jd.p.shape[0]) for n2 in range(jd.p.shape[1])]
+    rows = ((str(n1), str(n2), _num(jd.p[n1, n2]))
+            for n1 in range(jd.p.shape[0]) for n2 in range(jd.p.shape[1]))
     _write_csv(os.path.join(out_dir, "dist.csv"), ["n1", "n2", "probability"], rows)
 
     tp = threshold_probs(jd)
@@ -105,11 +103,10 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     except NoHeraldError:
         payload.update(p1=0.0, g2=None, pn=None)
     if args.oracle:
-        amp = output_amplitudes(state, policy)
         orc = oracle_state(state, policy.n_max)
         b = min(20, policy.n_max // 2) + 1
         payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(
-            amp.entries[:b, :b] ** 2 - orc.entries[:b, :b] ** 2)))
+            jd.p[:b, :b] - orc.entries[:b, :b] ** 2)))
     _emit(payload)
     return 0
 
@@ -220,10 +217,8 @@ def cmd_bb84(cfg: RunConfig, args) -> int:
     n_pulses = _resolve(args.n_pulses, section.n_pulses)
     seed = _resolve(args.seed, cfg.seed)
 
-    report = simulate_session(jd, n_pulses, section.attack_model(), seed=seed)
-    tp = threshold_probs(jd)
-    baseline = (tp.q1 - tp.q2) / tp.q1 if tp.q1 > 0 else 0.0
-    report = replace(report, verdict=detect_attack(report, baseline, section.z_threshold))
+    report = simulate_session(jd, n_pulses, section.attack_model(), seed=seed,
+                              z_threshold=section.z_threshold)
     print(report.to_json())
     return 0
 
@@ -312,7 +307,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PrecisionError, DegeneratePointError, InsufficientScanError) as exc:
+    except (DegeneratePointError, InsufficientScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields, replace
 from .bands import CrystalSpec
 from .bb84 import AttackModel
 from .errors import ConfigError
-from .fock import TruncationPolicy
 from .source import PumpSpec
 
 __all__ = ["RunConfig", "load_config", "config_from_tree"]
@@ -86,10 +85,6 @@ class RunConfig:
     bands: BandsSection = BandsSection()
     bb84: Bb84Section = Bb84Section()
     output: OutputSection = OutputSection()
-
-    def policy(self, n_max: int) -> TruncationPolicy:
-        """Truncation policy with the configured tolerance at a given box size."""
-        return TruncationPolicy(n_max=n_max, tail_tolerance=self.truncation.tail_tolerance)
 
 
 _SECTIONS = {

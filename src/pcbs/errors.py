@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The Fock layer has one numerical refusal, :class:`TruncationError`: the
+requested box holds too little probability mass.  Its amplitudes carry no
+precision limit of their own.
+"""
 
 
 class PcbsError(Exception):
@@ -27,21 +32,6 @@ class TruncationError(PcbsError):
             f"probability mass at n_max={n_max} "
             f"(required >= 1 - {tail_tolerance:g}); increase n_max"
         )
-
-
-class PrecisionError(PcbsError):
-    """Raised when a closed-form amplitude sum exceeds double-precision headroom.
-
-    The alternating sums behind the amplitude matrix contain terms that grow
-    roughly like exp(c(r) * n_max); once individual terms dwarf the final
-    amplitudes, cancellation destroys the result.  Reducing ``n_max`` (or the
-    squeeze parameter) restores a clean computation.
-    """
-
-    def __init__(self, message, captured_mass=None, peak_term=None):
-        self.captured_mass = captured_mass
-        self.peak_term = peak_term
-        super().__init__(message)
 
 
 class NoHeraldError(PcbsError):

@@ -1,31 +1,20 @@
 """Closed-form Fock-basis amplitudes for squeezed-coherent light on a 50-50 splitter.
 
 A single-mode squeezed coherent state enters one port of a balanced beam
-splitter; vacuum enters the other.  The two output ports carry a pure
-two-mode state whose number-basis amplitudes factor into
+splitter; vacuum enters the other.  Its number-basis column is
 
-* a displacement column  ``D_m``  (coherent amplitudes),
-* a single-mode squeeze matrix  ``S_nm``  applied in each output arm, and
-* a two-mode squeeze kernel  ``S^{ab}_{n1 n2, l k}``  coupling the arms,
+    psi = S(-r) D(alpha) |0>,
 
-all with squeeze argument ``r/2`` and displacement ``alpha/sqrt(2)`` when the
-input carries squeeze ``r`` and displacement ``alpha``.  Everything here is
-real because all interaction phases are pinned to zero.
+a squeeze matrix (:func:`squeeze_matrix`) applied to a coherent column
+(:func:`coherent_amplitudes`).  The splitter conserves total photon number
+and spreads each shell |T, 0> binomially over the outputs (n1, T - n1), so
+every output amplitude is one entry of psi times a binomial weight.
+Everything here is real because all interaction phases are pinned to zero.
 
-Matrix elements are evaluated in log space (``lgamma``) with explicit sign
-tracking so that factorials never overflow for truncations of a few hundred
-photons.
-
-The alternating sums limit how far double precision can be pushed: individual
-terms grow roughly like exp(c(r) * n_max), and once any term passes ~1e9 the
-cancellation residue pollutes high-photon-number cells (low-order cells stay
-accurate much longer).  :func:`output_amplitudes` therefore verifies its total
-mass against the exact in-box probability (:func:`box_probability`) and raises
-:class:`~pcbs.errors.PrecisionError` instead of returning polluted amplitudes.
-In practice r <= 1.25 supports tails of 1e-8 for any |alpha| <= 1; at r = 1.5
-the reachable tail degrades with displacement (1e-8 at alpha = 0 down to 1e-3
-at alpha = 1), and r = 2 supports only percent-level tails -- though low-order
-entries remain accurate to ~1e-8 even there.
+Matrix elements are evaluated in log space (``gammaln``) so that factorials
+never overflow for truncations of a few hundred photons.  The amplitudes
+agree with the operator-exponential oracle to rounding up to r = 1.5 at a
+1e-8 tail.
 """
 
 from __future__ import annotations
@@ -35,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import binom
 
-from .errors import PrecisionError, TruncationError
+from .errors import TruncationError
 
 __all__ = [
     "SqueezedInput",
@@ -45,7 +33,6 @@ __all__ = [
     "AmplitudeMatrix",
     "coherent_amplitudes",
     "squeeze_matrix",
-    "two_mode_squeeze_element",
     "output_amplitudes",
     "box_probability",
     "suggest_n_max",
@@ -87,8 +74,7 @@ class TruncationPolicy:
     """Fock-space truncation: keep photon numbers 0..n_max per mode.
 
     After computing a joint amplitude matrix, the captured probability mass
-    must be at least ``1 - tail_tolerance`` (and the exact in-box mass is
-    checked the same way); otherwise the computation raises
+    must be at least ``1 - tail_tolerance``; otherwise the computation raises
     :class:`~pcbs.errors.TruncationError`.  The default covers squeeze
     parameters up to about 0.9 with displacements up to 1; the working point
     r = 1, alpha = 1/2 has a true tail of 8.6e-8 at n_max = 40 and needs
@@ -111,12 +97,9 @@ class AmplitudeMatrix:
 
     ``entries`` has shape ``(n_max + 1, n_max + 1)``; index ``n1`` counts
     photons in the port carrying the transmitted input, ``n2`` the other port.
-    Amplitudes are real because every interaction phase is zero.
-
-    Cells within a few pair-creation steps of the truncation edge lean on
-    input amplitudes that fall outside the box and carry absolute error of
-    the order of the tail amplitude (~sqrt(tail_tolerance) at worst); the
-    interior block is exact to machine rounding.
+    Amplitudes are real because every interaction phase is zero.  Every cell,
+    the edge cells included, is an exact shell amplitude psi_T times a
+    binomial weight, and ``entries`` equals its transpose exactly.
     """
 
     entries: np.ndarray
@@ -126,9 +109,7 @@ class AmplitudeMatrix:
     def captured_mass(self) -> float:
         """Probability mass of the stored block, sum of entries squared.
 
-        Matches the exact in-block mass (:func:`box_probability`) to within
-        rounding; :func:`output_amplitudes` enforces that agreement before
-        returning.
+        Equals :func:`box_probability` at the same state and ``n_max``.
         """
         return float(np.sum(self.entries**2))
 
@@ -136,8 +117,7 @@ class AmplitudeMatrix:
 def coherent_amplitudes(beta: float, n_max: int) -> np.ndarray:
     """Number-basis column of a coherent state: exp(-beta^2/2) beta^m / sqrt(m!).
 
-    ``beta`` is the displacement actually seen by one splitter arm, i.e.
-    alpha/sqrt(2) for input displacement alpha.
+    ``beta`` is the real displacement of the input port.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -163,10 +143,10 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
     if s < 0:
         raise ValueError("squeeze magnitude s must be >= 0")
     dim = n_max + 1
-    if s == 0.0:
+    half_t = 0.5 * math.tanh(s)
+    if half_t == 0.0:           # s = 0, or so small that tanh(s)/2 underflows
         return np.eye(dim)
-    t = math.tanh(s)
-    log_half_t = math.log(0.5 * t)
+    log_half_t = math.log(half_t)
     log_cosh = math.log(math.cosh(s))
     n = np.arange(dim)
     half_lgn = 0.5 * gammaln(n + 1)
@@ -183,178 +163,54 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
     return out
 
 
-def two_mode_squeeze_element(n1: int, n2: int, l: int, k: int, s: float) -> float:
-    """Single element <n1, n2| S_ab(-s) |l, k> of the two-mode squeeze.
+def _shell_amplitudes(state: SqueezedInput, n_max: int) -> np.ndarray:
+    """Output amplitudes ``amp[n1, n2]`` for n1, n2 <= n_max, one shell at a time.
 
-    Evaluates the literal double sum over the pair-annihilation count m and
-    the pair-creation count n, with both Kronecker deltas checked explicitly:
-    l - m == n1 - n and k - m == n2 - n.  Intended for spot checks and small
-    cross-validations; :func:`output_amplitudes` uses a vectorised but
-    term-identical contraction.
+    The splitter conserves total photon number T = n1 + n2 and spreads the
+    input shell psi_T binomially over the outputs, so
+
+        amp[n1, n2] = psi_T * sqrt(C(T, n1) / 2^T),   psi = S(-r) D(alpha) |0>.
+
+    The log-binomial adds lg[n1] + lg[n2] before subtracting, which makes the
+    matrix exactly symmetric under n1 <-> n2.
     """
-    for v in (n1, n2, l, k):
-        if v < 0:
-            raise ValueError("photon numbers must be >= 0")
-    if s < 0:
-        raise ValueError("squeeze magnitude s must be >= 0")
-    if s == 0.0:
-        return 1.0 if (n1 == l and n2 == k) else 0.0
-    t = math.tanh(s)
-    log_t = math.log(t)
-    log_cosh = math.log(math.cosh(s))
-    half_lg = 0.5 * (
-        math.lgamma(l + 1) + math.lgamma(k + 1) + math.lgamma(n1 + 1) + math.lgamma(n2 + 1)
-    )
-    terms = []
-    for n in range(min(n1, n2) + 1):
-        for m in range(min(l, k) + 1):
-            if l - m != n1 - n or k - m != n2 - n:
-                continue
-            logmag = (
-                (m + n) * log_t
-                - math.lgamma(m + 1)
-                - math.lgamma(n + 1)
-                - (l + k - 2 * m + 1) * log_cosh
-                + half_lg
-                - math.lgamma(l - m + 1)
-                - math.lgamma(k - m + 1)
-            )
-            terms.append((-1.0) ** m * math.exp(logmag))
-    return math.fsum(terms)
+    psi = squeeze_matrix(state.r, 2 * n_max) @ coherent_amplitudes(state.alpha, 2 * n_max)
+    n = np.arange(n_max + 1)
+    lg = gammaln(n + 1)
+    total = np.add.outer(n, n)
+    log_binom = gammaln(total + 1) - np.add.outer(lg, lg) - total * math.log(2.0)
+    return psi[total] * np.exp(0.5 * log_binom)
 
 
 def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> AmplitudeMatrix:
     """Joint number-basis amplitudes of the two splitter outputs.
 
-    Each arm first acquires the squeezed-displaced column
-    C = S(-r/2) D(alpha/sqrt(2)); the arms are then coupled by the two-mode
-    squeeze kernel with argument r/2:
-
-        amp[n1, n2] = sum_{l,k} S^{ab}_{n1 n2, l k}  C[l] C[k].
-
-    The kernel's two deltas tie l = n1 - n + m and k = n2 - n + m, so the
-    contraction is carried out as a sum of rank-1 outer products over the
-    pair-creation/annihilation counts (n, m), with every factorial kept in
-    log space until the final exponential.
-
     Raises TruncationError if the captured mass falls short of
     ``1 - policy.tail_tolerance``.
     """
-    n_max = policy.n_max
-    dim = n_max + 1
-    s = 0.5 * state.r
-    beta = state.alpha / math.sqrt(2.0)
-
-    disp = coherent_amplitudes(beta, n_max)
-    sq = squeeze_matrix(s, n_max)
-    col = sq @ disp
-
-    if s == 0.0:
-        amp = np.outer(col, col)
-        return _checked(amp, policy, state)
-
-    t = math.tanh(s)
-    log_t = math.log(t)
-    log_cosh = math.log(math.cosh(s))
-
-    sign_col = np.where(col >= 0.0, 1.0, -1.0)
-    with np.errstate(divide="ignore"):
-        log_col = np.log(np.abs(col))           # -inf where col == 0 is fine
-
-    i_all = np.arange(dim)
-    half_lgi = 0.5 * gammaln(i_all + 1)
-
-    amp = np.zeros((dim, dim))
-    peak = 0.0                       # largest single contribution, any cell
-    for n in range(dim):
-        for m in range(dim):
-            hi = min(n_max, n_max + n - m)
-            i = i_all[n : hi + 1]
-            l = i - n + m
-            logmag = (
-                half_lgi[i]
-                + 0.5 * gammaln(l + 1)
-                - gammaln(l - m + 1)
-                - (i - n) * log_cosh
-                + 0.5 * (n + m) * log_t
-                - 0.5 * (gammaln(n + 1) + gammaln(m + 1))
-                + log_col[l]
-            )
-            u = np.zeros(dim)
-            u[n : hi + 1] = sign_col[l] * np.exp(logmag)
-            if not np.any(u):
-                continue
-            w = 1.0 if m % 2 == 0 else -1.0
-            amp += w * np.outer(u, u)
-            peak = max(peak, float(np.max(np.abs(u))) ** 2)
-    amp /= math.cosh(s)
-    return _checked(amp, policy, state, peak / math.cosh(s))
+    amp = AmplitudeMatrix(entries=_shell_amplitudes(state, policy.n_max), n_max=policy.n_max)
+    captured = amp.captured_mass
+    if captured < 1.0 - policy.tail_tolerance:
+        raise TruncationError(captured, policy.n_max, policy.tail_tolerance)
+    return amp
 
 
 def box_probability(state: SqueezedInput, n_max: int) -> float:
-    """Exact probability that both output ports hold at most n_max photons.
+    """Probability that both output ports hold at most n_max photons.
 
-    The beam splitter conserves total photon number and spreads each
-    total-number shell |T, 0> binomially over (n1, n2) = (j, T - j), so the
-    mass inside the square box follows from the single-mode squeezed-coherent
-    distribution |psi_T|^2 alone:
-
-        P(box) = sum_{T <= n_max} |psi_T|^2
-               + sum_{n_max < T <= 2 n_max} |psi_T|^2 P(T - n_max <= Bin(T, 1/2) <= n_max)
-
-    Shells with T > 2 n_max cannot intersect the box.  psi only needs small
-    displacement columns of the squeeze matrix, so this stays accurate far
-    beyond the point where the full amplitude contraction loses precision;
-    it serves as the ground truth for the tail checks.
+    Shells with T > 2 n_max cannot reach the box, so the box mass is the
+    squared sum of the same amplitudes :func:`output_amplitudes` returns.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    psi = squeeze_matrix(state.r, 2 * n_max) @ coherent_amplitudes(state.alpha, 2 * n_max)
-    w = psi**2
-    t_edge = np.arange(n_max + 1, 2 * n_max + 1)
-    shell = binom.cdf(n_max, t_edge, 0.5) - binom.cdf(t_edge - n_max - 1, t_edge, 0.5)
-    return float(np.sum(w[: n_max + 1]) + np.sum(w[n_max + 1 :] * shell))
-
-
-# Largest tolerable single contribution to any amplitude cell.  Terms carry
-# ~1e-16 relative rounding, so beyond ~1e9 the cancellation residue in
-# individual cells rivals physically meaningful amplitudes (~1e-7).
-_PEAK_CAP = 1.0e9
-
-
-def _checked(
-    amp: np.ndarray, policy: TruncationPolicy, state: SqueezedInput, peak: float = 0.0
-) -> AmplitudeMatrix:
-    captured = float(np.sum(amp**2))
-    box = box_probability(state, policy.n_max)
-    tol = policy.tail_tolerance
-    if 1.0 - box > tol:
-        raise TruncationError(box, policy.n_max, tol)
-    mass_err = abs(captured - box)
-    if peak > _PEAK_CAP or captured > 1.0 + 1e-9 or mass_err > max(1e-10, tol):
-        raise PrecisionError(
-            f"amplitude sum exceeded double-precision headroom at n_max="
-            f"{policy.n_max}: captured mass {captured:.6g} vs exact in-box "
-            f"mass {box:.12g} (largest term {peak:.3g}); reduce n_max or "
-            f"the squeeze parameter",
-            captured_mass=captured,
-            peak_term=peak,
-        )
-    if captured < 1.0 - tol:
-        raise TruncationError(captured, policy.n_max, tol)
-    return AmplitudeMatrix(entries=amp, n_max=policy.n_max)
+    return float(np.sum(_shell_amplitudes(state, n_max) ** 2))
 
 
 def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
     """Smallest truncation whose exact box tail is below half the tolerance.
 
     Built on :func:`box_probability` (exact) rather than a decay model, with
-    binary search and a +2 safety margin, so the suggestion is minimal --
-    important because oversized truncations waste the double-precision
-    headroom of the closed-form sums (see module docstring).  The suggestion
-    answers only "is the box big enough?"; for strong squeezing (r around
-    1.5 and beyond) the amplitude computation itself may still refuse with
-    PrecisionError when no adequate truncation is numerically reachable.
+    binary search and a +2 safety margin, so the suggestion is minimal.
     """
     if r < 0:
         raise ValueError("r must be >= 0")

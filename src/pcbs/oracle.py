@@ -17,7 +17,7 @@ total photon number exactly, and every total-number block with
 n1 + n2 <= n_max lies entirely inside the cropped two-mode space, so those
 entries come out exact (up to the exponential's working precision).  Entries
 with n1 + n2 > n_max sit in clipped blocks and are NOT oracle quality;
-compare on an inner block, e.g. n1, n2 <= n_max/2.
+compare on the triangle n1 + n2 <= n_max.
 
 This pipeline shares no algebra with :mod:`pcbs.fock` - no tanh/cosh matrix
 elements appear anywhere - which makes it a genuinely independent check.

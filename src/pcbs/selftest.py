@@ -26,7 +26,6 @@ import numpy as np
 
 from .bands import CrystalSpec, band_frequencies, tune_to_group_velocity
 from .bb84 import AttackModel, Verdict, simulate_session
-from .errors import PrecisionError
 from .fock import SqueezedInput, TruncationPolicy, output_amplitudes, suggest_n_max
 from .oracle import oracle_state
 from .source import (
@@ -178,50 +177,35 @@ def check_source_model() -> CheckResult:
     return res
 
 
-# exact reals: 1.5/6 is a dyadic rational, so the grid and the envelope keys match
 _R_GRID = tuple(np.linspace(0.0, 1.5, 7))
 _ALPHA_GRID = (0.0, 0.25, 0.5, 1.0)
-_ENVELOPE = {(1.5, 0.25): 3e-8, (1.5, 0.5): 1e-6, (1.5, 1.0): 1e-3}
 
 
 def check_oracle_equivalence() -> CheckResult:
     res = CheckResult("closed form vs operator-exponential oracle")
     worst_entry = worst_norm = worst_sym = 0.0
     parity_exact = True
-    refused = 0
     for r in _R_GRID:
         for alpha in _ALPHA_GRID:
             state = SqueezedInput(r=float(r), alpha=float(alpha))
-            tol = _ENVELOPE.get((float(r), float(alpha)), TAIL)
-            if tol != TAIL:
-                # beyond the float64 envelope the strict request must fail
-                # loudly instead of returning degraded amplitudes
-                try:
-                    output_amplitudes(state, TruncationPolicy(
-                        suggest_n_max(r, alpha, TAIL), TAIL))
-                except PrecisionError:
-                    refused += 1
-            n_max = suggest_n_max(r, alpha, tol)
-            amp = output_amplitudes(state, TruncationPolicy(n_max, tol))
+            n_max = suggest_n_max(r, alpha, TAIL)
+            amp = output_amplitudes(state, TruncationPolicy(n_max, TAIL))
             orc = oracle_state(state, n_max)
-            b = min(20, n_max // 2) + 1
+            # the oracle is exact on every shell that fits whole in the box
+            total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
             worst_entry = max(worst_entry, float(np.max(np.abs(
-                amp.entries[:b, :b] - orc.entries[:b, :b]))))
+                amp.entries - orc.entries)[total <= n_max])))
             worst_sym = max(worst_sym, float(np.max(np.abs(
                 amp.entries - amp.entries.T))))
-            if tol == TAIL:
-                worst_norm = max(worst_norm, abs(amp.captured_mass - 1.0))
+            worst_norm = max(worst_norm, abs(amp.captured_mass - 1.0))
             if alpha == 0.0:
-                total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
                 parity_exact &= bool(np.all(amp.entries[total % 2 == 1] == 0.0))
-    res.holds(f"entrywise |closed - oracle| = {worst_entry:.3g} <= 1e-8 "
-              f"({len(_R_GRID) * len(_ALPHA_GRID)} grid points)",
-              worst_entry <= 1e-8)
+    res.holds(f"entrywise |closed - oracle| on n1 + n2 <= n_max = {worst_entry:.3g} "
+              f"<= 1e-12 ({len(_R_GRID) * len(_ALPHA_GRID)} grid points)",
+              worst_entry <= 1e-12)
     res.holds(f"normalization |sum - 1| = {worst_norm:.3g} <= 1e-8", worst_norm <= 1e-8)
     res.holds(f"mode-swap symmetry = {worst_sym:.3g} <= 1e-12", worst_sym <= 1e-12)
     res.holds("parity selection at alpha=0 exact", parity_exact)
-    res.holds(f"strict tolerance refused beyond envelope ({refused}/3 points)",
-              refused == len(_ENVELOPE))
     return res
 
 

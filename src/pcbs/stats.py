@@ -141,7 +141,7 @@ def sweep_r(alpha: float, r_grid, policy: TruncationPolicy) -> SweepResult:
     """Evaluate (P(1,1), P1, pn(1)) across squeeze values.
 
     pn(1) = P(1,1)/P1 is the heralded single-photon fraction.  Rows whose
-    computation fails its truncation or precision check are kept, marked with
+    computation fails its truncation check are kept, marked with
     the error text, and filled with NaN; the sweep itself never aborts.
     """
     points = []

@@ -64,11 +64,12 @@ def test_dist_truncation_exit(tmp_path, capsys):
     assert rc == 3
 
 
-def test_dist_precision_refusal_exit(tmp_path, capsys):
-    # far point at the default 1e-8 mass gate: exact box exists but float64
-    # cannot deliver it, so the run is refused rather than silently degraded
-    rc = main(["dist", "--r", "1.5", "--alpha", "1.0", "--out-dir", str(tmp_path)])
-    assert rc == 4
+def test_dist_strong_squeeze_oracle(tmp_path, capsys):
+    # far point at the default 1e-8 mass gate (n_max 161): served, oracle-exact
+    rc, out = run(capsys, "dist", "--r", "1.5", "--alpha", "1.0", "--oracle",
+                  "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert json.loads(out)["oracle_block_max_abs_dp"] <= 1e-12
 
 
 def test_sweep_outputs(tmp_path, capsys):
@@ -180,6 +181,14 @@ def test_bb84_attack_flag(capsys):
                   "--attack", "balanced_beam_splitter", "--seed", "11")
     assert rc == 0
     assert json.loads(out)["verdict"] == "attack_suspected"
+
+
+def test_bb84_z_threshold_flag(capsys):
+    rc, out = run(capsys, "bb84", *WORKING, "--n-pulses", "100000",
+                  "--attack", "balanced_beam_splitter", "--z-threshold", "1e6",
+                  "--seed", "11")
+    assert rc == 0
+    assert json.loads(out)["verdict"] == "clean"
 
 
 def test_bb84_empty_session_exit(capsys):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcbs.errors import PrecisionError, TruncationError
+from pcbs.errors import TruncationError
 from pcbs.fock import (
     SqueezedInput,
     TruncationPolicy,
@@ -12,8 +14,8 @@ from pcbs.fock import (
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
-    two_mode_squeeze_element,
 )
+from pcbs.oracle import oracle_state
 
 
 def test_coherent_vacuum():
@@ -34,6 +36,8 @@ def test_coherent_poisson_weights():
 def test_squeeze_matrix_identity_at_zero():
     s = squeeze_matrix(0.0, 12)
     assert np.array_equal(s, np.eye(13))
+    # tanh(s)/2 underflows to 0 for the smallest subnormal s
+    assert np.array_equal(squeeze_matrix(5e-324, 12), np.eye(13))
 
 
 def test_squeeze_matrix_vacuum_entry():
@@ -56,22 +60,6 @@ def test_squeezed_vacuum_column_closed_form():
                     / (2**l * math.factorial(l) * math.sqrt(math.cosh(s))))
         assert abs(abs(col[2 * l]) - expected) < 1e-10
     assert np.isclose(np.sum(col**2), 1.0, atol=1e-10)
-
-
-def test_two_mode_element_identity_at_zero():
-    assert two_mode_squeeze_element(2, 3, 2, 3, 0.0) == 1.0
-    assert two_mode_squeeze_element(2, 3, 3, 2, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("n1,n2,l,k", [(0, 0, 2, 2), (1, 3, 2, 2), (4, 2, 3, 3),
-                                       (1, 2, 2, 2), (0, 1, 0, 0), (5, 5, 5, 5)])
-def test_two_mode_element_total_number_parity(n1, n2, l, k):
-    # pair creation/annihilation changes total photon number by multiples of 2
-    val = two_mode_squeeze_element(n1, n2, l, k, 0.4)
-    if (n1 + n2 - l - k) % 2 == 1:
-        assert val == 0.0
-    else:
-        assert np.isfinite(val)
 
 
 def test_output_vacuum_point():
@@ -121,19 +109,36 @@ def test_default_policy_rejects_working_point():
         output_amplitudes(SqueezedInput(r=1.0, alpha=0.5), TruncationPolicy())
 
 
-def test_precision_guard_fires_before_float64_breakdown():
-    # at r=1.5, alpha=1 the tail budget of 1e-8 needs n_max ~ 100, but the
-    # kernel terms overflow the float64 cancellation budget there
-    nm = suggest_n_max(1.5, 1.0, 1e-8)
-    with pytest.raises(PrecisionError):
-        output_amplitudes(SqueezedInput(r=1.5, alpha=1.0),
-                          TruncationPolicy(n_max=nm, tail_tolerance=1e-8))
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
+    # r = 1.5 at a 1e-8 tail needs n_max 107-161: every cell whose shell
+    # n1 + n2 fits whole in the box must still be oracle-exact
+    state = SqueezedInput(r=1.5, alpha=alpha)
+    nm = suggest_n_max(1.5, alpha, 1e-8)
+    amp = output_amplitudes(state, TruncationPolicy(n_max=nm, tail_tolerance=1e-8))
+    assert amp.captured_mass >= 1.0 - 1e-8
+    total = np.add.outer(np.arange(nm + 1), np.arange(nm + 1))
+    err = np.abs(amp.entries - oracle_state(state, nm).entries)[total <= nm]
+    assert np.max(err) <= 1e-12
 
 
-def test_envelope_point_recovers_at_looser_tolerance():
-    amp = output_amplitudes(SqueezedInput(r=1.5, alpha=1.0),
-                            TruncationPolicy(n_max=78, tail_tolerance=1e-3))
-    assert abs(amp.captured_mass - box_probability(SqueezedInput(r=1.5, alpha=1.0), 78)) < 1e-3
+@settings(max_examples=50, deadline=None)
+@given(r=st.floats(0.0, 1.5), alpha=st.floats(-1.0, 1.0), n_max=st.integers(1, 40))
+def test_amplitude_invariants(r, alpha, n_max):
+    # a gate every box passes: the invariants hold for any truncation
+    policy = TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12)
+    amp = output_amplitudes(SqueezedInput(r=r, alpha=alpha), policy)
+    assert np.array_equal(amp.entries, amp.entries.T)
+    assert amp.captured_mass <= 1.0 + 1e-12
+
+    squeezed = output_amplitudes(SqueezedInput(r=r, alpha=0.0), policy).entries
+    total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+    assert np.all(squeezed[total % 2 == 1] == 0.0)
+
+    # once the box holds all the mass the two sums differ only by rounding
+    # (e.g. r=0.25, alpha=0, n_max=23 gives 1 - 6e-16 after 1 - 3e-16)
+    state = SqueezedInput(r=r, alpha=alpha)
+    assert box_probability(state, n_max + 1) >= box_probability(state, n_max) - 1e-14
 
 
 def test_box_probability_vacuum_and_monotone():
