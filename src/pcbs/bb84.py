@@ -4,17 +4,25 @@ Alice heralds a pulse when her port fires (n1 >= 1); Bob's threshold
 detector fires when at least one photon reaches him.  An eavesdropper on
 the channel routes each of Bob's photons to herself independently with
 probability splitting_ratio; only the detection indicator is observable,
-so the per-photon routing is sampled through its exact marginal
-P(all stolen | n2) = ratio**n2 with a single uniform per pulse.  All random
-draws (cell choice, theft, bases) are made for every pulse regardless of
-the attack settings, so sessions with the same seed share their randomness
-across attack models (common random numbers): the no-attack session and a
-splitting_ratio = 0 session are bit-identical, and the miss rate is
-pulse-wise monotone in the ratio.
+so the per-photon routing enters through its exact marginal
+P(all stolen | n2) = ratio**n2.
 
-Detection is rate-based: bases are drawn and sifting is counted, but bit
-values never influence anything observable (no channel noise, QBER not
-modeled) and are not drawn.
+A session's observables depend on a pulse only through its class: no
+herald (n1 = 0), herald with n2 = k for k = 0..n_max, or overflow (the
+mass outside the box, a herald with n2 = n_max + 1).  simulate_session
+therefore works on counts, in a fixed draw order: one multinomial over
+the N + 2 classes (N = n_max + 1), one uniform in (0, 1] per herald class
+(N + 1 of them) whose binomial inverse CDF is that class's all-stolen
+count, and one Binomial(detected, 1/2) draw for the pulses whose bases
+agree.  Its cost does not depend on n_pulses.  The same draws are made
+whatever the attack settings, so sessions with the same seed share their
+randomness across attack models (common random numbers, per class): the
+no-attack session and a splitting_ratio = 0 session are bit-identical, and
+the miss rate never decreases in the ratio.
+
+Detection is rate-based: sifting is counted, but bit values never
+influence anything observable (no channel noise, QBER not modeled) and
+are not drawn.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import betaincc
 
 from .errors import EmptySessionError, NoHeraldError
 from .stats import JointDistribution, threshold_probs
@@ -42,6 +51,7 @@ __all__ = [
 ATTACK_KINDS = ("none", "balanced_beam_splitter")
 MIN_HERALDS_FOR_TEST = 100      # below this the z-test is not trustworthy
 _MAX_MISSING_MASS = 1e-6        # sampling precondition on 1 - captured_mass
+_MAX_PULSES = 2**63 - 1         # class counts are int64
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,19 @@ class SessionReport:
         )
 
 
+def _checked_pulses(jd: JointDistribution, n_pulses: int) -> None:
+    """Refuse a session that is empty, too long for int64 counts, or undersampled."""
+    if n_pulses <= 0:
+        raise EmptySessionError(f"n_pulses must be positive, got {n_pulses}")
+    if n_pulses > _MAX_PULSES:
+        raise ValueError(f"n_pulses must be at most 2**63 - 1, got {n_pulses}")
+    if jd.captured_mass < 1.0 - _MAX_MISSING_MASS:
+        raise ValueError(
+            f"captured_mass = {jd.captured_mass:.9f} leaves more than "
+            f"{_MAX_MISSING_MASS:.0e} unsampled; rerun with a larger box"
+        )
+
+
 def sample_cells(jd: JointDistribution, n_pulses: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw (n1, n2) photon numbers for n_pulses pulses.
 
@@ -114,13 +137,7 @@ def sample_cells(jd: JointDistribution, n_pulses: int, seed) -> tuple[np.ndarray
     reported as n1 = n2 = jd.p.shape[0], i.e. beyond the box: a
     multi-photon event on both ports.
     """
-    if n_pulses <= 0:
-        raise EmptySessionError(f"n_pulses must be positive, got {n_pulses}")
-    if jd.captured_mass < 1.0 - _MAX_MISSING_MASS:
-        raise ValueError(
-            f"captured_mass = {jd.captured_mass:.9f} leaves more than "
-            f"{_MAX_MISSING_MASS:.0e} unsampled; rerun with a larger box"
-        )
+    _checked_pulses(jd, n_pulses)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(jd.p.ravel())
     idx = np.searchsorted(cum, rng.random(n_pulses), side="right")
@@ -129,6 +146,26 @@ def sample_cells(jd: JointDistribution, n_pulses: int, seed) -> tuple[np.ndarray
     n1 = np.where(over, rows, idx // cols)
     n2 = np.where(over, rows, idx % cols)
     return n1, n2
+
+
+def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Smallest s in [0, n] with P(Binomial(n, p) <= s) >= u, elementwise, u in (0, 1].
+
+    P(X <= s) = betaincc(s + 1, n - s, p) for 0 <= s < n, bisected over s
+    for every element at once.  p = 0 gives 0; p = 1, or u = 1 with p > 0,
+    gives n.  (scipy.special.bdtrik is not used: it loses accuracy from
+    n ~ 1e7 and returns NaN above 2**31.)
+    """
+    n = np.asarray(n, dtype=np.int64)
+    lo = np.where((p >= 1.0) | ((u >= 1.0) & (p > 0.0)), n, 0)
+    hi = np.where(p > 0.0, n, 0)
+    while np.any(open_ := lo < hi):
+        a, b = lo[open_], hi[open_]
+        mid = a + (b - a) // 2
+        below = betaincc(mid + 1.0, (n[open_] - mid).astype(float), p[open_]) < u[open_]
+        lo[open_] = np.where(below, mid + 1, a)
+        hi[open_] = np.where(below, b, mid)
+    return lo
 
 
 def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: float) -> Verdict:
@@ -146,25 +183,36 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
                      z_threshold: float = 5.0) -> SessionReport:
     """Run one session; deterministic given (jd, n_pulses, attack, seed).
 
+    Draws, in order: one multinomial of n_pulses over the classes (no
+    herald; herald with n2 = 0..n_max; overflow), one uniform in (0, 1]
+    per herald class, whose binomial inverse CDF at probability
+    routed_fraction**n2 is the class's all-stolen count, and one
+    Binomial(detected, 1/2) for the agreeing bases.  Nothing has length
+    n_pulses, so the cost does not grow with the session.
+
     The verdict is judged against the closed-form no-attack baseline
     (q1 - q2)/q1 of the same source at ``z_threshold``; detect_attack
     re-judges a report against any other baseline.
     """
+    _checked_pulses(jd, n_pulses)
     rng = np.random.default_rng(seed)
-    n1, n2 = sample_cells(jd, n_pulses, rng)
-    theft_u = rng.random(n_pulses)
-    alice_basis = rng.integers(0, 2, size=n_pulses)
-    bob_basis = rng.integers(0, 2, size=n_pulses)
+    rows, cols = jd.p.shape
+    classes = np.concatenate((
+        [jd.p[0, :].sum()],
+        jd.p[1:, :].sum(axis=0),
+        [max(0.0, 1.0 - jd.captured_mass)],
+    ))
+    counts = rng.multinomial(n_pulses, classes)
+    heralded = counts[1:]
+    u = 1.0 - rng.random(heralded.size)
+    n2 = np.append(np.arange(cols), rows)
+    stolen = _binom_ppf(u, heralded, np.power(attack.routed_fraction, n2))
 
-    herald = n1 >= 1
-    all_stolen = theft_u < np.power(attack.routed_fraction, n2)
-    detect = herald & (n2 >= 1) & ~all_stolen
-
-    herald_count = int(np.count_nonzero(herald))
+    herald_count = n_pulses - int(counts[0])
     if herald_count == 0:
         raise NoHeraldError("no pulse heralded; miss rate undefined")
-    detect_count = int(np.count_nonzero(detect))
-    sifted = int(np.count_nonzero(detect & (alice_basis == bob_basis)))
+    detect_count = int(np.sum(heralded - stolen))    # n2 = 0 is always all stolen
+    sifted = int(rng.binomial(detect_count, 0.5))
 
     miss_given_herald = (herald_count - detect_count) / herald_count
     tp = threshold_probs(jd)

@@ -61,6 +61,10 @@ class Bb84Section:
     z_threshold: float = 5.0
 
     def __post_init__(self):
+        if not isinstance(self.n_pulses, int) or isinstance(self.n_pulses, bool):
+            raise TypeError(f"n_pulses must be an integer, got {self.n_pulses!r}")
+        if self.n_pulses <= 0:
+            raise ValueError(f"n_pulses must be positive, got {self.n_pulses}")
         self.attack_model()    # reject bad kind/ratio at load time
         if self.z_threshold <= 0:
             raise ValueError("z_threshold must be positive")

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbs.bb84 import (
     AttackModel,
     Verdict,
+    _binom_ppf,
     detect_attack,
     sample_cells,
     simulate_session,
@@ -42,6 +45,11 @@ def test_empty_session(jd):
         simulate_session(jd, 0)
     with pytest.raises(EmptySessionError):
         sample_cells(jd, -5, 0)
+
+
+def test_session_longer_than_int64_rejected(jd):
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        simulate_session(jd, 2**63)
 
 
 def test_undersampled_box_rejected():
@@ -118,6 +126,46 @@ def test_miss_rate_monotone_in_ratio(jd):
     assert rates[-1] == 1.0
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.5])
+def test_terapulse_session_matches_exact_rates(jd, ratio):
+    n = 10**12
+    tp = threshold_probs(jd)
+    rep = simulate_session(jd, n, AttackModel("balanced_beam_splitter", ratio), seed=SEED)
+    detect = tp.q1 - float(np.sum(jd.p[1:, :] * ratio ** np.arange(jd.p.shape[1])))
+    for count, p in ((rep.herald_count, tp.q1), (rep.bob_detect_count, detect)):
+        assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_pulses=st.integers(1000, 10**9),
+       ratios=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
+def test_count_sampler_couples_ratios(jd, seed, n_pulses, ratios):
+    def session(ratio):
+        return simulate_session(
+            jd, n_pulses, AttackModel("balanced_beam_splitter", ratio), seed=seed)
+
+    rates = [session(ratio).bob_miss_given_herald for ratio in sorted(ratios)]
+    assert all(a <= b for a, b in zip(rates, rates[1:]))
+    assert session(0.0) == simulate_session(jd, n_pulses, AttackModel(), seed=seed)
+    assert session(1.0).bob_detect_count == 0
+
+
+def test_binom_ppf_matches_scipy():
+    from scipy.stats import binom   # kept out of the package: it slows `import pcbs.cli`
+
+    # n = 12344, not 12345: at p = 1/2 an odd n puts the CDF exactly on 1/2,
+    # a tie that rounding settles either way.
+    u, n, p = (a.ravel() for a in np.meshgrid(
+        [1e-12, 0.01, 0.3, 0.5, 0.77, 0.999, 1.0],
+        [0, 1, 7, 100, 12344, 10**6, 10**9],
+        [0.0, 1e-20, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0]))
+    got = _binom_ppf(u, n, p)
+    want = binom.ppf(u, n, p)
+    # binom.ppf(1, n, 0) reports the top of the support, n; at p = 0 X is 0.
+    want[(u == 1.0) & (p == 0.0)] = 0
+    np.testing.assert_array_equal(got, want)
+
+
 def test_small_session_inconclusive(jd):
     rep = simulate_session(jd, 120, AttackModel(), seed=3)
     assert rep.herald_count < 100
@@ -135,7 +183,9 @@ def test_detect_attack_rejudge(jd):
     baseline = (tp.q1 - tp.q2) / tp.q1
     rep = simulate_session(jd, N_PULSES, AttackModel(), seed=SEED)
     assert detect_attack(rep, baseline) is Verdict.CLEAN
-    assert detect_attack(rep, baseline, z_threshold=1e-9) is Verdict.ATTACK_SUSPECTED
+    miss = rep.bob_miss_given_herald
+    assert detect_attack(rep, miss - 1e-6, z_threshold=1e-9) is Verdict.ATTACK_SUSPECTED
+    assert detect_attack(rep, miss + 1e-6, z_threshold=1e-9) is Verdict.CLEAN
     with pytest.raises(ValueError):
         detect_attack(rep, 1.5)
     with pytest.raises(ValueError):
@@ -161,6 +211,17 @@ def test_overflow_bucket_is_multiphoton():
     assert np.count_nonzero(over) > 0
     assert np.all(n2[over] == 2)
     assert n1.max() == 2 and n2.max() == 2
+
+
+def test_overflow_class_is_a_multiphoton_herald():
+    # the 1e-6 outside the box is a herald with n2 = 2 photons toward Bob
+    p = np.array([[0.3, 0.2], [0.25, 0.25 - 1e-6]])
+    fake = JointDistribution(p=p, captured_mass=float(p.sum()), input_echo=None)
+    n = 10**15
+    rep = simulate_session(fake, n, AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
+    herald, detect = 0.5, (0.25 - 1e-6) * 0.5 + 1e-6 * 0.75
+    for count, q in ((rep.herald_count, herald), (rep.bob_detect_count, detect)):
+        assert abs(count / n - q) < 5.0 * math.sqrt(q * (1.0 - q) / n)
 
 
 def test_report_json_round_trip(jd):

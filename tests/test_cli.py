@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pcbs
 from pcbs.cli import main
 from pcbs.selftest import CheckResult
 from pcbs.source import CODATA
@@ -193,6 +197,35 @@ def test_bb84_z_threshold_flag(capsys):
 
 def test_bb84_empty_session_exit(capsys):
     assert main(["bb84", "--n-pulses", "0"]) == 2
+
+
+@pytest.mark.parametrize("n_pulses", [1000.0, True])
+def test_bb84_config_non_integer_pulses_exit(tmp_path, capsys, n_pulses):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bb84": {"n_pulses": n_pulses}}))
+    assert main(["--config", str(cfg), "bb84"]) == 2
+    assert "n_pulses" in capsys.readouterr().err
+
+
+def test_bb84_pulses_beyond_int64_exit(capsys):
+    assert main(["bb84", "--n-pulses", str(10**20)]) == 2
+    assert "2**63" in capsys.readouterr().err
+
+
+def test_bb84_terapulse_session(capsys):
+    rc, out = run(capsys, "bb84", *WORKING, "--n-pulses", str(10**12), "--seed", "5")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["n_pulses"] == 10**12 and payload["verdict"] == "clean"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of start-up on every command
+    src = os.path.dirname(os.path.dirname(pcbs.__file__))
+    code = "import sys, pcbs.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_config_flag_override(tmp_path, capsys):

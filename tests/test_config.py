@@ -48,6 +48,12 @@ def test_malformed_values_rejected():
         config_from_tree([1, 2])
 
 
+@pytest.mark.parametrize("n_pulses", [1000.0, True, 0, -5, "1000"])
+def test_bad_pulse_count_rejected(n_pulses):
+    with pytest.raises(ConfigError, match="n_pulses"):
+        config_from_tree({"bb84": {"n_pulses": n_pulses}})
+
+
 def test_attack_model_built_from_section():
     cfg = config_from_tree({"bb84": {"attack": "balanced_beam_splitter",
                                      "splitting_ratio": 0.25}})
