@@ -20,7 +20,7 @@ functions take and return SI quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -63,6 +63,10 @@ class CrystalSpec:
     l_nl: float = 5.0e-5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.l_a <= 0 or self.l_b < 0:
             raise ValueError("l_a must be positive, l_b non-negative")
         if self.eps_rel_a < 1.0 or self.eps_rel_b < 1.0:
@@ -121,17 +125,60 @@ def _is_degenerate(spec: CrystalSpec) -> bool:
     return spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b
 
 
-def _optical_thickness(spec: CrystalSpec) -> float:
-    """(l_a n_a + l_b n_b) / Lambda; band edges of a gapless stack sit at n/(2s)."""
-    return (spec.l_a * math.sqrt(spec.eps_rel_a)
-            + spec.l_b * math.sqrt(spec.eps_rel_b)) / spec.period
+def _band(spec: CrystalSpec, band_index: int):
+    """q -> (w, v_g [m/s]) along one band, q = Lambda k in [0, pi].
+
+    A gapless stack is one medium of optical thickness s = (l_a n_a + l_b n_b)
+    / Lambda, its bands folded at the zone edges: band n spans w in
+    [(n - 1)/(2s), n/(2s)] and v_g = c/s.  On a gapped band w is the root in
+    the band's interval and v_g comes from implicit differentiation of the
+    residual, v_g / c = 2 pi |sin q| / |RHS'(w)|; the band edges return the
+    one-sided limit.  Raises DegeneratePointError when dRHS/dw vanishes at
+    the solution, which happens only when bands touch.
+    """
+    if _is_degenerate(spec):
+        s = (spec.l_a * math.sqrt(spec.eps_rel_a)
+             + spec.l_b * math.sqrt(spec.eps_rel_b)) / spec.period
+        n = band_index
+
+        def gapless(q: float) -> tuple[float, float]:
+            w = ((n - 1) * math.pi + q if n % 2 == 1 else n * math.pi - q) / (2.0 * math.pi * s)
+            return w, CODATA.c / s
+
+        return gapless
+
+    iv = _intervals(spec, band_index)[band_index - 1]
+    a, b, _ = _coeffs(spec)
+    floor = _DEGENERACY_FLOOR * (a + b)
+
+    def gapped(q: float) -> tuple[float, float]:
+        w = _band_root(spec, iv, q)
+        c_q = math.cos(q)
+        if band_index == 1 and c_q == 1.0:
+            # sin(q)/RHS' is 0/0 at the origin (and below float resolution of
+            # cos the root snaps to w = 0); the limit is the velocity of the
+            # volume-averaged-permittivity medium, c/sqrt(<eps>)
+            eps_mean = (spec.l_a * spec.eps_rel_a + spec.l_b * spec.eps_rel_b) / spec.period
+            return w, CODATA.c / math.sqrt(eps_mean)
+        if abs(c_q) == 1.0:
+            return w, 0.0    # gapped zone edge: the one-sided limit, exactly
+        rp = abs(float(_rhs_prime(spec, w)))
+        if rp < floor:
+            raise DegeneratePointError(
+                f"dRHS/domega ~ 0 at band {band_index}, Lambda*k = {q:.6g}: "
+                "touching bands, group velocity undefined by implicit differentiation"
+            )
+        return w, CODATA.c * 2.0 * math.pi * abs(math.sin(q)) / rp
+
+    return gapped
 
 
-def _static_velocity(spec: CrystalSpec) -> float:
-    """Band 1 at the origin: sin(q)/RHS' is 0/0 there, but the limit is the
-    velocity of the volume-averaged-permittivity medium, c/sqrt(<eps>)."""
-    eps_mean = (spec.l_a * spec.eps_rel_a + spec.l_b * spec.eps_rel_b) / spec.period
-    return CODATA.c / math.sqrt(eps_mean)
+def _reduced_q(spec: CrystalSpec, k: float) -> float:
+    """Lambda k, checked against the reduced zone [0, pi] and clamped into it."""
+    q = k * spec.period
+    if not (-1e-12 <= q <= math.pi * (1 + 1e-12)):
+        raise ValueError(f"k must lie in the reduced zone [0, pi/Lambda], got Lambda*k = {q}")
+    return min(max(q, 0.0), math.pi)
 
 
 def dispersion_residual(spec: CrystalSpec, omega: float, k: float) -> float:
@@ -187,14 +234,13 @@ def _band_intervals(spec: CrystalSpec, n_bands: int, points_per_unit: int) -> li
     return [(pts[2 * n], pts[2 * n + 1]) for n in range(n_bands)]
 
 
-def _intervals(spec: CrystalSpec, n_bands: int, points_per_unit: int) -> list[tuple[float, float]]:
-    for attempt in range(_MAX_DOUBLINGS + 1):
+def _intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float]]:
+    for attempt in range(_MAX_DOUBLINGS):
         try:
-            return _band_intervals(spec, n_bands, points_per_unit * (1 << attempt))
+            return _band_intervals(spec, n_bands, SCAN_POINTS_PER_UNIT << attempt)
         except InsufficientScanError:
-            if attempt == _MAX_DOUBLINGS:
-                raise
-    raise AssertionError("unreachable")
+            pass
+    return _band_intervals(spec, n_bands, SCAN_POINTS_PER_UNIT << _MAX_DOUBLINGS)
 
 
 def _band_root(spec: CrystalSpec, interval: tuple[float, float], q: float) -> float:
@@ -212,32 +258,23 @@ def _band_root(spec: CrystalSpec, interval: tuple[float, float], q: float) -> fl
     return float(brentq(g, lo_pad, hi + pad, rtol=1e-14, maxiter=200))
 
 
-def band_frequencies(spec: CrystalSpec, k: float, n_bands: int,
-                     points_per_unit: int = SCAN_POINTS_PER_UNIT) -> np.ndarray:
+def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
     """Angular frequencies (rad/s) of the lowest n_bands bands at wavenumber k.
 
     k must lie in the reduced zone [0, pi/Lambda].  Frequencies are strictly
     increasing with band index; band 1 at k = 0 is the origin omega = 0.
     """
-    lam = spec.period
-    q = k * lam
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
-    if not (-1e-12 <= q <= math.pi * (1 + 1e-12)):
-        raise ValueError(f"k must lie in the reduced zone [0, pi/Lambda], got Lambda*k = {q}")
-    q = min(max(q, 0.0), math.pi)
-    scale = 2.0 * math.pi * CODATA.c / lam
+    q = _reduced_q(spec, k)
     if _is_degenerate(spec):
-        s = _optical_thickness(spec)
-        roots = [((n - 1) * math.pi + q if n % 2 == 1 else n * math.pi - q) / (2.0 * math.pi * s)
-                 for n in range(1, n_bands + 1)]
-        return np.array(roots) * scale
-    ivs = _intervals(spec, n_bands, points_per_unit)
-    return np.array([_band_root(spec, iv, q) for iv in ivs]) * scale
+        ws = [_band(spec, n)(q)[0] for n in range(1, n_bands + 1)]
+    else:
+        ws = [_band_root(spec, iv, q) for iv in _intervals(spec, n_bands)]
+    return np.array(ws) * (2.0 * math.pi * CODATA.c / spec.period)
 
 
-def group_velocity(spec: CrystalSpec, band_index: int, k: float,
-                   points_per_unit: int = SCAN_POINTS_PER_UNIT) -> float:
+def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
     """|d omega / d k| (m/s) by implicit differentiation of the residual.
 
     v_g / c = 2 pi |sin(Lambda k)| / |RHS'(w)| at the band's frequency; the
@@ -247,71 +284,27 @@ def group_velocity(spec: CrystalSpec, band_index: int, k: float,
     """
     if band_index < 1:
         raise ValueError("band_index must be >= 1")
-    if _is_degenerate(spec):
-        # uniform effective medium: v_g = c / n everywhere in every band
-        return CODATA.c / _optical_thickness(spec)
-    lam = spec.period
-    q = k * lam
-    if not (-1e-12 <= q <= math.pi * (1 + 1e-12)):
-        raise ValueError(f"k must lie in the reduced zone [0, pi/Lambda], got Lambda*k = {q}")
-    q = min(max(q, 0.0), math.pi)
-    if band_index == 1 and math.cos(q) == 1.0:
-        # below float resolution of cos the root solve would snap to w = 0
-        return _static_velocity(spec)
-    if abs(math.cos(q)) == 1.0:
-        return 0.0    # gapped zone edge: the one-sided limit, exactly
-    iv = _intervals(spec, band_index, points_per_unit)[band_index - 1]
-    w = _band_root(spec, iv, q)
-    rp = float(_rhs_prime(spec, w))
-    a, b, _ = _coeffs(spec)
-    if abs(rp) < _DEGENERACY_FLOOR * (a + b):
-        raise DegeneratePointError(
-            f"dRHS/domega ~ 0 at band {band_index}, Lambda*k = {q:.6g}: "
-            "touching bands, group velocity undefined by implicit differentiation"
-        )
-    return CODATA.c * 2.0 * math.pi * abs(math.sin(q)) / abs(rp)
+    q = _reduced_q(spec, k)
+    return _band(spec, band_index)(q)[1]
 
 
-def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121,
-               points_per_unit: int = SCAN_POINTS_PER_UNIT) -> BandSolution:
+def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121) -> BandSolution:
     """Sample one band across the reduced zone, with edges and velocities."""
     if band_index < 1 or n_samples < 2:
         raise ValueError("band_index must be >= 1 and n_samples >= 2")
     lam = spec.period
     scale = 2.0 * math.pi * CODATA.c / lam
-    qs = np.linspace(0.0, math.pi, n_samples)
+    point = _band(spec, band_index)
     samples = []
-    if _is_degenerate(spec):
-        s = _optical_thickness(spec)
-        vg = CODATA.c / s
-        n = band_index
-        for q in qs:
-            w = ((n - 1) * math.pi + q if n % 2 == 1 else n * math.pi - q) / (2.0 * math.pi * s)
-            samples.append((q / lam, w * scale, vg))
-    else:
-        iv = _intervals(spec, band_index, points_per_unit)[band_index - 1]
-        a, b, _ = _coeffs(spec)
-        for q in qs:
-            w = _band_root(spec, iv, float(q))
-            c_q = math.cos(float(q))
-            if band_index == 1 and c_q == 1.0:
-                vg = _static_velocity(spec)
-            elif abs(c_q) == 1.0:
-                vg = 0.0
-            else:
-                rp = float(_rhs_prime(spec, w))
-                if abs(rp) < _DEGENERACY_FLOOR * (a + b):
-                    raise DegeneratePointError(
-                        f"dRHS/domega ~ 0 at band {band_index}, Lambda*k = {q:.6g}"
-                    )
-                vg = CODATA.c * 2.0 * math.pi * abs(math.sin(float(q))) / abs(rp)
-            samples.append((float(q) / lam, w * scale, vg))
+    for q in np.linspace(0.0, math.pi, n_samples):
+        q = float(q)
+        w, vg = point(q)
+        samples.append((q / lam, w * scale, vg))
     edges = (samples[0][1], samples[-1][1])
     return BandSolution(band_index=band_index, samples=tuple(samples), edges=edges)
 
 
-def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
-                           points_per_unit: int = SCAN_POINTS_PER_UNIT) -> TuningReport:
+def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
 
     The shift is measured from the k = 0 band edge, whose frequency is also
@@ -324,33 +317,24 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     if band_index < 1:
         raise ValueError("band_index must be >= 1")
     lam = spec.period
+    scale = 2.0 * math.pi * c / lam
+    point = _band(spec, band_index)
+    w0, vg0 = point(0.0)
     if _is_degenerate(spec):
-        vg0 = c / _optical_thickness(spec)
         if math.isclose(target_vg, vg0, rel_tol=1e-12):
-            edge0 = float(band_frequencies(spec, 0.0, band_index)[band_index - 1])
             return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                                 delta_omega=0.0, delta_nu=0.0,
-                                nu_s=edge0 / (2.0 * math.pi))
+                                nu_s=w0 * scale / (2.0 * math.pi))
         raise UnachievableTargetError(
             f"gapless crystal has constant group velocity {vg0:.6g} m/s; "
             f"target {target_vg:.6g} m/s is unreachable"
         )
-    iv = _intervals(spec, band_index, points_per_unit)[band_index - 1]
-    scale = 2.0 * math.pi * c / lam
-    edge0 = _band_root(spec, iv, 0.0) * scale
+    edge0 = w0 * scale
     nu_s = edge0 / (2.0 * math.pi)
     if target_vg == 0.0:
         return TuningReport(target_vg_over_c=0.0, k_star=0.0, delta_omega=0.0,
                             delta_nu=0.0, nu_s=nu_s)
-
-    def vg_of_q(q: float) -> float:
-        if band_index == 1 and math.cos(q) == 1.0:
-            return _static_velocity(spec)
-        w = _band_root(spec, iv, q)
-        rp = float(_rhs_prime(spec, w))
-        return c * 2.0 * math.pi * abs(math.sin(q)) / abs(rp)
-
-    if vg_of_q(0.0) >= target_vg:
+    if vg0 >= target_vg:
         # only band 1 can get here: its zone-center end is the static medium,
         # already at least as fast as the target
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
@@ -360,13 +344,13 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     # dispersion rounds onto the origin); every other band edge is clean
     q_first = 1e-5 * math.pi if band_index == 1 else 1e-8 * math.pi
     qs = np.geomspace(q_first, math.pi, 2048)
-    prev_q = 0.0    # vg_of_q(0) < target here, a valid left bracket
+    prev_q = 0.0    # v_g(0) < target here, a valid left bracket
     for q in qs:
-        v = vg_of_q(float(q))
+        v = point(float(q))[1]
         if v >= target_vg:
-            q_star = brentq(lambda x: vg_of_q(x) - target_vg, prev_q,
+            q_star = brentq(lambda x: point(x)[1] - target_vg, prev_q,
                             float(q), rtol=1e-13, maxiter=200)
-            omega_star = _band_root(spec, iv, float(q_star)) * scale
+            omega_star = point(float(q_star))[0] * scale
             delta_omega = abs(omega_star - edge0)
             return TuningReport(target_vg_over_c=target_vg / c,
                                 k_star=float(q_star) / lam,
@@ -374,7 +358,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
                                 delta_nu=delta_omega / (2.0 * math.pi),
                                 nu_s=nu_s)
         prev_q = float(q)
-    vmax = max(vg_of_q(float(q)) for q in np.linspace(0.05, math.pi - 0.05, 64))
+    vmax = max(point(float(q))[1] for q in np.linspace(0.05, math.pi - 0.05, 64))
     raise UnachievableTargetError(
         f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
         f"(~{vmax:.6g} m/s)"

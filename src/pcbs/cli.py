@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -155,21 +155,13 @@ def _zeta_report(cfg: RunConfig, omega_s: float, v_g: float) -> dict:
     }
 
 
-def _tuning_dict(rep) -> dict:
-    return {
-        "target_vg_over_c": rep.target_vg_over_c,
-        "k_star": rep.k_star,
-        "delta_omega": rep.delta_omega,
-        "delta_nu": rep.delta_nu,
-        "nu_s": rep.nu_s,
-    }
-
-
 def cmd_bands(cfg: RunConfig, args) -> int:
     n_bands = _resolve(args.n_bands, cfg.bands.n_bands)
     n_samples = _resolve(args.samples, cfg.bands.n_samples)
     band_index = _resolve(args.band, cfg.bands.band_index)
     target = _resolve(args.target_vg_over_c, cfg.bands.target_vg_over_c)
+    if n_bands < 1:
+        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
 
     rows = []
     for b in range(1, n_bands + 1):
@@ -186,9 +178,12 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     except (UnachievableTargetError, DegeneratePointError) as exc:
         payload["tuning"] = {"error": str(exc)}
     else:
-        payload["tuning"] = _tuning_dict(rep)
-        payload["zeta_report"] = _zeta_report(cfg, 2.0 * math.pi * rep.nu_s,
-                                              target * CODATA.c)
+        payload["tuning"] = asdict(rep)
+        try:
+            payload["zeta_report"] = _zeta_report(cfg, 2.0 * math.pi * rep.nu_s,
+                                                  target * CODATA.c)
+        except ValueError as exc:    # v_g = 0: the band edge itself
+            payload["zeta_report"] = {"error": str(exc)}
     _emit(payload)
     return 0
 
@@ -197,7 +192,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     band_index = _resolve(args.band, cfg.bands.band_index)
     target = _resolve(args.target_vg_over_c, cfg.bands.target_vg_over_c)
     rep = tune_to_group_velocity(cfg.crystal, band_index, target * CODATA.c)
-    _emit(_tuning_dict(rep))
+    _emit(asdict(rep))
     return 0
 
 

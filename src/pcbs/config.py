@@ -10,7 +10,8 @@ values after loading.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 from .bands import CrystalSpec
 from .bb84 import AttackModel
@@ -61,8 +62,6 @@ class Bb84Section:
     z_threshold: float = 5.0
 
     def __post_init__(self):
-        if not isinstance(self.n_pulses, int) or isinstance(self.n_pulses, bool):
-            raise TypeError(f"n_pulses must be an integer, got {self.n_pulses!r}")
         if self.n_pulses <= 0:
             raise ValueError(f"n_pulses must be positive, got {self.n_pulses}")
         self.attack_model()    # reject bad kind/ratio at load time
@@ -106,10 +105,17 @@ _SECTIONS = {
 def _build_section(name: str, cls, tree: dict):
     if not isinstance(tree, dict):
         raise ConfigError(f"section '{name}' must be an object, got {type(tree).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(tree) - known
+    hints = get_type_hints(cls)
+    unknown = set(tree) - set(hints)
     if unknown:
         raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
+    for key, hint in hints.items():
+        if key not in tree or hint not in (int, int | None):
+            continue
+        value = tree[key]
+        # type(), not isinstance(): bool is an int, and JSON true must not read as 1
+        if type(value) is not int and not (value is None and hint == int | None):
+            raise ConfigError(f"'{name}.{key}' must be an integer, got {value!r}")
     try:
         return cls(**tree)
     except (TypeError, ValueError) as exc:

@@ -9,7 +9,7 @@ among radiant flux, field amplitude, and photon number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "PhysicalConstants",
@@ -53,6 +53,10 @@ class PumpSpec:
     amplitude: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.radiant_flux <= 0 or self.beam_radius <= 0 or self.refractive_index <= 0:
             raise ValueError("flux, beam radius and refractive index must all be positive")
         if self.amplitude is not None:
@@ -73,6 +77,12 @@ class PumpSpec:
         return flux_to_amplitude(self)
 
 
+def _check_group_velocity(v_g: float) -> None:
+    if v_g <= 0.0:
+        raise ValueError(f"group velocity must be positive (got {v_g}); "
+                         "the band edge v_g = 0 is singular")
+
+
 def squeeze_parameter(omega_s: float, amplitude: float, chi2_tilde: float,
                       v_g: float, l_nl: float) -> float:
     """zeta = omega_s * A * chi2_tilde * l_nl / v_g (all SI).
@@ -80,55 +90,40 @@ def squeeze_parameter(omega_s: float, amplitude: float, chi2_tilde: float,
     ``chi2_tilde`` is the reduced susceptibility chi2 / eps0 in m/V; the
     eps0 bookkeeping is absorbed into that convention.
     """
-    if v_g <= 0.0:
-        raise ValueError(f"group velocity must be positive (got {v_g}); "
-                         "the band edge v_g = 0 is singular")
+    _check_group_velocity(v_g)
     return omega_s * amplitude * chi2_tilde * l_nl / v_g
 
 
 def amplitude_for_target_squeeze(zeta_target: float, omega_s: float,
                                  chi2_tilde: float, v_g: float, l_nl: float) -> float:
     """Invert squeeze_parameter for the field amplitude, V/m."""
-    if v_g <= 0.0:
-        raise ValueError(f"group velocity must be positive (got {v_g}); "
-                         "the band edge v_g = 0 is singular")
+    _check_group_velocity(v_g)
     denom = omega_s * chi2_tilde * l_nl
     if denom <= 0.0:
         raise ValueError("omega_s, chi2_tilde and l_nl must all be positive")
     return zeta_target * v_g / denom
 
 
-def flux_to_amplitude(pump: PumpSpec, constants: PhysicalConstants = CODATA) -> float:
+def flux_to_amplitude(pump: PumpSpec) -> float:
     """Field amplitude from radiant flux: A = sqrt(2 W / (pi d^2 eps0 c n)).
 
     The beam cross section is taken as pi d^2 with d the radius, matching the
     intensity convention the printed numbers follow.
     """
     w, d, n = pump.radiant_flux, pump.beam_radius, pump.refractive_index
-    return math.sqrt(2.0 * w / (math.pi * d**2 * constants.eps0 * constants.c * n))
+    return math.sqrt(2.0 * w / (math.pi * d**2 * CODATA.eps0 * CODATA.c * n))
 
 
-def pulse_volume(duration: float, beam_radius: float, geometry: str = "box",
-                 constants: PhysicalConstants = CODATA) -> float:
-    """Volume occupied by a pulse of the given duration, cubic meters.
-
-    geometry "box" is (c tau) * d * d, the rectangular convention the photon
-    number estimate uses; "cylinder" is (c tau) * pi d^2, consistent with the
-    disc cross section of the intensity relation.
-    """
+def pulse_volume(duration: float, beam_radius: float) -> float:
+    """Volume (c tau) * d * d occupied by a pulse of the given duration, cubic
+    meters: the rectangular convention the photon number estimate uses."""
     if duration <= 0 or beam_radius <= 0:
         raise ValueError("duration and beam radius must be positive")
-    length = constants.c * duration
-    if geometry == "box":
-        return length * beam_radius**2
-    if geometry == "cylinder":
-        return length * math.pi * beam_radius**2
-    raise ValueError(f"geometry must be 'box' or 'cylinder', got {geometry!r}")
+    return CODATA.c * duration * beam_radius**2
 
 
-def photon_number(amplitude: float, omega: float, volume: float,
-                  constants: PhysicalConstants = CODATA) -> float:
+def photon_number(amplitude: float, omega: float, volume: float) -> float:
     """Photons in a field of given amplitude filling a volume: 2 eps0 V A^2 / (hbar omega)."""
     if omega <= 0 or volume < 0 or amplitude < 0:
         raise ValueError("omega must be positive; amplitude and volume non-negative")
-    return 2.0 * constants.eps0 * volume * amplitude**2 / (constants.hbar * omega)
+    return 2.0 * CODATA.eps0 * volume * amplitude**2 / (CODATA.hbar * omega)

@@ -35,6 +35,13 @@ def test_crystal_spec_validation():
     assert SPEC.period == pytest.approx(1.1e-6, rel=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["l_a", "l_b", "eps_rel_a", "eps_rel_b", "chi2_tilde", "l_nl"])
+def test_crystal_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        CrystalSpec(**{field: value})
+
+
 def test_residual_zero_at_origin():
     assert dispersion_residual(SPEC, 0.0, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -118,6 +125,18 @@ def test_solve_band_samples_on_dispersion():
     assert np.all(np.diff(omegas) < 0)          # band 4 bends downward
     for k, omega, _ in sol.samples:
         assert abs(dispersion_residual(SPEC, omega, k)) < 1e-9
+
+
+@pytest.mark.parametrize("band", [1, 2, 4, 8])
+@pytest.mark.parametrize("spec", [SPEC, CrystalSpec(eps_rel_b=12.25),
+                                  CrystalSpec(eps_rel_a=4.0, eps_rel_b=4.0)],
+                         ids=["default", "eps_b=12.25", "homogeneous"])
+def test_solve_band_agrees_with_pointwise_functions(spec, band):
+    # one frequency rule and one velocity rule serve all three entry points
+    for k, omega, v_g in solve_band(spec, band, n_samples=25).samples:
+        np.testing.assert_allclose(band_frequencies(spec, k, band)[band - 1], omega,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(group_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)
 
 
 def test_band_gap_has_no_solutions():

@@ -147,6 +147,34 @@ def test_bands_homogeneous_config(tmp_path, capsys):
     assert np.isclose(float(v_gs.pop()), CODATA.c / 2.0, rtol=1e-12)
 
 
+def test_bands_zero_target_reports_zeta_error(tmp_path, capsys):
+    # v_g = 0 is the band edge: the tuning is served, zeta is singular there
+    rc, out = run(capsys, "bands", "--n-bands", "1", "--samples", "3",
+                  "--target-vg-over-c", "0", "--out-dir", str(tmp_path))
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["tuning"]["k_star"] == 0.0
+    assert "v_g = 0" in payload["zeta_report"]["error"]
+
+
+def test_bands_zero_bands_exit(tmp_path, capsys):
+    assert main(["bands", "--n-bands", "0", "--out-dir", str(tmp_path)]) == 2
+    assert "n_bands" in capsys.readouterr().err
+    assert not (tmp_path / "bands.csv").exists()
+
+
+@pytest.mark.parametrize("tree", [
+    {"pump": {"radiant_flux": float("nan"), "beam_radius": 5e-6}},
+    {"crystal": {"l_a": float("nan")}},
+    {"crystal": {"eps_rel_b": float("inf")}},
+])
+def test_bands_non_finite_config_exit(tmp_path, capsys, tree):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(tree))    # json writes NaN / Infinity, and reads them back
+    assert main(["--config", str(cfg), "bands", "--out-dir", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_tune_command(capsys):
     rc, out = run(capsys, "tune", "--band", "4",
                   "--target-vg-over-c", "4.59e-3")

@@ -54,6 +54,26 @@ def test_bad_pulse_count_rejected(n_pulses):
         config_from_tree({"bb84": {"n_pulses": n_pulses}})
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("section, key", [
+    ("truncation", "n_max"),
+    ("sweep", "steps"),
+    ("sweep", "n_max"),
+    ("bands", "n_bands"),
+    ("bands", "n_samples"),
+    ("bands", "band_index"),
+    ("bb84", "n_pulses"),
+])
+def test_integer_fields_reject_floats_and_bools(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        config_from_tree({section: {key: value}})
+
+
+def test_optional_n_max_accepts_null():
+    assert config_from_tree({"truncation": {"n_max": None}}).truncation.n_max is None
+    assert config_from_tree({"truncation": {"n_max": 50}}).truncation.n_max == 50
+
+
 def test_attack_model_built_from_section():
     cfg = config_from_tree({"bb84": {"attack": "balanced_beam_splitter",
                                      "splitting_ratio": 0.25}})

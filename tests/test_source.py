@@ -47,6 +47,13 @@ def test_pump_amplitude_consistency_check():
         PumpSpec(radiant_flux=-1.0, beam_radius=5.0e-6)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["radiant_flux", "beam_radius", "refractive_index", "amplitude"])
+def test_pump_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        PumpSpec(**{"radiant_flux": 0.03, "beam_radius": 5.0e-6, field: value})
+
+
 def test_field_amplitude_accessor():
     p = PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6)
     assert p.field_amplitude() == flux_to_amplitude(p)
@@ -81,10 +88,6 @@ def test_amplitude_for_unit_squeeze_coefficient():
 def test_pulse_volume_geometries():
     box = pulse_volume(3.7e-9, 5.0e-6)
     assert np.isclose(box, CODATA.c * 3.7e-9 * 25.0e-12, rtol=1e-14)
-    cyl = pulse_volume(3.7e-9, 5.0e-6, geometry="cylinder")
-    assert np.isclose(cyl, math.pi * box, rtol=1e-14)
-    with pytest.raises(ValueError):
-        pulse_volume(3.7e-9, 5.0e-6, geometry="sphere")
 
 
 def test_photon_number_weak_signal():
