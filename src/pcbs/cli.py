@@ -162,6 +162,10 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     target = _resolve(args.target_vg_over_c, cfg.bands.target_vg_over_c)
     if n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
+    if band_index < 1:
+        raise ValueError(f"band_index must be >= 1, got {band_index}")
+    if target < 0:
+        raise ValueError(f"target_vg_over_c must be >= 0, got {target}")
 
     rows = []
     for b in range(1, n_bands + 1):

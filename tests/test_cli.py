@@ -68,6 +68,16 @@ def test_dist_truncation_exit(tmp_path, capsys):
     assert rc == 3
 
 
+def test_dist_large_displacement_mass_at_most_one(tmp_path, capsys):
+    # the squeeze-matrix product cancelled here and reported a mass of 9.44
+    rc, out = run(capsys, "dist", "--r", "0.5", "--alpha", "10",
+                  "--out-dir", str(tmp_path))
+    assert rc == 0
+    payload = json.loads(out)
+    assert 1 - 1e-8 <= payload["captured_mass"] <= 1 + 1e-12
+    assert payload["q1"] <= 1
+
+
 def test_dist_strong_squeeze_oracle(tmp_path, capsys):
     # far point at the default 1e-8 mass gate (n_max 161): served, oracle-exact
     rc, out = run(capsys, "dist", "--r", "1.5", "--alpha", "1.0", "--oracle",
@@ -160,6 +170,16 @@ def test_bands_zero_target_reports_zeta_error(tmp_path, capsys):
 def test_bands_zero_bands_exit(tmp_path, capsys):
     assert main(["bands", "--n-bands", "0", "--out-dir", str(tmp_path)]) == 2
     assert "n_bands" in capsys.readouterr().err
+    assert not (tmp_path / "bands.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--band", "0", "band_index"),
+    ("--target-vg-over-c", "-1", "target_vg_over_c"),
+])
+def test_bands_bad_tuning_input_exits_before_writing(tmp_path, capsys, flag, value, name):
+    assert main(["bands", flag, value, "--out-dir", str(tmp_path)]) == 2
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "bands.csv").exists()
 
 

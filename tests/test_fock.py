@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcbs.errors import TruncationError
 from pcbs.fock import (
     SqueezedInput,
     TruncationPolicy,
+    _shell_amplitudes,
+    _single_mode_column,
     box_probability,
     coherent_amplitudes,
     output_amplitudes,
@@ -60,6 +62,61 @@ def test_squeezed_vacuum_column_closed_form():
                     / (2**l * math.factorial(l) * math.sqrt(math.cosh(s))))
         assert abs(abs(col[2 * l]) - expected) < 1e-10
     assert np.isclose(np.sum(col**2), 1.0, atol=1e-10)
+
+
+def _mp_column(r, alpha, n_top):
+    # the same recurrence at 60 digits, from the exact float inputs
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        r, alpha = mpmath.mpf(r), mpmath.mpf(alpha)
+        cosh_r = mpmath.cosh(r)
+        prev, cur = mpmath.mpf(0), (mpmath.exp(-alpha**2 * mpmath.exp(r) / (2 * cosh_r))
+                                    / mpmath.sqrt(cosh_r))
+        out = [cur]
+        for n in range(n_top):
+            prev, cur = cur, ((alpha / cosh_r) * cur + mpmath.tanh(r) * mpmath.sqrt(n) * prev
+                              ) / mpmath.sqrt(n + 1)
+            out.append(cur)
+        return np.array([float(x) for x in out])
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, 2.0), alpha=st.floats(-2.0, 2.0), n_top=st.integers(0, 160))
+def test_column_matches_squeeze_matrix_product(r, alpha, n_top):
+    # the product is sound here: the coherent column has no weight past 160,
+    # and its cancellation error stays near 5e-15 (it reaches 2.6e-13 at
+    # r = 1.5, alpha = 3 against a 60-digit reference, where the column has 3e-16)
+    ref = (squeeze_matrix(r, 160) @ coherent_amplitudes(alpha, 160))[:n_top + 1]
+    assert np.max(np.abs(_single_mode_column(r, alpha, n_top) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("r, alpha, n_top", [(1.0, 0.5, 60), (0.5, 40.0, 2500), (2.0, -3.0, 161)])
+def test_column_is_a_prefix_of_longer_columns(r, alpha, n_top):
+    short = _single_mode_column(r, alpha, n_top)
+    assert np.array_equal(short, _single_mode_column(r, alpha, 2 * n_top)[:n_top + 1])
+
+
+def test_column_survives_underflowing_vacuum_amplitude():
+    # log psi_0 is about -1170 here: a plain recurrence returns all zeros
+    col = _single_mode_column(0.5, 40.0, 5000)
+    assert col[0] == 0.0 and np.any(col != 0.0)
+    assert np.sum(col**2) >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1e9, 1e200])
+def test_column_beyond_any_box_is_zero(alpha):
+    # log psi_0 on either side of -2^60: every entry is below the smallest subnormal
+    assert np.array_equal(_single_mode_column(0.5, alpha, 50), np.zeros(51))
+    with pytest.raises(TruncationError):
+        output_amplitudes(SqueezedInput(r=0.5, alpha=alpha), TruncationPolicy(n_max=25))
+
+
+@pytest.mark.parametrize("r, alpha, n_top", [
+    (0.5, 40.0, 5000), (0.0, 30.0, 2000), (1.0, -5.0, 1200), (2.5, 0.5, 1500),
+])
+def test_column_matches_high_precision_recurrence(r, alpha, n_top):
+    expected = _mp_column(r, alpha, n_top)
+    assert np.max(np.abs(_single_mode_column(r, alpha, n_top) - expected)) <= 1e-13
 
 
 def test_output_vacuum_point():
@@ -123,14 +180,19 @@ def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
 
 
 @settings(max_examples=50, deadline=None)
-@given(r=st.floats(0.0, 1.5), alpha=st.floats(-1.0, 1.0), n_max=st.integers(1, 40))
+@given(r=st.floats(0.0, 2.0), alpha=st.floats(-12.0, 12.0), n_max=st.integers(1, 80))
+@example(r=0.5, alpha=10.0, n_max=69)
+@example(r=0.8323598777886922, alpha=9.990476052127061, n_max=60)
+@example(r=0.5, alpha=2.2250738585e-313, n_max=40)
 def test_amplitude_invariants(r, alpha, n_max):
-    # a gate every box passes: the invariants hold for any truncation
-    policy = TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12)
-    amp = output_amplitudes(SqueezedInput(r=r, alpha=alpha), policy)
-    assert np.array_equal(amp.entries, amp.entries.T)
-    assert amp.captured_mass <= 1.0 + 1e-12
+    # the invariants hold for any truncation; at large alpha the box may hold
+    # less than the 1e-12 the loosest gate needs, so read the entries ungated
+    entries = _shell_amplitudes(SqueezedInput(r=r, alpha=alpha), n_max)
+    assert np.array_equal(entries, entries.T)
+    assert np.sum(entries**2) <= 1.0 + 1e-12
 
+    # a gate every squeezed-vacuum box passes
+    policy = TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12)
     squeezed = output_amplitudes(SqueezedInput(r=r, alpha=0.0), policy).entries
     total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     assert np.all(squeezed[total % 2 == 1] == 0.0)
@@ -139,6 +201,11 @@ def test_amplitude_invariants(r, alpha, n_max):
     # (e.g. r=0.25, alpha=0, n_max=23 gives 1 - 6e-16 after 1 - 3e-16)
     state = SqueezedInput(r=r, alpha=alpha)
     assert box_probability(state, n_max + 1) >= box_probability(state, n_max) - 1e-14
+
+
+def test_box_probability_at_most_one_at_large_displacement():
+    # the squeeze-matrix product cancelled here and gave 9.44
+    assert box_probability(SqueezedInput(0.5, 10.0), 69) <= 1.0 + 1e-12
 
 
 def test_box_probability_vacuum_and_monotone():
@@ -180,8 +247,6 @@ def test_suggest_n_max_validation():
 def test_input_validation():
     with pytest.raises(ValueError):
         SqueezedInput(r=-1.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        SqueezedInput(r=1.0, alpha=0.5, splitter_phase=0.1)
     with pytest.raises(ValueError):
         SqueezedInput(r=math.inf, alpha=0.5)
     with pytest.raises(ValueError):
