@@ -312,8 +312,8 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float)
     band's maximum group velocity raise UnachievableTargetError.
     """
     c = CODATA.c
-    if target_vg < 0:
-        raise ValueError("target_vg must be >= 0")
+    if not target_vg >= 0:
+        raise ValueError(f"target_vg must be >= 0, got {target_vg}")
     if band_index < 1:
         raise ValueError("band_index must be >= 1")
     lam = spec.period

@@ -164,7 +164,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
     if band_index < 1:
         raise ValueError(f"band_index must be >= 1, got {band_index}")
-    if target < 0:
+    if not target >= 0:
         raise ValueError(f"target_vg_over_c must be >= 0, got {target}")
 
     rows = []

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The Fock layer has one numerical refusal, :class:`TruncationError`: the
-requested box holds too little probability mass.  Its amplitudes carry no
-precision limit of their own.
+requested box holds too little probability mass, or more than 1.  Its
+amplitudes carry no precision limit of their own.
 """
 
 
@@ -12,6 +12,9 @@ class PcbsError(Exception):
 
 class TruncationError(PcbsError):
     """Raised when a truncated Fock computation fails its captured-mass check.
+
+    The mass must lie within ``tail_tolerance`` of 1: below it the box is
+    too small, above it the amplitudes are not normalised.
 
     Attributes
     ----------
@@ -27,11 +30,20 @@ class TruncationError(PcbsError):
         self.captured_mass = captured_mass
         self.n_max = n_max
         self.tail_tolerance = tail_tolerance
-        super().__init__(
-            f"truncated state captured only {captured_mass:.12g} of the "
-            f"probability mass at n_max={n_max} "
-            f"(required >= 1 - {tail_tolerance:g}); increase n_max"
-        )
+        if captured_mass > 1.0:
+            message = (
+                f"truncated state captured {captured_mass:.12g} of the "
+                f"probability mass at n_max={n_max} "
+                f"(required <= 1 + {tail_tolerance:g}); the amplitudes are "
+                f"not normalised"
+            )
+        else:
+            message = (
+                f"truncated state captured only {captured_mass:.12g} of the "
+                f"probability mass at n_max={n_max} "
+                f"(required >= 1 - {tail_tolerance:g}); increase n_max"
+            )
+        super().__init__(message)
 
 
 class NoHeraldError(PcbsError):

@@ -14,7 +14,7 @@ binomially over the outputs (n1, T - n1), so every output amplitude is one
 entry of psi times a binomial weight, taken in log space (``gammaln``).
 Everything here is real because all interaction phases are pinned to zero.
 The amplitudes agree with the operator-exponential oracle to rounding up to
-r = 1.5 at a 1e-8 tail.
+r = 2 at a 1e-8 tail.
 
 :func:`squeeze_matrix` and :func:`coherent_amplitudes` are kept as an
 independent reference for tests: their product is the same column, but its
@@ -50,7 +50,9 @@ class SqueezedInput:
     ``r`` is the (real, non-negative) squeeze parameter of the light leaving
     the nonlinear crystal and ``alpha`` the real coherent displacement.  The
     squeeze, displacement and splitter phases are all zero, which keeps the
-    amplitude algebra below real.
+    amplitude algebra below real.  ``r`` must leave e^r and cosh r finite
+    in double precision (r below about 709.78), since psi_0 is built from
+    both.
     """
 
     r: float
@@ -63,6 +65,12 @@ class SqueezedInput:
             raise ValueError(f"squeeze parameter r must be >= 0, got {self.r}")
         if not math.isfinite(self.r) or not math.isfinite(self.alpha):
             raise ValueError("r and alpha must be finite")
+        try:
+            math.exp(self.r)        # overflows first; cosh r = (e^r + e^-r) / 2
+        except OverflowError:
+            raise ValueError(
+                f"squeeze parameter r = {self.r} is too large: e^r overflows "
+                "(need r < 709.78)") from None
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class TruncationPolicy:
     """Fock-space truncation: keep photon numbers 0..n_max per mode.
 
     After computing a joint amplitude matrix, the captured probability mass
-    must be at least ``1 - tail_tolerance``; otherwise the computation raises
+    must lie within ``tail_tolerance`` of 1; otherwise the computation raises
     :class:`~pcbs.errors.TruncationError`.  The default covers squeeze
     parameters up to about 0.9 with displacements up to 1; the working point
     r = 1, alpha = 1/2 has a true tail of 8.6e-8 at n_max = 40 and needs
@@ -220,11 +228,11 @@ def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> Amplitu
     """Joint number-basis amplitudes of the two splitter outputs.
 
     Raises TruncationError if the captured mass falls short of
-    ``1 - policy.tail_tolerance``.
+    ``1 - policy.tail_tolerance`` or exceeds ``1 + policy.tail_tolerance``.
     """
     amp = AmplitudeMatrix(entries=_shell_amplitudes(state, policy.n_max), n_max=policy.n_max)
     captured = amp.captured_mass
-    if captured < 1.0 - policy.tail_tolerance:
+    if not abs(captured - 1.0) <= policy.tail_tolerance:
         raise TruncationError(captured, policy.n_max, policy.tail_tolerance)
     return amp
 

@@ -56,6 +56,14 @@ def test_dist_vacuum(tmp_path, capsys):
     assert rows[0] == ["0", "0", "1"]
 
 
+def test_dist_overflowing_squeeze_exit(tmp_path, capsys):
+    rc = main(["dist", "--r", "800", "--alpha", "0.5", "--n-max", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: squeeze parameter r = 800")
+    assert not (tmp_path / "dist.csv").exists()
+
+
 def test_dist_oracle_flag(tmp_path, capsys):
     rc, out = run(capsys, "dist", "--r", "0.8", "--alpha", "0.5",
                   "--oracle", "--out-dir", str(tmp_path))
@@ -176,6 +184,7 @@ def test_bands_zero_bands_exit(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, name", [
     ("--band", "0", "band_index"),
     ("--target-vg-over-c", "-1", "target_vg_over_c"),
+    ("--target-vg-over-c", "nan", "target_vg_over_c"),
 ])
 def test_bands_bad_tuning_input_exits_before_writing(tmp_path, capsys, flag, value, name):
     assert main(["bands", flag, value, "--out-dir", str(tmp_path)]) == 2
@@ -207,6 +216,13 @@ def test_tune_command(capsys):
 
 def test_tune_unachievable_exit(capsys):
     assert main(["tune", "--target-vg-over-c", "0.9"]) == 2
+
+
+def test_tune_nan_target_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tune", "--target-vg-over-c", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: target_vg must be >= 0, got nan")
+    assert not (tmp_path / "bands.csv").exists()
 
 
 def test_tune_insufficient_scan_exit(tmp_path, capsys):

@@ -253,3 +253,24 @@ def test_input_validation():
         TruncationPolicy(n_max=0)
     with pytest.raises(ValueError):
         TruncationPolicy(tail_tolerance=0.0)
+
+
+@pytest.mark.parametrize("r", [709.9, 710.0, 800.0, 1e300])
+def test_input_refuses_overflowing_squeeze(r):
+    # e^r overflows above r = 709.78 and cosh r above 710.48; both build psi_0
+    with pytest.raises(ValueError, match="overflows"):
+        SqueezedInput(r=r, alpha=0.5)
+
+
+def test_input_accepts_squeeze_just_below_overflow():
+    SqueezedInput(r=709.0, alpha=0.5)
+
+
+@pytest.mark.parametrize("scale, wording", [(1.0 + 1e-6, "not normalised"),
+                                            (1.0 - 1e-6, "increase n_max")])
+def test_mass_gate_is_two_sided(monkeypatch, scale, wording):
+    monkeypatch.setattr("pcbs.fock._shell_amplitudes",
+                        lambda state, n_max: _shell_amplitudes(state, n_max) * math.sqrt(scale))
+    with pytest.raises(TruncationError, match=wording) as info:
+        output_amplitudes(SqueezedInput(r=1.0, alpha=0.5), TruncationPolicy(49, 1e-8))
+    assert abs(info.value.captured_mass - scale) < 1e-7
