@@ -12,9 +12,19 @@ printed dispersion relation verbatim: its prefactor (K_a^2 + K_b^2) /
 (2 K_a K_b) equals the transfer-matrix form (K_a/K_b + K_b/K_a)/2
 identically, so there is no sign-convention ambiguity to correct for.
 
-Bands are the omega ranges with |RHS| <= 1.  Internally everything is
-dimensionless (w = omega Lambda / (2 pi c), q = k Lambda); the public
-functions take and return SI quantities.
+Bands are the omega ranges with |RHS| <= 1.  Their edges come from the
+half-angle factors of the symmetric cell (Yeh, Yariv & Hong, JOSA 67, 423
+(1977)).  With A = l_a K_a / 2, B = l_b K_b / 2 and x = sqrt(eps_rel_b / eps_rel_a),
+
+    1 + RHS = 2 (cos A cos B - x sin A sin B) (cos A cos B - sin A sin B / x)
+    1 - RHS = 2 (sin A cos B + x cos A sin B) (sin A cos B + cos A sin B / x)
+
+Every band edge is a simple zero of one of these four factors, and a gap is
+closed where two factors share a root: the bands on either side meet there
+with a finite group velocity.  w = 0, a root of both odd factors, is the
+zeroth closed gap.  Internally everything is dimensionless
+(w = omega Lambda / (2 pi c), q = k Lambda); the public functions take and
+return SI quantities.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ __all__ = [
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
-_MAX_DOUBLINGS = 3            # automatic rescans on a missed boundary pair
+_XTOL, _RTOL = 2e-12, 1e-14   # brentq tolerances of every band-edge and band root
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
 
 
@@ -108,16 +118,57 @@ def _coeffs(spec: CrystalSpec) -> tuple[float, float, float]:
     return a, b, eta
 
 
-def _rhs(spec: CrystalSpec, w):
-    a, b, eta = _coeffs(spec)
-    return np.cos(a * w) * np.cos(b * w) - eta * np.sin(a * w) * np.sin(b * w)
+def _rhs(a: float, b: float, eta: float, w: float) -> float:
+    return math.cos(a * w) * math.cos(b * w) - eta * math.sin(a * w) * math.sin(b * w)
 
 
-def _rhs_prime(spec: CrystalSpec, w):
-    a, b, eta = _coeffs(spec)
-    sa, ca = np.sin(a * w), np.cos(a * w)
-    sb, cb = np.sin(b * w), np.cos(b * w)
+def _rhs_prime(a: float, b: float, eta: float, w: float) -> float:
+    sa, ca = math.sin(a * w), math.cos(a * w)
+    sb, cb = math.sin(b * w), math.cos(b * w)
     return -(a * sa * cb + b * ca * sb) - eta * (a * ca * sb + b * sa * cb)
+
+
+def _factors(sa, ca, sb, cb, x):
+    """The four edge factors from the half-angle sines and cosines (floats or arrays).
+
+    1 + RHS = 2 f0 f1 and 1 - RHS = 2 f2 f3.
+    """
+    return (ca * cb - x * sa * sb, ca * cb - sa * sb / x,
+            sa * cb + x * ca * sb, sa * cb + ca * sb / x)
+
+
+def _factor(w: float, a: float, b: float, x: float, i: int) -> float:
+    ha, hb = 0.5 * a * w, 0.5 * b * w
+    return _factors(math.sin(ha), math.cos(ha), math.sin(hb), math.cos(hb), x)[i]
+
+
+def _factor_slope(w: float, a: float, b: float, x: float, i: int) -> float:
+    """d f_i / dw."""
+    ha, hb = 0.5 * a, 0.5 * b
+    sa, ca = math.sin(ha * w), math.cos(ha * w)
+    sb, cb = math.sin(hb * w), math.cos(hb * w)
+    y = x if i % 2 == 0 else 1.0 / x
+    if i < 2:
+        return -(ha * sa * cb + hb * ca * sb) - y * (ha * ca * sb + hb * sa * cb)
+    return (ha * ca * cb - hb * sa * sb) + y * (hb * ca * cb - ha * sa * sb)
+
+
+def _gap_velocity(a: float, b: float, x: float,
+                  lower: tuple[float, int], upper: tuple[float, int]) -> float:
+    """v_g [m/s] at either band edge beside the gap between two (w, factor) roots.
+
+    The one closed-gap rule: the two roots agree to brentq's tolerance.  An
+    open gap stops the wave, v_g = 0.0 exactly.  Across a closed gap the two
+    factors F, G give 1 -+ RHS ~ 2 F'G' dw^2 against 1 -+ cos q ~ dq^2 / 2,
+    so dw/dq = 1 / (2 sqrt(F'G')) and v_g = c pi / sqrt(F'G').  F' and G'
+    share a sign; taking their roots apart gives the origin's c / sqrt(<eps>)
+    to the last bit on the default crystal.
+    """
+    (w_f, f), (w_g, g) = lower, upper
+    if w_g - w_f > 2.0 * (_XTOL + _RTOL * w_g):
+        return 0.0
+    return (CODATA.c * math.pi / math.sqrt(abs(_factor_slope(w_f, a, b, x, f)))
+            / math.sqrt(abs(_factor_slope(w_g, a, b, x, g))))
 
 
 def _is_degenerate(spec: CrystalSpec) -> bool:
@@ -133,8 +184,9 @@ def _band(spec: CrystalSpec, band_index: int):
     [(n - 1)/(2s), n/(2s)] and v_g = c/s.  On a gapped band w is the root in
     the band's interval and v_g comes from implicit differentiation of the
     residual, v_g / c = 2 pi |sin q| / |RHS'(w)|; the band edges return the
-    one-sided limit.  Raises DegeneratePointError when dRHS/dw vanishes at
-    the solution, which happens only when bands touch.
+    limit beside their gap (0.0 when it is open).  Raises
+    DegeneratePointError when dRHS/dw vanishes at the solution, which
+    happens only when bands touch.
     """
     if _is_degenerate(spec):
         s = (spec.l_a * math.sqrt(spec.eps_rel_a)
@@ -147,22 +199,15 @@ def _band(spec: CrystalSpec, band_index: int):
 
         return gapless
 
-    iv = _intervals(spec, band_index)[band_index - 1]
-    a, b, _ = _coeffs(spec)
+    lo, hi, v_lo, v_hi = _band_intervals(spec, band_index)[band_index - 1]
+    a, b, eta = _coeffs(spec)
     floor = _DEGENERACY_FLOOR * (a + b)
 
     def gapped(q: float) -> tuple[float, float]:
-        w = _band_root(spec, iv, q)
-        c_q = math.cos(q)
-        if band_index == 1 and c_q == 1.0:
-            # sin(q)/RHS' is 0/0 at the origin (and below float resolution of
-            # cos the root snaps to w = 0); the limit is the velocity of the
-            # volume-averaged-permittivity medium, c/sqrt(<eps>)
-            eps_mean = (spec.l_a * spec.eps_rel_a + spec.l_b * spec.eps_rel_b) / spec.period
-            return w, CODATA.c / math.sqrt(eps_mean)
-        if abs(c_q) == 1.0:
-            return w, 0.0    # gapped zone edge: the one-sided limit, exactly
-        rp = abs(float(_rhs_prime(spec, w)))
+        w = _band_root(a, b, eta, band_index, lo, hi, q)
+        if abs(math.cos(q)) == 1.0:
+            return w, v_lo if w == lo else v_hi
+        rp = abs(_rhs_prime(a, b, eta, w))
         if rp < floor:
             raise DegeneratePointError(
                 f"dRHS/domega ~ 0 at band {band_index}, Lambda*k = {q:.6g}: "
@@ -190,72 +235,56 @@ def dispersion_residual(spec: CrystalSpec, omega: float, k: float) -> float:
     if omega < 0:
         raise ValueError("omega must be >= 0")
     w = omega * spec.period / (2.0 * math.pi * CODATA.c)
-    return float(math.cos(spec.period * k) - _rhs(spec, w))
+    return math.cos(spec.period * k) - _rhs(*_coeffs(spec), w)
 
 
-def _band_intervals(spec: CrystalSpec, n_bands: int, points_per_unit: int) -> list[tuple[float, float]]:
-    """First n_bands dimensionless intervals where |RHS| <= 1.
+def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float, float, float]]:
+    """(lo, hi, v_g at lo, v_g at hi) of the first n_bands gapped bands.
 
-    Boundaries are roots of RHS = +1 or RHS = -1; starting from the w = 0
-    boundary the types must follow the pattern +, --, ++, --, ... (each gap
-    is entered and left through the same value of cos(Lambda k)).  A missed
-    root pair breaks the pattern and raises InsufficientScanError.
+    Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT and
+    every change is polished with brentq.  With w = 0 prepended once per odd
+    factor, the sorted roots alternate gap, band, gap, ...: gap g spans roots
+    2g and 2g + 1, band n spans roots 2n - 1 and 2n.
     """
-    need = 2 * n_bands
-    boundaries: list[tuple[float, int]] = [(0.0, +1)]
+    a, b, _ = _coeffs(spec)
+    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
+    need = 2 * n_bands    # scanned roots up to the top of gap n_bands
+    roots: list[tuple[float, int]] = []
     w_hi = 0.0
-    chunk = 1.0
-    while len(boundaries) < need:
-        w_lo, w_hi = w_hi, w_hi + chunk
-        if w_lo > _SCAN_CEILING:
+    while len(roots) < need:
+        w_lo, w_hi = w_hi, w_hi + 1.0
+        if w_lo >= _SCAN_CEILING:
             raise InsufficientScanError(
-                f"found only {len(boundaries)} band boundaries below "
-                f"dimensionless frequency {_SCAN_CEILING}"
+                f"no band edge below dimensionless frequency {_SCAN_CEILING:g} "
+                f"beyond the first {len(roots)}; band {n_bands} needs {need}"
             )
-        grid = np.linspace(w_lo, w_hi, int(chunk * points_per_unit) + 1)
-        vals = _rhs(spec, grid)
-        for sign in (+1, -1):
-            g = vals - sign
-            idx = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-            for i in idx:
-                root = brentq(lambda w: float(_rhs(spec, w)) - sign,
-                              grid[i], grid[i + 1], rtol=1e-14, maxiter=200)
-                boundaries.append((float(root), sign))
-        boundaries.sort()
-
-    expected = lambda i: +1 if i == 0 or ((i - 1) // 2) % 2 == 1 else -1
-    for i, (_, sign) in enumerate(boundaries[:need]):
-        if sign != expected(i):
-            raise InsufficientScanError(
-                "band-boundary pattern broken (a narrow gap fell between scan "
-                "points); rescan at higher resolution"
-            )
-    pts = [w for w, _ in boundaries[:need]]
-    return [(pts[2 * n], pts[2 * n + 1]) for n in range(n_bands)]
+        grid = np.linspace(w_lo, w_hi, SCAN_POINTS_PER_UNIT + 1)
+        ha, hb = 0.5 * a * grid, 0.5 * b * grid
+        values = _factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x)
+        for i, f in enumerate(values):
+            negative = np.signbit(f)    # an exact 0.0 joins one side, so each root counts once
+            for j in np.nonzero(negative[:-1] != negative[1:])[0]:
+                root = brentq(_factor, grid[j], grid[j + 1], args=(a, b, x, i),
+                              xtol=_XTOL, rtol=_RTOL, maxiter=200)
+                roots.append((float(root), i))
+    roots.sort()
+    edges = [(0.0, 2), (0.0, 3)] + roots[:need]
+    v = [_gap_velocity(a, b, x, edges[2 * g], edges[2 * g + 1]) for g in range(n_bands + 1)]
+    return [(edges[2 * n - 1][0], edges[2 * n][0], v[n - 1], v[n])
+            for n in range(1, n_bands + 1)]
 
 
-def _intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float]]:
-    for attempt in range(_MAX_DOUBLINGS):
-        try:
-            return _band_intervals(spec, n_bands, SCAN_POINTS_PER_UNIT << attempt)
-        except InsufficientScanError:
-            pass
-    return _band_intervals(spec, n_bands, SCAN_POINTS_PER_UNIT << _MAX_DOUBLINGS)
-
-
-def _band_root(spec: CrystalSpec, interval: tuple[float, float], q: float) -> float:
-    """Dimensionless frequency of one band at dimensionless wavenumber q."""
-    lo, hi = interval
+def _band_root(a: float, b: float, eta: float, band_index: int,
+               lo: float, hi: float, q: float) -> float:
+    """Dimensionless frequency of one band, spanning [lo, hi], at wavenumber q."""
     target = math.cos(q)
-    g = lambda w: float(_rhs(spec, w)) - target
-    # the zone edges coincide with the interval endpoints (RHS = +/-1 there)
-    if target == 1.0:
-        return lo if lo == 0.0 or abs(g(lo)) < abs(g(hi)) else hi
-    if target == -1.0:
-        return lo if abs(g(lo)) < abs(g(hi)) else hi
+    if abs(target) == 1.0:
+        # the zone edges are the interval ends; k = 0 is the lower end of an odd band
+        return lo if (target == 1.0) == (band_index % 2 == 1) else hi
     pad = (hi - lo) * 1e-9
     lo_pad = lo - pad if lo > 0.0 else lo
-    return float(brentq(g, lo_pad, hi + pad, rtol=1e-14, maxiter=200))
+    return float(brentq(lambda w: _rhs(a, b, eta, w) - target, lo_pad, hi + pad,
+                        xtol=_XTOL, rtol=_RTOL, maxiter=200))
 
 
 def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
@@ -270,7 +299,9 @@ def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
     if _is_degenerate(spec):
         ws = [_band(spec, n)(q)[0] for n in range(1, n_bands + 1)]
     else:
-        ws = [_band_root(spec, iv, q) for iv in _intervals(spec, n_bands)]
+        a, b, eta = _coeffs(spec)
+        ws = [_band_root(a, b, eta, n, lo, hi, q)
+              for n, (lo, hi, _, _) in enumerate(_band_intervals(spec, n_bands), start=1)]
     return np.array(ws) * (2.0 * math.pi * CODATA.c / spec.period)
 
 
@@ -278,7 +309,8 @@ def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
     """|d omega / d k| (m/s) by implicit differentiation of the residual.
 
     v_g / c = 2 pi |sin(Lambda k)| / |RHS'(w)| at the band's frequency; the
-    band edges return the one-sided limit (zero for a gapped crystal).
+    band edges return the limit beside their gap: zero when it is open,
+    c pi / sqrt(F'G') from the two edge factors' slopes when it is closed.
     Raises DegeneratePointError when dRHS/dw vanishes at the solution, which
     happens only when bands touch.
     """
@@ -335,8 +367,8 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float)
         return TuningReport(target_vg_over_c=0.0, k_star=0.0, delta_omega=0.0,
                             delta_nu=0.0, nu_s=nu_s)
     if vg0 >= target_vg:
-        # only band 1 can get here: its zone-center end is the static medium,
-        # already at least as fast as the target
+        # only a k = 0 edge at a closed gap can get here (band 1's is the
+        # static medium at w = 0): it is already at least as fast as the target
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 

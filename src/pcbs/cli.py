@@ -6,7 +6,8 @@ significant digits and '\\n' line endings so repeated runs are
 byte-identical.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 truncation
-failure, 4 numerical degeneracy (touching bands, missed band scan).
+failure, 4 numerical degeneracy (touching bands, or no band edge below
+dimensionless frequency 64).
 """
 
 from __future__ import annotations
@@ -313,3 +314,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

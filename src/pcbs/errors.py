@@ -51,7 +51,7 @@ class NoHeraldError(PcbsError):
 
 
 class InsufficientScanError(PcbsError):
-    """Raised when the band-edge scan grid is too coarse to bracket every edge."""
+    """Raised when a requested band has no band edge below dimensionless frequency 64."""
 
 
 class DegeneratePointError(PcbsError):

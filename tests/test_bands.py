@@ -24,6 +24,9 @@ BAND4_EDGE_ZB = 0.9502546322323061
 BAND8_EDGE_ZC = 2.408031012714462
 BAND8_EDGE_ZB = 2.2086669290571783
 
+# optical thicknesses 2:3, so gap 5 closes at w = 2.0, where both even factors vanish
+CLOSED = CrystalSpec(eps_rel_b=2.25)
+
 
 def test_crystal_spec_validation():
     with pytest.raises(ValueError):
@@ -128,9 +131,9 @@ def test_solve_band_samples_on_dispersion():
 
 
 @pytest.mark.parametrize("band", [1, 2, 4, 8])
-@pytest.mark.parametrize("spec", [SPEC, CrystalSpec(eps_rel_b=12.25),
+@pytest.mark.parametrize("spec", [SPEC, CrystalSpec(eps_rel_b=12.25), CLOSED,
                                   CrystalSpec(eps_rel_a=4.0, eps_rel_b=4.0)],
-                         ids=["default", "eps_b=12.25", "homogeneous"])
+                         ids=["default", "eps_b=12.25", "eps_b=2.25", "homogeneous"])
 def test_solve_band_agrees_with_pointwise_functions(spec, band):
     # one frequency rule and one velocity rule serve all three entry points
     for k, omega, v_g in solve_band(spec, band, n_samples=25).samples:
@@ -228,8 +231,35 @@ def test_weak_contrast_approaches_free_space(delta):
     assert abs(om - CODATA.c * k) / (CODATA.c * k) < delta / 3.0
 
 
-def test_undetectable_gaps_raise():
-    # contrast so small every gap falls between scan points at any density
+def test_weak_contrast_gaps_are_open_edges():
+    # gap 1 is ~1.6e-9 wide in w: far wider than the root tolerance, so it is
+    # open, and both bands stop at their own edge
     sp = CrystalSpec(eps_rel_b=1.0 + 1e-8)
-    with pytest.raises(InsufficientScanError):
-        band_frequencies(sp, 0.1 / LAM, 2)
+    k_pi = math.pi / LAM
+    w1, w2 = band_frequencies(sp, k_pi, 2) / SCALE
+    assert 1e-9 < w2 - w1 < 3e-9
+    assert group_velocity(sp, 1, k_pi) == 0.0
+    assert group_velocity(sp, 2, k_pi) == 0.0
+
+
+def test_scan_ceiling_raises():
+    with pytest.raises(InsufficientScanError, match="no band edge below dimensionless frequency 64"):
+        band_frequencies(SPEC, 0.0, 400)
+
+
+def test_closed_gap_shares_its_edge():
+    k_pi = math.pi / LAM
+    omega = band_frequencies(CLOSED, k_pi, 6)
+    assert abs(omega[4] / SCALE - 2.0) < 1e-12 and abs(omega[5] / SCALE - 2.0) < 1e-12
+    assert solve_band(CLOSED, 5, n_samples=5).edges[1] == omega[4]
+    assert solve_band(CLOSED, 6, n_samples=5).edges[1] == omega[5]
+
+
+def test_closed_gap_velocity_is_the_crossing_limit():
+    k_pi = math.pi / LAM
+    vg5, vg6 = group_velocity(CLOSED, 5, k_pi), group_velocity(CLOSED, 6, k_pi)
+    assert vg5 == vg6 and 0.5 * CODATA.c < vg5 < CODATA.c
+    # implicit differentiation just inside the zone edge, on both bands
+    for band in (5, 6):
+        near = group_velocity(CLOSED, band, (math.pi - 1e-3) / LAM)
+        assert abs(near - vg5) / vg5 < 1e-6

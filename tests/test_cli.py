@@ -225,10 +225,31 @@ def test_tune_nan_target_exit(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "bands.csv").exists()
 
 
-def test_tune_insufficient_scan_exit(tmp_path, capsys):
+def test_tune_weak_contrast_served(tmp_path, capsys):
     cfg = tmp_path / "flat.json"
     cfg.write_text(json.dumps({"crystal": {"eps_rel_b": 1.00000001}}))
-    assert main(["--config", str(cfg), "tune"]) == 4
+    assert main(["--config", str(cfg), "tune"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # band 4's k = 0 edge lies on closed gap 4, already faster than the target
+    assert report["k_star"] == 0.0 and report["nu_s"] > 0.0
+
+
+def test_tune_scan_ceiling_exit(capsys):
+    assert main(["tune", "--band", "400"]) == 4
+    assert "no band edge below dimensionless frequency 64" in capsys.readouterr().err
+
+
+def test_closed_gap_crystal_served(tmp_path, capsys):
+    cfg = tmp_path / "closed.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": 2.25}}))
+    rc, _ = run(capsys, "--config", str(cfg), "bands", "--n-bands", "8",
+                "--samples", "121", "--out-dir", str(tmp_path))
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "bands.csv")
+    assert len(rows) == 968
+    rc, out = run(capsys, "--config", str(cfg), "tune", "--band", "8")
+    assert rc == 0
+    assert 0.0 < json.loads(out)["k_star"]
 
 
 def test_bb84_command_deterministic(capsys):
@@ -290,6 +311,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_cli_module_runs_as_script():
+    src = os.path.dirname(os.path.dirname(pcbs.__file__))
+    proc = subprocess.run([sys.executable, "-m", "pcbs.cli", "tune", "--band", "4"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["k_star"] > 0.0
 
 
 def test_config_flag_override(tmp_path, capsys):
