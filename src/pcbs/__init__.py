@@ -42,6 +42,7 @@ from .fock import (
     TruncationPolicy,
     box_probability,
     coherent_amplitudes,
+    herald_row,
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
@@ -77,7 +78,7 @@ __all__ = [
     # fock
     "SqueezedInput", "TruncationPolicy", "AmplitudeMatrix", "coherent_amplitudes",
     "squeeze_matrix", "output_amplitudes",
-    "box_probability", "suggest_n_max", "oracle_state",
+    "herald_row", "box_probability", "suggest_n_max", "oracle_state",
     # stats
     "JointDistribution", "HeraldedStats", "ThresholdProbs", "SweepPoint",
     "SweepResult", "joint_distribution", "heralded_stats", "threshold_probs",

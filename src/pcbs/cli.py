@@ -104,10 +104,12 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     except NoHeraldError:
         payload.update(p1=0.0, g2=None, pn=None)
     if args.oracle:
+        # the oracle is exact on every shell that fits whole in the box
         orc = oracle_state(state, policy.n_max)
-        b = min(20, policy.n_max // 2) + 1
+        n = np.arange(policy.n_max + 1)
+        triangle = np.add.outer(n, n) <= policy.n_max
         payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(
-            jd.p[:b, :b] - orc.entries[:b, :b] ** 2)))
+            jd.p - orc.entries ** 2)[triangle]))
     _emit(payload)
     return 0
 
@@ -121,11 +123,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ValueError("need 0 <= r_min <= r_max and steps >= 1")
     if r_min == r_max:
         steps = 1
-    policy = TruncationPolicy(n_max=cfg.sweep.n_max, tail_tolerance=cfg.sweep.tail_tolerance)
-    result = sweep_r(alpha, np.linspace(r_min, r_max, steps), policy)
+    n_max = cfg.sweep.n_max
+    result = sweep_r(alpha, np.linspace(r_min, r_max, steps), n_max)
 
     out_dir = _resolve(args.out_dir, cfg.output.directory)
-    rows = [(_num(pt.r), _num(pt.p11), _num(pt.p1), _num(pt.pn1), pt.error or "")
+    rows = [(_num(pt.r), _num(pt.p11), _num(pt.p1), _num(pt.pn1), "")
             for pt in result.points]
     _write_csv(os.path.join(out_dir, "sweep.csv"),
                ["r", "p11", "p1", "pn1", "error"], rows)
@@ -136,7 +138,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             maxima[quantity] = None
             continue
         try:
-            r_star, value = locate_maximum(alpha, quantity, r_min, r_max, policy)
+            r_star, value = locate_maximum(alpha, quantity, r_min, r_max, n_max)
             maxima[quantity] = {"r": r_star, "value": value}
         except ValueError as exc:
             maxima[quantity] = {"error": str(exc)}

@@ -3,7 +3,9 @@
 Everything here is a pure function of the joint photon-number distribution
 P(n1, n2): heralded single-photon statistics and g2(0), threshold-detector
 probabilities for the eavesdropping analysis, and squeeze-parameter sweeps
-with maximum location.
+with maximum location.  Sweeps and maxima need only the herald row
+P(1, n), which :func:`pcbs.fock.herald_row` builds from the single-mode
+column without the joint matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import NoHeraldError, PcbsError
-from .fock import SqueezedInput, TruncationPolicy, output_amplitudes
+from .errors import NoHeraldError
+from .fock import SqueezedInput, TruncationPolicy, herald_row, output_amplitudes
 
 __all__ = [
     "JointDistribution",
@@ -81,22 +83,18 @@ class ThresholdProbs:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of an r-sweep; ``error`` holds the failure text for bad rows."""
+    """One row of an r-sweep."""
 
     r: float
     p11: float
     p1: float
     pn1: float
-    error: str | None = None
 
 
 @dataclass(frozen=True)
 class SweepResult:
     alpha: float
     points: tuple[SweepPoint, ...]
-
-    def ok_points(self) -> list[SweepPoint]:
-        return [pt for pt in self.points if pt.error is None]
 
 
 def joint_distribution(state: SqueezedInput, policy: TruncationPolicy) -> JointDistribution:
@@ -137,34 +135,32 @@ def threshold_probs(jd: JointDistribution) -> ThresholdProbs:
                           attacked_miss=baseline + 0.5 * q3)
 
 
-def sweep_r(alpha: float, r_grid, policy: TruncationPolicy) -> SweepResult:
+def sweep_r(alpha: float, r_grid, n_max: int) -> SweepResult:
     """Evaluate (P(1,1), P1, pn(1)) across squeeze values.
 
-    pn(1) = P(1,1)/P1 is the heralded single-photon fraction.  Rows whose
-    computation fails its truncation check are kept, marked with
-    the error text, and filled with NaN; the sweep itself never aborts.
+    Each row reads the herald row P(1, n), n <= n_max: P(1,1) is its entry
+    at n = 1 and P1 its sum, short of the exact value by at most
+    (n_max + 2) / 2^(n_max + 2) (see :func:`pcbs.fock.herald_row`), so every
+    squeeze is served.  pn(1) = P(1,1)/P1 is the heralded single-photon
+    fraction, NaN when nothing heralds.
     """
     points = []
     for r in r_grid:
         if r < 0:
             raise ValueError(f"sweep r values must be >= 0, got {r}")
-        try:
-            jd = joint_distribution(SqueezedInput(r=float(r), alpha=alpha), policy)
-        except PcbsError as exc:
-            points.append(SweepPoint(r=float(r), p11=math.nan, p1=math.nan,
-                                     pn1=math.nan, error=str(exc)))
-            continue
-        p11 = float(jd.p[1, 1])
-        p1 = float(np.sum(jd.p[1, :]))
+        row = herald_row(SqueezedInput(r=float(r), alpha=alpha), n_max)
+        p11 = float(row[1])
+        p1 = float(np.sum(row))
         pn1 = p11 / p1 if p1 > 0.0 else math.nan
         points.append(SweepPoint(r=float(r), p11=p11, p1=p1, pn1=pn1))
     return SweepResult(alpha=alpha, points=tuple(points))
 
 
 def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
-                   policy: TruncationPolicy, coarse: int = 33) -> tuple[float, float]:
+                   n_max: int, coarse: int = 33) -> tuple[float, float]:
     """Maximize P(1,1) or P1 over r in [r_lo, r_hi]; returns (r_star, value).
 
+    Both are read from the herald row up to n_max, as in :func:`sweep_r`.
     A coarse grid brackets the maximum, golden-section search refines it.
     Raises ValueError when the coarse maximum sits on the interval boundary
     (no interior bracket exists).
@@ -175,8 +171,8 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
         raise ValueError("need 0 <= r_lo < r_hi")
 
     def f(r: float) -> float:
-        jd = joint_distribution(SqueezedInput(r=float(r), alpha=alpha), policy)
-        return float(jd.p[1, 1]) if quantity == "p11" else float(np.sum(jd.p[1, :]))
+        row = herald_row(SqueezedInput(r=float(r), alpha=alpha), n_max)
+        return float(row[1]) if quantity == "p11" else float(np.sum(row))
 
     grid = np.linspace(r_lo, r_hi, coarse)
     vals = np.array([f(r) for r in grid])

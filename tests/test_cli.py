@@ -9,6 +9,7 @@ import pytest
 
 import pcbs
 from pcbs.cli import main
+from pcbs.oracle import oracle_state
 from pcbs.selftest import CheckResult
 from pcbs.source import CODATA
 
@@ -71,6 +72,20 @@ def test_dist_oracle_flag(tmp_path, capsys):
     assert json.loads(out)["oracle_block_max_abs_dp"] < 1e-10
 
 
+def test_dist_oracle_checks_the_whole_triangle(tmp_path, capsys, monkeypatch):
+    # cell (n_max, 0) lies on the box edge, outside any inner block
+    def perturbed(state, n_max):
+        orc = oracle_state(state, n_max)
+        orc.entries[n_max, 0] += 1e-3
+        return orc
+
+    monkeypatch.setattr("pcbs.cli.oracle_state", perturbed)
+    rc, out = run(capsys, "dist", "--r", "0.8", "--alpha", "0.5",
+                  "--oracle", "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert json.loads(out)["oracle_block_max_abs_dp"] > 1e-7
+
+
 def test_dist_truncation_exit(tmp_path, capsys):
     rc = main(["dist", *WORKING, "--n-max", "40", "--out-dir", str(tmp_path)])
     assert rc == 3
@@ -116,6 +131,18 @@ def test_sweep_outputs(tmp_path, capsys):
                  "--steps", "9", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first
     capsys.readouterr()
+
+
+def test_sweep_strong_squeeze_served(tmp_path, capsys):
+    # the box at n_max 60 holds half the mass at r = 3; the herald row is exact
+    rc, out = run(capsys, "sweep", "--alpha", "0.5", "--r-min", "0", "--r-max", "3",
+                  "--steps", "13", "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert json.loads(out)["points"] == 13
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 13
+    assert all(np.isfinite([float(x) for x in row[:4]]).all() and row[4] == "" for row in rows)
+    assert rows[-1][2] == "0.0232718748599"
 
 
 def test_sweep_zero_width(tmp_path, capsys):

@@ -31,6 +31,9 @@ def test_unknown_keys_rejected():
         config_from_tree({"swep": {}})
     with pytest.raises(ConfigError, match="sweep.stepss"):
         config_from_tree({"sweep": {"stepss": 3}})
+    # sweeps read the herald row and have no mass gate to set
+    with pytest.raises(ConfigError, match="sweep.tail_tolerance"):
+        config_from_tree({"sweep": {"tail_tolerance": 0.05}})
     with pytest.raises(ConfigError):
         config_from_tree({"crystal": {"l_c": 1e-7}})
 

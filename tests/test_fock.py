@@ -13,6 +13,7 @@ from pcbs.fock import (
     _single_mode_column,
     box_probability,
     coherent_amplitudes,
+    herald_row,
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
@@ -202,6 +203,15 @@ def test_amplitude_invariants(r, alpha, n_max):
     state = SqueezedInput(r=r, alpha=alpha)
     assert box_probability(state, n_max + 1) >= box_probability(state, n_max) - 1e-14
 
+    # the herald row is the joint matrix's n1 = 1 row, zeros included
+    row = herald_row(state, n_max)
+    joint = entries[1, :] ** 2
+    assert np.array_equal(row == 0.0, joint == 0.0)
+    assert np.all(np.abs(row - joint) <= 1e-12 * joint)
+    # and the terms it leaves out of P1 sum to at most (n_max + 2) / 2^(n_max + 2)
+    tail = float(np.sum(herald_row(state, n_max + 80)[n_max + 1:]))
+    assert tail <= (n_max + 2) / 2.0 ** (n_max + 2)
+
 
 def test_box_probability_at_most_one_at_large_displacement():
     # the squeeze-matrix product cancelled here and gave 9.44
@@ -222,13 +232,17 @@ def test_captured_mass_matches_box_probability():
     assert abs(amp.captured_mass - box_probability(st, 70)) < 1e-10
 
 
-def test_suggest_n_max_working_point():
-    nm = suggest_n_max(1.0, 0.5, 1e-8)
-    assert nm == 49
-    st = SqueezedInput(r=1.0, alpha=0.5)
-    assert 1.0 - box_probability(st, nm) < 0.5e-8
-    # minimal up to the +2 safety pad
-    assert 1.0 - box_probability(st, nm - 4) > 0.5e-8
+@pytest.mark.parametrize("r, alpha, expected", [
+    (1.0, 0.5, 49), (1.5, 1.0, 161), (2.0, 0.5, 323), (0.0, 0.0, 4),
+])
+def test_suggest_n_max_working_point(r, alpha, expected):
+    nm = suggest_n_max(r, alpha, 1e-8)
+    assert nm == expected
+    st = SqueezedInput(r=r, alpha=alpha)
+    assert 1.0 - box_probability(st, nm - 2) <= 0.5e-8
+    # minimal up to the +2 safety pad, above the floor N = 2
+    if nm > 4:
+        assert 1.0 - box_probability(st, nm - 3) > 0.5e-8
 
 
 def test_suggest_n_max_vacuum_is_small():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcbs.errors import NoHeraldError
-from pcbs.fock import SqueezedInput, TruncationPolicy
+from pcbs.fock import SqueezedInput, TruncationPolicy, herald_row
 from pcbs.stats import (
     heralded_stats,
     joint_distribution,
@@ -101,56 +101,52 @@ def test_threshold_identities(working_jd):
 
 
 def test_sweep_values_and_monotone_pn1():
-    pol = TruncationPolicy(n_max=60, tail_tolerance=0.05)
-    res = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0], pol)
+    res = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0], 60)
     assert res.alpha == 0.5
     pn1 = [pt.pn1 for pt in res.points]
     assert np.allclose(pn1, [0.110312113, 0.417130842, 0.520317643,
                              0.580237852, 0.605890982, 0.618424030], atol=1e-8)
     assert all(b >= a for a, b in zip(pn1, pn1[1:]))
-    assert all(pt.error is None for pt in res.points)
     # r=0 rows are coherent light: pn(1) collapses to the Poisson weight
     lam = 0.5**2 / 2
     assert np.isclose(res.points[0].pn1, lam * math.exp(-lam), atol=1e-12)
 
 
-def test_sweep_marks_failed_rows():
-    pol = TruncationPolicy(n_max=40, tail_tolerance=1e-8)
-    res = sweep_r(0.5, [0.5, 2.0], pol)
-    good, bad = res.points
-    assert good.error is None
-    assert bad.error is not None and math.isnan(bad.p11)
-    assert res.ok_points() == [good]
+@pytest.mark.parametrize("r, n_max", [(2.0, 40), (3.0, 60)])
+def test_sweep_serves_strong_squeeze(r, n_max):
+    # the box at n_max holds 0.91 and 0.50 of the mass here, yet P1 misses
+    # only its herald-row tail, at most (n_max + 2) / 2^(n_max + 2)
+    pt = sweep_r(0.5, [r], n_max).points[0]
+    exact = float(np.sum(herald_row(SqueezedInput(r=r, alpha=0.5), 400)))
+    assert abs(pt.p1 - exact) <= (n_max + 2) / 2.0 ** (n_max + 2)
+    assert math.isfinite(pt.p11) and math.isfinite(pt.pn1)
 
 
 def test_sweep_vacuum_row_has_no_herald():
-    res = sweep_r(0.0, [0.0], TruncationPolicy(n_max=8, tail_tolerance=1e-8))
+    res = sweep_r(0.0, [0.0], 8)
     pt = res.points[0]
-    assert pt.error is None and pt.p1 == 0.0 and math.isnan(pt.pn1)
+    assert pt.p1 == 0.0 and math.isnan(pt.pn1)
 
 
 def test_sweep_rejects_negative_r():
     with pytest.raises(ValueError):
-        sweep_r(0.5, [-0.5], TruncationPolicy(n_max=8, tail_tolerance=1e-8))
+        sweep_r(0.5, [-0.5], 8)
 
 
 def test_locate_maximum_p11():
-    pol = TruncationPolicy(n_max=60, tail_tolerance=0.05)
-    r_star, val = locate_maximum(0.5, "p11", 0.3, 1.3, pol, coarse=15)
+    r_star, val = locate_maximum(0.5, "p11", 0.3, 1.3, 60, coarse=15)
     assert abs(val - 0.0799) < 0.002
     assert abs(r_star - 0.85) < 0.01
 
 
 def test_locate_maximum_p1():
-    pol = TruncationPolicy(n_max=60, tail_tolerance=0.05)
-    r_star, val = locate_maximum(0.5, "p1", 0.3, 1.3, pol, coarse=15)
+    r_star, val = locate_maximum(0.5, "p1", 0.3, 1.3, 60, coarse=15)
     assert abs(val - 0.165) < 0.002
     assert abs(r_star - 0.675) < 0.01
 
 
 def test_locate_maximum_rejects_boundary_and_bad_quantity():
-    pol = TruncationPolicy(n_max=40, tail_tolerance=1e-6)
     with pytest.raises(ValueError):
-        locate_maximum(0.5, "p11", 0.0, 0.3, pol, coarse=9)
+        locate_maximum(0.5, "p11", 0.0, 0.3, 40, coarse=9)
     with pytest.raises(ValueError):
-        locate_maximum(0.5, "flux", 0.0, 2.0, pol)
+        locate_maximum(0.5, "flux", 0.0, 2.0, 40)
