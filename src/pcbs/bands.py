@@ -53,6 +53,7 @@ __all__ = [
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
 _XTOL, _RTOL = 2e-12, 1e-14   # brentq tolerances of every band-edge and band root
+_TIGHT = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}   # brentq's tightest
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
 
 
@@ -336,6 +337,26 @@ def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121) -> Band
     return BandSolution(band_index=band_index, samples=tuple(samples), edges=edges)
 
 
+def _edge_shift(spec: CrystalSpec, w0: float, w_far: float, q: float) -> float:
+    """|w(q) - w(0)| on the band whose k = 0 edge is w0 and whose k = pi edge is w_far.
+
+    A slow-light shift is far below the band edges' brentq tolerance, so
+    both ends are solved again at brentq's tightest: the edge on its own
+    odd half-angle factor (1 - RHS = 2 f2 f3 vanishes at k = 0), and w(q)
+    on f2 f3 = sin^2(q/2), the factored form of 1 - RHS = 1 - cos q, in a
+    bracket that starts at the polished edge.
+    """
+    a, b, _ = _coeffs(spec)
+    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
+    i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
+    h = 4.0 * (_XTOL + _RTOL * w0)      # beyond the scan's brentq tolerance on either side
+    w0 = brentq(_factor, w0 - h, w0 + h, args=(a, b, x, i), maxiter=200, **_TIGHT)
+    half = math.sin(0.5 * q) ** 2
+    w_q = brentq(lambda w: _factor(w, a, b, x, 2) * _factor(w, a, b, x, 3) - half,
+                 min(w0, w_far), max(w0, w_far), maxiter=200, **_TIGHT)
+    return abs(w_q - w0)
+
+
 def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
 
@@ -361,8 +382,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float)
             f"gapless crystal has constant group velocity {vg0:.6g} m/s; "
             f"target {target_vg:.6g} m/s is unreachable"
         )
-    edge0 = w0 * scale
-    nu_s = edge0 / (2.0 * math.pi)
+    nu_s = w0 * scale / (2.0 * math.pi)
     if target_vg == 0.0:
         return TuningReport(target_vg_over_c=0.0, k_star=0.0, delta_omega=0.0,
                             delta_nu=0.0, nu_s=nu_s)
@@ -382,8 +402,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float)
         if v >= target_vg:
             q_star = brentq(lambda x: point(x)[1] - target_vg, prev_q,
                             float(q), rtol=1e-13, maxiter=200)
-            omega_star = point(float(q_star))[0] * scale
-            delta_omega = abs(omega_star - edge0)
+            delta_omega = _edge_shift(spec, w0, point(math.pi)[0], float(q_star)) * scale
             return TuningReport(target_vg_over_c=target_vg / c,
                                 k_star=float(q_star) / lam,
                                 delta_omega=delta_omega,

@@ -182,6 +182,17 @@ def test_tune_shift_is_integral_of_group_velocity(eps_rel_b, band, vg_over_c):
     assert np.isclose(rep.delta_omega, target * rep.k_star / 2.0, rtol=1e-3, atol=0.0)
 
 
+@pytest.mark.parametrize("band", [2, 3, 4, 5])
+@pytest.mark.parametrize("vg_over_c", [1e-6, 1e-5])
+def test_tune_slow_light_shift(band, vg_over_c):
+    # the shift is a few hundred rad/s at 1e-6 c, far below the band edges'
+    # brentq tolerance (~3.4e3 rad/s): the difference of two such roots missed
+    # v_g k*/2 by 5.9x on band 2
+    target = vg_over_c * CODATA.c
+    rep = tune_to_group_velocity(SPEC, band, target)
+    assert abs(rep.delta_omega / (target * rep.k_star / 2.0) - 1.0) <= 5e-3
+
+
 def test_tune_zero_target_is_the_edge():
     rep = tune_to_group_velocity(SPEC, 4, 0.0)
     assert rep.k_star == 0.0 and rep.delta_omega == 0.0 and rep.delta_nu == 0.0

@@ -3,10 +3,12 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcbs.oracle
 from pcbs.fock import SqueezedInput, TruncationPolicy, output_amplitudes, suggest_n_max
-from pcbs.oracle import oracle_state
+from pcbs.oracle import _expm_apply, oracle_state
 
 
 def triangle(n_max):
@@ -74,8 +76,60 @@ def test_oracle_refuses_unsettled_headroom(monkeypatch):
         oracle_state(SqueezedInput(r=2.0, alpha=0.5), 5)
 
 
+def band_generator(offset, coeffs, size):
+    """The sparse matrix A[i + offset, i] = coeffs[i] = -A[i, i + offset]."""
+    from scipy.sparse import diags   # kept out of the package: the oracle needs no sparse matrix
+
+    return diags([coeffs, -coeffs], [-offset, offset], shape=(size, size), format="csr")
+
+
+@settings(max_examples=60, deadline=None)
+@given(offset=st.sampled_from([1, 2]), size=st.integers(2, 400),
+       # expm_multiply divides by zero at subnormal norms
+       norm=st.floats(0.0, 300.0, allow_subnormal=False),
+       ladder=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_expm_apply_matches_scipy(offset, size, norm, ladder, seed):
+    from scipy.sparse.linalg import expm_multiply
+
+    rng = np.random.default_rng(seed)
+    # ladder: sqrt(n) couplings as in the oracle's generators; else random signs and sizes
+    coeffs = np.sqrt(np.arange(1.0, size - offset + 1)) if ladder else rng.normal(size=size - offset)
+    column = np.zeros(size)
+    column[:-offset] = np.abs(coeffs)
+    column[offset:] += np.abs(coeffs)
+    if column.max(initial=0.0) > 0.0:
+        coeffs *= norm / column.max()
+    v = rng.normal(size=size)
+    scale = np.linalg.norm(v)
+    # A Taylor substep of 1-norm theta rounds by up to e^theta 2^-53 of |v| (3.3e-13
+    # at theta = 8) when v sits on the extreme eigenvalues, as on a 2 x 2 rotation;
+    # the errors add over substeps, in expm_multiply (theta up to 9.9) as here.
+    tol = 1e-12 * max(1.0, norm / 8.0) * scale
+
+    got = _expm_apply(offset, coeffs, v)
+    want = expm_multiply(band_generator(offset, coeffs, size), v, traceA=0.0)
+    assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(_expm_apply(offset, -coeffs, got) - v)) <= tol
+    assert abs(np.linalg.norm(got) - scale) <= tol
+    np.testing.assert_array_equal(_expm_apply(offset, np.zeros(size - offset), v), v)
+
+
+def test_expm_apply_refuses_unconverged_series(monkeypatch):
+    monkeypatch.setattr(pcbs.oracle, "_MAX_TERMS", 3)
+    with pytest.raises(ValueError, match="did not converge within 3 terms"):
+        oracle_state(SqueezedInput(r=1.0, alpha=0.5), 5)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="did not converge"):
+        _expm_apply(1, np.ones(3), np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
 def test_oracle_shares_no_algebra_with_fock():
     tree = ast.parse(inspect.getsource(pcbs.oracle))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"}
+    assert imported == {"math", "numpy", ".fock"}
     from_fock = {alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module == "fock"
                  for alias in node.names}
