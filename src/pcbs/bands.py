@@ -22,7 +22,10 @@ half-angle factors of the symmetric cell (Yeh, Yariv & Hong, JOSA 67, 423
 Every band edge is a simple zero of one of these four factors, and a gap is
 closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
-zeroth closed gap.  Internally everything is dimensionless
+zeroth closed gap.  Group-velocity tuning works in the offset delta from
+the k = 0 edge, on the factors expanded about it by angle addition, so a
+slow-light shift far below one ulp of the edge frequency keeps its
+relative precision.  Internally everything is dimensionless
 (w = omega Lambda / (2 pi c), q = k Lambda); the public functions take and
 return SI quantities.
 """
@@ -177,7 +180,7 @@ def _is_degenerate(spec: CrystalSpec) -> bool:
     return spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b
 
 
-def _band(spec: CrystalSpec, band_index: int):
+def _band(spec: CrystalSpec, band_index: int, intervals=None):
     """q -> (w, v_g [m/s]) along one band, q = Lambda k in [0, pi].
 
     A gapless stack is one medium of optical thickness s = (l_a n_a + l_b n_b)
@@ -187,7 +190,8 @@ def _band(spec: CrystalSpec, band_index: int):
     residual, v_g / c = 2 pi |sin q| / |RHS'(w)|; the band edges return the
     limit beside their gap (0.0 when it is open).  Raises
     DegeneratePointError when dRHS/dw vanishes at the solution, which
-    happens only when bands touch.
+    happens only when bands touch.  intervals is a _band_intervals scan
+    that covers the band, when the caller already has one.
     """
     if _is_degenerate(spec):
         s = (spec.l_a * math.sqrt(spec.eps_rel_a)
@@ -200,7 +204,9 @@ def _band(spec: CrystalSpec, band_index: int):
 
         return gapless
 
-    lo, hi, v_lo, v_hi = _band_intervals(spec, band_index)[band_index - 1]
+    if intervals is None:
+        intervals = _band_intervals(spec, band_index)
+    lo, hi, v_lo, v_hi = intervals[band_index - 1]
     a, b, eta = _coeffs(spec)
     floor = _DEGENERACY_FLOOR * (a + b)
 
@@ -321,13 +327,18 @@ def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
     return _band(spec, band_index)(q)[1]
 
 
-def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121) -> BandSolution:
-    """Sample one band across the reduced zone, with edges and velocities."""
+def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121, *,
+               _intervals=None) -> BandSolution:
+    """Sample one band across the reduced zone, with edges and velocities.
+
+    _intervals is a _band_intervals scan that covers the band, when the
+    caller already has one.
+    """
     if band_index < 1 or n_samples < 2:
         raise ValueError("band_index must be >= 1 and n_samples >= 2")
     lam = spec.period
     scale = 2.0 * math.pi * CODATA.c / lam
-    point = _band(spec, band_index)
+    point = _band(spec, band_index, _intervals)
     samples = []
     for q in np.linspace(0.0, math.pi, n_samples):
         q = float(q)
@@ -337,32 +348,63 @@ def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121) -> Band
     return BandSolution(band_index=band_index, samples=tuple(samples), edges=edges)
 
 
-def _edge_shift(spec: CrystalSpec, w0: float, w_far: float, q: float) -> float:
-    """|w(q) - w(0)| on the band whose k = 0 edge is w0 and whose k = pi edge is w_far.
+def _edge_expansion(a: float, b: float, x: float, w0: float):
+    """delta -> (the four edge factors at w0 + delta, their slopes in delta).
 
-    A slow-light shift is far below the band edges' brentq tolerance, so
-    both ends are solved again at brentq's tightest: the edge on its own
-    odd half-angle factor (1 - RHS = 2 f2 f3 vanishes at k = 0), and w(q)
-    on f2 f3 = sin^2(q/2), the factored form of 1 - RHS = 1 - cos q, in a
-    bracket that starts at the polished edge.
+    Each factor is bilinear in (sin A, cos A) and (sin B, cos B), so angle
+    addition with u = a delta / 2, v = b delta / 2 gives
+    f(w0 + delta) = cu cv f + su cv f_A + cu sv f_B + su sv f_AB, where f,
+    df/dA, df/dB and d2f/dAdB are taken once at w0.  On the factor that
+    vanishes at w0 every term is O(delta) or the polished residual f(w0),
+    so it keeps its relative precision at a delta far below one ulp of w0.
+    delta may be a float or an array; the factors run along the last axis.
     """
-    a, b, _ = _coeffs(spec)
-    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
-    i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
-    h = 4.0 * (_XTOL + _RTOL * w0)      # beyond the scan's brentq tolerance on either side
-    w0 = brentq(_factor, w0 - h, w0 + h, args=(a, b, x, i), maxiter=200, **_TIGHT)
-    half = math.sin(0.5 * q) ** 2
-    w_q = brentq(lambda w: _factor(w, a, b, x, 2) * _factor(w, a, b, x, 3) - half,
-                 min(w0, w_far), max(w0, w_far), maxiter=200, **_TIGHT)
-    return abs(w_q - w0)
+    ha, hb = 0.5 * a, 0.5 * b
+    sa, ca = math.sin(ha * w0), math.cos(ha * w0)
+    sb, cb = math.sin(hb * w0), math.cos(hb * w0)
+    coeffs = [np.array(_factors(*args, x)) for args in
+              ((sa, ca, sb, cb), (ca, -sa, sb, cb), (sa, ca, cb, -sb), (ca, -sa, cb, -sb))]
+
+    def at(delta):
+        su, cu = np.sin(ha * delta), np.cos(ha * delta)
+        sv, cv = np.sin(hb * delta), np.cos(hb * delta)
+        terms = (cu * cv, su * cv, cu * sv, su * sv)
+        slopes = (-ha * su * cv - hb * cu * sv, ha * cu * cv - hb * su * sv,
+                  hb * cu * cv - ha * su * sv, ha * cu * sv + hb * su * cv)
+        return (sum(np.multiply.outer(t, k) for t, k in zip(terms, coeffs)),
+                sum(np.multiply.outer(t, k) for t, k in zip(slopes, coeffs)))
+
+    return at
 
 
-def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float) -> TuningReport:
+def _offset_velocity(expansion, delta):
+    """(v_g / c, P, dP/d delta) at offset delta, with P = f2 f3 = sin^2(q/2).
+
+    1 - P = f0 f1 on the same expansion, and dq/dw = |dP/dw| / sqrt(P (1 - P))
+    gives v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta|.
+    """
+    f, df = expansion(delta)
+    p = f[..., 2] * f[..., 3]
+    dp = df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3]
+    v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[..., 0] * f[..., 1], 0.0)) / np.abs(dp)
+    return v, p, dp
+
+
+def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float, *,
+                           _intervals=None) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
 
     The shift is measured from the k = 0 band edge, whose frequency is also
     reported as nu_s.  target_vg = 0 is the edge itself.  Targets above the
     band's maximum group velocity raise UnachievableTargetError.
+
+    A slow-light shift lies far below one ulp of the edge frequency w0, so
+    the band is solved in the offset delta from the polished w0
+    (_edge_expansion).  The edge is the root delta0 of its own factor's
+    expansion, v_g is scanned in closed form on a geometric delta grid, one
+    brentq gives delta*, and delta_omega = |delta* - delta0| 2 pi c / Lambda,
+    Lambda k* = 2 asin sqrt(P(delta*)).  _intervals is a _band_intervals
+    scan that covers the band, when the caller already has one.
     """
     c = CODATA.c
     if not target_vg >= 0:
@@ -371,9 +413,8 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float)
         raise ValueError("band_index must be >= 1")
     lam = spec.period
     scale = 2.0 * math.pi * c / lam
-    point = _band(spec, band_index)
-    w0, vg0 = point(0.0)
     if _is_degenerate(spec):
+        w0, vg0 = _band(spec, band_index)(0.0)
         if math.isclose(target_vg, vg0, rel_tol=1e-12):
             return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                                 delta_omega=0.0, delta_nu=0.0,
@@ -382,35 +423,49 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float)
             f"gapless crystal has constant group velocity {vg0:.6g} m/s; "
             f"target {target_vg:.6g} m/s is unreachable"
         )
+    if _intervals is None:
+        _intervals = _band_intervals(spec, band_index)
+    lo, hi, v_lo, v_hi = _intervals[band_index - 1]
+    w0, w_far, vg0 = (lo, hi, v_lo) if band_index % 2 == 1 else (hi, lo, v_hi)
     nu_s = w0 * scale / (2.0 * math.pi)
-    if target_vg == 0.0:
-        return TuningReport(target_vg_over_c=0.0, k_star=0.0, delta_omega=0.0,
-                            delta_nu=0.0, nu_s=nu_s)
     if vg0 >= target_vg:
-        # only a k = 0 edge at a closed gap can get here (band 1's is the
-        # static medium at w = 0): it is already at least as fast as the target
+        # the edge itself (target 0), or a k = 0 edge at a closed gap (band 1's
+        # is the static medium at w = 0) that is already at least as fast
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 
-    # band 1's root solve is ill-conditioned below ~1e-5 of the zone (the
-    # dispersion rounds onto the origin); every other band edge is clean
-    q_first = 1e-5 * math.pi if band_index == 1 else 1e-8 * math.pi
-    qs = np.geomspace(q_first, math.pi, 2048)
-    prev_q = 0.0    # v_g(0) < target here, a valid left bracket
-    for q in qs:
-        v = point(float(q))[1]
-        if v >= target_vg:
-            q_star = brentq(lambda x: point(x)[1] - target_vg, prev_q,
-                            float(q), rtol=1e-13, maxiter=200)
-            delta_omega = _edge_shift(spec, w0, point(math.pi)[0], float(q_star)) * scale
-            return TuningReport(target_vg_over_c=target_vg / c,
-                                k_star=float(q_star) / lam,
-                                delta_omega=delta_omega,
-                                delta_nu=delta_omega / (2.0 * math.pi),
-                                nu_s=nu_s)
-        prev_q = float(q)
-    vmax = max(point(float(q))[1] for q in np.linspace(0.05, math.pi - 0.05, 64))
-    raise UnachievableTargetError(
-        f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
-        f"(~{vmax:.6g} m/s)"
-    )
+    a, b, _ = _coeffs(spec)
+    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
+    i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
+    h = 4.0 * (_XTOL + _RTOL * w0)      # beyond the scan's brentq tolerance on either side
+    w0 = brentq(_factor, w0 - h, w0 + h, args=(a, b, x, i), maxiter=200, **_TIGHT)
+    expansion = _edge_expansion(a, b, x, w0)
+    delta0 = 0.0
+    for _ in range(2):     # Newton from 0 onto the edge factor's own root
+        f, df = expansion(delta0)
+        delta0 -= f[i] / df[i]
+
+    ratio = target_vg / c
+    deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
+    vs = _offset_velocity(expansion, deltas)[0]
+    hit = np.flatnonzero(vs >= ratio)
+    if hit.size == 0:
+        raise UnachievableTargetError(
+            f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
+            f"(~{np.max(vs) * c:.6g} m/s)"
+        )
+    j = hit[0]
+    delta = brentq(lambda d: _offset_velocity(expansion, d)[0] - ratio,
+                   delta0 if j == 0 else deltas[j - 1], deltas[j], maxiter=200, **_TIGHT)
+    _, p, dp = _offset_velocity(expansion, delta)
+    if 2.0 * abs(dp) < _DEGENERACY_FLOOR * (a + b):     # |dRHS/dw| = 2 |dP/d delta|
+        raise DegeneratePointError(
+            f"dRHS/domega ~ 0 at band {band_index}, delta = {delta:.6g}: "
+            "touching bands, group velocity undefined by implicit differentiation"
+        )
+    delta_omega = float(abs(delta - delta0)) * scale
+    return TuningReport(target_vg_over_c=target_vg / c,
+                        k_star=2.0 * math.asin(math.sqrt(p)) / lam,
+                        delta_omega=delta_omega,
+                        delta_nu=delta_omega / (2.0 * math.pi),
+                        nu_s=nu_s)

@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .bands import solve_band, tune_to_group_velocity
+from .bands import _band_intervals, solve_band, tune_to_group_velocity
 from .bb84 import simulate_session
 from .config import RunConfig, load_config
 from .errors import (
@@ -170,9 +170,11 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     if not target >= 0:
         raise ValueError(f"target_vg_over_c must be >= 0, got {target}")
 
+    # one edge scan serves every band and the tuning report
+    intervals = _band_intervals(cfg.crystal, max(n_bands, band_index))
     rows = []
     for b in range(1, n_bands + 1):
-        sol = solve_band(cfg.crystal, b, n_samples=n_samples)
+        sol = solve_band(cfg.crystal, b, n_samples=n_samples, _intervals=intervals)
         rows.extend((str(b), _num(k), _num(omega), _num(v_g))
                     for k, omega, v_g in sol.samples)
     out_dir = _resolve(args.out_dir, cfg.output.directory)
@@ -181,7 +183,8 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
     payload = {"n_bands": n_bands, "samples_per_band": n_samples}
     try:
-        rep = tune_to_group_velocity(cfg.crystal, band_index, target * CODATA.c)
+        rep = tune_to_group_velocity(cfg.crystal, band_index, target * CODATA.c,
+                                     _intervals=intervals)
     except (UnachievableTargetError, DegeneratePointError) as exc:
         payload["tuning"] = {"error": str(exc)}
     else:

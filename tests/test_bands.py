@@ -182,15 +182,63 @@ def test_tune_shift_is_integral_of_group_velocity(eps_rel_b, band, vg_over_c):
     assert np.isclose(rep.delta_omega, target * rep.k_star / 2.0, rtol=1e-3, atol=0.0)
 
 
-@pytest.mark.parametrize("band", [2, 3, 4, 5])
+@pytest.mark.parametrize("band", range(2, 9))
 @pytest.mark.parametrize("vg_over_c", [1e-6, 1e-5])
 def test_tune_slow_light_shift(band, vg_over_c):
-    # the shift is a few hundred rad/s at 1e-6 c, far below the band edges'
-    # brentq tolerance (~3.4e3 rad/s): the difference of two such roots missed
-    # v_g k*/2 by 5.9x on band 2
+    # the shift is a few hundred rad/s at 1e-6 c, far below one ulp of the
+    # edge frequency (~0.4 rad/s per unit of w); the band's own departure from
+    # v_g k*/2 is at most 2e-10 at 1e-5 c
     target = vg_over_c * CODATA.c
-    rep = tune_to_group_velocity(SPEC, band, target)
-    assert abs(rep.delta_omega / (target * rep.k_star / 2.0) - 1.0) <= 5e-3
+    for eps_rel_b in (4.9284, 12.25, 2.25):
+        rep = tune_to_group_velocity(CrystalSpec(eps_rel_b=eps_rel_b), band, target)
+        assert abs(rep.delta_omega / (target * rep.k_star / 2.0) - 1.0) <= 1e-8
+
+def _mp_tuning(spec, band, vg_over_c):
+    # (Lambda k*, shift in dimensionless w) from the printed dispersion at 60
+    # digits: the k = 0 edge is a root of 1 - RHS, and the band is walked from
+    # it by doubling until v_g / c = 2 pi |sin q| / |RHS'| reaches the target
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        mpf = mpmath.mpf
+        lam = mpf(spec.l_a) + mpf(spec.l_b)
+        ea, eb = mpf(spec.eps_rel_a), mpf(spec.eps_rel_b)
+        a = 2 * mpmath.pi * mpf(spec.l_a) * mpmath.sqrt(ea) / lam
+        b = 2 * mpmath.pi * mpf(spec.l_b) * mpmath.sqrt(eb) / lam
+        eta = (ea + eb) / (2 * mpmath.sqrt(ea * eb))
+
+        def rhs(w):
+            return mpmath.cos(a * w) * mpmath.cos(b * w) - eta * mpmath.sin(a * w) * mpmath.sin(b * w)
+
+        def velocity(w):
+            rp = (-(a * mpmath.sin(a * w) * mpmath.cos(b * w) + b * mpmath.cos(a * w) * mpmath.sin(b * w))
+                  - eta * (a * mpmath.cos(a * w) * mpmath.sin(b * w) + b * mpmath.sin(a * w) * mpmath.cos(b * w)))
+            return 2 * mpmath.pi * mpmath.sqrt(1 - rhs(w) ** 2) / abs(rp)
+
+        w0 = band_frequencies(spec, 0.0, band)[band - 1] / (2.0 * math.pi * CODATA.c / spec.period)
+        w0 = mpmath.findroot(lambda w: 1 - rhs(w), mpf(w0)) if w0 > 0 else mpf(0)    # band 1: RHS(0) = 1
+        side = 1 if band % 2 == 1 else -1     # k = 0 is the lower edge of an odd band
+        target = mpf(vg_over_c)
+        d = mpf(10) ** -20
+        if velocity(w0 + side * d) >= target:
+            return 0.0, 0.0      # a closed gap's edge, already fast enough
+        while velocity(w0 + side * d) < target:
+            d *= 2
+        d = mpmath.findroot(lambda t: velocity(w0 + side * t) - target, (d / 2, d), solver="anderson")
+        return float(mpmath.acos(rhs(w0 + side * d))), float(d)
+
+
+@pytest.mark.parametrize("eps_rel_b", [4.9284, 12.25, 2.25])
+@pytest.mark.parametrize("band", range(1, 9))
+@pytest.mark.parametrize("vg_over_c", [1e-6, 1e-5, 4.59e-3])
+def test_tune_matches_60_digit_dispersion(eps_rel_b, band, vg_over_c):
+    # the shift at 1e-6 c is ~1e-14 of the edge frequency: the difference of
+    # two float64 band roots missed it by up to 1e-2 on band 8 of eps_rel_b 2.25
+    spec = CrystalSpec(eps_rel_b=eps_rel_b)
+    rep = tune_to_group_velocity(spec, band, vg_over_c * CODATA.c)
+    q_ref, shift_ref = _mp_tuning(spec, band, vg_over_c)
+    scale = 2.0 * math.pi * CODATA.c / spec.period
+    np.testing.assert_allclose(rep.k_star * spec.period, q_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.delta_omega, shift_ref * scale, rtol=1e-12, atol=0.0)
 
 
 def test_tune_zero_target_is_the_edge():

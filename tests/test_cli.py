@@ -177,6 +177,22 @@ def test_bands_outputs(tmp_path, capsys):
     assert {row[0] for row in rows} == {"1", "2"}
 
 
+def test_bands_and_tune_scan_band_edges_once(tmp_path, capsys, monkeypatch):
+    # the bands, their velocities and the tuning report share one edge scan
+    scan, calls = pcbs.bands._band_intervals, []
+
+    def counting(spec, n_bands):
+        calls.append(n_bands)
+        return scan(spec, n_bands)
+
+    monkeypatch.setattr("pcbs.bands._band_intervals", counting)
+    monkeypatch.setattr("pcbs.cli._band_intervals", counting)
+    rc, _ = run(capsys, "bands", "--n-bands", "8", "--samples", "5", "--out-dir", str(tmp_path))
+    assert rc == 0 and calls == [8]
+    rc, _ = run(capsys, "tune", "--band", "4")
+    assert rc == 0 and calls == [8, 4]
+
+
 def test_bands_homogeneous_config(tmp_path, capsys):
     cfg = tmp_path / "uniform.json"
     cfg.write_text(json.dumps({"crystal": {"eps_rel_a": 4.0, "eps_rel_b": 4.0}}))

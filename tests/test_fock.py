@@ -185,6 +185,8 @@ def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
 @example(r=0.5, alpha=10.0, n_max=69)
 @example(r=0.8323598777886922, alpha=9.990476052127061, n_max=60)
 @example(r=0.5, alpha=2.2250738585e-313, n_max=40)
+@example(r=1.4572094020061443, alpha=9.470007725862072e-159, n_max=1)
+@example(r=8.990815584330558e-80, alpha=0.0, n_max=3)
 def test_amplitude_invariants(r, alpha, n_max):
     # the invariants hold for any truncation; at large alpha the box may hold
     # less than the 1e-12 the loosest gate needs, so read the entries ungated
@@ -203,11 +205,15 @@ def test_amplitude_invariants(r, alpha, n_max):
     state = SqueezedInput(r=r, alpha=alpha)
     assert box_probability(state, n_max + 1) >= box_probability(state, n_max) - 1e-14
 
-    # the herald row is the joint matrix's n1 = 1 row, zeros included
+    # the herald row is the joint matrix's n1 = 1 row, zeros included.  Below
+    # 2^-1022 a cell is subnormal, spaced 2^-1074 apart, where no relative
+    # bound can hold: there both clauses allow two more spacings
     row = herald_row(state, n_max)
     joint = entries[1, :] ** 2
-    assert np.array_equal(row == 0.0, joint == 0.0)
-    assert np.all(np.abs(row - joint) <= 1e-12 * joint)
+    spacings = 2.0 * 2.0**-1074
+    assert np.all(((row == 0.0) == (joint == 0.0)) | (np.maximum(row, joint) <= spacings))
+    assert np.all(np.abs(row - joint)
+                  <= 1e-12 * joint + np.where(joint < 2.0**-1022, spacings, 0.0))
     # and the terms it leaves out of P1 sum to at most (n_max + 2) / 2^(n_max + 2)
     tail = float(np.sum(herald_row(state, n_max + 80)[n_max + 1:]))
     assert tail <= (n_max + 2) / 2.0 ** (n_max + 2)
