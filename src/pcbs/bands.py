@@ -24,8 +24,8 @@ closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
 zeroth closed gap.  Group-velocity tuning works in the offset delta from
 the k = 0 edge, on the factors expanded about it by angle addition, so a
-slow-light shift far below one ulp of the edge frequency keeps its
-relative precision.  Internally everything is dimensionless
+slow-light shift of ~1e-13 of the edge frequency keeps its full relative
+precision.  Internally everything is dimensionless
 (w = omega Lambda / (2 pi c), q = k Lambda); the public functions take and
 return SI quantities.
 """
@@ -398,9 +398,9 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     reported as nu_s.  target_vg = 0 is the edge itself.  Targets above the
     band's maximum group velocity raise UnachievableTargetError.
 
-    A slow-light shift lies far below one ulp of the edge frequency w0, so
-    the band is solved in the offset delta from the polished w0
-    (_edge_expansion).  The edge is the root delta0 of its own factor's
+    A slow-light shift is ~1e-13 of the edge frequency w0, of which a
+    difference of two band frequencies keeps only a few digits, so the band
+    is solved in the offset delta from the polished w0 (_edge_expansion).  The edge is the root delta0 of its own factor's
     expansion, v_g is scanned in closed form on a geometric delta grid, one
     brentq gives delta*, and delta_omega = |delta* - delta0| 2 pi c / Lambda,
     Lambda k* = 2 asin sqrt(P(delta*)).  _intervals is a _band_intervals

@@ -185,9 +185,9 @@ def test_tune_shift_is_integral_of_group_velocity(eps_rel_b, band, vg_over_c):
 @pytest.mark.parametrize("band", range(2, 9))
 @pytest.mark.parametrize("vg_over_c", [1e-6, 1e-5])
 def test_tune_slow_light_shift(band, vg_over_c):
-    # the shift is a few hundred rad/s at 1e-6 c, far below one ulp of the
-    # edge frequency (~0.4 rad/s per unit of w); the band's own departure from
-    # v_g k*/2 is at most 2e-10 at 1e-5 c
+    # the shift is a few hundred rad/s at 1e-6 c, about 1e-13 of the edge
+    # frequency; the band's own departure from v_g k*/2 is at most 2e-10 at
+    # 1e-5 c
     target = vg_over_c * CODATA.c
     for eps_rel_b in (4.9284, 12.25, 2.25):
         rep = tune_to_group_velocity(CrystalSpec(eps_rel_b=eps_rel_b), band, target)
@@ -231,7 +231,7 @@ def _mp_tuning(spec, band, vg_over_c):
 @pytest.mark.parametrize("band", range(1, 9))
 @pytest.mark.parametrize("vg_over_c", [1e-6, 1e-5, 4.59e-3])
 def test_tune_matches_60_digit_dispersion(eps_rel_b, band, vg_over_c):
-    # the shift at 1e-6 c is ~1e-14 of the edge frequency: the difference of
+    # the shift at 1e-6 c is ~1e-13 of the edge frequency: the difference of
     # two float64 band roots missed it by up to 1e-2 on band 8 of eps_rel_b 2.25
     spec = CrystalSpec(eps_rel_b=eps_rel_b)
     rep = tune_to_group_velocity(spec, band, vg_over_c * CODATA.c)
