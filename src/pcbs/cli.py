@@ -13,7 +13,6 @@ dimensionless frequency 64).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -49,12 +48,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    """Write the header row, then ``lines``, each a whole row ending in "\n".
+
+    No field holds a comma, quote or newline, so no field is quoted.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(lines))
 
 
 def _num(x) -> str:
@@ -81,9 +83,9 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     jd = joint_distribution(state, policy)
 
     out_dir = _resolve(args.out_dir, cfg.output.directory)
-    rows = ((str(n1), str(n2), _num(jd.p[n1, n2]))
-            for n1 in range(jd.p.shape[0]) for n2 in range(jd.p.shape[1]))
-    _write_csv(os.path.join(out_dir, "dist.csv"), ["n1", "n2", "probability"], rows)
+    cols = jd.p.shape[1]
+    lines = [f"{i // cols},{i % cols},{_num(p)}\n" for i, p in enumerate(jd.p.ravel().tolist())]
+    _write_csv(os.path.join(out_dir, "dist.csv"), ["n1", "n2", "probability"], lines)
 
     tp = threshold_probs(jd)
     payload = {
@@ -127,10 +129,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     result = sweep_r(alpha, np.linspace(r_min, r_max, steps), n_max)
 
     out_dir = _resolve(args.out_dir, cfg.output.directory)
-    rows = [(_num(pt.r), _num(pt.p11), _num(pt.p1), _num(pt.pn1), "")
-            for pt in result.points]
+    lines = [f"{_num(pt.r)},{_num(pt.p11)},{_num(pt.p1)},{_num(pt.pn1)},\n"
+             for pt in result.points]
     _write_csv(os.path.join(out_dir, "sweep.csv"),
-               ["r", "p11", "p1", "pn1", "error"], rows)
+               ["r", "p11", "p1", "pn1", "error"], lines)
 
     maxima = {}
     for quantity in ("p11", "p1"):
@@ -172,14 +174,14 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
     # one edge scan serves every band and the tuning report
     intervals = _band_intervals(cfg.crystal, max(n_bands, band_index))
-    rows = []
+    lines = []
     for b in range(1, n_bands + 1):
         sol = solve_band(cfg.crystal, b, n_samples=n_samples, _intervals=intervals)
-        rows.extend((str(b), _num(k), _num(omega), _num(v_g))
-                    for k, omega, v_g in sol.samples)
+        lines.extend(f"{b},{_num(k)},{_num(omega)},{_num(v_g)}\n"
+                     for k, omega, v_g in sol.samples)
     out_dir = _resolve(args.out_dir, cfg.output.directory)
     _write_csv(os.path.join(out_dir, "bands.csv"),
-               ["band_index", "k", "omega", "v_g"], rows)
+               ["band_index", "k", "omega", "v_g"], lines)
 
     payload = {"n_bands": n_bands, "samples_per_band": n_samples}
     try:

@@ -11,7 +11,8 @@ exponent, rescaled exactly at each step, so that a column whose psi_0
 underflows (alpha^2 e^r / (2 cosh r) above about 745) keeps its entries.
 The splitter conserves total photon number and spreads each shell |T, 0>
 binomially over the outputs (n1, T - n1), so every output amplitude is one
-entry of psi times a binomial weight, taken in log space (``gammaln``).
+entry of psi times a binomial weight, taken in log space from a table of
+log-factorials (``math.lgamma``, within 6e-16 relative of the exact value).
 Everything here is real because all interaction phases are pinned to zero.
 The amplitudes agree with the operator-exponential oracle to rounding up to
 r = 2 at a 1e-8 tail.
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError
 
@@ -119,6 +119,11 @@ class AmplitudeMatrix:
         return float(np.sum(self.entries**2))
 
 
+def _log_factorials(n_top: int) -> np.ndarray:
+    """log k! for k = 0..n_top, from ``math.lgamma``; 0! and 1! are exactly 0."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n_top + 1)])
+
+
 def coherent_amplitudes(beta: float, n_max: int) -> np.ndarray:
     """Number-basis column of a coherent state: exp(-beta^2/2) beta^m / sqrt(m!).
 
@@ -132,7 +137,7 @@ def coherent_amplitudes(beta: float, n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    logmag = -0.5 * beta * beta + m * math.log(abs(beta)) - 0.5 * gammaln(m + 1)
+    logmag = -0.5 * beta * beta + m * math.log(abs(beta)) - 0.5 * _log_factorials(n_max)
     signs = np.where(m % 2 == 0, 1.0, math.copysign(1.0, beta))
     return signs * np.exp(logmag)
 
@@ -159,15 +164,14 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
         return np.eye(dim)
     log_half_t = math.log(half_t)
     log_cosh = math.log(math.cosh(s))
-    n = np.arange(dim)
-    half_lgn = 0.5 * gammaln(n + 1)
+    lg = _log_factorials(n_max)
 
     out = np.zeros((dim, dim))
     for j in range(dim):
         idx = np.arange(j, dim, 2)          # photon numbers reachable from j
         steps = (idx - j) // 2              # ladder applications
-        logs = steps * log_half_t - gammaln(steps + 1) + half_lgn[idx]
-        w = -gammaln(j + 1) - (j + 0.5) * log_cosh
+        logs = steps * log_half_t - lg[steps] + 0.5 * lg[idx]
+        w = -lg[j] - (j + 0.5) * log_cosh
         raise_col = np.exp(logs + 0.5 * w)          # bra side (creation)
         lower_col = np.exp(logs + 0.5 * w) * np.where(steps % 2 == 0, 1.0, -1.0)
         out[np.ix_(idx, idx)] += np.outer(raise_col, lower_col)
@@ -219,9 +223,9 @@ def _shell_amplitudes(state: SqueezedInput, n_max: int) -> np.ndarray:
     """
     psi = _single_mode_column(state.r, state.alpha, 2 * n_max)
     n = np.arange(n_max + 1)
-    lg = gammaln(n + 1)
+    lg = _log_factorials(2 * n_max)
     total = np.add.outer(n, n)
-    log_binom = gammaln(total + 1) - np.add.outer(lg, lg) - total * math.log(2.0)
+    log_binom = lg[total] - np.add.outer(lg[n], lg[n]) - total * math.log(2.0)
     return psi[total] * np.exp(0.5 * log_binom)
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NoHeraldError
 from .fock import SqueezedInput, TruncationPolicy, herald_row, output_amplitudes
@@ -161,9 +160,10 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
     """Maximize P(1,1) or P1 over r in [r_lo, r_hi]; returns (r_star, value).
 
     Both are read from the herald row up to n_max, as in :func:`sweep_r`.
-    A coarse grid brackets the maximum, golden-section search refines it.
+    A coarse grid brackets the maximum, and :func:`_golden_maximum` refines
+    it to xtol 1e-6 from the three grid points around the coarse maximum.
     Raises ValueError when the coarse maximum sits on the interval boundary
-    (no interior bracket exists).
+    (no interior bracket exists) or ties with a neighbour.
     """
     if quantity not in ("p11", "p1"):
         raise ValueError(f"quantity must be 'p11' or 'p1', got {quantity!r}")
@@ -174,13 +174,46 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
         row = herald_row(SqueezedInput(r=float(r), alpha=alpha), n_max)
         return float(row[1]) if quantity == "p11" else float(np.sum(row))
 
-    grid = np.linspace(r_lo, r_hi, coarse)
-    vals = np.array([f(r) for r in grid])
+    grid = np.linspace(r_lo, r_hi, coarse).tolist()
+    vals = [f(r) for r in grid]
     i = int(np.argmax(vals))
     if i == 0 or i == coarse - 1:
         raise ValueError(
             f"maximum of {quantity} lies at the boundary of [{r_lo}, {r_hi}]"
         )
-    res = minimize_scalar(lambda r: -f(r), bracket=(grid[i - 1], grid[i], grid[i + 1]),
-                          method="golden", options={"xtol": 1e-6})
-    return float(res.x), float(-res.fun)
+    return _golden_maximum(f, grid[i - 1:i + 2], vals[i - 1:i + 2])
+
+
+_GOLD = 0.61803399      # golden-ratio conjugate, to the 8 digits scipy's golden search uses
+_XTOL = 1e-6            # relative width at which the golden search stops
+
+
+def _golden_maximum(f, xs, fs) -> tuple[float, float]:
+    """Golden-section search for a maximum of f inside the bracket xs = (xa, xb, xc).
+
+    ``fs`` holds f at the three points; the bracket must be strict,
+    xa < xb < xc with f(xb) above f(xa) and f(xc), or ValueError.  The
+    steps, start, stop rule |x3 - x0| <= 1e-6 (|x1| + |x2|) and 5000-step
+    cap are those of ``scipy.optimize.minimize_scalar(method="golden",
+    options={"xtol": 1e-6})`` on -f, so the result is the same (x, f(x))
+    bit for bit.
+    """
+    (xa, xb, xc), (fa, fb, fc) = xs, fs
+    if not (xa < xb < xc and fb > fa and fb > fc):
+        raise ValueError(f"({xa}, {xb}, {xc}) does not bracket a strict maximum of f")
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + (1.0 - _GOLD) * (xc - xb)
+    else:
+        x1, x2 = xb - (1.0 - _GOLD) * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= _XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, _GOLD * x2 + (1.0 - _GOLD) * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLD * x1 + (1.0 - _GOLD) * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 > f2 else (x2, f2)

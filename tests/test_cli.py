@@ -347,13 +347,48 @@ def test_bb84_terapulse_session(capsys):
     assert payload["n_pulses"] == 10**12 and payload["verdict"] == "clean"
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of start-up on every command
+def _fresh_interpreter(code: str) -> str:
     src = os.path.dirname(os.path.dirname(pcbs.__file__))
-    code = "import sys, pcbs.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.special or scipy.optimize costs about half a second per command
+    out = _fresh_interpreter(f"import sys, pcbs.cli; print({_SCIPY_LOADED})")
+    assert out.strip() == "[]"
+
+
+def test_dist_sweep_and_unattacked_bb84_load_no_scipy(tmp_path):
+    code = (
+        "import contextlib, io, sys\n"
+        "from pcbs.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['dist', '--oracle', '--r', '1.0', '--alpha', '0.5', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        f"    assert main(['sweep', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "    assert main(['bb84', '--n-pulses', '100000']) == 0\n"
+        f"print({_SCIPY_LOADED})\n"
+    )
+    assert _fresh_interpreter(code).strip() == "[]"
+    assert (tmp_path / "dist.csv").exists() and (tmp_path / "sweep.csv").exists()
+
+
+def test_bands_brentq_is_a_module_global_before_and_after_tune():
+    # perfbench's tracer counts root solves by wrapping the name pcbs.bands.brentq
+    code = (
+        "import contextlib, io, sys\n"
+        "import pcbs.bands\n"
+        "from pcbs.cli import main\n"
+        "before = 'brentq' in vars(pcbs.bands) and 'scipy.optimize' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['tune', '--band', '4']) == 0\n"
+        "import scipy.optimize\n"
+        "print(before, vars(pcbs.bands)['brentq'] is scipy.optimize.brentq)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "True"]
 
 
 def test_cli_module_runs_as_script():

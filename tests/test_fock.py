@@ -9,6 +9,7 @@ from pcbs.errors import TruncationError
 from pcbs.fock import (
     SqueezedInput,
     TruncationPolicy,
+    _log_factorials,
     _shell_amplitudes,
     _single_mode_column,
     box_probability,
@@ -120,6 +121,16 @@ def test_column_matches_high_precision_recurrence(r, alpha, n_top):
     assert np.max(np.abs(_single_mode_column(r, alpha, n_top) - expected)) <= 1e-13
 
 
+def test_log_factorials_match_50_digit_loggamma():
+    mpmath = pytest.importorskip("mpmath")
+    table = _log_factorials(8999)
+    assert table[0] == table[1] == 0.0
+    with mpmath.workdps(50):
+        exact = [mpmath.loggamma(k + 1) for k in range(2, 9000)]
+        worst = max(abs((mpmath.mpf(got) - want) / want) for got, want in zip(table[2:], exact))
+    assert worst <= 6e-16
+
+
 def test_output_vacuum_point():
     amp = output_amplitudes(SqueezedInput(r=0.0, alpha=0.0),
                             TruncationPolicy(n_max=8, tail_tolerance=1e-8))
@@ -175,6 +186,7 @@ def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
     nm = suggest_n_max(1.5, alpha, 1e-8)
     amp = output_amplitudes(state, TruncationPolicy(n_max=nm, tail_tolerance=1e-8))
     assert amp.captured_mass >= 1.0 - 1e-8
+    assert np.array_equal(amp.entries, amp.entries.T)
     total = np.add.outer(np.arange(nm + 1), np.arange(nm + 1))
     err = np.abs(amp.entries - oracle_state(state, nm).entries)[total <= nm]
     assert np.max(err) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from pcbs.errors import NoHeraldError
 from pcbs.fock import SqueezedInput, TruncationPolicy, herald_row
 from pcbs.stats import (
+    _golden_maximum,
     heralded_stats,
     joint_distribution,
     locate_maximum,
@@ -150,3 +151,54 @@ def test_locate_maximum_rejects_boundary_and_bad_quantity():
         locate_maximum(0.5, "p11", 0.0, 0.3, 40, coarse=9)
     with pytest.raises(ValueError):
         locate_maximum(0.5, "flux", 0.0, 2.0, 40)
+
+
+def _scipy_golden_maximum(f, xs):
+    from scipy.optimize import minimize_scalar   # kept out of the package: it slows `import pcbs.cli`
+
+    res = minimize_scalar(lambda x: -f(x), bracket=tuple(xs), method="golden",
+                          options={"xtol": 1e-6})
+    return float(res.x), float(-res.fun)
+
+
+@pytest.mark.parametrize("quantity", ["p11", "p1"])
+def test_golden_search_matches_scipy_on_the_default_sweep(quantity):
+    # the brackets `pcbs sweep` refines: alpha 0.5, r in [0, 2], n_max 60
+    def f(r):
+        row = herald_row(SqueezedInput(r=float(r), alpha=0.5), 60)
+        return float(row[1]) if quantity == "p11" else float(np.sum(row))
+
+    grid = np.linspace(0.0, 2.0, 33).tolist()
+    vals = [f(r) for r in grid]
+    i = int(np.argmax(vals))
+    want = _scipy_golden_maximum(f, grid[i - 1:i + 2])
+    assert _golden_maximum(f, grid[i - 1:i + 2], vals[i - 1:i + 2]) == want
+    assert locate_maximum(0.5, quantity, 0.0, 2.0, 60) == want
+
+
+def test_golden_search_matches_scipy_on_random_brackets():
+    def f(x):
+        return math.exp(-(x - 0.7) ** 2) * (1.0 + 0.1 * math.sin(3.0 * x))
+
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(300):
+        xb = 0.7 + rng.normal(scale=0.05)
+        xs = [xb - rng.uniform(1e-4, 0.5), xb, xb + rng.uniform(1e-4, 0.5)]
+        fs = [f(x) for x in xs]
+        if not (fs[1] > fs[0] and fs[1] > fs[2]):
+            continue
+        assert _golden_maximum(f, xs, fs) == _scipy_golden_maximum(f, xs)
+        checked += 1
+    assert checked >= 200
+
+
+def test_golden_search_rejects_a_tied_bracket_like_scipy():
+    def f(x):
+        return -abs(x - 1.0) if x < 1.0 else 0.0     # flat from 1 on: xb ties with xc
+
+    xs = [0.5, 1.0, 1.5]
+    with pytest.raises(ValueError):
+        _golden_maximum(f, xs, [f(x) for x in xs])
+    with pytest.raises(ValueError):
+        _scipy_golden_maximum(f, xs)
