@@ -22,10 +22,12 @@ half-angle factors of the symmetric cell (Yeh, Yariv & Hong, JOSA 67, 423
 Every band edge is a simple zero of one of these four factors, and a gap is
 closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
-zeroth closed gap.  Group-velocity tuning works in the offset delta from
-the k = 0 edge, on the factors expanded about it by angle addition, so a
-slow-light shift of ~1e-13 of the edge frequency keeps its full relative
-precision.  Internally everything is dimensionless
+zeroth closed gap.  Band samples and group-velocity tuning both work in
+the offset delta from the polished k = 0 edge, on the factors expanded
+about it by angle addition: P = f2 f3 = sin^2(q/2) is solved for all
+samples of a band at once, and v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
+A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
+precision there.  Internally everything is dimensionless
 (w = omega Lambda / (2 pi c), q = k Lambda); the public functions take and
 return SI quantities.
 """
@@ -54,8 +56,10 @@ __all__ = [
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
-_XTOL, _RTOL = 2e-12, 1e-14   # brentq tolerances of every band-edge and band root
+_XTOL, _RTOL = 2e-12, 1e-14   # brentq tolerances of the scanned band edges
 _TIGHT = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}   # brentq's tightest
+_STEP_TOL = 1e-14             # a band sample is done when its step is <= this * |delta - delta0|
+_MAX_STEPS = 100              # Newton-or-bisection steps of a band solve
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
 
 
@@ -137,12 +141,6 @@ def _rhs(a: float, b: float, eta: float, w: float) -> float:
     return math.cos(a * w) * math.cos(b * w) - eta * math.sin(a * w) * math.sin(b * w)
 
 
-def _rhs_prime(a: float, b: float, eta: float, w: float) -> float:
-    sa, ca = math.sin(a * w), math.cos(a * w)
-    sb, cb = math.sin(b * w), math.cos(b * w)
-    return -(a * sa * cb + b * ca * sb) - eta * (a * ca * sb + b * sa * cb)
-
-
 def _factors(sa, ca, sb, cb, x):
     """The four edge factors from the half-angle sines and cosines (floats or arrays).
 
@@ -155,17 +153,6 @@ def _factors(sa, ca, sb, cb, x):
 def _factor(w: float, a: float, b: float, x: float, i: int) -> float:
     ha, hb = 0.5 * a * w, 0.5 * b * w
     return _factors(math.sin(ha), math.cos(ha), math.sin(hb), math.cos(hb), x)[i]
-
-
-def _factor_slope(w: float, a: float, b: float, x: float, i: int) -> float:
-    """d f_i / dw."""
-    ha, hb = 0.5 * a, 0.5 * b
-    sa, ca = math.sin(ha * w), math.cos(ha * w)
-    sb, cb = math.sin(hb * w), math.cos(hb * w)
-    y = x if i % 2 == 0 else 1.0 / x
-    if i < 2:
-        return -(ha * sa * cb + hb * ca * sb) - y * (ha * ca * sb + hb * sa * cb)
-    return (ha * ca * cb - hb * sa * sb) + y * (hb * ca * cb - ha * sa * sb)
 
 
 def _gap_velocity(a: float, b: float, x: float,
@@ -182,8 +169,8 @@ def _gap_velocity(a: float, b: float, x: float,
     (w_f, f), (w_g, g) = lower, upper
     if w_g - w_f > 2.0 * (_XTOL + _RTOL * w_g):
         return 0.0
-    return (CODATA.c * math.pi / math.sqrt(abs(_factor_slope(w_f, a, b, x, f)))
-            / math.sqrt(abs(_factor_slope(w_g, a, b, x, g))))
+    f_slope, g_slope = (_edge_expansion(a, b, x, w)(0.0)[1][i] for w, i in (lower, upper))
+    return CODATA.c * math.pi / math.sqrt(abs(f_slope)) / math.sqrt(abs(g_slope))
 
 
 def _is_degenerate(spec: CrystalSpec) -> bool:
@@ -191,49 +178,38 @@ def _is_degenerate(spec: CrystalSpec) -> bool:
     return spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b
 
 
-def _band(spec: CrystalSpec, band_index: int, intervals=None):
-    """q -> (w, v_g [m/s]) along one band, q = Lambda k in [0, pi].
+def _band(spec: CrystalSpec, band_index: int, q, intervals=None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v_g [m/s]) arrays along one band at the array q = Lambda k in [0, pi].
 
     A gapless stack is one medium of optical thickness s = (l_a n_a + l_b n_b)
-    / Lambda, its bands folded at the zone edges: band n spans w in
-    [(n - 1)/(2s), n/(2s)] and v_g = c/s.  On a gapped band w is the root in
-    the band's interval and v_g comes from implicit differentiation of the
-    residual, v_g / c = 2 pi |sin q| / |RHS'(w)|; the band edges return the
-    limit beside their gap (0.0 when it is open).  Raises
-    DegeneratePointError when dRHS/dw vanishes at the solution, which
-    happens only when bands touch.  intervals is a _band_intervals scan
-    that covers the band, when the caller already has one.
+    / Lambda folded at the zone edges: band n spans w in [(n - 1)/(2s),
+    n/(2s)] and v_g = c/s.  On a gapped band cos q == +-1 gives the scanned
+    edge and the velocity beside its gap (0.0 when open); every other q is
+    solved in the offset from the k = 0 edge (_solve_offsets,
+    _offset_velocity).  intervals is a _band_intervals scan covering the band.
     """
     if _is_degenerate(spec):
         s = (spec.l_a * math.sqrt(spec.eps_rel_a)
              + spec.l_b * math.sqrt(spec.eps_rel_b)) / spec.period
         n = band_index
-
-        def gapless(q: float) -> tuple[float, float]:
-            w = ((n - 1) * math.pi + q if n % 2 == 1 else n * math.pi - q) / (2.0 * math.pi * s)
-            return w, CODATA.c / s
-
-        return gapless
+        w = ((n - 1) * math.pi + q if n % 2 == 1 else n * math.pi - q) / (2.0 * math.pi * s)
+        return w, np.full_like(q, CODATA.c / s)
 
     if intervals is None:
         intervals = _band_intervals(spec, band_index)
-    lo, hi, v_lo, v_hi = intervals[band_index - 1]
-    a, b, eta = _coeffs(spec)
-    floor = _DEGENERACY_FLOOR * (a + b)
-
-    def gapped(q: float) -> tuple[float, float]:
-        w = _band_root(a, b, eta, band_index, lo, hi, q)
-        if abs(math.cos(q)) == 1.0:
-            return w, v_lo if w == lo else v_hi
-        rp = abs(_rhs_prime(a, b, eta, w))
-        if rp < floor:
-            raise DegeneratePointError(
-                f"dRHS/domega ~ 0 at band {band_index}, Lambda*k = {q:.6g}: "
-                "touching bands, group velocity undefined by implicit differentiation"
-            )
-        return w, CODATA.c * 2.0 * math.pi * abs(math.sin(q)) / rp
-
-    return gapped
+    w0, v0, w_pi, v_pi = intervals[band_index - 1]
+    cos_q = np.cos(q)
+    w = np.where(cos_q == 1.0, w0, w_pi)
+    v = np.where(cos_q == 1.0, v0, v_pi)
+    inside = np.abs(cos_q) != 1.0
+    if inside.any():
+        w_edge, expansion, delta0 = _polished_edge(spec, w0)
+        delta = _solve_offsets(expansion, delta0, w_pi - w_edge, q[inside])
+        v_inside, _, dp = _offset_velocity(expansion, delta)
+        _check_slope(spec, dp, band_index)
+        w[inside] = w_edge + delta
+        v[inside] = v_inside * CODATA.c
+    return w, v
 
 
 def _reduced_q(spec: CrystalSpec, k: float) -> float:
@@ -257,12 +233,13 @@ def dispersion_residual(spec: CrystalSpec, omega: float, k: float) -> float:
 
 
 def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float, float, float]]:
-    """(lo, hi, v_g at lo, v_g at hi) of the first n_bands gapped bands.
+    """(w, v_g at k = 0, w, v_g at k = pi/Lambda) of the first n_bands gapped bands.
 
     Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT and
     every change is polished with brentq.  With w = 0 prepended once per odd
     factor, the sorted roots alternate gap, band, gap, ...: gap g spans roots
-    2g and 2g + 1, band n spans roots 2n - 1 and 2n.
+    2g and 2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower
+    edge of an odd band.
     """
     a, b, _ = _coeffs(spec)
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
@@ -288,21 +265,9 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     roots.sort()
     edges = [(0.0, 2), (0.0, 3)] + roots[:need]
     v = [_gap_velocity(a, b, x, edges[2 * g], edges[2 * g + 1]) for g in range(n_bands + 1)]
-    return [(edges[2 * n - 1][0], edges[2 * n][0], v[n - 1], v[n])
+    ends = [((edges[2 * n - 1][0], v[n - 1]), (edges[2 * n][0], v[n]))
             for n in range(1, n_bands + 1)]
-
-
-def _band_root(a: float, b: float, eta: float, band_index: int,
-               lo: float, hi: float, q: float) -> float:
-    """Dimensionless frequency of one band, spanning [lo, hi], at wavenumber q."""
-    target = math.cos(q)
-    if abs(target) == 1.0:
-        # the zone edges are the interval ends; k = 0 is the lower end of an odd band
-        return lo if (target == 1.0) == (band_index % 2 == 1) else hi
-    pad = (hi - lo) * 1e-9
-    lo_pad = lo - pad if lo > 0.0 else lo
-    return float(brentq(lambda w: _rhs(a, b, eta, w) - target, lo_pad, hi + pad,
-                        xtol=_XTOL, rtol=_RTOL, maxiter=200))
+    return [lo + hi if n % 2 == 1 else hi + lo for n, (lo, hi) in enumerate(ends, start=1)]
 
 
 def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
@@ -313,50 +278,42 @@ def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
-    q = _reduced_q(spec, k)
-    if _is_degenerate(spec):
-        ws = [_band(spec, n)(q)[0] for n in range(1, n_bands + 1)]
-    else:
-        a, b, eta = _coeffs(spec)
-        ws = [_band_root(a, b, eta, n, lo, hi, q)
-              for n, (lo, hi, _, _) in enumerate(_band_intervals(spec, n_bands), start=1)]
+    q = np.array([_reduced_q(spec, k)])
+    intervals = None if _is_degenerate(spec) else _band_intervals(spec, n_bands)
+    ws = [_band(spec, n, q, intervals)[0][0] for n in range(1, n_bands + 1)]
     return np.array(ws) * (2.0 * math.pi * CODATA.c / spec.period)
 
 
 def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
-    """|d omega / d k| (m/s) by implicit differentiation of the residual.
+    """|d omega / d k| (m/s) at wavenumber k on one band.
 
-    v_g / c = 2 pi |sin(Lambda k)| / |RHS'(w)| at the band's frequency; the
-    band edges return the limit beside their gap: zero when it is open,
-    c pi / sqrt(F'G') from the two edge factors' slopes when it is closed.
-    Raises DegeneratePointError when dRHS/dw vanishes at the solution, which
-    happens only when bands touch.
+    v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta| with P = sin^2(Lambda k / 2)
+    (_offset_velocity).  The band edges return the limit beside their gap:
+    zero when it is open, c pi / sqrt(F'G') when it is closed.  Raises
+    DegeneratePointError when dRHS/dw vanishes, which happens only when
+    bands touch.
     """
     if band_index < 1:
         raise ValueError("band_index must be >= 1")
-    q = _reduced_q(spec, k)
-    return _band(spec, band_index)(q)[1]
+    q = np.array([_reduced_q(spec, k)])
+    return float(_band(spec, band_index, q)[1][0])
 
 
 def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121, *,
                _intervals=None) -> BandSolution:
     """Sample one band across the reduced zone, with edges and velocities.
 
-    _intervals is a _band_intervals scan that covers the band, when the
-    caller already has one.
+    _intervals is a _band_intervals scan covering the band, if the caller has one.
     """
     if band_index < 1 or n_samples < 2:
         raise ValueError("band_index must be >= 1 and n_samples >= 2")
     lam = spec.period
-    scale = 2.0 * math.pi * CODATA.c / lam
-    point = _band(spec, band_index, _intervals)
-    samples = []
-    for q in np.linspace(0.0, math.pi, n_samples):
-        q = float(q)
-        w, vg = point(q)
-        samples.append((q / lam, w * scale, vg))
-    edges = (samples[0][1], samples[-1][1])
-    return BandSolution(band_index=band_index, samples=tuple(samples), edges=edges)
+    q = np.linspace(0.0, math.pi, n_samples)
+    w, vg = _band(spec, band_index, q, _intervals)
+    samples = tuple(zip((q / lam).tolist(), (w * (2.0 * math.pi * CODATA.c / lam)).tolist(),
+                        vg.tolist()))
+    return BandSolution(band_index=band_index, samples=samples,
+                        edges=(samples[0][1], samples[-1][1]))
 
 
 def _edge_expansion(a: float, b: float, x: float, w0: float):
@@ -401,6 +358,62 @@ def _offset_velocity(expansion, delta):
     return v, p, dp
 
 
+def _polished_edge(spec: CrystalSpec, w0: float):
+    """(w0, expansion, delta0): a scanned k = 0 edge w0 polished on its own odd
+    factor, the factors expanded about it, and the edge itself as the root
+    delta0 of that factor's expansion (two Newton steps from 0).
+    """
+    a, b, _ = _coeffs(spec)
+    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
+    i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
+    h = 4.0 * (_XTOL + _RTOL * w0)      # beyond the scan's brentq tolerance on either side
+    w0 = brentq(_factor, w0 - h, w0 + h, args=(a, b, x, i), maxiter=200, **_TIGHT)
+    expansion = _edge_expansion(a, b, x, w0)
+    delta0 = 0.0
+    for _ in range(2):
+        f, df = expansion(delta0)
+        delta0 -= f[i] / df[i]
+    return w0, expansion, delta0
+
+
+def _solve_offsets(expansion, delta0: float, delta_pi: float, q: np.ndarray) -> np.ndarray:
+    """Offsets where P(delta) = sin^2(q/2), P rising from 0 at delta0 to 1 at delta_pi.
+
+    Each q starts a share q/pi of the way and takes Newton steps inside its
+    own bracket; a step that leaves it (tested inclusively) bisects instead.
+    It stops, keeping its value whatever else is solved with it, once its
+    step is <= _STEP_TOL |delta - delta0| or it lands on a bracket end (near
+    a flat zone edge Newton would cycle between two ends one ulp of P apart).
+    """
+    targets = np.sin(0.5 * q) ** 2
+    near = np.full(q.shape, delta0)
+    far = np.full(q.shape, delta_pi + 1e-9 * (delta_pi - delta0))   # past the scanned edge
+    delta = delta0 + (delta_pi - delta0) * q / math.pi
+    todo = np.arange(q.size)
+    for _ in range(_MAX_STEPS):
+        d, t = delta[todo], targets[todo]
+        _, p, dp = _offset_velocity(expansion, d)
+        below = p < t
+        near[todo] = lo = np.where(below, d, near[todo])
+        far[todo] = hi = np.where(below, far[todo], d)
+        step = d - (p - t) / dp
+        inside = (np.minimum(lo, hi) <= step) & (step <= np.maximum(lo, hi))
+        delta[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
+        done = (np.abs(new - d) <= _STEP_TOL * np.abs(new - delta0)) | (new == lo) | (new == hi)
+        todo = todo[~done]
+        if todo.size == 0:
+            return delta
+    raise RuntimeError(f"band offsets did not converge in {_MAX_STEPS} steps")
+
+
+def _check_slope(spec: CrystalSpec, dp, band_index: int) -> None:
+    """Raise DegeneratePointError where |dRHS/dw| = 2 |dP/d delta| vanishes."""
+    a, b, _ = _coeffs(spec)
+    if np.any(2.0 * np.abs(dp) < _DEGENERACY_FLOOR * (a + b)):
+        raise DegeneratePointError(f"dRHS/domega ~ 0 on band {band_index}: touching bands, "
+                                   "group velocity undefined by implicit differentiation")
+
+
 def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float, *,
                            _intervals=None) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
@@ -409,13 +422,11 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     reported as nu_s.  target_vg = 0 is the edge itself.  Targets above the
     band's maximum group velocity raise UnachievableTargetError.
 
-    A slow-light shift is ~1e-13 of the edge frequency w0, of which a
-    difference of two band frequencies keeps only a few digits, so the band
-    is solved in the offset delta from the polished w0 (_edge_expansion).  The edge is the root delta0 of its own factor's
-    expansion, v_g is scanned in closed form on a geometric delta grid, one
-    brentq gives delta*, and delta_omega = |delta* - delta0| 2 pi c / Lambda,
-    Lambda k* = 2 asin sqrt(P(delta*)).  _intervals is a _band_intervals
-    scan that covers the band, when the caller already has one.
+    A slow-light shift is ~1e-13 of the edge frequency, so no two band
+    frequencies are subtracted: in the offset from the polished k = 0 edge
+    (_polished_edge) v_g is scanned on a geometric grid, one brentq gives
+    delta*, delta_omega = |delta* - delta0| 2 pi c / Lambda and Lambda k* =
+    2 asin sqrt(P(delta*)).  _intervals is a _band_intervals scan covering the band.
     """
     c = CODATA.c
     if not target_vg >= 0:
@@ -425,7 +436,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     lam = spec.period
     scale = 2.0 * math.pi * c / lam
     if _is_degenerate(spec):
-        w0, vg0 = _band(spec, band_index)(0.0)
+        w0, vg0 = (float(u[0]) for u in _band(spec, band_index, np.zeros(1)))
         if math.isclose(target_vg, vg0, rel_tol=1e-12):
             return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                                 delta_omega=0.0, delta_nu=0.0,
@@ -436,8 +447,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
         )
     if _intervals is None:
         _intervals = _band_intervals(spec, band_index)
-    lo, hi, v_lo, v_hi = _intervals[band_index - 1]
-    w0, w_far, vg0 = (lo, hi, v_lo) if band_index % 2 == 1 else (hi, lo, v_hi)
+    w0, vg0, w_far, _ = _intervals[band_index - 1]
     nu_s = w0 * scale / (2.0 * math.pi)
     if vg0 >= target_vg:
         # the edge itself (target 0), or a k = 0 edge at a closed gap (band 1's
@@ -445,17 +455,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 
-    a, b, _ = _coeffs(spec)
-    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
-    i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
-    h = 4.0 * (_XTOL + _RTOL * w0)      # beyond the scan's brentq tolerance on either side
-    w0 = brentq(_factor, w0 - h, w0 + h, args=(a, b, x, i), maxiter=200, **_TIGHT)
-    expansion = _edge_expansion(a, b, x, w0)
-    delta0 = 0.0
-    for _ in range(2):     # Newton from 0 onto the edge factor's own root
-        f, df = expansion(delta0)
-        delta0 -= f[i] / df[i]
-
+    w0, expansion, delta0 = _polished_edge(spec, w0)
     ratio = target_vg / c
     deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
     vs = _offset_velocity(expansion, deltas)[0]
@@ -469,11 +469,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     delta = brentq(lambda d: _offset_velocity(expansion, d)[0] - ratio,
                    delta0 if j == 0 else deltas[j - 1], deltas[j], maxiter=200, **_TIGHT)
     _, p, dp = _offset_velocity(expansion, delta)
-    if 2.0 * abs(dp) < _DEGENERACY_FLOOR * (a + b):     # |dRHS/dw| = 2 |dP/d delta|
-        raise DegeneratePointError(
-            f"dRHS/domega ~ 0 at band {band_index}, delta = {delta:.6g}: "
-            "touching bands, group velocity undefined by implicit differentiation"
-        )
+    _check_slope(spec, dp, band_index)
     delta_omega = float(abs(delta - delta0)) * scale
     return TuningReport(target_vg_over_c=target_vg / c,
                         k_star=2.0 * math.asin(math.sqrt(p)) / lam,

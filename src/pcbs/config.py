@@ -109,12 +109,16 @@ def _build_section(name: str, cls, tree: dict):
     if unknown:
         raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
     for key, hint in hints.items():
-        if key not in tree or hint not in (int, int | None):
+        if key not in tree:
             continue
         value = tree[key]
+        if value is None and hint in (int | None, float | None):
+            continue
         # type(), not isinstance(): bool is an int, and JSON true must not read as 1
-        if type(value) is not int and not (value is None and hint == int | None):
+        if hint in (int, int | None) and type(value) is not int:
             raise ConfigError(f"'{name}.{key}' must be an integer, got {value!r}")
+        if hint in (float, float | None) and type(value) not in (int, float):
+            raise ConfigError(f"'{name}.{key}' must be a number, got {value!r}")
     try:
         return cls(**tree)
     except (TypeError, ValueError) as exc:

@@ -41,7 +41,15 @@ __all__ = [
     "herald_row",
     "box_probability",
     "suggest_n_max",
+    "N_MAX_CEILING",
 ]
+
+N_MAX_CEILING = 4000    # largest n_max anywhere: one (n_max + 1)^2 float64 array is 128 MB
+
+
+def _check_n_max(n_max: int) -> None:
+    if not 1 <= n_max <= N_MAX_CEILING:
+        raise ValueError(f"n_max must be in [1, {N_MAX_CEILING}], got {n_max}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +91,15 @@ class TruncationPolicy:
     :class:`~pcbs.errors.TruncationError`.  The default covers squeeze
     parameters up to about 0.9 with displacements up to 1; the working point
     r = 1, alpha = 1/2 has a true tail of 8.6e-8 at n_max = 40 and needs
-    n_max of about 50 (see :func:`suggest_n_max`).
+    n_max of about 50 (see :func:`suggest_n_max`).  n_max may not exceed
+    ``N_MAX_CEILING``, which bounds the memory of every box built from it.
     """
 
     n_max: int = 40
     tail_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        _check_n_max(self.n_max)
         if not (0.0 < self.tail_tolerance < 1.0):
             raise ValueError(f"tail_tolerance must be in (0, 1), got {self.tail_tolerance}")
 
@@ -251,8 +259,7 @@ def herald_row(state: SqueezedInput, n_max: int) -> np.ndarray:
     T / 2^T falls and psi is normalised, the terms beyond n_max add at most
     (n_max + 2) / 2^(n_max + 2) to P1 for any state (1.3e-17 at n_max 60).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_n_max(n_max)
     t = np.arange(1, n_max + 2)
     return np.ldexp(t * _single_mode_column(state.r, state.alpha, n_max + 1)[1:] ** 2, -t)
 
@@ -263,8 +270,7 @@ def box_probability(state: SqueezedInput, n_max: int) -> float:
     Shells with T > 2 n_max cannot reach the box, so the box mass is the
     squared sum of the same amplitudes :func:`output_amplitudes` returns.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_n_max(n_max)
     return float(np.sum(_shell_amplitudes(state, n_max) ** 2))
 
 
@@ -285,7 +291,7 @@ def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
     state = SqueezedInput(r=r, alpha=alpha)
 
     hi = 20
-    while hi <= 4000:
+    while hi <= N_MAX_CEILING:
         cells = _shell_amplitudes(state, hi) ** 2
         tail = 1.0 - np.diagonal(cells.cumsum(axis=0).cumsum(axis=1))
         passing = np.flatnonzero(tail[2:] <= target)
@@ -293,6 +299,6 @@ def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
             return (2 + int(passing[0])) + 2
         hi = int(hi * 1.6) + 8
     raise ValueError(
-        f"no truncation below 4000 reaches tail {tail_tolerance:g} "
+        f"no truncation below {N_MAX_CEILING} reaches tail {tail_tolerance:g} "
         f"for r={r}, alpha={alpha}"
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcbs.bands import (
     CrystalSpec,
@@ -322,3 +324,58 @@ def test_closed_gap_velocity_is_the_crossing_limit():
     for band in (5, 6):
         near = group_velocity(CLOSED, band, (math.pi - 1e-3) / LAM)
         assert abs(near - vg5) / vg5 < 1e-6
+
+
+def _mp_band_point(spec, q, w_guess):
+    # (omega, v_g) at Lambda k = q from the printed dispersion at 40 digits:
+    # the root of RHS(w) = cos q next to w_guess, v_g / c = 2 pi |sin q| / |RHS'(w)|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        lam = mpf(spec.l_a) + mpf(spec.l_b)
+        ea, eb = mpf(spec.eps_rel_a), mpf(spec.eps_rel_b)
+        a = 2 * mpmath.pi * mpf(spec.l_a) * mpmath.sqrt(ea) / lam
+        b = 2 * mpmath.pi * mpf(spec.l_b) * mpmath.sqrt(eb) / lam
+        eta = (ea + eb) / (2 * mpmath.sqrt(ea * eb))
+
+        def rhs(w):
+            return mpmath.cos(a * w) * mpmath.cos(b * w) - eta * mpmath.sin(a * w) * mpmath.sin(b * w)
+
+        w = mpmath.findroot(lambda w: rhs(w) - mpmath.cos(mpf(q)), mpf(w_guess))
+        c = mpf(CODATA.c)
+        omega = w * 2 * mpmath.pi * c / lam
+        v_g = 2 * mpmath.pi * c * abs(mpmath.sin(mpf(q))) / abs(mpmath.diff(rhs, w))
+        return float(omega), float(v_g)
+
+
+@pytest.mark.parametrize("eps_rel_b", [4.9284, 12.25, 2.25])
+def test_band_samples_match_40_digit_dispersion(eps_rel_b):
+    # the per-sample brentq roots these replace were off by up to 6.4e-11 in
+    # both omega and v_g; the edge-offset solve is good to ~1e-15 and ~1e-12
+    spec = CrystalSpec(eps_rel_b=eps_rel_b)
+    scale = 2.0 * math.pi * CODATA.c / spec.period
+    picks = sorted({1, 2, 118, 119} | set(range(5, 120, 10)))
+    for band in range(1, 9):
+        samples = solve_band(spec, band, n_samples=121).samples
+        for j in picks:
+            k, omega, v_g = samples[j]
+            omega_ref, v_ref = _mp_band_point(spec, k * spec.period, omega / scale)
+            assert abs(omega - omega_ref) <= 1e-13 * omega_ref, (band, j)
+            assert abs(v_g - v_ref) <= 1e-11 * v_ref, (band, j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps_rel_b=st.floats(1.2, 16.0), thickness_ratio=st.floats(0.2, 5.0),
+       band=st.integers(1, 6))
+def test_band_samples_on_random_crystals(eps_rel_b, thickness_ratio, band):
+    spec = CrystalSpec(l_b=SPEC.l_a * thickness_ratio, eps_rel_b=eps_rel_b)
+    samples = solve_band(spec, band, n_samples=17).samples
+    omegas = np.array([s[1] for s in samples])
+    steps = np.diff(omegas) if band % 2 == 1 else -np.diff(omegas)   # k = 0 is an odd band's floor
+    assert np.all(steps > 0.0)
+    for k, omega, v_g in samples:
+        assert abs(dispersion_residual(spec, omega, k)) < 1e-10
+        assert math.isfinite(v_g) and v_g >= 0.0
+        np.testing.assert_allclose(band_frequencies(spec, k, band)[band - 1], omega,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(group_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)

@@ -247,6 +247,28 @@ def test_bands_non_finite_config_exit(tmp_path, capsys, tree):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tree", [
+    {"source": {"r": "1"}},
+    {"truncation": {"tail_tolerance": "1e-8"}},
+    {"source": {"alpha": True}},
+])
+def test_dist_non_number_config_exit(tmp_path, capsys, tree):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(tree))
+    assert main(["--config", str(cfg), "dist", "--out-dir", str(tmp_path)]) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
+def test_n_max_above_ceiling_exit(tmp_path, capsys):
+    assert main(["dist", *WORKING, "--n-max", "4001", "--out-dir", str(tmp_path)]) == 2
+    assert "n_max must be in [1, 4000]" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sweep": {"n_max": 4001}}))
+    assert main(["--config", str(cfg), "sweep", "--out-dir", str(tmp_path)]) == 2
+    assert "n_max must be in [1, 4000]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "dist.csv") and not os.path.exists(tmp_path / "sweep.csv")
+
+
 def test_tune_command(capsys):
     rc, out = run(capsys, "tune", "--band", "4",
                   "--target-vg-over-c", "4.59e-3")

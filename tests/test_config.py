@@ -1,4 +1,5 @@
 import json
+from typing import get_type_hints
 
 import pytest
 
@@ -70,6 +71,31 @@ def test_bad_pulse_count_rejected(n_pulses):
 def test_integer_fields_reject_floats_and_bools(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         config_from_tree({section: {key: value}})
+
+
+FLOAT_FIELDS = [(section, key, hint)
+                for section, cls in get_type_hints(RunConfig).items() if section != "seed"
+                for key, hint in get_type_hints(cls).items() if hint in (float, float | None)]
+
+
+def test_float_fields_are_found():
+    assert len(FLOAT_FIELDS) == 18 and ("pump", "amplitude", float | None) in FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value) for section, key, hint in FLOAT_FIELDS
+    for value in ("1", True, False, None, [1.0])
+    if not (value is None and hint == float | None)    # null is pump.amplitude's default
+])
+def test_float_fields_reject_non_numbers(section, key, value):
+    with pytest.raises(ConfigError, match=f"'{section}.{key}' must be a number"):
+        config_from_tree({section: {key: value}})
+
+
+def test_float_fields_accept_json_integers():
+    cfg = config_from_tree({"crystal": {"eps_rel_b": 4}, "source": {"r": 1, "alpha": 0},
+                            "bb84": {"z_threshold": 5}})
+    assert cfg.crystal.eps_rel_b == 4 and cfg.source.r == 1 and cfg.bb84.z_threshold == 5
 
 
 def test_optional_n_max_accepts_null():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pcbs.errors import TruncationError
 from pcbs.fock import (
+    N_MAX_CEILING,
     SqueezedInput,
     TruncationPolicy,
     _log_factorials,
@@ -285,6 +286,18 @@ def test_input_validation():
         TruncationPolicy(n_max=0)
     with pytest.raises(ValueError):
         TruncationPolicy(tail_tolerance=0.0)
+
+
+def test_n_max_ceiling():
+    # above the ceiling every entry point refuses before building an array
+    state = SqueezedInput(r=1.0, alpha=0.5)
+    assert TruncationPolicy(n_max=N_MAX_CEILING).n_max == 4000
+    with pytest.raises(ValueError, match="n_max must be in \\[1, 4000\\], got 4001"):
+        TruncationPolicy(n_max=N_MAX_CEILING + 1)
+    with pytest.raises(ValueError, match="got 4001"):
+        herald_row(state, N_MAX_CEILING + 1)
+    with pytest.raises(ValueError, match="got 4001"):
+        box_probability(state, N_MAX_CEILING + 1)
 
 
 @pytest.mark.parametrize("r", [709.9, 710.0, 800.0, 1e300])
