@@ -23,7 +23,7 @@ Every band edge is a simple zero of one of these four factors, and a gap is
 closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
 zeroth closed gap.  Band samples and group-velocity tuning both work in
-the offset delta from the polished k = 0 edge, on the factors expanded
+the offset delta from the scanned k = 0 edge, on the factors expanded
 about it by angle addition: P = f2 f3 = sin^2(q/2) is solved for all
 samples of a band at once, and v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
 A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
@@ -56,8 +56,8 @@ __all__ = [
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
-_XTOL, _RTOL = 2e-12, 1e-14   # brentq tolerances of the scanned band edges
 _TIGHT = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}   # brentq's tightest
+_CLOSED_GAP = (4e-12, 2e-14)  # (abs, rel): a gap narrower than abs + rel * w is closed
 _STEP_TOL = 1e-14             # a band sample is done when its step is <= this * |delta - delta0|
 _MAX_STEPS = 100              # Newton-or-bisection steps of a band solve
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
@@ -159,7 +159,7 @@ def _gap_velocity(a: float, b: float, x: float,
                   lower: tuple[float, int], upper: tuple[float, int]) -> float:
     """v_g [m/s] at either band edge beside the gap between two (w, factor) roots.
 
-    The one closed-gap rule: the two roots agree to brentq's tolerance.  An
+    The one closed-gap rule: the two roots agree to within _CLOSED_GAP.  An
     open gap stops the wave, v_g = 0.0 exactly.  Across a closed gap the two
     factors F, G give 1 -+ RHS ~ 2 F'G' dw^2 against 1 -+ cos q ~ dq^2 / 2,
     so dw/dq = 1 / (2 sqrt(F'G')) and v_g = c pi / sqrt(F'G').  F' and G'
@@ -167,7 +167,7 @@ def _gap_velocity(a: float, b: float, x: float,
     to the last bit on the default crystal.
     """
     (w_f, f), (w_g, g) = lower, upper
-    if w_g - w_f > 2.0 * (_XTOL + _RTOL * w_g):
+    if w_g - w_f > _CLOSED_GAP[0] + _CLOSED_GAP[1] * w_g:
         return 0.0
     f_slope, g_slope = (_edge_expansion(a, b, x, w)(0.0)[1][i] for w, i in (lower, upper))
     return CODATA.c * math.pi / math.sqrt(abs(f_slope)) / math.sqrt(abs(g_slope))
@@ -203,11 +203,11 @@ def _band(spec: CrystalSpec, band_index: int, q, intervals=None) -> tuple[np.nda
     v = np.where(cos_q == 1.0, v0, v_pi)
     inside = np.abs(cos_q) != 1.0
     if inside.any():
-        w_edge, expansion, delta0 = _polished_edge(spec, w0)
-        delta = _solve_offsets(expansion, delta0, w_pi - w_edge, q[inside])
+        expansion, delta0 = _expanded_edge(spec, w0)
+        delta = _solve_offsets(expansion, delta0, w_pi - w0, q[inside])
         v_inside, _, dp = _offset_velocity(expansion, delta)
         _check_slope(spec, dp, band_index)
-        w[inside] = w_edge + delta
+        w[inside] = w0 + delta
         v[inside] = v_inside * CODATA.c
     return w, v
 
@@ -236,10 +236,10 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     """(w, v_g at k = 0, w, v_g at k = pi/Lambda) of the first n_bands gapped bands.
 
     Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT and
-    every change is polished with brentq.  With w = 0 prepended once per odd
-    factor, the sorted roots alternate gap, band, gap, ...: gap g spans roots
-    2g and 2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower
-    edge of an odd band.
+    every change is polished with brentq at its tightest tolerance.  With
+    w = 0 prepended once per odd factor, the sorted roots alternate gap, band,
+    gap, ...: gap g spans roots 2g and 2g + 1, band n spans roots 2n - 1 and
+    2n, and k = 0 is the lower edge of an odd band.
     """
     a, b, _ = _coeffs(spec)
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
@@ -260,7 +260,7 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
             negative = np.signbit(f)    # an exact 0.0 joins one side, so each root counts once
             for j in np.nonzero(negative[:-1] != negative[1:])[0]:
                 root = brentq(_factor, grid[j], grid[j + 1], args=(a, b, x, i),
-                              xtol=_XTOL, rtol=_RTOL, maxiter=200)
+                              maxiter=200, **_TIGHT)
                 roots.append((float(root), i))
     roots.sort()
     edges = [(0.0, 2), (0.0, 3)] + roots[:need]
@@ -358,22 +358,20 @@ def _offset_velocity(expansion, delta):
     return v, p, dp
 
 
-def _polished_edge(spec: CrystalSpec, w0: float):
-    """(w0, expansion, delta0): a scanned k = 0 edge w0 polished on its own odd
-    factor, the factors expanded about it, and the edge itself as the root
-    delta0 of that factor's expansion (two Newton steps from 0).
+def _expanded_edge(spec: CrystalSpec, w0: float):
+    """(expansion, delta0): the factors expanded about a scanned k = 0 edge w0,
+    and the edge itself as the root delta0 of its own odd factor's expansion
+    (two Newton steps from 0).
     """
     a, b, _ = _coeffs(spec)
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
     i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
-    h = 4.0 * (_XTOL + _RTOL * w0)      # beyond the scan's brentq tolerance on either side
-    w0 = brentq(_factor, w0 - h, w0 + h, args=(a, b, x, i), maxiter=200, **_TIGHT)
     expansion = _edge_expansion(a, b, x, w0)
     delta0 = 0.0
     for _ in range(2):
         f, df = expansion(delta0)
         delta0 -= f[i] / df[i]
-    return w0, expansion, delta0
+    return expansion, delta0
 
 
 def _solve_offsets(expansion, delta0: float, delta_pi: float, q: np.ndarray) -> np.ndarray:
@@ -423,8 +421,8 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     band's maximum group velocity raise UnachievableTargetError.
 
     A slow-light shift is ~1e-13 of the edge frequency, so no two band
-    frequencies are subtracted: in the offset from the polished k = 0 edge
-    (_polished_edge) v_g is scanned on a geometric grid, one brentq gives
+    frequencies are subtracted: in the offset from the scanned k = 0 edge
+    (_expanded_edge) v_g is scanned on a geometric grid, one brentq gives
     delta*, delta_omega = |delta* - delta0| 2 pi c / Lambda and Lambda k* =
     2 asin sqrt(P(delta*)).  _intervals is a _band_intervals scan covering the band.
     """
@@ -455,7 +453,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 
-    w0, expansion, delta0 = _polished_edge(spec, w0)
+    expansion, delta0 = _expanded_edge(spec, w0)
     ratio = target_vg / c
     deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
     vs = _offset_velocity(expansion, deltas)[0]

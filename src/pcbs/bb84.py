@@ -171,6 +171,8 @@ def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: float) -> Verdict:
+    if not z_threshold > 0.0:    # z > nan is never true: a NaN threshold would clear every session
+        raise ValueError(f"z_threshold must be positive, got {z_threshold}")
     if herald_count < MIN_HERALDS_FOR_TEST:
         return Verdict.INCONCLUSIVE
     spread = baseline * (1.0 - baseline)
@@ -240,7 +242,5 @@ def detect_attack(report: SessionReport, baseline_miss_given_herald: float,
     """
     if not 0.0 <= baseline_miss_given_herald <= 1.0:
         raise ValueError("baseline_miss_given_herald must lie in [0, 1]")
-    if z_threshold <= 0.0:
-        raise ValueError("z_threshold must be positive")
     return _judge(report.bob_miss_given_herald, report.herald_count,
                   baseline_miss_given_herald, z_threshold)

@@ -1,7 +1,8 @@
 """Command-line front end: every artifact as CSV/JSON, no plotting.
 
-Commands share a JSON config tree (--config, see config.py) whose values
-individual flags override.  Numeric CSV output is written with 12
+Commands share a JSON config tree (--config, see config.py).  Each flag
+sets one key of it, named by its argparse dest and shown by --help, on
+the loaded RunConfig; every command reads its inputs from that alone.  Numeric CSV output is written with 12
 significant digits and '\\n' line endings so repeated runs are
 byte-identical.
 
@@ -13,16 +14,17 @@ dimensionless frequency 64).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .bands import _band_intervals, solve_band, tune_to_group_velocity
-from .bb84 import simulate_session
+from .bb84 import ATTACK_KINDS, simulate_session
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -42,6 +44,7 @@ from .stats import heralded_stats, joint_distribution, locate_maximum, sweep_r, 
 __all__ = ["main", "entry_point"]
 
 _FMT = "%.12g"
+_CONFIG_NAMES = {f.name for f in fields(RunConfig)}    # seed and the sections
 
 
 def _emit(payload: dict) -> None:
@@ -63,29 +66,22 @@ def _num(x) -> str:
     return _FMT % x
 
 
-def _resolve(flag, fallback):
-    return fallback if flag is None else flag
-
-
-def _policy_for(cfg: RunConfig, r: float, alpha: float, n_max, tol) -> TruncationPolicy:
-    tol = _resolve(tol, cfg.truncation.tail_tolerance)
-    n_max = _resolve(n_max, cfg.truncation.n_max)
+def _policy_for(cfg: RunConfig) -> TruncationPolicy:
+    n_max, tol = cfg.truncation.n_max, cfg.truncation.tail_tolerance
     if n_max is None:
-        n_max = suggest_n_max(r, alpha, tol)
+        n_max = suggest_n_max(cfg.source.r, cfg.source.alpha, tol)
     return TruncationPolicy(n_max=n_max, tail_tolerance=tol)
 
 
 def cmd_dist(cfg: RunConfig, args) -> int:
-    r = _resolve(args.r, cfg.source.r)
-    alpha = _resolve(args.alpha, cfg.source.alpha)
-    policy = _policy_for(cfg, r, alpha, args.n_max, args.tail_tolerance)
+    r, alpha = cfg.source.r, cfg.source.alpha
+    policy = _policy_for(cfg)
     state = SqueezedInput(r=r, alpha=alpha)
     jd = joint_distribution(state, policy)
 
-    out_dir = _resolve(args.out_dir, cfg.output.directory)
     cols = jd.p.shape[1]
     lines = [f"{i // cols},{i % cols},{_num(p)}\n" for i, p in enumerate(jd.p.ravel().tolist())]
-    _write_csv(os.path.join(out_dir, "dist.csv"), ["n1", "n2", "probability"], lines)
+    _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"], lines)
 
     tp = threshold_probs(jd)
     payload = {
@@ -117,21 +113,17 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    alpha = _resolve(args.alpha, cfg.source.alpha)
-    r_min = _resolve(args.r_min, cfg.sweep.r_min)
-    r_max = _resolve(args.r_max, cfg.sweep.r_max)
-    steps = _resolve(args.steps, cfg.sweep.steps)
+    alpha, sw = cfg.source.alpha, cfg.sweep
+    r_min, r_max, steps, n_max = sw.r_min, sw.r_max, sw.steps, sw.n_max
     if r_min < 0 or r_max < r_min or steps < 1:
         raise ValueError("need 0 <= r_min <= r_max and steps >= 1")
     if r_min == r_max:
         steps = 1
-    n_max = cfg.sweep.n_max
     result = sweep_r(alpha, np.linspace(r_min, r_max, steps), n_max)
 
-    out_dir = _resolve(args.out_dir, cfg.output.directory)
     lines = [f"{_num(pt.r)},{_num(pt.p11)},{_num(pt.p1)},{_num(pt.pn1)},\n"
              for pt in result.points]
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
+    _write_csv(os.path.join(cfg.output.directory, "sweep.csv"),
                ["r", "p11", "p1", "pn1", "error"], lines)
 
     maxima = {}
@@ -161,10 +153,9 @@ def _zeta_report(cfg: RunConfig, omega_s: float, v_g: float) -> dict:
 
 
 def cmd_bands(cfg: RunConfig, args) -> int:
-    n_bands = _resolve(args.n_bands, cfg.bands.n_bands)
-    n_samples = _resolve(args.samples, cfg.bands.n_samples)
-    band_index = _resolve(args.band, cfg.bands.band_index)
-    target = _resolve(args.target_vg_over_c, cfg.bands.target_vg_over_c)
+    bs = cfg.bands
+    n_bands, n_samples, band_index, target = (bs.n_bands, bs.n_samples, bs.band_index,
+                                              bs.target_vg_over_c)
     if n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
     if band_index < 1:
@@ -179,8 +170,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         sol = solve_band(cfg.crystal, b, n_samples=n_samples, _intervals=intervals)
         lines.extend(f"{b},{_num(k)},{_num(omega)},{_num(v_g)}\n"
                      for k, omega, v_g in sol.samples)
-    out_dir = _resolve(args.out_dir, cfg.output.directory)
-    _write_csv(os.path.join(out_dir, "bands.csv"),
+    _write_csv(os.path.join(cfg.output.directory, "bands.csv"),
                ["band_index", "k", "omega", "v_g"], lines)
 
     payload = {"n_bands": n_bands, "samples_per_band": n_samples}
@@ -201,30 +191,17 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
-    band_index = _resolve(args.band, cfg.bands.band_index)
-    target = _resolve(args.target_vg_over_c, cfg.bands.target_vg_over_c)
-    rep = tune_to_group_velocity(cfg.crystal, band_index, target * CODATA.c)
+    rep = tune_to_group_velocity(cfg.crystal, cfg.bands.band_index,
+                                 cfg.bands.target_vg_over_c * CODATA.c)
     _emit(asdict(rep))
     return 0
 
 
 def cmd_bb84(cfg: RunConfig, args) -> int:
-    r = _resolve(args.r, cfg.source.r)
-    alpha = _resolve(args.alpha, cfg.source.alpha)
-    policy = _policy_for(cfg, r, alpha, args.n_max, None)
-    jd = joint_distribution(SqueezedInput(r=r, alpha=alpha), policy)
-
+    jd = joint_distribution(SqueezedInput(r=cfg.source.r, alpha=cfg.source.alpha),
+                            _policy_for(cfg))
     section = cfg.bb84
-    if args.attack is not None:
-        section = replace(section, attack=args.attack)
-    if args.ratio is not None:
-        section = replace(section, splitting_ratio=args.ratio)
-    if args.z_threshold is not None:
-        section = replace(section, z_threshold=args.z_threshold)
-    n_pulses = _resolve(args.n_pulses, section.n_pulses)
-    seed = _resolve(args.seed, cfg.seed)
-
-    report = simulate_session(jd, n_pulses, section.attack_model(), seed=seed,
+    report = simulate_session(jd, section.n_pulses, section.attack_model(), seed=cfg.seed,
                               z_threshold=section.z_threshold)
     print(report.to_json())
     return 0
@@ -244,6 +221,43 @@ def cmd_selftest(cfg: RunConfig, args) -> int:
     return 0 if failed == 0 else 1
 
 
+# each flag sets one RunConfig key, its argparse dest: (key, type, help)
+_FLAGS = {
+    "--r": ("source.r", float, "squeeze magnitude"),
+    "--alpha": ("source.alpha", float, "coherent amplitude"),
+    "--n-max": ("truncation.n_max", int, "box size (default: automatic)"),
+    "--tail-tolerance": ("truncation.tail_tolerance", float, "box mass gate"),
+    "--r-min": ("sweep.r_min", float, None),
+    "--r-max": ("sweep.r_max", float, None),
+    "--steps": ("sweep.steps", int, None),
+    "--n-bands": ("bands.n_bands", int, None),
+    "--samples": ("bands.n_samples", int, None),
+    "--band": ("bands.band_index", int, "band index for the tuning report"),
+    "--target-vg-over-c": ("bands.target_vg_over_c", float, None),
+    "--n-pulses": ("bb84.n_pulses", int, None),
+    "--attack": ("bb84.attack", str, " or ".join(ATTACK_KINDS)),
+    "--ratio": ("bb84.splitting_ratio", float, "splitting ratio of the attack"),
+    "--seed": ("seed", int, None),
+    "--z-threshold": ("bb84.z_threshold", float, None),
+    "--out-dir": ("output.directory", str, None),
+}
+
+_COMMANDS = (    # (name, help, function, flags)
+    ("dist", "joint photon-number distribution -> CSV + stats JSON", cmd_dist,
+     ("--r", "--alpha", "--n-max", "--tail-tolerance", "--out-dir")),
+    ("sweep", "statistics vs r -> CSV + located maxima JSON", cmd_sweep,
+     ("--alpha", "--r-min", "--r-max", "--steps", "--out-dir")),
+    ("bands", "band diagram CSV + tuning and zeta JSON", cmd_bands,
+     ("--n-bands", "--samples", "--band", "--target-vg-over-c", "--out-dir")),
+    ("tune", "group-velocity tuning report JSON", cmd_tune, ("--band", "--target-vg-over-c")),
+    ("bb84", "simulate a BB84 session -> report JSON", cmd_bb84,
+     ("--r", "--alpha", "--n-max", "--n-pulses", "--attack", "--ratio", "--seed",
+      "--z-threshold")),
+    ("selftest", "run all reference checks, print a table", cmd_selftest, ()),
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcbs",
@@ -252,60 +266,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "photonic-crystal band structure, and BB84 session analysis.",
     )
     parser.add_argument("--config", metavar="FILE",
-                        help="JSON config tree; command flags override its values")
+                        help="JSON config tree; each command flag sets the key it shows")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("dist", help="joint photon-number distribution -> CSV + stats JSON")
-    d.add_argument("--r", type=float, help="squeeze magnitude")
-    d.add_argument("--alpha", type=float, help="coherent amplitude")
-    d.add_argument("--n-max", type=int, help="box size (default: automatic)")
-    d.add_argument("--tail-tolerance", type=float, help="box mass gate")
-    d.add_argument("--oracle", action="store_true",
-                   help="also compare against the operator-exponential oracle")
-    d.add_argument("--out-dir")
-    d.set_defaults(func=cmd_dist)
-
-    s = sub.add_parser("sweep", help="statistics vs r -> CSV + located maxima JSON")
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--r-min", type=float)
-    s.add_argument("--r-max", type=float)
-    s.add_argument("--steps", type=int)
-    s.add_argument("--out-dir")
-    s.set_defaults(func=cmd_sweep)
-
-    b = sub.add_parser("bands", help="band diagram CSV + tuning and zeta JSON")
-    b.add_argument("--n-bands", type=int)
-    b.add_argument("--samples", type=int)
-    b.add_argument("--band", type=int, help="band index for the tuning report")
-    b.add_argument("--target-vg-over-c", type=float)
-    b.add_argument("--out-dir")
-    b.set_defaults(func=cmd_bands)
-
-    t = sub.add_parser("tune", help="group-velocity tuning report JSON")
-    t.add_argument("--band", type=int)
-    t.add_argument("--target-vg-over-c", type=float)
-    t.set_defaults(func=cmd_tune)
-
-    q = sub.add_parser("bb84", help="simulate a BB84 session -> report JSON")
-    q.add_argument("--r", type=float)
-    q.add_argument("--alpha", type=float)
-    q.add_argument("--n-max", type=int)
-    q.add_argument("--n-pulses", type=int)
-    q.add_argument("--attack", choices=["none", "balanced_beam_splitter"])
-    q.add_argument("--ratio", type=float, help="splitting ratio of the attack")
-    q.add_argument("--seed", type=int)
-    q.add_argument("--z-threshold", type=float)
-    q.set_defaults(func=cmd_bb84)
-
-    st = sub.add_parser("selftest", help="run all reference checks, print a table")
-    st.set_defaults(func=cmd_selftest)
+    for name, text, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        if name == "dist":
+            p.add_argument("--oracle", action="store_true",
+                           help="also compare against the operator-exponential oracle")
+        for flag in flags:
+            key, kind, help_text = _FLAGS[flag]
+            p.add_argument(flag, dest=key, type=kind, help=help_text)    # metavar: KEY
+        p.set_defaults(func=func)
     return parser
+
+
+def _with_flags(cfg: RunConfig, args) -> RunConfig:
+    """cfg with every given flag set on its key, each section replaced once,
+    so that its __post_init__ checks a flag value as it checks a file value."""
+    top, sections = {}, {}
+    for key, value in vars(args).items():
+        name, _, field = key.partition(".")
+        if value is None or name not in _CONFIG_NAMES:
+            continue
+        if field:
+            sections.setdefault(name, {})[field] = value
+        else:
+            top[name] = value
+    for name, values in sections.items():
+        top[name] = replace(getattr(cfg, name), **values)
+    return replace(cfg, **top)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = _with_flags(load_config(args.config) if args.config else RunConfig(), args)
         return args.func(cfg, args)
     except (ValueError, ConfigError, UnachievableTargetError,
             EmptySessionError, NoHeraldError) as exc:

@@ -3,15 +3,15 @@
 The schema is fixed; unknown keys anywhere in the tree are rejected so a
 typo cannot silently fall back to a default.  Every section is optional
 and defaults to the standard study parameters (air/LiNbO3 crystal, 30 mW
-pump over a 5 um beam, r = 1, alpha = 1/2).  CLI flags override file
-values after loading.
+pump over a 5 um beam, r = 1, alpha = 1/2).  Each CLI flag sets one key
+on the loaded config, and its section checks it as it checks a file value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 from .bands import CrystalSpec
 from .bb84 import AttackModel
@@ -64,8 +64,8 @@ class Bb84Section:
         if self.n_pulses <= 0:
             raise ValueError(f"n_pulses must be positive, got {self.n_pulses}")
         self.attack_model()    # reject bad kind/ratio at load time
-        if self.z_threshold <= 0:
-            raise ValueError("z_threshold must be positive")
+        if not self.z_threshold > 0:    # NaN too: z > nan never flags an attack
+            raise ValueError(f"z_threshold must be positive, got {self.z_threshold}")
 
     def attack_model(self) -> AttackModel:
         return AttackModel(kind=self.attack, splitting_ratio=self.splitting_ratio)
@@ -101,6 +101,22 @@ _SECTIONS = {
 }
 
 
+# the JSON types each field type accepts: type(), not isinstance(), since
+# bool is an int and JSON true must not read as 1
+_ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            str: ((str,), "a string")}
+
+
+def _check_type(path: str, value, hint) -> None:
+    """Raise ConfigError unless value fits the field type hint (X or X | None)."""
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return
+    accepted, noun = _ACCEPTS[next(k for k in kinds if k is not type(None))]
+    if type(value) not in accepted:
+        raise ConfigError(f"'{path}' must be {noun}, got {value!r}")
+
+
 def _build_section(name: str, cls, tree: dict):
     if not isinstance(tree, dict):
         raise ConfigError(f"section '{name}' must be an object, got {type(tree).__name__}")
@@ -108,17 +124,8 @@ def _build_section(name: str, cls, tree: dict):
     unknown = set(tree) - set(hints)
     if unknown:
         raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
-    for key, hint in hints.items():
-        if key not in tree:
-            continue
-        value = tree[key]
-        if value is None and hint in (int | None, float | None):
-            continue
-        # type(), not isinstance(): bool is an int, and JSON true must not read as 1
-        if hint in (int, int | None) and type(value) is not int:
-            raise ConfigError(f"'{name}.{key}' must be an integer, got {value!r}")
-        if hint in (float, float | None) and type(value) not in (int, float):
-            raise ConfigError(f"'{name}.{key}' must be a number, got {value!r}")
+    for key, value in tree.items():
+        _check_type(f"{name}.{key}", value, hints[key])
     try:
         return cls(**tree)
     except (TypeError, ValueError) as exc:
@@ -134,8 +141,7 @@ def config_from_tree(tree: dict) -> RunConfig:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
     cfg = RunConfig()
     if "seed" in tree:
-        if not isinstance(tree["seed"], int) or isinstance(tree["seed"], bool):
-            raise ConfigError("'seed' must be an integer")
+        _check_type("seed", tree["seed"], int)
         cfg = replace(cfg, seed=tree["seed"])
     for name, cls in _SECTIONS.items():
         if name in tree:

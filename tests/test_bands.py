@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pcbs.bands import (
     CrystalSpec,
+    _band_intervals,
     band_frequencies,
     dispersion_residual,
     group_velocity,
@@ -362,6 +363,33 @@ def test_band_samples_match_40_digit_dispersion(eps_rel_b):
             omega_ref, v_ref = _mp_band_point(spec, k * spec.period, omega / scale)
             assert abs(omega - omega_ref) <= 1e-13 * omega_ref, (band, j)
             assert abs(v_g - v_ref) <= 1e-11 * v_ref, (band, j)
+
+
+@pytest.mark.parametrize("eps_rel_b", [4.9284, 12.25, 2.25])
+def test_scanned_edges_match_40_digit_roots(eps_rel_b):
+    # each edge is one brentq root at its tightest tolerance; a looser scan
+    # polished again only at k = 0 left edges up to 8.9e-13 off
+    mpmath = pytest.importorskip("mpmath")
+    spec = CrystalSpec(eps_rel_b=eps_rel_b)
+    edges = [w for w0, _, w_pi, _ in _band_intervals(spec, 8) for w in (w0, w_pi) if w > 0.0]
+    assert len(edges) == 15
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        lam = mpf(spec.l_a) + mpf(spec.l_b)
+        ea, eb = mpf(spec.eps_rel_a), mpf(spec.eps_rel_b)
+        ha = mpmath.pi * mpf(spec.l_a) * mpmath.sqrt(ea) / lam
+        hb = mpmath.pi * mpf(spec.l_b) * mpmath.sqrt(eb) / lam
+        x = mpmath.sqrt(eb / ea)
+
+        def factors(w):    # the half-angle factors of 1 + RHS and 1 - RHS
+            sa, ca, sb, cb = mpmath.sin(ha * w), mpmath.cos(ha * w), mpmath.sin(hb * w), mpmath.cos(hb * w)
+            return (ca * cb - x * sa * sb, ca * cb - sa * sb / x,
+                    sa * cb + x * ca * sb, sa * cb + ca * sb / x)
+
+        for w in edges:
+            i = min(range(4), key=lambda j: abs(factors(mpf(w))[j]))
+            root = mpmath.findroot(lambda t: factors(t)[i], mpf(w))
+            assert abs(w - root) <= 1e-15 * root, (w, float(abs(w - root) / root))
 
 
 @settings(max_examples=25, deadline=None)

@@ -192,6 +192,16 @@ def test_detect_attack_rejudge(jd):
         detect_attack(rep, baseline, z_threshold=0.0)
 
 
+@pytest.mark.parametrize("z_threshold", [0.0, -1.0, math.nan])
+def test_session_rejects_a_threshold_that_clears_every_session(jd, z_threshold):
+    # z > nan is never true, so a NaN threshold would report every attack as clean
+    rep = simulate_session(jd, N_PULSES, AttackModel(), seed=SEED)
+    with pytest.raises(ValueError, match="z_threshold"):
+        simulate_session(jd, N_PULSES, AttackModel(), seed=SEED, z_threshold=z_threshold)
+    with pytest.raises(ValueError, match="z_threshold"):
+        detect_attack(rep, 0.5, z_threshold=z_threshold)
+
+
 def test_cell_frequencies_match_distribution(jd):
     n1, n2 = sample_cells(jd, N_PULSES, SEED)
     counts = np.zeros(jd.p.shape)

@@ -1,14 +1,18 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
 import pcbs
-from pcbs.cli import main
+from pcbs.cli import _build_parser, main
+from pcbs.config import RunConfig
 from pcbs.oracle import oracle_state
 from pcbs.selftest import CheckResult
 from pcbs.source import CODATA
@@ -431,6 +435,82 @@ def test_config_flag_override(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["r"] == 1.0       # flag wins
     assert payload["alpha"] == 0.25  # config fills the rest
+
+
+def _subcommands():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _key_type(key):
+    """The type a RunConfig field path holds (X of X | None), or None if no such field."""
+    node, hint = RunConfig(), None
+    for part in key.split("."):
+        if not is_dataclass(node) or part not in {f.name for f in fields(node)}:
+            return None
+        hint = get_type_hints(type(node))[part]
+        node = getattr(node, part)
+    if is_dataclass(node):
+        return None
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+def test_every_flag_sets_a_config_key():
+    seen = 0
+    for name, parser in _subcommands().items():
+        for action in parser._actions:
+            if action.dest in ("help", "oracle"):
+                continue
+            seen += 1
+            assert _key_type(action.dest) is not None, (name, action.option_strings)
+            assert action.type is _key_type(action.dest), (name, action.dest)
+            assert action.default is None and action.metavar is None   # --help shows KEY
+    assert seen == 25
+
+
+@pytest.mark.parametrize("command", ["dist", "sweep", "bands", "tune", "bb84", "selftest"])
+def test_subcommand_help_shows_the_keys(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for action in _subcommands()[command]._actions:
+        if "." in action.dest:
+            assert f"{action.option_strings[0]} {action.dest.upper()}" in out
+
+
+def test_cli_import_builds_no_parser():
+    out = _fresh_interpreter("import pcbs.cli; print(pcbs.cli._build_parser.cache_info().currsize)")
+    assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bb84", "--n-pulses", "0"], "n_pulses must be positive"),
+    (["bb84", "--ratio", "2"], "splitting_ratio must lie in [0, 1]"),
+    (["bb84", "--attack", "intercept"], "kind must be one of"),
+    (["bb84", "--z-threshold", "-1"], "z_threshold must be positive"),
+    (["bb84", "--z-threshold", "nan"], "z_threshold must be positive"),
+])
+def test_flag_values_pass_section_validation(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_out_dir_flag_overrides_config_directory(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output": {"directory": str(tmp_path / "from_file")}}))
+    rc, _ = run(capsys, "--config", str(cfg), "dist", "--out-dir", str(tmp_path / "from_flag"))
+    assert rc == 0
+    assert (tmp_path / "from_flag" / "dist.csv").exists()
+    assert not (tmp_path / "from_file").exists()
+
+
+def test_config_non_string_directory_exit(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output": {"directory": 5}}))
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    assert "'output.directory' must be a string" in capsys.readouterr().err
 
 
 def test_config_unknown_key_exit(tmp_path, capsys):

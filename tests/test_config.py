@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from typing import get_type_hints
 
 import pytest
@@ -96,6 +97,24 @@ def test_float_fields_accept_json_integers():
     cfg = config_from_tree({"crystal": {"eps_rel_b": 4}, "source": {"r": 1, "alpha": 0},
                             "bb84": {"z_threshold": 5}})
     assert cfg.crystal.eps_rel_b == 4 and cfg.source.r == 1 and cfg.bb84.z_threshold == 5
+
+
+@pytest.mark.parametrize("section, key", [("output", "directory"), ("bb84", "attack")])
+@pytest.mark.parametrize("value", [5, 2.5, True, None, ["x"]])
+def test_string_fields_reject_non_strings(section, key, value):
+    with pytest.raises(ConfigError, match=f"'{section}.{key}' must be a string"):
+        config_from_tree({section: {key: value}})
+
+
+@pytest.mark.parametrize("z_threshold", [0.0, -1.0, float("nan")])
+def test_non_positive_z_threshold_rejected(z_threshold):
+    with pytest.raises(ConfigError, match="z_threshold must be positive"):
+        config_from_tree({"bb84": {"z_threshold": z_threshold}})
+
+
+def test_every_default_round_trips_through_the_tree():
+    # each field's type hint has a rule, and the defaults satisfy it
+    assert config_from_tree(asdict(RunConfig())) == RunConfig()
 
 
 def test_optional_n_max_accepts_null():
