@@ -73,15 +73,30 @@ def _policy_for(cfg: RunConfig) -> TruncationPolicy:
     return TruncationPolicy(n_max=n_max, tail_tolerance=tol)
 
 
+def _dist_rows(p: np.ndarray) -> str:
+    """Rows "n1,n2,probability" of the symmetric p, n1-major.
+
+    p equals its transpose exactly, so only the n1 <= n2 half is formatted,
+    in one % over a repeated format, and each string serves both cells.
+    """
+    dim = p.shape[0]
+    upper = np.triu_indices(dim)
+    half = (((_FMT + ",") * upper[0].size) % tuple(p[upper].tolist())).split(",")[:-1]
+    cells = np.empty((dim, dim), dtype=object)
+    cells[upper] = half
+    cells.T[upper] = half
+    row = "".join(f"{{}},{n2},%s\n" for n2 in range(dim))    # {} takes n1
+    return "".join(row.replace("{}", str(n1)) for n1 in range(dim)) % tuple(cells.ravel().tolist())
+
+
 def cmd_dist(cfg: RunConfig, args) -> int:
     r, alpha = cfg.source.r, cfg.source.alpha
     policy = _policy_for(cfg)
     state = SqueezedInput(r=r, alpha=alpha)
     jd = joint_distribution(state, policy)
 
-    cols = jd.p.shape[1]
-    lines = [f"{i // cols},{i % cols},{_num(p)}\n" for i, p in enumerate(jd.p.ravel().tolist())]
-    _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"], lines)
+    _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"],
+               [_dist_rows(jd.p)])
 
     tp = threshold_probs(jd)
     payload = {

@@ -18,7 +18,13 @@ from .bb84 import AttackModel
 from .errors import ConfigError
 from .source import PumpSpec
 
-__all__ = ["RunConfig", "load_config", "config_from_tree"]
+__all__ = ["RunConfig", "load_config", "config_from_tree", "STEPS_CEILING", "ROWS_CEILING"]
+
+# Size ceilings, checked before anything is allocated, as fock.N_MAX_CEILING
+# bounds n_max.  At them, on a 2-core x86_64 host, a sweep takes about 10 s
+# and a one-band bands run peaks at about 180 MB.
+STEPS_CEILING = 100_000         # sweep.steps
+ROWS_CEILING = 250_000          # bands.n_samples, and bands.n_bands * bands.n_samples
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,10 @@ class SweepSection:
     steps: int = 41
     n_max: int = 60
 
+    def __post_init__(self):
+        if self.steps > STEPS_CEILING:
+            raise ValueError(f"steps must be <= {STEPS_CEILING}, got {self.steps}")
+
 
 @dataclass(frozen=True)
 class BandsSection:
@@ -51,6 +61,11 @@ class BandsSection:
     n_samples: int = 121
     band_index: int = 4
     target_vg_over_c: float = 4.59e-3
+
+    def __post_init__(self):
+        if max(self.n_samples, self.n_bands * self.n_samples) > ROWS_CEILING:
+            raise ValueError(f"n_bands * n_samples must be <= {ROWS_CEILING} "
+                             f"(bands.csv rows), got {self.n_bands} * {self.n_samples}")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,13 @@ Every generator is a real skew band pair, A[i + k, i] = c_i = -A[i, i + k]:
 k = 1 for the displacement, k = 2 for the squeeze, k = 1 again for the
 splitter on the photon-number triangle.  One propagator applies exp(A) to
 the state vector, with no sparse matrix and no dense exponential: the
-truncated Taylor series with substeps of Al-Mohy & Higham (SIAM J. Sci.
-Comput. 33, 488 (2011)).  The exact 1-norm, read off the band, splits the
-exponent into ceil(||A||_1 / 8) substeps; each substep's series is summed
-with numpy slice products until two successive terms fall below 2^-53 of
-the running sum, as AMH stop theirs.
+Chebyshev expansion of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967
+(1984)), whose coefficients are Bessel values J_k(rho) at the exact
+1-norm rho, read off the band.  A skew-symmetric A has its spectrum in
+[-i rho, i rho], so every term stays within the norm of the vector, and
+the expansion stops after the last |J_k| >= 2^-60: a little over rho
+terms (2146 at rho = 2000) of two slice products each.  The Bessel values
+come from Miller's backward recurrence, with numpy and math alone.
 
 Truncation strategy: the squeeze couples n -> n +/- 2, so chopping the
 single-mode space contaminates amplitudes well inside the edge.  The
@@ -51,52 +53,80 @@ __all__ = ["oracle_state"]
 
 _SETTLED = 1e-13        # kept-block agreement between two single-mode sizes
 _MAX_SIZE = 1 << 14     # single-mode photon numbers the headroom may grow to
-_THETA = 8.0            # largest 1-norm of one Taylor substep
-_MAX_TERMS = 100        # Taylor terms per substep; the bound 8^k / k! is 2^-53 by k = 47
-_TAYLOR_TOL = 2.0 ** -53
+_SMALL = 2.0 ** -60     # the expansion stops after the last |J_k(rho)| at or above this
+
+
+def _bessel_j(rho: float) -> np.ndarray:
+    """J_0(rho)..J_K(rho) for rho > 0, K >= 1 the last order with |J_K| >= 2^-60.
+
+    Miller's backward recurrence, in two parts that cannot overflow.  Above
+    the turning order m = floor(rho) it runs on the ratios
+    J_k / J_{k-1} = rho / (2k - rho J_{k+1} / J_k), each in (0, 1) since
+    k > rho, down from the order m + 20 rho^(1/3) + 30 or so, where J has
+    fallen to about 2^-120 of J_m (its Airy tail).  At and below m it runs
+    on the values, J_{k-1} = (2k / rho) J_k - J_{k+1} with J_m = 1; rho < m + 1
+    lies before the first zero of J_m, so no value exceeds a few rho^(1/3).
+    J_0 + 2 sum J_2k = 1 fixes the scale.
+    """
+    m = math.floor(rho)
+    top = math.ceil(rho + 20.0 * rho ** (1.0 / 3.0)) + 30
+    ratios, ratio = [], 0.0
+    for k in range(top, m, -1):
+        ratio = rho / (2 * k - rho * ratio)
+        ratios.append(ratio)
+    up = np.cumprod(ratios[::-1])               # J_{m+1}..J_top over J_m
+    down = [up[0], 1.0]                         # J_{m+1}, J_m, then J_{m-1}..J_0
+    for k in range(m, 0, -1):
+        down.append(2.0 * k / rho * down[-1] - down[-2])
+    j = np.concatenate((down[:0:-1], up))
+    j /= 2.0 * math.fsum(j[::2].tolist()) - j[0]
+    keep = m + np.count_nonzero(np.abs(j[m + 1:]) >= _SMALL)
+    return j[:max(keep, 1) + 1]
 
 
 def _expm_apply(offset: int, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(A) v for the real skew band pair A[i + offset, i] = coeffs[i] = -A[i, i + offset].
 
-    The exponent is split into ceil(||A||_1 / _THETA) substeps.  Each
-    substep's Taylor series stops once two successive terms have max-norm
-    below 2^-53 of the running sum's.  Raises ValueError if a substep has
-    not converged within _MAX_TERMS terms, which with substeps of 1-norm
-    at most 8 only a non-finite vector does.
+    A Chebyshev expansion in B = A / rho, with rho the exact 1-norm of A,
+    which bounds the spectral radius of the skew-symmetric A:
+
+        exp(A) v = J_0(rho) W_0 + 2 sum_k J_k(rho) W_k,
+        W_0 = v,  W_1 = B v,  W_{k+1} = 2 B W_k + W_{k-1},
+
+    where W_k = i^k T_k(-iB) v keeps the norm of v at most.  Each term is
+    two slice products on the band, and the Bessel coefficients say up
+    front where the sum stops.  Raises ValueError if A or the result is
+    not finite.
     """
     out = np.array(v, dtype=float)
     column = np.zeros(out.size)         # |A| column sums: the exact 1-norm is their max
     column[:-offset] = np.abs(coeffs)
     column[offset:] += np.abs(coeffs)
-    norm = column.max(initial=0.0)
-    steps = math.ceil(norm / _THETA)
-    if steps == 0:
-        return out
-    c = coeffs / steps
-    last, term, lower = np.empty_like(out), np.empty_like(out), np.empty(out.size - offset)
-    for _ in range(steps):
-        last[:] = out
-        prev = bound = max(out.max(), -out.min())
-        for k in range(1, _MAX_TERMS + 1):
-            # term = (A / steps) last / k, as two slice products
-            np.multiply(c, last[:-offset], out=term[offset:])
-            term[:offset] = 0.0
-            np.multiply(c, last[offset:], out=lower)
-            term[:-offset] -= lower
-            term *= 1.0 / k
+    rho = column.max(initial=0.0)
+    if not math.isfinite(rho):
+        raise ValueError(f"oracle: the generator's 1-norm is {rho}")
+    if rho > 0.0:
+        weights = (2.0 * _bessel_j(rho)).tolist()
+        c = coeffs * (2.0 / rho)        # 2B, as a band pair
+        lower, term = np.empty(out.size - offset), np.empty_like(out)
+        prev, cur = out, np.zeros_like(out)
+
+        def add_2b(into, w):            # into += 2B w, as two slice products
+            np.multiply(c, w[:-offset], out=lower)
+            into[offset:] += lower
+            np.multiply(c, w[offset:], out=lower)
+            into[:-offset] -= lower
+
+        add_2b(cur, prev)
+        cur *= 0.5                      # W_1
+        out = prev * (0.5 * weights[0]) + cur * weights[1]
+        for weight in weights[2:]:
+            add_2b(prev, cur)           # W_{k-1} becomes W_{k+1}
+            prev, cur = cur, prev
+            np.multiply(cur, weight, out=term)
             out += term
-            size = max(term.max(), -term.min())
-            bound += size               # >= max|out|: the exact norm is needed only near the end
-            if (prev + size <= _TAYLOR_TOL * bound
-                    and prev + size <= _TAYLOR_TOL * max(out.max(), -out.min())):
-                break
-            prev = size
-            last, term = term, last
-        else:
-            raise ValueError(
-                f"oracle: a Taylor substep did not converge within {_MAX_TERMS} terms "
-                f"(1-norm {norm:g} in {steps} substeps)")
+    if not np.isfinite(out).all():
+        raise ValueError(f"oracle: exp(A) v is not finite (1-norm {rho:g})")
     return out
 
 

@@ -12,10 +12,12 @@ import pytest
 
 import pcbs
 from pcbs.cli import _build_parser, main
-from pcbs.config import RunConfig
+from pcbs.config import ROWS_CEILING, STEPS_CEILING, BandsSection, RunConfig, SweepSection
+from pcbs.fock import SqueezedInput, TruncationPolicy
 from pcbs.oracle import oracle_state
 from pcbs.selftest import CheckResult
 from pcbs.source import CODATA
+from pcbs.stats import joint_distribution
 
 WORKING = ["--r", "1.0", "--alpha", "0.5"]
 
@@ -48,6 +50,22 @@ def test_dist_working_point(tmp_path, capsys):
     assert len(rows) == 50 * 50
     grid_sum = sum(float(p) for _, _, p in rows)
     assert np.isclose(grid_sum, payload["captured_mass"], atol=1e-10)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_dist_csv_matches_a_per_cell_writer(tmp_path, capsys, r, alpha):
+    # the writer formats the n1 <= n2 half and mirrors it; a naive writer
+    # formats every cell of the same distribution
+    rc, out = run(capsys, "dist", "--r", str(r), "--alpha", str(alpha),
+                  "--out-dir", str(tmp_path))
+    assert rc == 0
+    n_max = json.loads(out)["n_max"]
+    p = joint_distribution(SqueezedInput(r=r, alpha=alpha),
+                           TruncationPolicy(n_max=n_max, tail_tolerance=1e-8)).p
+    want = "n1,n2,probability\n" + "".join(
+        f"{n1},{n2},{'%.12g' % p[n1, n2]}\n" for n1 in range(n_max + 1) for n2 in range(n_max + 1))
+    assert (tmp_path / "dist.csv").read_bytes() == want.encode()
 
 
 def test_dist_vacuum(tmp_path, capsys):
@@ -271,6 +289,39 @@ def test_n_max_above_ceiling_exit(tmp_path, capsys):
     assert main(["--config", str(cfg), "sweep", "--out-dir", str(tmp_path)]) == 2
     assert "n_max must be in [1, 4000]" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "dist.csv") and not os.path.exists(tmp_path / "sweep.csv")
+
+
+@pytest.mark.parametrize("argv, tree, message", [
+    (["bands", "--samples", "200000000"], {"bands": {"n_samples": 200000000}},
+     f"n_bands * n_samples must be <= {ROWS_CEILING}"),
+    (["bands", "--n-bands", "0", "--samples", "200000000"],
+     {"bands": {"n_bands": 0, "n_samples": 200000000}},
+     f"n_bands * n_samples must be <= {ROWS_CEILING}"),
+    (["bands", "--n-bands", "3", "--samples", str(ROWS_CEILING // 2)],
+     {"bands": {"n_bands": 3, "n_samples": ROWS_CEILING // 2}},
+     f"n_bands * n_samples must be <= {ROWS_CEILING}"),
+    (["sweep", "--steps", str(STEPS_CEILING + 1)], {"sweep": {"steps": STEPS_CEILING + 1}},
+     f"steps must be <= {STEPS_CEILING}"),
+])
+def test_sizes_above_ceiling_exit_before_allocating(tmp_path, capsys, monkeypatch, argv, tree,
+                                                    message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called with a size above its ceiling")
+
+    for name in ("_band_intervals", "solve_band", "sweep_r"):
+        monkeypatch.setattr(pcbs.cli, name, refuse)
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(tree))
+    assert main(["--config", str(cfg), argv[0], "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+def test_sizes_at_ceiling_pass_validation():
+    assert SweepSection(steps=STEPS_CEILING).steps == STEPS_CEILING
+    assert BandsSection(n_bands=2, n_samples=ROWS_CEILING // 2).n_samples == ROWS_CEILING // 2
 
 
 def test_tune_command(capsys):

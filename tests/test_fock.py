@@ -194,6 +194,15 @@ def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
 
 
 @settings(max_examples=50, deadline=None)
+@given(r=st.floats(0.0, 2.0), alpha=st.floats(-3.0, 3.0), n_max=st.integers(1, 200))
+def test_output_amplitudes_equal_their_transpose(r, alpha, n_max):
+    # pcbs dist formats the n1 <= n2 half of dist.csv and mirrors it
+    entries = output_amplitudes(SqueezedInput(r=r, alpha=alpha),
+                                TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12)).entries
+    assert np.array_equal(entries, entries.T)
+
+
+@settings(max_examples=50, deadline=None)
 @given(r=st.floats(0.0, 2.0), alpha=st.floats(-12.0, 12.0), n_max=st.integers(1, 80))
 @example(r=0.5, alpha=10.0, n_max=69)
 @example(r=0.8323598777886922, alpha=9.990476052127061, n_max=60)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pcbs.oracle
 from pcbs.fock import SqueezedInput, TruncationPolicy, output_amplitudes, suggest_n_max
-from pcbs.oracle import _expm_apply, oracle_state
+from pcbs.oracle import _bessel_j, _expm_apply, oracle_state
 
 
 def triangle(n_max):
@@ -101,9 +101,11 @@ def test_expm_apply_matches_scipy(offset, size, norm, ladder, seed):
         coeffs *= norm / column.max()
     v = rng.normal(size=size)
     scale = np.linalg.norm(v)
-    # A Taylor substep of 1-norm theta rounds by up to e^theta 2^-53 of |v| (3.3e-13
-    # at theta = 8) when v sits on the extreme eigenvalues, as on a 2 x 2 rotation;
-    # the errors add over substeps, in expm_multiply (theta up to 9.9) as here.
+    # The reference sets the bound: each of expm_multiply's Taylor substeps (1-norm
+    # theta up to 9.9) rounds by up to e^theta 2^-53 of |v| when v sits on the extreme
+    # eigenvalues, as on a 2 x 2 rotation, and the errors add over its norm / theta
+    # substeps.  The Chebyshev sum stays below 0.16 norm 2^-53 |v| on 2 x 2 rotations
+    # of norm 8 to 2e4 against a 30-digit rotation.
     tol = 1e-12 * max(1.0, norm / 8.0) * scale
 
     got = _expm_apply(offset, coeffs, v)
@@ -114,13 +116,49 @@ def test_expm_apply_matches_scipy(offset, size, norm, ladder, seed):
     np.testing.assert_array_equal(_expm_apply(offset, np.zeros(size - offset), v), v)
 
 
-def test_expm_apply_refuses_unconverged_series(monkeypatch):
-    monkeypatch.setattr(pcbs.oracle, "_MAX_TERMS", 3)
-    with pytest.raises(ValueError, match="did not converge within 3 terms"):
+def test_expm_apply_refuses_a_non_finite_vector(monkeypatch):
+    v = np.array([np.nan, 0.0, 0.0, 0.0])
+    for coeffs in (np.ones(3), np.zeros(3)):
+        with pytest.raises(ValueError, match="not finite"):
+            _expm_apply(1, coeffs, v)
+    # a NaN column reaches the splitter's exponential, which refuses it
+    monkeypatch.setattr(pcbs.oracle, "_kept_column", lambda state, dim: np.full(dim, np.nan))
+    with pytest.raises(ValueError, match="not finite"):
         oracle_state(SqueezedInput(r=1.0, alpha=0.5), 5)
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="did not converge"):
-        _expm_apply(1, np.ones(3), np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+def besselj_reference(rho, count):
+    """J_0(rho)..J_{count-1}(rho) to better than 50 digits, as mpmath numbers.
+
+    mpmath.besselj slows with order and rho (about 30 ms an order at rho = 2000),
+    so from rho = 100 on it gives J_0, J_1 and the last order, and the upward
+    recurrence J_{k+1} = (2k / rho) J_k - J_{k-1} at 80 digits gives the rest; the
+    upward run loses fewer than 25 digits by the last order, whose direct value
+    checks it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        x = mpmath.mpf(rho)
+        if rho < 100:
+            return [mpmath.besselj(k, x) for k in range(count)]
+        j = [mpmath.besselj(0, x), mpmath.besselj(1, x)]
+        for k in range(1, count - 1):
+            j.append(2 * k / x * j[k] - j[k - 1])
+        assert abs(j[-1] - mpmath.besselj(count - 1, x)) < mpmath.mpf(10) ** -45
+        return j
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-10, 0.3, 2.404825557695773, 8.0, 127.0, 760.0,
+                                 2000.0])
+def test_bessel_coefficients_match_50_digit_besselj(rho):
+    # 2.404825557695773 is a zero of J_0; the sum stops after the last |J_k| >= 2^-60,
+    # but keeps J_0 and J_1 however small rho is
+    got = _bessel_j(rho)
+    want = besselj_reference(rho, got.size + 1)
+    assert got.size >= 2
+    assert np.max(np.abs(got - np.array(want[:-1], dtype=float))) <= 4e-16
+    assert abs(want[-1]) < 2.0 ** -60
+    assert got.size == 2 or abs(want[-2]) >= 2.0 ** -60
 
 
 def test_oracle_shares_no_algebra_with_fock():
