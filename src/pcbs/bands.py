@@ -27,7 +27,9 @@ the offset delta from the scanned k = 0 edge, on the factors expanded
 about it by angle addition: P = f2 f3 = sin^2(q/2) is solved for all
 samples of a band at once, and v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
 A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
-precision there.  Internally everything is dimensionless
+precision there.  Edges, samples and the tuning point are all roots of one
+vectorised Newton-with-bisection solve (_bracketed_newton), on numpy
+alone.  Internally everything is dimensionless
 (w = omega Lambda / (2 pi c), q = k Lambda); the public functions take and
 return SI quantities.
 """
@@ -56,23 +58,21 @@ __all__ = [
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
-_TIGHT = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}   # brentq's tightest
 _CLOSED_GAP = (4e-12, 2e-14)  # (abs, rel): a gap narrower than abs + rel * w is closed
-_STEP_TOL = 1e-14             # a band sample is done when its step is <= this * |delta - delta0|
-_MAX_STEPS = 100              # Newton-or-bisection steps of a band solve
+_STEP_TOL = 1e-14             # a root is done when its step is <= this * |x - anchor|
+_MAX_STEPS = 100              # Newton-or-bisection steps of a root solve
+_SHIFT_RTOL = 1e-8            # a tuning shift rounded by more than this (relative) is refused
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
 
 
 def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, imported on the first call, which rebinds this name to it.
+    """Unused: no pcbs code calls this name, and a call raises.
 
-    Importing scipy.optimize takes about 0.4 s, which only the band
-    solvers should pay.  The root finder stays the module global
-    ``pcbs.bands.brentq``, which perfbench's tracer wraps to count calls.
+    perfbench's tracer reads and rebinds ``pcbs.bands.brentq`` to count root
+    solves, so the name stays bound, and that count reads 0.  ROADMAP item 4
+    replaces the tracer's wrappers with stage spans and removes this name.
     """
-    global brentq
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
+    raise NotImplementedError("pcbs.bands finds its roots with _bracketed_newton")
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,6 @@ def _factors(sa, ca, sb, cb, x):
     """
     return (ca * cb - x * sa * sb, ca * cb - sa * sb / x,
             sa * cb + x * ca * sb, sa * cb + ca * sb / x)
-
-
-def _factor(w: float, a: float, b: float, x: float, i: int) -> float:
-    ha, hb = 0.5 * a * w, 0.5 * b * w
-    return _factors(math.sin(ha), math.cos(ha), math.sin(hb), math.cos(hb), x)[i]
 
 
 def _gap_velocity(a: float, b: float, x: float,
@@ -235,8 +230,11 @@ def dispersion_residual(spec: CrystalSpec, omega: float, k: float) -> float:
 def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float, float, float]]:
     """(w, v_g at k = 0, w, v_g at k = pi/Lambda) of the first n_bands gapped bands.
 
-    Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT and
-    every change is polished with brentq at its tightest tolerance.  With
+    Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT, one
+    unit of w at a time, until the scan holds enough brackets.  Every bracket
+    starts at the linear interpolation of its two scan values, and all are
+    polished at once (_bracketed_newton) on the factor's slope in w,
+    (a/2) f[(sA, cA) -> (cA, -sA)] + (b/2) f[(sB, cB) -> (cB, -sB)].  With
     w = 0 prepended once per odd factor, the sorted roots alternate gap, band,
     gap, ...: gap g spans roots 2g and 2g + 1, band n spans roots 2n - 1 and
     2n, and k = 0 is the lower edge of an odd band.
@@ -244,26 +242,39 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     a, b, _ = _coeffs(spec)
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
     need = 2 * n_bands    # scanned roots up to the top of gap n_bands
-    roots: list[tuple[float, int]] = []
+    brackets = []         # per unit: (w, f(w)) at both scan points of each bracket, its factor
+    found = 0
     w_hi = 0.0
-    while len(roots) < need:
+    while found < need:
         w_lo, w_hi = w_hi, w_hi + 1.0
         if w_lo >= _SCAN_CEILING:
             raise InsufficientScanError(
                 f"no band edge below dimensionless frequency {_SCAN_CEILING:g} "
-                f"beyond the first {len(roots)}; band {n_bands} needs {need}"
+                f"beyond the first {found}; band {n_bands} needs {need}"
             )
         grid = np.linspace(w_lo, w_hi, SCAN_POINTS_PER_UNIT + 1)
         ha, hb = 0.5 * a * grid, 0.5 * b * grid
-        values = _factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x)
-        for i, f in enumerate(values):
-            negative = np.signbit(f)    # an exact 0.0 joins one side, so each root counts once
-            for j in np.nonzero(negative[:-1] != negative[1:])[0]:
-                root = brentq(_factor, grid[j], grid[j + 1], args=(a, b, x, i),
-                              maxiter=200, **_TIGHT)
-                roots.append((float(root), i))
-    roots.sort()
-    edges = [(0.0, 2), (0.0, 3)] + roots[:need]
+        values = np.array(_factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x))
+        negative = np.signbit(values)    # an exact 0.0 joins one side, so each root counts once
+        i, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
+        brackets.append((grid[j], values[i, j], grid[j + 1], values[i, j + 1], i))
+        found += i.size
+    w_0, f_0, w_1, f_1, factor = (np.concatenate(column) for column in zip(*brackets))
+
+    def residual(w, todo):
+        ha, hb = 0.5 * a * w, 0.5 * b * w
+        sa, ca, sb, cb = np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb)
+        # rows: the factors, and their (sA, cA) -> (cA, -sA) and (sB, cB) -> (cB, -sB) forms
+        f = np.array(_factors(np.array([sa, ca, sa]), np.array([ca, -sa, ca]),
+                              np.array([sb, sb, cb]), np.array([cb, cb, -sb]), x))
+        f = f[factor[todo], :, np.arange(w.size)]
+        return f[:, 0], 0.5 * a * f[:, 1] + 0.5 * b * f[:, 2]
+
+    first_negative = np.signbit(f_0)
+    roots = _bracketed_newton(residual, w_0 + f_0 / (f_0 - f_1) * (w_1 - w_0),
+                              np.where(first_negative, w_0, w_1),
+                              np.where(first_negative, w_1, w_0), 0.0)
+    edges = [(0.0, 2), (0.0, 3)] + sorted(zip(roots.tolist(), factor.tolist()))[:need]
     v = [_gap_velocity(a, b, x, edges[2 * g], edges[2 * g + 1]) for g in range(n_bands + 1)]
     ends = [((edges[2 * n - 1][0], v[n - 1]), (edges[2 * n][0], v[n]))
             for n in range(1, n_bands + 1)]
@@ -326,6 +337,7 @@ def _edge_expansion(a: float, b: float, x: float, w0: float):
     vanishes at w0 every term is O(delta) or the polished residual f(w0),
     so it keeps its relative precision at a delta far below one ulp of w0.
     delta may be a float or an array; the factors run along the last axis.
+    With curvature=True the second derivatives in delta follow as a third item.
     """
     ha, hb = 0.5 * a, 0.5 * b
     sa, ca = math.sin(ha * w0), math.cos(ha * w0)
@@ -333,14 +345,17 @@ def _edge_expansion(a: float, b: float, x: float, w0: float):
     coeffs = [np.array(_factors(*args, x)) for args in
               ((sa, ca, sb, cb), (ca, -sa, sb, cb), (sa, ca, cb, -sb), (ca, -sa, cb, -sb))]
 
-    def at(delta):
+    def at(delta, curvature=False):
         su, cu = np.sin(ha * delta), np.cos(ha * delta)
         sv, cv = np.sin(hb * delta), np.cos(hb * delta)
-        terms = (cu * cv, su * cv, cu * sv, su * sv)
-        slopes = (-ha * su * cv - hb * cu * sv, ha * cu * cv - hb * su * sv,
-                  hb * cu * cv - ha * su * sv, ha * cu * sv + hb * su * cv)
-        return (sum(np.multiply.outer(t, k) for t, k in zip(terms, coeffs)),
-                sum(np.multiply.outer(t, k) for t, k in zip(slopes, coeffs)))
+        rows = [(cu * cv, su * cv, cu * sv, su * sv),
+                (-ha * su * cv - hb * cu * sv, ha * cu * cv - hb * su * sv,
+                 hb * cu * cv - ha * su * sv, ha * cu * sv + hb * su * cv)]
+        if curvature:
+            square, cross = ha * ha + hb * hb, 2.0 * ha * hb
+            rows.append((cross * su * sv - square * cu * cv, -cross * cu * sv - square * su * cv,
+                         -cross * su * cv - square * cu * sv, cross * cu * cv - square * su * sv))
+        return tuple(sum(np.multiply.outer(t, k) for t, k in zip(row, coeffs)) for row in rows)
 
     return at
 
@@ -349,12 +364,14 @@ def _offset_velocity(expansion, delta):
     """(v_g / c, P, dP/d delta) at offset delta, with P = f2 f3 = sin^2(q/2).
 
     1 - P = f0 f1 on the same expansion, and dq/dw = |dP/dw| / sqrt(P (1 - P))
-    gives v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta|.
+    gives v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta|.  Where that slope is
+    0 the velocity is undefined and reads nan; _check_slope refuses it.
     """
     f, df = expansion(delta)
     p = f[..., 2] * f[..., 3]
     dp = df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3]
-    v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[..., 0] * f[..., 1], 0.0)) / np.abs(dp)
+    slope = np.where(dp != 0.0, np.abs(dp), np.nan)
+    v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[..., 0] * f[..., 1], 0.0)) / slope
     return v, p, dp
 
 
@@ -365,49 +382,67 @@ def _expanded_edge(spec: CrystalSpec, w0: float):
     """
     a, b, _ = _coeffs(spec)
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
-    i = min((2, 3), key=lambda j: abs(_factor(w0, a, b, x, j)))    # the edge's factor
     expansion = _edge_expansion(a, b, x, w0)
-    delta0 = 0.0
-    for _ in range(2):
-        f, df = expansion(delta0)
-        delta0 -= f[i] / df[i]
-    return expansion, delta0
+    f, df = expansion(0.0)
+    i = min((2, 3), key=lambda j: abs(f[j]))    # the edge's factor
+    delta0 = -f[i] / df[i]
+    f, df = expansion(delta0)
+    return expansion, delta0 - f[i] / df[i]
+
+
+def _bracketed_newton(residual, x, neg, pos, anchor: float) -> np.ndarray:
+    """Roots of residual, one in each bracket between neg and pos, all solved at once.
+
+    residual(x, todo) gives (value, slope) at the array x of the roots todo
+    (indices into x).  Each value has its sign bit set at its neg end and
+    clear at its pos end, and x starts inside.  A root takes Newton steps; a
+    step off a zero slope, or one that leaves its bracket (tested
+    inclusively), bisects instead.  It stops, keeping its value whatever else
+    is solved with it, once its step is <= _STEP_TOL |x - anchor| or it lands
+    on a bracket end (near a flat extremum Newton would cycle between two
+    ends one ulp apart).
+    """
+    x, neg, pos = (np.array(u, dtype=float) for u in (x, neg, pos))
+    todo = np.arange(x.size)
+    for _ in range(_MAX_STEPS):
+        d = x[todo]
+        f, df = residual(d, todo)
+        below = np.signbit(f)
+        neg[todo] = lo = np.where(below, d, neg[todo])
+        pos[todo] = hi = np.where(below, pos[todo], d)
+        sloped = df != 0.0
+        step = d - f / np.where(sloped, df, 1.0)
+        inside = sloped & (np.minimum(lo, hi) <= step) & (step <= np.maximum(lo, hi))
+        x[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
+        done = (np.abs(new - d) <= _STEP_TOL * np.abs(new - anchor)) | (new == lo) | (new == hi)
+        todo = todo[~done]
+        if todo.size == 0:
+            return x
+    raise RuntimeError(f"roots did not converge in {_MAX_STEPS} steps")
 
 
 def _solve_offsets(expansion, delta0: float, delta_pi: float, q: np.ndarray) -> np.ndarray:
     """Offsets where P(delta) = sin^2(q/2), P rising from 0 at delta0 to 1 at delta_pi.
 
-    Each q starts a share q/pi of the way and takes Newton steps inside its
-    own bracket; a step that leaves it (tested inclusively) bisects instead.
-    It stops, keeping its value whatever else is solved with it, once its
-    step is <= _STEP_TOL |delta - delta0| or it lands on a bracket end (near
-    a flat zone edge Newton would cycle between two ends one ulp of P apart).
+    Each q starts a share q/pi of the way, bracketed by delta0 and a point
+    just past the scanned edge delta_pi.
     """
     targets = np.sin(0.5 * q) ** 2
-    near = np.full(q.shape, delta0)
-    far = np.full(q.shape, delta_pi + 1e-9 * (delta_pi - delta0))   # past the scanned edge
-    delta = delta0 + (delta_pi - delta0) * q / math.pi
-    todo = np.arange(q.size)
-    for _ in range(_MAX_STEPS):
-        d, t = delta[todo], targets[todo]
-        _, p, dp = _offset_velocity(expansion, d)
-        below = p < t
-        near[todo] = lo = np.where(below, d, near[todo])
-        far[todo] = hi = np.where(below, far[todo], d)
-        step = d - (p - t) / dp
-        inside = (np.minimum(lo, hi) <= step) & (step <= np.maximum(lo, hi))
-        delta[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
-        done = (np.abs(new - d) <= _STEP_TOL * np.abs(new - delta0)) | (new == lo) | (new == hi)
-        todo = todo[~done]
-        if todo.size == 0:
-            return delta
-    raise RuntimeError(f"band offsets did not converge in {_MAX_STEPS} steps")
+
+    def residual(delta, todo):
+        f, df = expansion(delta)
+        return (f[..., 2] * f[..., 3] - targets[todo],
+                df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3])
+
+    return _bracketed_newton(residual, delta0 + (delta_pi - delta0) * q / math.pi,
+                             np.full(q.shape, delta0),
+                             np.full(q.shape, delta_pi + 1e-9 * (delta_pi - delta0)), delta0)
 
 
 def _check_slope(spec: CrystalSpec, dp, band_index: int) -> None:
-    """Raise DegeneratePointError where |dRHS/dw| = 2 |dP/d delta| vanishes."""
+    """Raise DegeneratePointError where |dRHS/dw| = 2 |dP/d delta| vanishes (or is nan)."""
     a, b, _ = _coeffs(spec)
-    if np.any(2.0 * np.abs(dp) < _DEGENERACY_FLOOR * (a + b)):
+    if not np.all(2.0 * np.abs(dp) >= _DEGENERACY_FLOOR * (a + b)):
         raise DegeneratePointError(f"dRHS/domega ~ 0 on band {band_index}: touching bands, "
                                    "group velocity undefined by implicit differentiation")
 
@@ -422,9 +457,13 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
 
     A slow-light shift is ~1e-13 of the edge frequency, so no two band
     frequencies are subtracted: in the offset from the scanned k = 0 edge
-    (_expanded_edge) v_g is scanned on a geometric grid, one brentq gives
-    delta*, delta_omega = |delta* - delta0| 2 pi c / Lambda and Lambda k* =
-    2 asin sqrt(P(delta*)).  _intervals is a _band_intervals scan covering the band.
+    (_expanded_edge) v_g is scanned on a geometric grid.  In the first step
+    that reaches the target, delta* is the root of
+    G = 4 pi^2 P Q - (v/c)^2 P'^2 with Q = 1 - P = f0 f1, which is negative
+    at the near end and whose slope is P' (4 pi^2 (Q - P) - 2 (v/c)^2 P'')
+    (_bracketed_newton).  delta_omega = |delta* - delta0| 2 pi c / Lambda and
+    Lambda k* = 2 asin sqrt(P(delta*)).  _intervals is a _band_intervals scan
+    covering the band.
     """
     c = CODATA.c
     if not target_vg >= 0:
@@ -464,11 +503,29 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
             f"(~{np.max(vs) * c:.6g} m/s)"
         )
     j = hit[0]
-    delta = brentq(lambda d: _offset_velocity(expansion, d)[0] - ratio,
-                   delta0 if j == 0 else deltas[j - 1], deltas[j], maxiter=200, **_TIGHT)
+    near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
+
+    def gap(delta, todo):    # one root, evaluated as a scalar: cheaper than a 1-element array
+        f, df, d2f = expansion(delta[0], curvature=True)
+        p, q = f[2] * f[3], f[0] * f[1]
+        dp = df[2] * f[3] + f[2] * df[3]
+        d2p = d2f[2] * f[3] + 2.0 * df[2] * df[3] + f[2] * d2f[3]
+        return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
+                dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
+
+    start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
+    delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
     _, p, dp = _offset_velocity(expansion, delta)
     _check_slope(spec, dp, band_index)
-    delta_omega = float(abs(delta - delta0)) * scale
+    shift = float(abs(delta - delta0))
+    # offsets next to delta0 are spaced, and the factors' residual at w0
+    # (~ f' delta0) rounded, at eps |delta0|: the shift's relative error
+    if not (p > 0.0 and np.finfo(float).eps * abs(delta0) <= _SHIFT_RTOL * shift):
+        raise UnachievableTargetError(
+            f"target v_g = {target_vg:.6g} m/s is too slow to resolve on band {band_index}: "
+            f"its shift from the edge is not known to {_SHIFT_RTOL:g} in float64"
+        )
+    delta_omega = shift * scale
     return TuningReport(target_vg_over_c=target_vg / c,
                         k_star=2.0 * math.asin(math.sqrt(p)) / lam,
                         delta_omega=delta_omega,

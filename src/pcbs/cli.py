@@ -48,7 +48,8 @@ _CONFIG_NAMES = {f.name for f in fields(RunConfig)}    # seed and the sections
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print the payload as strict JSON: a non-finite value raises ValueError (exit 2)."""
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:

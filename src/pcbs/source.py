@@ -59,11 +59,18 @@ class PumpSpec:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.radiant_flux <= 0 or self.beam_radius <= 0 or self.refractive_index <= 0:
             raise ValueError("flux, beam radius and refractive index must all be positive")
+        try:
+            implied = flux_to_amplitude(self)
+        except (OverflowError, ZeroDivisionError):    # d**2 out of float range
+            implied = math.nan
+        if not 0.0 < implied < math.inf:
+            raise ValueError(
+                f"flux {self.radiant_flux:.6g} W through beam radius {self.beam_radius:.6g} m "
+                "implies no finite, positive field amplitude"
+            )
         if self.amplitude is not None:
             if self.amplitude <= 0:
                 raise ValueError("amplitude must be positive when given")
-            implied = flux_to_amplitude(
-                PumpSpec(self.radiant_flux, self.beam_radius, self.refractive_index))
             if abs(self.amplitude - implied) > _AMPLITUDE_CONSISTENCY * implied:
                 raise ValueError(
                     f"amplitude {self.amplitude:.6g} V/m inconsistent with flux "

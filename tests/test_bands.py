@@ -186,7 +186,7 @@ def test_tune_shift_is_integral_of_group_velocity(eps_rel_b, band, vg_over_c):
 
 
 @pytest.mark.parametrize("band", range(2, 9))
-@pytest.mark.parametrize("vg_over_c", [1e-6, 1e-5])
+@pytest.mark.parametrize("vg_over_c", [1e-10, 1e-6, 1e-5])
 def test_tune_slow_light_shift(band, vg_over_c):
     # the shift is a few hundred rad/s at 1e-6 c, about 1e-13 of the edge
     # frequency; the band's own departure from v_g k*/2 is at most 2e-10 at
@@ -242,6 +242,16 @@ def test_tune_matches_60_digit_dispersion(eps_rel_b, band, vg_over_c):
     scale = 2.0 * math.pi * CODATA.c / spec.period
     np.testing.assert_allclose(rep.k_star * spec.period, q_ref, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(rep.delta_omega, shift_ref * scale, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("band", [2, 4, 7])
+def test_tune_refuses_an_unresolved_shift(band):
+    # at 1e-13 c the shift is ~1e-27 of the edge frequency, and offsets next
+    # to the edge's sub-ulp offset delta0 are spaced and rounded at
+    # eps |delta0| ~ 1e-32: served, k* and the shift were off by 1e-7 to 6e-5
+    # against a 90-digit solve (up to 0.5 at 1e-15 c)
+    with pytest.raises(UnachievableTargetError, match="too slow to resolve"):
+        tune_to_group_velocity(SPEC, band, 1e-13 * CODATA.c)
 
 
 def test_tune_zero_target_is_the_edge():
