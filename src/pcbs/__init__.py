@@ -14,6 +14,7 @@ from .bands import (
     band_frequencies,
     dispersion_residual,
     group_velocity,
+    sample_bands,
     solve_band,
     tune_to_group_velocity,
 )
@@ -85,7 +86,7 @@ __all__ = [
     "sweep_r", "locate_maximum",
     # bands
     "CrystalSpec", "BandSolution", "TuningReport", "dispersion_residual",
-    "band_frequencies", "group_velocity", "solve_band", "tune_to_group_velocity",
+    "band_frequencies", "group_velocity", "sample_bands", "solve_band", "tune_to_group_velocity",
     # source
     "PhysicalConstants", "CODATA", "PumpSpec", "squeeze_parameter",
     "amplitude_for_target_squeeze", "flux_to_amplitude", "pulse_volume",

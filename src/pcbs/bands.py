@@ -25,7 +25,8 @@ with a finite group velocity.  w = 0, a root of both odd factors, is the
 zeroth closed gap.  Band samples and group-velocity tuning both work in
 the offset delta from the scanned k = 0 edge, on the factors expanded
 about it by angle addition: P = f2 f3 = sin^2(q/2) is solved for all
-samples of a band at once, and v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
+samples of all requested bands at once, each on its own band's expansion,
+and v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
 A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
 precision there.  Edges, samples and the tuning point are all roots of one
 vectorised Newton-with-bisection solve (_bracketed_newton), on numpy
@@ -51,6 +52,7 @@ __all__ = [
     "dispersion_residual",
     "band_frequencies",
     "group_velocity",
+    "sample_bands",
     "solve_band",
     "tune_to_group_velocity",
     "SCAN_POINTS_PER_UNIT",
@@ -58,6 +60,7 @@ __all__ = [
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
+_SCAN_STEP_LIMIT = 0.25       # refuse a scan whose half-angles advance more than this * pi a step
 _CLOSED_GAP = (4e-12, 2e-14)  # (abs, rel): a gap narrower than abs + rel * w is closed
 _STEP_TOL = 1e-14             # a root is done when its step is <= this * |x - anchor|
 _MAX_STEPS = 100              # Newton-or-bisection steps of a root solve
@@ -164,7 +167,7 @@ def _gap_velocity(a: float, b: float, x: float,
     (w_f, f), (w_g, g) = lower, upper
     if w_g - w_f > _CLOSED_GAP[0] + _CLOSED_GAP[1] * w_g:
         return 0.0
-    f_slope, g_slope = (_edge_expansion(a, b, x, w)(0.0)[1][i] for w, i in (lower, upper))
+    f_slope, g_slope = (_edge_expansion(a, b, x, [w])(0.0)[1][i] for w, i in (lower, upper))
     return CODATA.c * math.pi / math.sqrt(abs(f_slope)) / math.sqrt(abs(g_slope))
 
 
@@ -173,37 +176,39 @@ def _is_degenerate(spec: CrystalSpec) -> bool:
     return spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b
 
 
-def _band(spec: CrystalSpec, band_index: int, q, intervals=None) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v_g [m/s]) arrays along one band at the array q = Lambda k in [0, pi].
+def _bands(spec: CrystalSpec, bands, q, intervals=None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v_g [m/s]) arrays of shape (len(bands), q.size) along the bands at q = Lambda k.
 
-    A gapless stack is one medium of optical thickness s = (l_a n_a + l_b n_b)
-    / Lambda folded at the zone edges: band n spans w in [(n - 1)/(2s),
-    n/(2s)] and v_g = c/s.  On a gapped band cos q == +-1 gives the scanned
-    edge and the velocity beside its gap (0.0 when open); every other q is
-    solved in the offset from the k = 0 edge (_solve_offsets,
-    _offset_velocity).  intervals is a _band_intervals scan covering the band.
+    bands is a sequence of band indices, q an array in [0, pi].  A gapless
+    stack is one medium of optical thickness s = (l_a n_a + l_b n_b) / Lambda
+    folded at the zone edges: band n spans w in [(n - 1)/(2s), n/(2s)] and
+    v_g = c/s.  On a gapped band cos q == +-1 gives the scanned edge and the
+    velocity beside its gap (0.0 when open); every other q of every band is
+    solved in one batch, in the offset from its band's k = 0 edge
+    (_solve_offsets, _offset_velocity).  intervals is a _band_intervals scan
+    covering the bands.
     """
+    n = np.array(bands)[:, None]
     if _is_degenerate(spec):
         s = (spec.l_a * math.sqrt(spec.eps_rel_a)
              + spec.l_b * math.sqrt(spec.eps_rel_b)) / spec.period
-        n = band_index
-        w = ((n - 1) * math.pi + q if n % 2 == 1 else n * math.pi - q) / (2.0 * math.pi * s)
-        return w, np.full_like(q, CODATA.c / s)
+        w = np.where(n % 2 == 1, (n - 1) * math.pi + q, n * math.pi - q) / (2.0 * math.pi * s)
+        return w, np.full(w.shape, CODATA.c / s)
 
     if intervals is None:
-        intervals = _band_intervals(spec, band_index)
-    w0, v0, w_pi, v_pi = intervals[band_index - 1]
+        intervals = _band_intervals(spec, int(n.max()))
+    w0, v0, w_pi, v_pi = np.array([intervals[i - 1] for i in bands]).T[..., None]
     cos_q = np.cos(q)
     w = np.where(cos_q == 1.0, w0, w_pi)
     v = np.where(cos_q == 1.0, v0, v_pi)
     inside = np.abs(cos_q) != 1.0
     if inside.any():
-        expansion, delta0 = _expanded_edge(spec, w0)
-        delta = _solve_offsets(expansion, delta0, w_pi - w0, q[inside])
-        v_inside, _, dp = _offset_velocity(expansion, delta)
-        _check_slope(spec, dp, band_index)
-        w[inside] = w0 + delta
-        v[inside] = v_inside * CODATA.c
+        expansion, delta0 = _expanded_edge(spec, w0[:, 0])
+        delta = _solve_offsets(expansion, delta0, (w_pi - w0)[:, 0], q[inside])
+        v_inside, _, dp = _offset_velocity(expansion, delta, np.arange(n.size)[:, None])
+        _check_slope(spec, dp, bands)
+        w[:, inside] = w0 + delta
+        v[:, inside] = v_inside * CODATA.c
     return w, v
 
 
@@ -231,7 +236,12 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     """(w, v_g at k = 0, w, v_g at k = pi/Lambda) of the first n_bands gapped bands.
 
     Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT, one
-    unit of w at a time, until the scan holds enough brackets.  Every bracket
+    unit of w at a time, until the scan holds enough brackets.  A crystal
+    whose faster half-angle max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT
+    pi per scan step is refused first: a layer of optical thickness above
+    1000 periods.  On 7000 random crystals at 0.05 to 0.52 pi a step, a 4x
+    finer scan found the same brackets on every one below 0.5 pi, and the
+    first that differed lay just above it.  Every bracket
     starts at the linear interpolation of its two scan values, and all are
     polished at once (_bracketed_newton) on the factor's slope in w,
     (a/2) f[(sA, cA) -> (cA, -sA)] + (b/2) f[(sB, cB) -> (cB, -sB)].  With
@@ -240,6 +250,13 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     2n, and k = 0 is the lower edge of an odd band.
     """
     a, b, _ = _coeffs(spec)
+    if 0.5 * max(a, b) / SCAN_POINTS_PER_UNIT > _SCAN_STEP_LIMIT * math.pi:
+        raise InsufficientScanError(
+            f"a layer's optical thickness l sqrt(eps_rel) exceeds "
+            f"{_SCAN_STEP_LIMIT * SCAN_POINTS_PER_UNIT:g} periods: the band-edge scan "
+            f"({SCAN_POINTS_PER_UNIT} points per unit of dimensionless frequency) "
+            "cannot resolve its band edges"
+        )
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
     need = 2 * n_bands    # scanned roots up to the top of gap n_bands
     brackets = []         # per unit: (w, f(w)) at both scan points of each bracket, its factor
@@ -290,9 +307,8 @@ def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
     q = np.array([_reduced_q(spec, k)])
-    intervals = None if _is_degenerate(spec) else _band_intervals(spec, n_bands)
-    ws = [_band(spec, n, q, intervals)[0][0] for n in range(1, n_bands + 1)]
-    return np.array(ws) * (2.0 * math.pi * CODATA.c / spec.period)
+    return _bands(spec, range(1, n_bands + 1), q)[0][:, 0] * (2.0 * math.pi * CODATA.c
+                                                              / spec.period)
 
 
 def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
@@ -307,7 +323,24 @@ def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
     if band_index < 1:
         raise ValueError("band_index must be >= 1")
     q = np.array([_reduced_q(spec, k)])
-    return float(_band(spec, band_index, q)[1][0])
+    return float(_bands(spec, [band_index], q)[1][0, 0])
+
+
+def sample_bands(spec: CrystalSpec, bands, n_samples: int = 121, *,
+                 _intervals=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k [1/m], omega [rad/s], v_g [m/s]) of the given bands across the reduced zone.
+
+    bands is a sequence of band indices.  k has shape (n_samples,), omega and
+    v_g (len(bands), n_samples); every band is solved in the same batch.
+    _intervals is a _band_intervals scan covering the bands, if the caller
+    has one.
+    """
+    if n_samples < 2 or len(bands) == 0 or min(bands) < 1:
+        raise ValueError("band indices must be >= 1 and n_samples >= 2")
+    lam = spec.period
+    q = np.linspace(0.0, math.pi, n_samples)
+    w, vg = _bands(spec, bands, q, _intervals)
+    return q / lam, w * (2.0 * math.pi * CODATA.c / lam), vg
 
 
 def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121, *,
@@ -318,34 +351,36 @@ def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121, *,
     """
     if band_index < 1 or n_samples < 2:
         raise ValueError("band_index must be >= 1 and n_samples >= 2")
-    lam = spec.period
-    q = np.linspace(0.0, math.pi, n_samples)
-    w, vg = _band(spec, band_index, q, _intervals)
-    samples = tuple(zip((q / lam).tolist(), (w * (2.0 * math.pi * CODATA.c / lam)).tolist(),
-                        vg.tolist()))
+    k, omega, vg = sample_bands(spec, [band_index], n_samples, _intervals=_intervals)
+    samples = tuple(zip(k.tolist(), omega[0].tolist(), vg[0].tolist()))
     return BandSolution(band_index=band_index, samples=samples,
                         edges=(samples[0][1], samples[-1][1]))
 
 
-def _edge_expansion(a: float, b: float, x: float, w0: float):
-    """delta -> (the four edge factors at w0 + delta, their slopes in delta).
+def _edge_expansion(a: float, b: float, x: float, w0):
+    """(edge, delta) -> (the four edge factors at w0[edge] + delta, their slopes in delta).
 
-    Each factor is bilinear in (sin A, cos A) and (sin B, cos B), so angle
-    addition with u = a delta / 2, v = b delta / 2 gives
-    f(w0 + delta) = cu cv f + su cv f_A + cu sv f_B + su sv f_AB, where f,
-    df/dA, df/dB and d2f/dAdB are taken once at w0.  On the factor that
-    vanishes at w0 every term is O(delta) or the polished residual f(w0),
-    so it keeps its relative precision at a delta far below one ulp of w0.
-    delta may be a float or an array; the factors run along the last axis.
-    With curvature=True the second derivatives in delta follow as a third item.
+    w0 is a sequence of edges.  Each factor is bilinear in (sin A, cos A) and
+    (sin B, cos B), so angle addition with u = a delta / 2, v = b delta / 2
+    gives f(w0 + delta) = cu cv f + su cv f_A + cu sv f_B + su sv f_AB, where
+    f, df/dA, df/dB and d2f/dAdB are taken once at each edge: coefficients of
+    shape (edges, 4 terms, 4 factors).  On the factor that vanishes at w0
+    every term is O(delta) or the polished residual f(w0), so it keeps its
+    relative precision at a delta far below one ulp of w0.  delta may be a
+    float or an array, and edge an index (0 by default) or an index array
+    that broadcasts with it, so each delta takes its own edge's coefficients;
+    the factors run along the last axis.  With curvature=True the second
+    derivatives in delta follow as a third item.
     """
     ha, hb = 0.5 * a, 0.5 * b
-    sa, ca = math.sin(ha * w0), math.cos(ha * w0)
-    sb, cb = math.sin(hb * w0), math.cos(hb * w0)
-    coeffs = [np.array(_factors(*args, x)) for args in
-              ((sa, ca, sb, cb), (ca, -sa, sb, cb), (sa, ca, cb, -sb), (ca, -sa, cb, -sb))]
+    w0 = np.asarray(w0, dtype=float)
+    sa, ca = np.sin(ha * w0), np.cos(ha * w0)
+    sb, cb = np.sin(hb * w0), np.cos(hb * w0)
+    coeffs = np.array([_factors(*args, x) for args in
+                       ((sa, ca, sb, cb), (ca, -sa, sb, cb), (sa, ca, cb, -sb),
+                        (ca, -sa, cb, -sb))]).transpose(2, 0, 1)
 
-    def at(delta, curvature=False):
+    def at(delta, edge=0, curvature=False):
         su, cu = np.sin(ha * delta), np.cos(ha * delta)
         sv, cv = np.sin(hb * delta), np.cos(hb * delta)
         rows = [(cu * cv, su * cv, cu * sv, su * sv),
@@ -355,19 +390,20 @@ def _edge_expansion(a: float, b: float, x: float, w0: float):
             square, cross = ha * ha + hb * hb, 2.0 * ha * hb
             rows.append((cross * su * sv - square * cu * cv, -cross * cu * sv - square * su * cv,
                          -cross * su * cv - square * cu * sv, cross * cu * cv - square * su * sv))
-        return tuple(sum(np.multiply.outer(t, k) for t, k in zip(row, coeffs)) for row in rows)
+        k = coeffs[edge]
+        return tuple(sum(t[..., None] * k[..., j, :] for j, t in enumerate(row)) for row in rows)
 
     return at
 
 
-def _offset_velocity(expansion, delta):
-    """(v_g / c, P, dP/d delta) at offset delta, with P = f2 f3 = sin^2(q/2).
+def _offset_velocity(expansion, delta, edge=0):
+    """(v_g / c, P, dP/d delta) at offset delta from edge, with P = f2 f3 = sin^2(q/2).
 
     1 - P = f0 f1 on the same expansion, and dq/dw = |dP/dw| / sqrt(P (1 - P))
     gives v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta|.  Where that slope is
     0 the velocity is undefined and reads nan; _check_slope refuses it.
     """
-    f, df = expansion(delta)
+    f, df = expansion(delta, edge)
     p = f[..., 2] * f[..., 3]
     dp = df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3]
     slope = np.where(dp != 0.0, np.abs(dp), np.nan)
@@ -375,22 +411,23 @@ def _offset_velocity(expansion, delta):
     return v, p, dp
 
 
-def _expanded_edge(spec: CrystalSpec, w0: float):
-    """(expansion, delta0): the factors expanded about a scanned k = 0 edge w0,
-    and the edge itself as the root delta0 of its own odd factor's expansion
-    (two Newton steps from 0).
+def _expanded_edge(spec: CrystalSpec, w0):
+    """(expansion, delta0): the factors expanded about the scanned k = 0 edges w0,
+    and each edge itself as the root delta0 of its own odd factor's expansion
+    (two Newton steps from 0, all edges at once).
     """
     a, b, _ = _coeffs(spec)
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
     expansion = _edge_expansion(a, b, x, w0)
-    f, df = expansion(0.0)
-    i = min((2, 3), key=lambda j: abs(f[j]))    # the edge's factor
-    delta0 = -f[i] / df[i]
-    f, df = expansion(delta0)
-    return expansion, delta0 - f[i] / df[i]
+    edge = np.arange(len(w0))
+    f, df = expansion(np.zeros(edge.size), edge)
+    i = np.where(np.abs(f[:, 3]) < np.abs(f[:, 2]), 3, 2)    # each edge's factor
+    delta0 = -f[edge, i] / df[edge, i]
+    f, df = expansion(delta0, edge)
+    return expansion, delta0 - f[edge, i] / df[edge, i]
 
 
-def _bracketed_newton(residual, x, neg, pos, anchor: float) -> np.ndarray:
+def _bracketed_newton(residual, x, neg, pos, anchor) -> np.ndarray:
     """Roots of residual, one in each bracket between neg and pos, all solved at once.
 
     residual(x, todo) gives (value, slope) at the array x of the roots todo
@@ -400,9 +437,10 @@ def _bracketed_newton(residual, x, neg, pos, anchor: float) -> np.ndarray:
     inclusively), bisects instead.  It stops, keeping its value whatever else
     is solved with it, once its step is <= _STEP_TOL |x - anchor| or it lands
     on a bracket end (near a flat extremum Newton would cycle between two
-    ends one ulp apart).
+    ends one ulp apart).  anchor is one value, or one per root.
     """
     x, neg, pos = (np.array(u, dtype=float) for u in (x, neg, pos))
+    anchor = np.broadcast_to(anchor, x.shape)
     todo = np.arange(x.size)
     for _ in range(_MAX_STEPS):
         d = x[todo]
@@ -414,37 +452,46 @@ def _bracketed_newton(residual, x, neg, pos, anchor: float) -> np.ndarray:
         step = d - f / np.where(sloped, df, 1.0)
         inside = sloped & (np.minimum(lo, hi) <= step) & (step <= np.maximum(lo, hi))
         x[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
-        done = (np.abs(new - d) <= _STEP_TOL * np.abs(new - anchor)) | (new == lo) | (new == hi)
+        done = ((np.abs(new - d) <= _STEP_TOL * np.abs(new - anchor[todo]))
+                | (new == lo) | (new == hi))
         todo = todo[~done]
         if todo.size == 0:
             return x
     raise RuntimeError(f"roots did not converge in {_MAX_STEPS} steps")
 
 
-def _solve_offsets(expansion, delta0: float, delta_pi: float, q: np.ndarray) -> np.ndarray:
-    """Offsets where P(delta) = sin^2(q/2), P rising from 0 at delta0 to 1 at delta_pi.
+def _solve_offsets(expansion, delta0, delta_pi, q: np.ndarray) -> np.ndarray:
+    """Offsets, shape (edges, q.size), where P(delta) = sin^2(q/2) on each edge's band.
 
-    Each q starts a share q/pi of the way, bracketed by delta0 and a point
-    just past the scanned edge delta_pi.
+    P rises from 0 at the edge's delta0 to 1 at its delta_pi.  Each q starts
+    a share q/pi of the way, bracketed by delta0 and a point just past the
+    scanned edge delta_pi; every root is one of a single solve.
     """
     targets = np.sin(0.5 * q) ** 2
+    d0, d_pi = delta0[:, None], delta_pi[:, None]
+    start = d0 + (d_pi - d0) * q / math.pi
 
     def residual(delta, todo):
-        f, df = expansion(delta)
-        return (f[..., 2] * f[..., 3] - targets[todo],
+        f, df = expansion(delta, todo // q.size)
+        return (f[..., 2] * f[..., 3] - targets[todo % q.size],
                 df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3])
 
-    return _bracketed_newton(residual, delta0 + (delta_pi - delta0) * q / math.pi,
-                             np.full(q.shape, delta0),
-                             np.full(q.shape, delta_pi + 1e-9 * (delta_pi - delta0)), delta0)
+    neg, pos = (np.broadcast_to(u, start.shape).ravel() for u in (d0, d_pi + 1e-9 * (d_pi - d0)))
+    return _bracketed_newton(residual, start.ravel(), neg, pos, neg).reshape(start.shape)
 
 
-def _check_slope(spec: CrystalSpec, dp, band_index: int) -> None:
-    """Raise DegeneratePointError where |dRHS/dw| = 2 |dP/d delta| vanishes (or is nan)."""
+def _check_slope(spec: CrystalSpec, dp, bands) -> None:
+    """Raise DegeneratePointError where |dRHS/dw| = 2 |dP/d delta| vanishes (or is nan).
+
+    dp holds one row per band of bands; the lowest failing band is named.
+    """
     a, b, _ = _coeffs(spec)
-    if not np.all(2.0 * np.abs(dp) >= _DEGENERACY_FLOOR * (a + b)):
-        raise DegeneratePointError(f"dRHS/domega ~ 0 on band {band_index}: touching bands, "
-                                   "group velocity undefined by implicit differentiation")
+    sloped = np.reshape(2.0 * np.abs(dp) >= _DEGENERACY_FLOOR * (a + b), (len(bands), -1))
+    failed = ~sloped.all(axis=1)
+    if failed.any():
+        raise DegeneratePointError(f"dRHS/domega ~ 0 on band {bands[np.argmax(failed)]}: "
+                                   "touching bands, group velocity undefined by implicit "
+                                   "differentiation")
 
 
 def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float, *,
@@ -473,7 +520,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     lam = spec.period
     scale = 2.0 * math.pi * c / lam
     if _is_degenerate(spec):
-        w0, vg0 = (float(u[0]) for u in _band(spec, band_index, np.zeros(1)))
+        w0, vg0 = (float(u[0, 0]) for u in _bands(spec, [band_index], np.zeros(1)))
         if math.isclose(target_vg, vg0, rel_tol=1e-12):
             return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                                 delta_omega=0.0, delta_nu=0.0,
@@ -492,7 +539,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 
-    expansion, delta0 = _expanded_edge(spec, w0)
+    expansion, (delta0,) = _expanded_edge(spec, [w0])
     ratio = target_vg / c
     deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
     vs = _offset_velocity(expansion, deltas)[0]
@@ -516,7 +563,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
     delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
     _, p, dp = _offset_velocity(expansion, delta)
-    _check_slope(spec, dp, band_index)
+    _check_slope(spec, dp, [band_index])
     shift = float(abs(delta - delta0))
     # offsets next to delta0 are spaced, and the factors' residual at w0
     # (~ f' delta0) rounded, at eps |delta0|: the shift's relative error

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcbs.bands
 from pcbs.bands import (
     CrystalSpec,
     _band_intervals,
+    _check_slope,
     band_frequencies,
     dispersion_residual,
     group_velocity,
+    sample_bands,
     solve_band,
     tune_to_group_velocity,
 )
-from pcbs.errors import InsufficientScanError, UnachievableTargetError
+from pcbs.errors import DegeneratePointError, InsufficientScanError, UnachievableTargetError
 from pcbs.source import CODATA
 
 SPEC = CrystalSpec()
@@ -317,6 +320,39 @@ def test_weak_contrast_gaps_are_open_edges():
 def test_scan_ceiling_raises():
     with pytest.raises(InsufficientScanError, match="no band edge below dimensionless frequency 64"):
         band_frequencies(SPEC, 0.0, 400)
+
+
+@pytest.mark.parametrize("thickness", [999.0, 1001.0])
+def test_scan_resolves_layers_up_to_1000_periods(monkeypatch, thickness):
+    # layer b of optical thickness l_b sqrt(eps_b) = thickness periods: at 999
+    # the scan finds the brackets a 4x finer one finds, above 1000 it is refused
+    spec = CrystalSpec(eps_rel_b=(2.0 * thickness) ** 2)
+    if thickness > 1000.0:
+        with pytest.raises(InsufficientScanError, match="exceeds 1000 periods"):
+            _band_intervals(spec, 8)
+        return
+    coarse = _band_intervals(spec, 8)
+    monkeypatch.setattr(pcbs.bands, "SCAN_POINTS_PER_UNIT", 4 * pcbs.bands.SCAN_POINTS_PER_UNIT)
+    np.testing.assert_allclose(coarse, _band_intervals(spec, 8), rtol=1e-12, atol=0.0)
+
+
+def test_slope_check_names_the_lowest_failing_band():
+    dp = np.array([[1.0, 1.0], [1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(DegeneratePointError, match="on band 5: touching bands"):
+        _check_slope(SPEC, dp, [2, 5, 7])
+    _check_slope(SPEC, dp[:1], [2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps_rel_b=st.just(1.0) | st.floats(1.2, 16.0), thickness_ratio=st.floats(0.2, 5.0),
+       n_bands=st.integers(1, 8), n_samples=st.integers(2, 50))
+def test_batched_bands_equal_each_band_alone(eps_rel_b, thickness_ratio, n_bands, n_samples):
+    # eps_rel_b = 1.0 is the gapless stack; every band's samples are bit-identical
+    spec = CrystalSpec(l_b=SPEC.l_a * thickness_ratio, eps_rel_b=eps_rel_b)
+    k, omega, v_g = sample_bands(spec, range(1, n_bands + 1), n_samples)
+    for band in range(1, n_bands + 1):
+        alone = np.array(solve_band(spec, band, n_samples).samples).T
+        assert alone.tobytes() == np.array([k, omega[band - 1], v_g[band - 1]]).tobytes()
 
 
 def test_closed_gap_shares_its_edge():

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -309,7 +310,7 @@ def test_sizes_above_ceiling_exit_before_allocating(tmp_path, capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("called with a size above its ceiling")
 
-    for name in ("_band_intervals", "solve_band", "sweep_r"):
+    for name in ("_band_intervals", "sample_bands", "sweep_r"):
         monkeypatch.setattr(pcbs.cli, name, refuse)
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
@@ -356,15 +357,55 @@ def test_tune_weak_contrast_served(tmp_path, capsys):
 
 
 def test_degenerate_crystal_exits_without_a_warning(tmp_path, capsys):
-    # eps_b 1e300 puts both k = 0 and k = pi of band 1 at w = 0: every slope vanishes
+    # eps_b 1e300 makes layer b 5e149 periods thick optically: the edge scan is
+    # refused before it runs, where it once aliased into touching bands at w = 0
     cfg = tmp_path / "degenerate.json"
     cfg.write_text(json.dumps({"crystal": {"eps_rel_b": 1e300}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--config", str(cfg), "bands", "--out-dir", str(tmp_path)]) == 4
-        assert "touching bands" in capsys.readouterr().err
-        assert main(["--config", str(cfg), "tune"]) == 2
-        assert "exceeds band 4's maximum" in capsys.readouterr().err
+        assert "cannot resolve its band edges" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "tune"]) == 4
+        assert "cannot resolve its band edges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_rel_b", [1e16, 1e100])
+def test_unresolvable_crystal_exit(tmp_path, capsys, eps_rel_b):
+    # at 1e16 the aliased scan once exited 0, with v_g 2.5e-7 m/s beside 4.24 m/s
+    cfg = tmp_path / "contrast.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": eps_rel_b}}))
+    argv = ["--config", str(cfg), "bands", "--n-bands", "2", "--samples", "5",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 4
+    assert "exceeds 1000 periods" in capsys.readouterr().err
+    assert not (tmp_path / "bands.csv").exists()
+    assert main(["--config", str(cfg), "tune"]) == 4
+
+
+def test_gapless_crystal_needs_no_scan(tmp_path, capsys):
+    # one medium of index 1e8: its bands are exact without the edge scan it would fail
+    cfg = tmp_path / "uniform.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_a": 1e16, "eps_rel_b": 1e16}}))
+    rc, _ = run(capsys, "--config", str(cfg), "bands", "--n-bands", "2", "--samples", "3",
+                "--out-dir", str(tmp_path))
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "bands.csv")
+    assert {float(row[3]) for row in rows} == {CODATA.c / 1e8}
+
+
+@pytest.mark.parametrize("eps_rel_b, digest", [
+    (4.9284, "af17cacce7d4b5b007f76d1c994dcb8300da7c6ba46819a8e86747d370597dfe"),
+    (12.25, "e401d2336acf26e47195a94819b72dae7a34ce6d9a57c04885b582aa9a021230"),
+    (2.25, "721db8de937f90eb7e9d6d226c384a5f5959e9b8f94ee8bbea739c2f660761da"),
+])
+def test_bands_csv_bytes_are_pinned(tmp_path, capsys, eps_rel_b, digest):
+    # the bands-tune inputs of perfbench; bytes as written by the per-band solver
+    cfg = tmp_path / "crystal.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": eps_rel_b}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "bands", "--n-bands", "8", "--samples", "121",
+                 "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "bands.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("flux, radius", [(0.03, 1e-200), (0.03, 1e200), (1e308, 1e-10)])
