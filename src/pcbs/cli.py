@@ -199,11 +199,12 @@ def cmd_bands(cfg: RunConfig, args) -> int:
         payload["tuning"] = {"error": str(exc)}
     else:
         payload["tuning"] = asdict(rep)
-        try:
+        if target > 0.0:    # a zeta out of float range is refused (exit 2)
             payload["zeta_report"] = _zeta_report(cfg, 2.0 * math.pi * rep.nu_s,
                                                   target * CODATA.c)
-        except ValueError as exc:    # v_g = 0: the band edge itself
-            payload["zeta_report"] = {"error": str(exc)}
+        else:
+            payload["zeta_report"] = {"error": "zeta is singular at the band edge itself, "
+                                               "where v_g = 0"}
     _emit(payload)
     return 0
 

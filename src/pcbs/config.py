@@ -16,6 +16,7 @@ from typing import get_args, get_type_hints
 from .bands import CrystalSpec
 from .bb84 import AttackModel
 from .errors import ConfigError
+from .fock import _check_tail_tolerance
 from .source import PumpSpec
 
 __all__ = ["RunConfig", "load_config", "config_from_tree", "STEPS_CEILING", "ROWS_CEILING"]
@@ -37,6 +38,9 @@ class SourceSection:
 class TruncationSection:
     n_max: int | None = None        # None: pick via suggest_n_max
     tail_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        _check_tail_tolerance(self.tail_tolerance)    # before suggest_n_max grows a box
 
 
 @dataclass(frozen=True)

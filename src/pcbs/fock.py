@@ -7,8 +7,9 @@ splitter; vacuum enters the other.  Its number-basis column
 
 is a pure one-mode Gaussian state, built in O(N) from its three-term
 recurrence (Yuen, PRA 13, 2226 (1976)).  The recurrence carries a binary
-exponent, rescaled exactly at each step, so that a column whose psi_0
-underflows (alpha^2 e^r / (2 cosh r) above about 745) keeps its entries.
+exponent, so that a column whose psi_0 underflows (alpha^2 e^r / (2 cosh r)
+above about 745) keeps its entries.  The pair is rescaled exactly, by a power
+of two, and only on the steps where it leaves a window of 400 binary orders.
 The splitter conserves total photon number and spreads each shell |T, 0>
 binomially over the outputs (n1, T - n1), so every output amplitude is one
 entry of psi times a binomial weight, taken in log space from a table of
@@ -42,14 +43,27 @@ __all__ = [
     "box_probability",
     "suggest_n_max",
     "N_MAX_CEILING",
+    "TAIL_TOLERANCE_FLOOR",
 ]
 
 N_MAX_CEILING = 4000    # largest n_max anywhere: one (n_max + 1)^2 float64 array is 128 MB
 
 
+# Where the true tail is below 1e-20, the box mass read 1 to within 1.5e-12 at
+# every n_max up to the ceiling (r 0-2.5, alpha 0-82): no tighter gate than
+# about 70 times that rounding can be decided, at any n_max.
+TAIL_TOLERANCE_FLOOR = 1e-10
+
+
 def _check_n_max(n_max: int) -> None:
     if not 1 <= n_max <= N_MAX_CEILING:
         raise ValueError(f"n_max must be in [1, {N_MAX_CEILING}], got {n_max}")
+
+
+def _check_tail_tolerance(tail_tolerance: float) -> None:
+    if not TAIL_TOLERANCE_FLOOR <= tail_tolerance < 1.0:
+        raise ValueError(f"tail_tolerance must be in [{TAIL_TOLERANCE_FLOOR:g}, 1), "
+                         f"got {tail_tolerance}: the box mass carries rounding near 1e-12")
 
 
 @dataclass(frozen=True)
@@ -92,7 +106,9 @@ class TruncationPolicy:
     parameters up to about 0.9 with displacements up to 1; the working point
     r = 1, alpha = 1/2 has a true tail of 8.6e-8 at n_max = 40 and needs
     n_max of about 50 (see :func:`suggest_n_max`).  n_max may not exceed
-    ``N_MAX_CEILING``, which bounds the memory of every box built from it.
+    ``N_MAX_CEILING``, which bounds the memory of every box built from it,
+    and ``tail_tolerance`` may not fall below ``TAIL_TOLERANCE_FLOOR``, the
+    smallest gate the box mass's rounding lets it decide.
     """
 
     n_max: int = 40
@@ -100,8 +116,7 @@ class TruncationPolicy:
 
     def __post_init__(self):
         _check_n_max(self.n_max)
-        if not (0.0 < self.tail_tolerance < 1.0):
-            raise ValueError(f"tail_tolerance must be in (0, 1), got {self.tail_tolerance}")
+        _check_tail_tolerance(self.tail_tolerance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +201,10 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
     return out
 
 
+# the recurrence pair is rescaled when its larger member leaves [1, 2^400], to [2^199, 2^200)
+_WINDOW_LO, _WINDOW_HI, _WINDOW_MID = 1.0, 2.0**400, 200
+
+
 def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
     """Fock amplitudes psi_0..psi_{n_top} of S(-r) D(alpha) |0>, from the recurrence
 
@@ -193,11 +212,17 @@ def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
         sqrt(n + 1) psi_{n+1} = (alpha / cosh r) psi_n + tanh(r) sqrt(n) psi_{n-1}.
 
     psi_0 underflows once alpha^2 e^r / (2 cosh r) passes about 745, so the
-    pair (psi_{n-1}, psi_n) carries a binary exponent: each step rescales it
-    by the power of two of the larger of the two, which is exact, and the
-    exponents are applied once at the end.  A column whose log psi_0 lies
-    below -2^60 holds no entry above the smallest subnormal at any length
-    that fits in memory, and is returned as zeros.
+    pair (psi_{n-1}, psi_n) carries a binary exponent, applied once at the
+    end.  A step whose larger member leaves [1, 2^400] rescales the pair by a
+    power of two, which is exact, to [2^199, 2^200); the other steps need no
+    rescale.  Every |psi_n| <= 1, so the carried exponent stays <= 0 and each
+    scaled value is at least its true value: no product underflows that
+    would not underflow unscaled.  Against a pair rescaled to [1/2, 1) at
+    every step, every entry above 2^-960 has the same bits and every square
+    is the same; below that, the every-step pair can round a term that it
+    holds as a subnormal, where this one keeps the bit.  A column whose
+    log psi_0 lies below -2^60 holds no entry above the smallest subnormal at
+    any length that fits in memory, and is returned as zeros.
     """
     cosh_r = math.cosh(r)
     drive, pull = alpha / cosh_r, math.tanh(r)
@@ -209,10 +234,14 @@ def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
     prev, cur = 0.0, math.exp(log_psi0 - exp2 * math.log(2.0))
     mant, exps = [cur], [exp2]
     roots = np.sqrt(np.arange(n_top + 1)).tolist()
+    pulls = [pull * root for root in roots]
     for n in range(n_top):
-        prev, cur = cur, (drive * cur + pull * roots[n] * prev) / roots[n + 1]
-        shift = math.frexp(max(abs(prev), abs(cur)))[1]
-        prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
+        prev, cur = cur, (drive * cur + pulls[n] * prev) / roots[n + 1]
+        # prev passed this test as cur: only cur can lift the pair above the window
+        size = abs(cur)
+        if size > _WINDOW_HI or (size < _WINDOW_LO and abs(prev) < _WINDOW_LO):
+            shift = math.frexp(max(abs(prev), size))[1] - _WINDOW_MID
+            prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
         mant.append(cur)
         exps.append(exp2)
     return np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
@@ -285,8 +314,7 @@ def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if not (0.0 < tail_tolerance < 1.0):
-        raise ValueError("tail_tolerance must be in (0, 1)")
+    _check_tail_tolerance(tail_tolerance)
     target = 0.5 * tail_tolerance
     state = SqueezedInput(r=r, alpha=alpha)
 

@@ -84,6 +84,20 @@ class PumpSpec:
         return flux_to_amplitude(self)
 
 
+def _finite(quantity: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{quantity} is not a finite number for these inputs")
+    return value
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where x**2 raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _check_group_velocity(v_g: float) -> None:
     if v_g <= 0.0:
         raise ValueError(f"group velocity must be positive (got {v_g}); "
@@ -98,7 +112,7 @@ def squeeze_parameter(omega_s: float, amplitude: float, chi2_tilde: float,
     eps0 bookkeeping is absorbed into that convention.
     """
     _check_group_velocity(v_g)
-    return omega_s * amplitude * chi2_tilde * l_nl / v_g
+    return _finite("squeeze parameter zeta", omega_s * amplitude * chi2_tilde * l_nl / v_g)
 
 
 def amplitude_for_target_squeeze(zeta_target: float, omega_s: float,
@@ -108,7 +122,7 @@ def amplitude_for_target_squeeze(zeta_target: float, omega_s: float,
     denom = omega_s * chi2_tilde * l_nl
     if denom <= 0.0:
         raise ValueError("omega_s, chi2_tilde and l_nl must all be positive")
-    return zeta_target * v_g / denom
+    return _finite("field amplitude", zeta_target * v_g / denom)
 
 
 def flux_to_amplitude(pump: PumpSpec) -> float:
@@ -126,11 +140,13 @@ def pulse_volume(duration: float, beam_radius: float) -> float:
     meters: the rectangular convention the photon number estimate uses."""
     if duration <= 0 or beam_radius <= 0:
         raise ValueError("duration and beam radius must be positive")
-    return CODATA.c * duration * beam_radius**2
+    return _finite("pulse volume", CODATA.c * duration * _square(beam_radius))
 
 
 def photon_number(amplitude: float, omega: float, volume: float) -> float:
     """Photons in a field of given amplitude filling a volume: 2 eps0 V A^2 / (hbar omega)."""
     if omega <= 0 or volume < 0 or amplitude < 0:
         raise ValueError("omega must be positive; amplitude and volume non-negative")
-    return 2.0 * CODATA.eps0 * volume * amplitude**2 / (CODATA.hbar * omega)
+    energy = CODATA.hbar * omega    # 0 where omega is below about 1e-290
+    return _finite("photon number", 2.0 * CODATA.eps0 * volume * _square(amplitude) / energy
+                   if energy else math.inf)

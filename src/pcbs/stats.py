@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHeraldError
-from .fock import SqueezedInput, TruncationPolicy, herald_row, output_amplitudes
+from .fock import SqueezedInput, TruncationPolicy, _check_n_max, herald_row, output_amplitudes
 
 __all__ = [
     "JointDistribution",
@@ -159,9 +159,12 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
                    n_max: int, coarse: int = 33) -> tuple[float, float]:
     """Maximize P(1,1) or P1 over r in [r_lo, r_hi]; returns (r_star, value).
 
-    Both are read from the herald row up to n_max, as in :func:`sweep_r`.
-    A coarse grid brackets the maximum, and :func:`_golden_maximum` refines
-    it to xtol 1e-6 from the three grid points around the coarse maximum.
+    P1 is read from the herald row up to n_max, as in :func:`sweep_r`.
+    P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone, the row up to
+    n = 1: the column's prefix does not depend on its length, so it has the
+    same bits as entry 1 of the n_max row.  A coarse grid brackets the
+    maximum, and :func:`_golden_maximum` refines it to xtol 1e-6 from the
+    three grid points around the coarse maximum.
     Raises ValueError when the coarse maximum sits on the interval boundary
     (no interior bracket exists) or ties with a neighbour.
     """
@@ -170,8 +173,11 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
     if not (0.0 <= r_lo < r_hi):
         raise ValueError("need 0 <= r_lo < r_hi")
 
+    _check_n_max(n_max)
+    row_n_max = 1 if quantity == "p11" else n_max
+
     def f(r: float) -> float:
-        row = herald_row(SqueezedInput(r=float(r), alpha=alpha), n_max)
+        row = herald_row(SqueezedInput(r=float(r), alpha=alpha), row_n_max)
         return float(row[1]) if quantity == "p11" else float(np.sum(row))
 
     grid = np.linspace(r_lo, r_hi, coarse).tolist()

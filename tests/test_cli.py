@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import pcbs
-from pcbs.cli import _build_parser, main
+from pcbs.cli import _build_parser, _emit, main
 from pcbs.config import ROWS_CEILING, STEPS_CEILING, BandsSection, RunConfig, SweepSection
-from pcbs.fock import SqueezedInput, TruncationPolicy
+from pcbs.fock import TAIL_TOLERANCE_FLOOR, SqueezedInput, TruncationPolicy
 from pcbs.oracle import oracle_state
 from pcbs.selftest import CheckResult
 from pcbs.source import CODATA
@@ -155,6 +155,18 @@ def test_sweep_outputs(tmp_path, capsys):
                  "--steps", "9", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first
     capsys.readouterr()
+
+
+def test_sweep_bytes_are_pinned(tmp_path, capsys):
+    # the sweep-maxima inputs of perfbench; bytes as written by the
+    # every-step rescale and the full-row P(1,1) search
+    rc, out = run(capsys, "sweep", "--alpha", "0.5", "--r-min", "0", "--r-max", "2",
+                  "--steps", "41", "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+            == "b0a60fa24e6c7488a34525430acbdbaad8660d97cd492d375b367d9f7902ead1")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "2f5c886b73951daf9851cfa0862903003a0042bd8ca4be67927004cd2a4d5fcf")
 
 
 def test_sweep_strong_squeeze_served(tmp_path, capsys):
@@ -419,13 +431,40 @@ def test_pump_without_a_finite_amplitude_exit(tmp_path, capsys, flux, radius):
 
 
 def test_non_finite_payload_exit(tmp_path, capsys):
-    # a finite crystal whose squeeze overflows: the payload is refused, not printed as Infinity
+    # a finite crystal whose squeeze overflows: zeta is refused, not printed as Infinity
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"crystal": {"chi2_tilde": 1e308}}))
     assert main(["--config", str(cfg), "bands", "--n-bands", "1", "--samples", "3",
                  "--out-dir", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "not JSON compliant" in err
+    assert out == "" and "squeeze parameter zeta is not a finite number" in err
+
+
+def test_emit_refuses_a_non_finite_payload(capsys):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit({"zeta": float("inf")})
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tail_tolerance_below_the_floor_exits_before_any_box(tmp_path, capsys, monkeypatch,
+                                                             source):
+    # 1e-20 once grew the box to n_max 4000 (about 600 MB) before exit 2
+    def no_box(*args):
+        raise AssertionError("suggest_n_max was called")
+
+    monkeypatch.setattr("pcbs.cli.suggest_n_max", no_box)
+    argv = ["dist", "--out-dir", str(tmp_path)]
+    if source == "flag":
+        argv += ["--tail-tolerance", "1e-20"]
+    else:
+        cfg = tmp_path / "tight.json"
+        cfg.write_text(json.dumps({"truncation": {"tail_tolerance": 1e-20}}))
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"tail_tolerance must be in [{TAIL_TOLERANCE_FLOOR:g}, 1)" in err
+    assert not (tmp_path / "dist.csv").exists()
 
 
 def test_tune_scan_ceiling_exit(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from pcbs.errors import TruncationError
 from pcbs.fock import (
     N_MAX_CEILING,
+    TAIL_TOLERANCE_FLOOR,
     SqueezedInput,
     TruncationPolicy,
     _log_factorials,
@@ -97,6 +99,61 @@ def test_column_matches_squeeze_matrix_product(r, alpha, n_top):
 def test_column_is_a_prefix_of_longer_columns(r, alpha, n_top):
     short = _single_mode_column(r, alpha, n_top)
     assert np.array_equal(short, _single_mode_column(r, alpha, 2 * n_top)[:n_top + 1])
+
+
+def _every_step_column(r, alpha, n_top):
+    # the recurrence with its pair rescaled to [1/2, 1) at every step
+    cosh_r = math.cosh(r)
+    drive, pull = alpha / cosh_r, math.tanh(r)
+    log_psi0 = -alpha * alpha * math.exp(r) / (2.0 * cosh_r) - 0.5 * math.log(cosh_r)
+    if not log_psi0 > -2.0**60:
+        return np.zeros(n_top + 1)
+    exp2 = 0 if log_psi0 > -700.0 else math.floor(log_psi0 / math.log(2.0))
+    prev, cur = 0.0, math.exp(log_psi0 - exp2 * math.log(2.0))
+    mant, exps = [cur], [exp2]
+    roots = np.sqrt(np.arange(n_top + 1)).tolist()
+    for n in range(n_top):
+        prev, cur = cur, (drive * cur + pull * roots[n] * prev) / roots[n + 1]
+        shift = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
+        mant.append(cur)
+        exps.append(exp2)
+    return np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
+
+
+# Above this every entry has the every-step loop's bits.  Below it that loop
+# may round a term that is subnormal at its [1/2, 1) scale into an entry, and
+# so into the chain after it; every such entry squares to 0 on both sides.
+_SAME_BITS_ABOVE = 2.0**-960
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 3.0) | st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-150]),
+       alpha=st.floats(-60.0, 60.0) | st.sampled_from([0.0, 1e-300, -1e-300]),
+       n_top=st.integers(0, 2000))
+@example(r=0.3, alpha=40.0, n_top=5000)
+@example(r=2.0, alpha=0.0, n_top=8000)
+@example(r=0.0, alpha=0.5, n_top=8000)
+@example(r=1.4633301828150627, alpha=-1e-300, n_top=924)
+@example(r=2.251852036138062e-307, alpha=-1.5325607904462047e-157, n_top=33)
+def test_windowed_rescale_keeps_the_every_step_bits(r, alpha, n_top):
+    # the column rescales its pair only when it leaves [1, 2^400]; psi_0
+    # underflows above alpha of about 38 at r = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _single_mode_column(r, alpha, n_top)
+        want = _every_step_column(r, alpha, n_top)
+    large = np.abs(want) >= _SAME_BITS_ABOVE
+    assert np.array_equal(got[large], want[large])
+    assert np.array_equal(np.abs(got) >= _SAME_BITS_ABOVE, large)
+    assert np.array_equal(got**2, want**2)
+
+
+def test_windowed_rescale_keeps_a_bit_the_every_step_loop_rounds():
+    # at r = 0, psi_1 = alpha exactly; at its [1/2, 1) scale the every-step
+    # loop holds it as the subnormal 1.5e-308 and loses its last bit
+    assert _single_mode_column(0.0, 3e-308, 2)[1] == 3e-308
+    assert _every_step_column(0.0, 3e-308, 2)[1] == 3.0000000000000007e-308
 
 
 def test_column_survives_underflowing_vacuum_amplitude():
@@ -295,6 +352,19 @@ def test_input_validation():
         TruncationPolicy(n_max=0)
     with pytest.raises(ValueError):
         TruncationPolicy(tail_tolerance=0.0)
+
+
+def test_tail_tolerance_floor():
+    # the box mass carries rounding up to 1.5e-12 at the ceiling: a gate
+    # below the floor is refused before any box is built
+    assert TruncationPolicy(tail_tolerance=TAIL_TOLERANCE_FLOOR).tail_tolerance == 1e-10
+    for tol in (1e-8, 1.0 - 1e-12):
+        assert TruncationPolicy(tail_tolerance=tol).tail_tolerance == tol
+    for tol in (1e-11, 1e-20, math.nan):
+        with pytest.raises(ValueError, match="tail_tolerance must be in \\[1e-10, 1\\)"):
+            TruncationPolicy(tail_tolerance=tol)
+        with pytest.raises(ValueError, match="tail_tolerance must be in"):
+            suggest_n_max(1.0, 0.5, tol)
 
 
 def test_n_max_ceiling():

@@ -104,3 +104,31 @@ def test_photon_number_volume_linearity():
     n1 = photon_number(1.0e3, omega, 1.0e-11)
     n3 = photon_number(1.0e3, omega, 3.0e-11)
     assert np.isclose(n3, 3.0 * n1, rtol=1e-14)
+
+
+# each helper gives a finite number or raises ValueError, never inf, nan or OverflowError
+@pytest.mark.parametrize("args", [(1e300, 1e300, 1e300, 1.0, 1.0), (2.0e15, 5.0e5, 25.2e-12, 5e-324, 1.0),
+                                  (math.nan, 5.0e5, 25.2e-12, 1.3e6, 5.0e-5)])
+def test_squeeze_parameter_refuses_a_non_finite_zeta(args):
+    with pytest.raises(ValueError, match="squeeze parameter zeta is not a finite number"):
+        squeeze_parameter(*args)
+
+
+@pytest.mark.parametrize("args", [(1e300, 1e300, 1e300), (1.0e3, 1e-320, 1.0e-11),
+                                  (math.nan, 1.2e15, 1.0e-11)])
+def test_photon_number_refuses_a_non_finite_count(args):
+    # amplitude**2 overflows, or hbar * omega underflows to a zero divisor
+    with pytest.raises(ValueError, match="photon number is not a finite number"):
+        photon_number(*args)
+
+
+@pytest.mark.parametrize("args", [(1e300, 1e300), (1e300, 1e10), (math.inf, 5.0e-6)])
+def test_pulse_volume_refuses_a_non_finite_volume(args):
+    # beam_radius**2 overflows, or c * tau * d^2 does
+    with pytest.raises(ValueError, match="pulse volume is not a finite number"):
+        pulse_volume(*args)
+
+
+def test_amplitude_for_target_squeeze_refuses_a_non_finite_amplitude():
+    with pytest.raises(ValueError, match="field amplitude is not a finite number"):
+        amplitude_for_target_squeeze(1e300, 2.0e15, 25.2e-12, 1e300, 5.0e-5)
