@@ -66,6 +66,11 @@ _STEP_TOL = 1e-14             # a root is done when its step is <= this * |x - a
 _MAX_STEPS = 100              # Newton-or-bisection steps of a root solve
 _SHIFT_RTOL = 1e-8            # a tuning shift rounded by more than this (relative) is refused
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
+# omega = w 2 pi c / Lambda must be finite at every w a band call reaches:
+# gapped bands lie below _SCAN_CEILING, and band n of a gapless crystal below
+# w = n / 2, under 2^62 for an int64 n.  At this period 2 pi c / Lambda is
+# 1.9e289, so omega stays finite up to w = 9.5e18.
+_PERIOD_FLOOR = 1e-280        # m
 
 
 def brentq(*args, **kwargs):
@@ -101,6 +106,9 @@ class CrystalSpec:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.l_a <= 0 or self.l_b < 0:
             raise ValueError("l_a must be positive, l_b non-negative")
+        if self.period < _PERIOD_FLOOR:
+            raise ValueError(f"the period l_a + l_b must be >= {_PERIOD_FLOOR:g} m, "
+                             f"got {self.period!r}: omega = w 2 pi c / period would overflow")
         if self.eps_rel_a < 1.0 or self.eps_rel_b < 1.0:
             raise ValueError("relative permittivities must be >= 1")
         if self.chi2_tilde < 0 or self.l_nl < 0:
@@ -153,9 +161,9 @@ def _factors(sa, ca, sb, cb, x):
             sa * cb + x * ca * sb, sa * cb + ca * sb / x)
 
 
-def _gap_velocity(a: float, b: float, x: float,
-                  lower: tuple[float, int], upper: tuple[float, int]) -> float:
-    """v_g [m/s] at either band edge beside the gap between two (w, factor) roots.
+def _gap_velocity(lower: tuple[float, float], upper: tuple[float, float]) -> float:
+    """v_g [m/s] at either band edge beside the gap between two (w, slope) roots,
+    each slope that of its own factor in w.
 
     The one closed-gap rule: the two roots agree to within _CLOSED_GAP.  An
     open gap stops the wave, v_g = 0.0 exactly.  Across a closed gap the two
@@ -164,10 +172,9 @@ def _gap_velocity(a: float, b: float, x: float,
     share a sign; taking their roots apart gives the origin's c / sqrt(<eps>)
     to the last bit on the default crystal.
     """
-    (w_f, f), (w_g, g) = lower, upper
+    (w_f, f_slope), (w_g, g_slope) = lower, upper
     if w_g - w_f > _CLOSED_GAP[0] + _CLOSED_GAP[1] * w_g:
         return 0.0
-    f_slope, g_slope = (_edge_expansion(a, b, x, [w])(0.0)[1][i] for w, i in (lower, upper))
     return CODATA.c * math.pi / math.sqrt(abs(f_slope)) / math.sqrt(abs(g_slope))
 
 
@@ -243,11 +250,13 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     finer scan found the same brackets on every one below 0.5 pi, and the
     first that differed lay just above it.  Every bracket
     starts at the linear interpolation of its two scan values, and all are
-    polished at once (_bracketed_newton) on the factor's slope in w,
-    (a/2) f[(sA, cA) -> (cA, -sA)] + (b/2) f[(sB, cB) -> (cB, -sB)].  With
-    w = 0 prepended once per odd factor, the sorted roots alternate gap, band,
-    gap, ...: gap g spans roots 2g and 2g + 1, band n spans roots 2n - 1 and
-    2n, and k = 0 is the lower edge of an odd band.
+    polished at once (_bracketed_newton) on the factor and its slope in w,
+    read from its expansion about w itself at delta = 0 (_edge_expansion).
+    With w = 0 prepended once per odd factor, the sorted roots alternate gap,
+    band, gap, ...: gap g spans roots 2g and 2g + 1, band n spans roots
+    2n - 1 and 2n, and k = 0 is the lower edge of an odd band.  One more
+    call reads every edge's slope, from which _gap_velocity takes the
+    velocity beside each gap.
     """
     a, b, _ = _coeffs(spec)
     if 0.5 * max(a, b) / SCAN_POINTS_PER_UNIT > _SCAN_STEP_LIMIT * math.pi:
@@ -278,21 +287,21 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
         found += i.size
     w_0, f_0, w_1, f_1, factor = (np.concatenate(column) for column in zip(*brackets))
 
-    def residual(w, todo):
-        ha, hb = 0.5 * a * w, 0.5 * b * w
-        sa, ca, sb, cb = np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb)
-        # rows: the factors, and their (sA, cA) -> (cA, -sA) and (sB, cB) -> (cB, -sB) forms
-        f = np.array(_factors(np.array([sa, ca, sa]), np.array([ca, -sa, ca]),
-                              np.array([sb, sb, cb]), np.array([cb, cb, -sb]), x))
-        f = f[factor[todo], :, np.arange(w.size)]
-        return f[:, 0], 0.5 * a * f[:, 1] + 0.5 * b * f[:, 2]
+    def factor_at(w, which):    # (value, slope in w) of factor which[i] at w[i]
+        f, df = _edge_expansion(a, b, x, w)(0.0, slice(None))
+        each = np.arange(w.size)
+        return f[each, which], df[each, which]
 
     first_negative = np.signbit(f_0)
-    roots = _bracketed_newton(residual, w_0 + f_0 / (f_0 - f_1) * (w_1 - w_0),
+    roots = _bracketed_newton(lambda w, todo: factor_at(w, factor[todo]),
+                              w_0 + f_0 / (f_0 - f_1) * (w_1 - w_0),
                               np.where(first_negative, w_0, w_1),
                               np.where(first_negative, w_1, w_0), 0.0)
-    edges = [(0.0, 2), (0.0, 3)] + sorted(zip(roots.tolist(), factor.tolist()))[:need]
-    v = [_gap_velocity(a, b, x, edges[2 * g], edges[2 * g + 1]) for g in range(n_bands + 1)]
+    order = np.lexsort((factor, roots))[:need]    # by root, then factor
+    w_edge = np.concatenate(([0.0, 0.0], roots[order]))
+    slope = factor_at(w_edge, np.concatenate(([2, 3], factor[order])))[1]
+    edges = list(zip(w_edge.tolist(), slope.tolist()))
+    v = [_gap_velocity(edges[2 * g], edges[2 * g + 1]) for g in range(n_bands + 1)]
     ends = [((edges[2 * n - 1][0], v[n - 1]), (edges[2 * n][0], v[n]))
             for n in range(1, n_bands + 1)]
     return [lo + hi if n % 2 == 1 else hi + lo for n, (lo, hi) in enumerate(ends, start=1)]
@@ -367,18 +376,19 @@ def _edge_expansion(a: float, b: float, x: float, w0):
     shape (edges, 4 terms, 4 factors).  On the factor that vanishes at w0
     every term is O(delta) or the polished residual f(w0), so it keeps its
     relative precision at a delta far below one ulp of w0.  delta may be a
-    float or an array, and edge an index (0 by default) or an index array
-    that broadcasts with it, so each delta takes its own edge's coefficients;
-    the factors run along the last axis.  With curvature=True the second
+    float or an array, and edge an index (0 by default), a slice, or an
+    index array that broadcasts with it, so each delta takes its own edge's
+    coefficients; the factors run along the last axis.  With curvature=True the second
     derivatives in delta follow as a third item.
     """
     ha, hb = 0.5 * a, 0.5 * b
     w0 = np.asarray(w0, dtype=float)
     sa, ca = np.sin(ha * w0), np.cos(ha * w0)
     sb, cb = np.sin(hb * w0), np.cos(hb * w0)
-    coeffs = np.array([_factors(*args, x) for args in
-                       ((sa, ca, sb, cb), (ca, -sa, sb, cb), (sa, ca, cb, -sb),
-                        (ca, -sa, cb, -sb))]).transpose(2, 0, 1)
+    # terms f, f_A, f_B, f_AB: (sA, cA) -> (cA, -sA) and (sB, cB) -> (cB, -sB)
+    coeffs = np.array(_factors(np.array([sa, ca, sa, ca]), np.array([ca, -sa, ca, -sa]),
+                               np.array([sb, sb, cb, cb]), np.array([cb, cb, -sb, -sb]),
+                               x)).transpose(2, 1, 0)
 
     def at(delta, edge=0, curvature=False):
         su, cu = np.sin(ha * delta), np.cos(ha * delta)

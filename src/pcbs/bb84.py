@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -99,20 +99,7 @@ class SessionReport:
     rng_algorithm: str = "pcg64"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_pulses": self.n_pulses,
-                "herald_count": self.herald_count,
-                "bob_detect_count": self.bob_detect_count,
-                "bob_miss_given_herald": self.bob_miss_given_herald,
-                "bob_miss_joint": self.bob_miss_joint,
-                "sifted_key_bits": self.sifted_key_bits,
-                "verdict": self.verdict.value,
-                "seed": self.seed,
-                "rng_algorithm": self.rng_algorithm,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
 
 def _checked_pulses(jd: JointDistribution, n_pulses: int) -> None:

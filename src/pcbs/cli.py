@@ -2,14 +2,17 @@
 
 Commands share a JSON config tree (--config, see config.py).  Each flag
 sets one key of it, named by its argparse dest and shown by --help, on
-the loaded RunConfig; every command reads its inputs from that alone.  Numeric CSV output is written with 12
-significant digits and '\\n' line endings so repeated runs are
-byte-identical.
+the loaded RunConfig, through the config_from_tree that reads the file;
+every command reads its inputs from that alone.  Numeric CSV output is
+written with 12 significant digits and '\\n' line endings so repeated
+runs are byte-identical.
 
-Exit codes: 0 success, 2 validation/configuration error, 3 truncation
-failure, 4 numerical degeneracy (touching bands, no band edge below
-dimensionless frequency 64, or a layer whose optical thickness
-l sqrt(eps_rel) exceeds 1000 periods, beyond what the edge scan resolves).
+Exit codes are the exit_code of the error raised (see errors.py): 0
+success, 2 validation/configuration error (any ValueError, and every
+PcbsError without a code of its own), 3 truncation failure, 4 numerical
+degeneracy (touching bands, no band edge below dimensionless frequency 64,
+or a layer whose optical thickness l sqrt(eps_rel) exceeds 1000 periods,
+beyond what the edge scan resolves).
 """
 
 from __future__ import annotations
@@ -20,23 +23,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from .bands import _band_intervals, _is_degenerate, sample_bands, tune_to_group_velocity
 from .bb84 import ATTACK_KINDS, simulate_session
-from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    DegeneratePointError,
-    EmptySessionError,
-    InsufficientScanError,
-    NoHeraldError,
-    TruncationError,
-    UnachievableTargetError,
-)
-from .fock import SqueezedInput, TruncationPolicy, suggest_n_max
+from .config import RunConfig, config_from_tree, load_config
+from .errors import DegeneratePointError, NoHeraldError, PcbsError, UnachievableTargetError
+from .fock import TruncationPolicy, suggest_n_max
 from .oracle import oracle_state
 from .selftest import run_all
 from .source import CODATA, squeeze_parameter
@@ -45,7 +40,6 @@ from .stats import heralded_stats, joint_distribution, locate_maximum, sweep_r, 
 __all__ = ["main", "entry_point"]
 
 _FMT = "%.12g"
-_CONFIG_NAMES = {f.name for f in fields(RunConfig)}    # seed and the sections
 
 
 def _emit(payload: dict) -> None:
@@ -92,9 +86,8 @@ def _dist_rows(p: np.ndarray) -> str:
 
 
 def cmd_dist(cfg: RunConfig, args) -> int:
-    r, alpha = cfg.source.r, cfg.source.alpha
+    state = cfg.source
     policy = _policy_for(cfg)
-    state = SqueezedInput(r=r, alpha=alpha)
     jd = joint_distribution(state, policy)
 
     _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"],
@@ -102,8 +95,8 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
     tp = threshold_probs(jd)
     payload = {
-        "r": r,
-        "alpha": alpha,
+        "r": state.r,
+        "alpha": state.alpha,
         "n_max": policy.n_max,
         "tail_tolerance": policy.tail_tolerance,
         "captured_mass": jd.captured_mass,
@@ -115,7 +108,8 @@ def cmd_dist(cfg: RunConfig, args) -> int:
     }
     try:
         hs = heralded_stats(jd)
-        payload.update(p1=hs.p1, g2=hs.g2, pn=list(hs.pn[:10]))
+        payload.update(p1=hs.p1, g2=None if math.isnan(hs.g2) else hs.g2,
+                       pn=list(hs.pn[:10]))
     except NoHeraldError:
         payload.update(p1=0.0, g2=None, pn=None)
     if args.oracle:
@@ -132,8 +126,6 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     alpha, sw = cfg.source.alpha, cfg.sweep
     r_min, r_max, steps, n_max = sw.r_min, sw.r_max, sw.steps, sw.n_max
-    if r_min < 0 or r_max < r_min or steps < 1:
-        raise ValueError("need 0 <= r_min <= r_max and steps >= 1")
     if r_min == r_max:
         steps = 1
     result = sweep_r(alpha, np.linspace(r_min, r_max, steps), n_max)
@@ -173,10 +165,6 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     bs = cfg.bands
     n_bands, n_samples, band_index, target = (bs.n_bands, bs.n_samples, bs.band_index,
                                               bs.target_vg_over_c)
-    if n_bands < 1:
-        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    if band_index < 1:
-        raise ValueError(f"band_index must be >= 1, got {band_index}")
     if not target >= 0:
         raise ValueError(f"target_vg_over_c must be >= 0, got {target}")
 
@@ -217,12 +205,11 @@ def cmd_tune(cfg: RunConfig, args) -> int:
 
 
 def cmd_bb84(cfg: RunConfig, args) -> int:
-    jd = joint_distribution(SqueezedInput(r=cfg.source.r, alpha=cfg.source.alpha),
-                            _policy_for(cfg))
+    jd = joint_distribution(cfg.source, _policy_for(cfg))
     section = cfg.bb84
     report = simulate_session(jd, section.n_pulses, section.attack_model(), seed=cfg.seed,
                               z_threshold=section.z_threshold)
-    print(report.to_json())
+    _emit(asdict(report))
     return 0
 
 
@@ -299,38 +286,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_flags(cfg: RunConfig, args) -> RunConfig:
-    """cfg with every given flag set on its key, each section replaced once,
-    so that its __post_init__ checks a flag value as it checks a file value."""
-    top, sections = {}, {}
-    for key, value in vars(args).items():
-        name, _, field = key.partition(".")
-        if value is None or name not in _CONFIG_NAMES:
-            continue
-        if field:
-            sections.setdefault(name, {})[field] = value
-        else:
-            top[name] = value
-    for name, values in sections.items():
-        top[name] = replace(getattr(cfg, name), **values)
-    return replace(cfg, **top)
+def _flag_tree(args) -> dict:
+    """The config tree of the flags given: each flag's dest is its key."""
+    tree = {}
+    for key, _, _ in _FLAGS.values():
+        value = getattr(args, key, None)
+        if value is not None:
+            name, _, field = key.rpartition(".")
+            (tree.setdefault(name, {}) if name else tree)[field] = value
+    return tree
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _with_flags(load_config(args.config) if args.config else RunConfig(), args)
-        return args.func(cfg, args)
-    except (ValueError, ConfigError, UnachievableTargetError,
-            EmptySessionError, NoHeraldError) as exc:
+        cfg = load_config(args.config) if args.config else RunConfig()
+        return args.func(config_from_tree(_flag_tree(args), cfg), args)
+    except (ValueError, PcbsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DegeneratePointError, InsufficientScanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 2)
 
 
 def entry_point() -> None:

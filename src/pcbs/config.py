@@ -3,20 +3,24 @@
 The schema is fixed; unknown keys anywhere in the tree are rejected so a
 typo cannot silently fall back to a default.  Every section is optional
 and defaults to the standard study parameters (air/LiNbO3 crystal, 30 mW
-pump over a 5 um beam, r = 1, alpha = 1/2).  Each CLI flag sets one key
-on the loaded config, and its section checks it as it checks a file value.
+pump over a 5 um beam, r = 1, alpha = 1/2).  config_from_tree sets a
+tree's keys on a config, one replace per section: a file's tree on the
+defaults, and the CLI flags' tree on the loaded config.  So each section
+checks its own keys when they are set, a flag value as a file value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 from .bands import CrystalSpec
 from .bb84 import AttackModel
 from .errors import ConfigError
-from .fock import _check_tail_tolerance
+from .fock import SqueezedInput, _check_n_max, _check_tail_tolerance
 from .source import PumpSpec
 
 __all__ = ["RunConfig", "load_config", "config_from_tree", "STEPS_CEILING", "ROWS_CEILING"]
@@ -29,17 +33,13 @@ ROWS_CEILING = 250_000          # bands.n_samples, and bands.n_bands * bands.n_s
 
 
 @dataclass(frozen=True)
-class SourceSection:
-    r: float = 1.0
-    alpha: float = 0.5
-
-
-@dataclass(frozen=True)
 class TruncationSection:
     n_max: int | None = None        # None: pick via suggest_n_max
     tail_tolerance: float = 1e-8
 
     def __post_init__(self):
+        if self.n_max is not None:
+            _check_n_max(self.n_max)
         _check_tail_tolerance(self.tail_tolerance)    # before suggest_n_max grows a box
 
 
@@ -57,6 +57,12 @@ class SweepSection:
     def __post_init__(self):
         if self.steps > STEPS_CEILING:
             raise ValueError(f"steps must be <= {STEPS_CEILING}, got {self.steps}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not 0.0 <= self.r_min <= self.r_max < math.inf:
+            raise ValueError(f"need 0 <= r_min <= r_max < inf, got r_min = {self.r_min}, "
+                             f"r_max = {self.r_max}")
+        _check_n_max(self.n_max)
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,12 @@ class BandsSection:
         if max(self.n_samples, self.n_bands * self.n_samples) > ROWS_CEILING:
             raise ValueError(f"n_bands * n_samples must be <= {ROWS_CEILING} "
                              f"(bands.csv rows), got {self.n_bands} * {self.n_samples}")
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.n_bands < 1:
+            raise ValueError(f"n_bands must be >= 1, got {self.n_bands}")
+        if self.band_index < 1:
+            raise ValueError(f"band_index must be >= 1, got {self.band_index}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +110,7 @@ class OutputSection:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 1
-    source: SourceSection = SourceSection()
+    source: SqueezedInput = SqueezedInput(r=1.0, alpha=0.5)
     truncation: TruncationSection = TruncationSection()
     crystal: CrystalSpec = CrystalSpec()
     pump: PumpSpec = PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6)
@@ -108,22 +120,13 @@ class RunConfig:
     output: OutputSection = OutputSection()
 
 
-_SECTIONS = {
-    "source": SourceSection,
-    "truncation": TruncationSection,
-    "crystal": CrystalSpec,
-    "pump": PumpSpec,
-    "sweep": SweepSection,
-    "bands": BandsSection,
-    "bb84": Bb84Section,
-    "output": OutputSection,
-}
-
-
 # the JSON types each field type accepts: type(), not isinstance(), since
 # bool is an int and JSON true must not read as 1
 _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
             str: ((str,), "a string")}
+
+
+_hints = functools.cache(get_type_hints)    # a dataclass's field types, read once
 
 
 def _check_type(path: str, value, hint) -> None:
@@ -136,36 +139,36 @@ def _check_type(path: str, value, hint) -> None:
         raise ConfigError(f"'{path}' must be {noun}, got {value!r}")
 
 
-def _build_section(name: str, cls, tree: dict):
-    if not isinstance(tree, dict):
-        raise ConfigError(f"section '{name}' must be an object, got {type(tree).__name__}")
-    hints = get_type_hints(cls)
-    unknown = set(tree) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
-    for key, value in tree.items():
-        _check_type(f"{name}.{key}", value, hints[key])
-    try:
-        return cls(**tree)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section '{name}': {exc}") from exc
+def config_from_tree(tree: dict, cfg: RunConfig = RunConfig()) -> RunConfig:
+    """cfg with every key of a parsed JSON tree set on it, each section replaced once.
 
-
-def config_from_tree(tree: dict) -> RunConfig:
-    """Validate a parsed JSON tree against the schema and build a RunConfig."""
+    The sections are RunConfig's dataclass fields.  A section's own checks
+    run on the keys set, whether they came from a file or from flags, and
+    their refusals are raised as ConfigError.
+    """
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(tree) - (set(_SECTIONS) | {"seed"})
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
-    cfg = RunConfig()
-    if "seed" in tree:
-        _check_type("seed", tree["seed"], int)
-        cfg = replace(cfg, seed=tree["seed"])
-    for name, cls in _SECTIONS.items():
-        if name in tree:
-            cfg = replace(cfg, **{name: _build_section(name, cls, tree[name])})
-    return cfg
+    schema = _hints(RunConfig)
+    values = {}
+    for name, value in tree.items():
+        if name not in schema:
+            raise ConfigError(f"unknown key '{name}'")
+        if not is_dataclass(schema[name]):
+            _check_type(name, value, schema[name])
+            values[name] = value
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"section '{name}' must be an object, got {type(value).__name__}")
+        hints = _hints(schema[name])
+        for key, item in value.items():
+            if key not in hints:
+                raise ConfigError(f"unknown key '{name}.{key}'")
+            _check_type(f"{name}.{key}", item, hints[key])
+        try:
+            values[name] = replace(getattr(cfg, name), **value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return replace(cfg, **values)
 
 
 def load_config(path: str) -> RunConfig:

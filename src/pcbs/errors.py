@@ -3,11 +3,17 @@
 The Fock layer has one numerical refusal, :class:`TruncationError`: the
 requested box holds too little probability mass, or more than 1.  Its
 amplitudes carry no precision limit of their own.
+
+Each error carries the exit code the command line returns for it: 2 for a
+refused input unless a subclass sets its own, 3 for a truncation failure
+and 4 for a numerical degeneracy.
 """
 
 
 class PcbsError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class TruncationError(PcbsError):
@@ -25,6 +31,8 @@ class TruncationError(PcbsError):
     tail_tolerance : float
         Tolerance the computation was required to meet.
     """
+
+    exit_code = 3
 
     def __init__(self, captured_mass, n_max, tail_tolerance):
         self.captured_mass = captured_mass
@@ -51,11 +59,16 @@ class NoHeraldError(PcbsError):
 
 
 class InsufficientScanError(PcbsError):
-    """Raised when a requested band has no band edge below dimensionless frequency 64."""
+    """Raised when a requested band has no band edge below dimensionless frequency 64,
+    or when a layer is too thick optically for the band-edge scan to resolve."""
+
+    exit_code = 4
 
 
 class DegeneratePointError(PcbsError):
     """Raised when a group velocity is requested at a band degeneracy."""
+
+    exit_code = 4
 
 
 class UnachievableTargetError(PcbsError):

@@ -51,7 +51,7 @@ class HeraldedStats:
 
     ``p1`` is the herald probability P1 = sum_n P(1, n); ``pn`` the
     renormalized conditional distribution P(1, n)/P1; ``g2`` the zero-delay
-    second-order correlation <n(n-1)>/<n>^2 of ``pn``.
+    second-order correlation <n(n-1)>/<n>^2 of ``pn``, nan where <n>^2 is 0.
     """
 
     p1: float
@@ -107,7 +107,9 @@ def heralded_stats(jd: JointDistribution) -> HeraldedStats:
     """Condition port b on a single-photon herald at port a.
 
     g2 uses the full conditional vector up to the truncation; the neglected
-    tail is bounded by the distribution's tail tolerance.
+    tail is bounded by the distribution's tail tolerance.  g2 is nan where
+    the conditional mean's square is 0 in float64: a herald row held all at
+    n = 0 (r = 0, alpha = 1e-150) gives P1 > 0 but no photon at port b.
     """
     row = jd.p[1, :]
     p1 = float(np.sum(row))
@@ -120,7 +122,7 @@ def heralded_stats(jd: JointDistribution) -> HeraldedStats:
     n = np.arange(pn.size)
     mean = float(np.sum(n * pn))
     fact2 = float(np.sum(n * (n - 1) * pn))     # <n(n-1)>
-    return HeraldedStats(p1=p1, pn=pn, g2=fact2 / mean**2)
+    return HeraldedStats(p1=p1, pn=pn, g2=fact2 / mean**2 if mean**2 > 0.0 else math.nan)
 
 
 def threshold_probs(jd: JointDistribution) -> ThresholdProbs:

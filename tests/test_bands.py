@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ def test_crystal_spec_validation():
     with pytest.raises(ValueError):
         CrystalSpec(eps_rel_b=0.5)
     assert SPEC.period == pytest.approx(1.1e-6, rel=1e-15)
+
+
+def test_period_floor_keeps_every_frequency_finite():
+    with pytest.raises(ValueError, match="period l_a \\+ l_b must be >= 1e-280 m"):
+        CrystalSpec(l_a=1e-300, l_b=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # just above the floor, the top of the edge scan and band 2^63 - 1 of a
+        # gapless crystal (w below 2^62) both keep omega finite
+        spec = CrystalSpec(l_a=1e-280, l_b=1e-280)
+        k, omega, v_g = sample_bands(spec, range(1, 9), 5)
+        assert np.isfinite(k).all() and np.isfinite(omega).all() and np.isfinite(v_g).all()
+        rep = tune_to_group_velocity(CrystalSpec(l_a=1e-280, l_b=1e-280, eps_rel_b=1.0),
+                                     2**63 - 1, CODATA.c)
+        assert 0.0 < rep.nu_s < math.inf
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -413,8 +429,9 @@ def test_band_samples_match_40_digit_dispersion(eps_rel_b):
 
 @pytest.mark.parametrize("eps_rel_b", [4.9284, 12.25, 2.25])
 def test_scanned_edges_match_40_digit_roots(eps_rel_b):
-    # each edge is one brentq root at its tightest tolerance; a looser scan
-    # polished again only at k = 0 left edges up to 8.9e-13 off
+    # each edge is one root of the batched Newton-with-bisection solve
+    # (_bracketed_newton); a looser scan polished again only at k = 0 left
+    # edges up to 8.9e-13 off
     mpmath = pytest.importorskip("mpmath")
     spec = CrystalSpec(eps_rel_b=eps_rel_b)
     edges = [w for w0, _, w_pi, _ in _band_intervals(spec, 8) for w in (w0, w_pi) if w > 0.0]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -13,8 +14,18 @@ import numpy as np
 import pytest
 
 import pcbs
-from pcbs.cli import _build_parser, _emit, main
+from pcbs.cli import _FLAGS, _build_parser, _emit, main
 from pcbs.config import ROWS_CEILING, STEPS_CEILING, BandsSection, RunConfig, SweepSection
+from pcbs.errors import (
+    ConfigError,
+    DegeneratePointError,
+    EmptySessionError,
+    InsufficientScanError,
+    NoHeraldError,
+    PcbsError,
+    TruncationError,
+    UnachievableTargetError,
+)
 from pcbs.fock import TAIL_TOLERANCE_FLOOR, SqueezedInput, TruncationPolicy
 from pcbs.oracle import oracle_state
 from pcbs.selftest import CheckResult
@@ -701,3 +712,136 @@ def test_selftest_exit_codes(monkeypatch, capsys):
                                  CheckResult("beta", False, ["y .. FAIL"])])
     assert main(["selftest"]) == 1
     assert "1/2 checks passed" in capsys.readouterr().out
+
+
+def _commands_replaced_by(monkeypatch, func):
+    """Make every command call func(cfg, args), and every sampler it reaches refuse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(pcbs.cli, "_COMMANDS", tuple((name, text, func, flags)
+                                                     for name, text, _, flags in pcbs.cli._COMMANDS))
+    monkeypatch.setattr(pcbs.cli, "_build_parser",
+                        functools.cache(pcbs.cli._build_parser.__wrapped__))
+    for name in ("joint_distribution", "sweep_r", "locate_maximum", "sample_bands",
+                 "_band_intervals", "tune_to_group_velocity", "simulate_session",
+                 "suggest_n_max", "oracle_state", "run_all"):
+        monkeypatch.setattr(pcbs.cli, name, refuse)
+
+
+# a valid value other than its default for every flag's key
+FLAG_VALUES = {
+    "source.r": 0.75, "source.alpha": 0.25, "truncation.n_max": 30,
+    "truncation.tail_tolerance": 1e-6, "sweep.r_min": 0.5, "sweep.r_max": 1.5,
+    "sweep.steps": 7, "bands.n_bands": 3, "bands.n_samples": 9, "bands.band_index": 2,
+    "bands.target_vg_over_c": 1e-3, "bb84.n_pulses": 1000,
+    "bb84.attack": "balanced_beam_splitter", "bb84.splitting_ratio": 0.25, "seed": 9,
+    "bb84.z_threshold": 3.0, "output.directory": "elsewhere",
+}
+
+
+def _tree(key, value):
+    name, _, field = key.rpartition(".")
+    return {name: {field: value}} if name else {field: value}
+
+
+def _command_with(flag):
+    return next(name for name, _, _, flags in pcbs.cli._COMMANDS if flag in flags)
+
+
+def test_flag_and_file_set_the_same_config(tmp_path, monkeypatch):
+    seen = []
+    _commands_replaced_by(monkeypatch, lambda cfg, args: seen.append(cfg) or 0)
+    assert set(FLAG_VALUES) == {key for key, _, _ in _FLAGS.values()}
+    for flag, (key, _, _) in _FLAGS.items():
+        value = FLAG_VALUES[key]
+        command = _command_with(flag)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(_tree(key, value)))
+        assert main([command, flag, str(value)]) == 0
+        assert main(["--config", str(cfg), command]) == 0
+        from_flag, from_file = seen[-2:]
+        assert from_flag == from_file != RunConfig(), flag
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r", "-1", "squeeze parameter r must be >= 0, got -1"),
+    ("--alpha", "inf", "r and alpha must be finite"),
+    ("--n-max", "4001", "n_max must be in [1, 4000], got 4001"),
+    ("--tail-tolerance", "1e-20", "tail_tolerance must be in [1e-10, 1)"),
+    ("--r-min", "-1", "need 0 <= r_min <= r_max < inf"),
+    ("--r-max", "inf", "need 0 <= r_min <= r_max < inf"),
+    ("--steps", "0", "steps must be >= 1, got 0"),
+    ("--n-bands", "0", "n_bands must be >= 1, got 0"),
+    ("--samples", "1", "n_samples must be >= 2, got 1"),
+    ("--band", "0", "band_index must be >= 1, got 0"),
+    ("--n-pulses", "0", "n_pulses must be positive"),
+    ("--ratio", "2", "splitting_ratio must lie in [0, 1]"),
+    ("--z-threshold", "nan", "z_threshold must be positive"),
+])
+def test_out_of_range_value_is_refused_alike_from_flag_and_file(tmp_path, capsys, monkeypatch,
+                                                                flag, value, message):
+    _commands_replaced_by(monkeypatch, lambda cfg, args: pytest.fail("a command ran"))
+    key, kind, _ = _FLAGS[flag]
+    command = _command_with(flag)
+    assert main([command, flag, value]) == 2
+    from_flag = capsys.readouterr()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_tree(key, kind(value))))
+    assert main(["--config", str(cfg), command]) == 2
+    from_file = capsys.readouterr()
+    assert from_flag.out == from_file.out == ""
+    assert from_flag.err == from_file.err
+    assert from_flag.err.startswith(f"error: {message}") and from_flag.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tree", [{"source": {"r": -1.0}}, {"bands": {"n_bands": 0}},
+                                  {"bands": {"band_index": 0}}, {"sweep": {"steps": 0}},
+                                  {"sweep": {"n_max": 0}}])
+@pytest.mark.parametrize("command", ["dist", "sweep", "bands", "tune", "bb84", "selftest"])
+def test_every_command_refuses_a_bad_section(tmp_path, capsys, monkeypatch, tree, command):
+    _commands_replaced_by(monkeypatch, lambda cfg, args: pytest.fail("a command ran"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(tree))
+    assert main(["--config", str(cfg), command]) == 2
+    assert "invalid section" not in capsys.readouterr().err
+
+
+EXIT_CODES = {
+    ConfigError: 2, EmptySessionError: 2, NoHeraldError: 2, UnachievableTargetError: 2,
+    TruncationError: 3, DegeneratePointError: 4, InsufficientScanError: 4,
+}
+
+
+@pytest.mark.parametrize("error", EXIT_CODES, ids=lambda error: error.__name__)
+def test_each_error_type_exits_with_its_code(capsys, monkeypatch, error):
+    assert set(PcbsError.__subclasses__()) == set(EXIT_CODES)
+    exc = error(0.5, 40, 1e-8) if error is TruncationError else error("refused")
+
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(pcbs.cli, "tune_to_group_velocity", raising)
+    assert main(["tune"]) == EXIT_CODES[error] == error.exit_code
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_dist_with_no_photon_behind_the_herald(tmp_path, capsys):
+    # P(1, 0) = 5e-301 heralds, but P(1, 1) underflows: the conditional mean is 0
+    rc, out = run(capsys, "dist", "--r", "0", "--alpha", "1e-150", "--out-dir", str(tmp_path))
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["p1"] > 0.0 and payload["g2"] is None
+    assert (tmp_path / "dist.csv").exists()
+
+
+def test_crystal_of_tiny_period_exits_at_config_load(tmp_path, capsys, monkeypatch):
+    _commands_replaced_by(monkeypatch, lambda cfg, args: pytest.fail("a command ran"))
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"crystal": {"l_a": 1e-300, "l_b": 1e-300}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), "bands", "--n-bands", "1", "--samples", "3",
+                     "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: the period l_a + l_b must be >= 1e-280 m")
+    assert os.listdir(tmp_path) == ["tiny.json"]

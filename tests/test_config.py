@@ -6,6 +6,7 @@ import pytest
 
 from pcbs.config import RunConfig, config_from_tree, load_config
 from pcbs.errors import ConfigError
+from pcbs.fock import SqueezedInput
 
 
 def test_defaults_are_the_study_parameters():
@@ -26,6 +27,45 @@ def test_partial_tree_overrides():
     assert cfg.source.r == 0.3 and cfg.source.alpha == 0.5
     assert cfg.sweep.steps == 5 and cfg.sweep.r_max == 2.0
     assert cfg.crystal == RunConfig().crystal
+
+
+def test_source_is_the_library_state():
+    assert RunConfig().source == SqueezedInput(r=1.0, alpha=0.5)
+    assert config_from_tree({"source": {"alpha": 0.0}}).source == SqueezedInput(r=1.0, alpha=0.0)
+
+
+def test_partial_pump_tree_loads():
+    # the missing keys come from the defaults, as in every other section
+    cfg = config_from_tree({"pump": {"radiant_flux": 0.06}})
+    assert cfg.pump.radiant_flux == 0.06 and cfg.pump.beam_radius == 5.0e-6
+    assert config_from_tree({"pump": {"refractive_index": 2.2}}).pump.radiant_flux == 0.03
+
+
+def test_tree_sets_keys_on_a_given_config():
+    base = config_from_tree({"seed": 3, "source": {"r": 0.3}, "sweep": {"steps": 5}})
+    cfg = config_from_tree({"source": {"alpha": 0.1}, "sweep": {"r_max": 1.0}}, base)
+    assert cfg.seed == 3 and cfg.source == SqueezedInput(r=0.3, alpha=0.1)
+    assert cfg.sweep.steps == 5 and cfg.sweep.r_max == 1.0
+    assert config_from_tree({}, base) == base
+
+
+@pytest.mark.parametrize("tree, message", [
+    ({"source": {"r": -0.5}}, "squeeze parameter r must be >= 0, got -0.5"),
+    ({"truncation": {"n_max": 0}}, "n_max must be in [1, 4000], got 0"),
+    ({"sweep": {"n_max": 4001}}, "n_max must be in [1, 4000], got 4001"),
+    ({"sweep": {"steps": 0}}, "steps must be >= 1, got 0"),
+    ({"sweep": {"r_min": -1.0}}, "need 0 <= r_min <= r_max < inf"),
+    ({"sweep": {"r_min": 1.5, "r_max": 1.0}}, "need 0 <= r_min <= r_max < inf"),
+    ({"sweep": {"r_max": float("nan")}}, "need 0 <= r_min <= r_max < inf"),
+    ({"bands": {"n_bands": 0}}, "n_bands must be >= 1, got 0"),
+    ({"bands": {"n_samples": 1}}, "n_samples must be >= 2, got 1"),
+    ({"bands": {"band_index": -2}}, "band_index must be >= 1, got -2"),
+    ({"crystal": {"l_a": 1e-300, "l_b": 1e-300}}, "the period l_a + l_b must be >= 1e-280 m"),
+])
+def test_section_refusals_carry_their_own_message(tree, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_tree(tree)
+    assert str(exc.value).startswith(message)
 
 
 def test_unknown_keys_rejected():

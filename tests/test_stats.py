@@ -202,3 +202,10 @@ def test_golden_search_rejects_a_tied_bracket_like_scipy():
         _golden_maximum(f, xs, [f(x) for x in xs])
     with pytest.raises(ValueError):
         _scipy_golden_maximum(f, xs)
+
+
+def test_g2_is_nan_without_a_photon_behind_the_herald():
+    # P(1, 0) = 5e-301 heralds, while P(1, 1) underflows to 0: <n> = 0
+    jd = joint_distribution(SqueezedInput(r=0.0, alpha=1e-150), TruncationPolicy(n_max=4))
+    hs = heralded_stats(jd)
+    assert hs.p1 > 0.0 and hs.pn[0] == 1.0 and math.isnan(hs.g2)
