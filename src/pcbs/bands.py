@@ -352,15 +352,9 @@ def sample_bands(spec: CrystalSpec, bands, n_samples: int = 121, *,
     return q / lam, w * (2.0 * math.pi * CODATA.c / lam), vg
 
 
-def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121, *,
-               _intervals=None) -> BandSolution:
-    """Sample one band across the reduced zone, with edges and velocities.
-
-    _intervals is a _band_intervals scan covering the band, if the caller has one.
-    """
-    if band_index < 1 or n_samples < 2:
-        raise ValueError("band_index must be >= 1 and n_samples >= 2")
-    k, omega, vg = sample_bands(spec, [band_index], n_samples, _intervals=_intervals)
+def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121) -> BandSolution:
+    """Sample one band across the reduced zone, with edges and velocities."""
+    k, omega, vg = sample_bands(spec, [band_index], n_samples)
     samples = tuple(zip(k.tolist(), omega[0].tolist(), vg[0].tolist()))
     return BandSolution(band_index=band_index, samples=samples,
                         edges=(samples[0][1], samples[-1][1]))

@@ -182,7 +182,7 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     n_pulses, so the cost does not grow with the session.
 
     The verdict is judged against the closed-form no-attack baseline
-    (q1 - q2)/q1 of the same source at ``z_threshold``; detect_attack
+    baseline_miss/q1 of the same source at ``z_threshold``; detect_attack
     re-judges a report against any other baseline.
     """
     _checked_pulses(jd, n_pulses)
@@ -207,7 +207,7 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
 
     miss_given_herald = (herald_count - detect_count) / herald_count
     tp = threshold_probs(jd)
-    baseline = (tp.q1 - tp.q2) / tp.q1 if tp.q1 > 0.0 else 0.0
+    baseline = tp.baseline_miss / tp.q1 if tp.q1 > 0.0 else 0.0
     return SessionReport(
         n_pulses=n_pulses,
         herald_count=herald_count,

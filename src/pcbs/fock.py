@@ -123,15 +123,15 @@ class TruncationPolicy:
 class AmplitudeMatrix:
     """Real amplitudes ``entries[n1, n2]`` of the two-port output state.
 
-    ``entries`` has shape ``(n_max + 1, n_max + 1)``; index ``n1`` counts
-    photons in the port carrying the transmitted input, ``n2`` the other port.
+    ``entries`` has shape ``(n_max + 1, n_max + 1)``, and that shape is the
+    only record of n_max; index ``n1`` counts photons in the port carrying
+    the transmitted input, ``n2`` the other port.
     Amplitudes are real because every interaction phase is zero.  Every cell,
     the edge cells included, is an exact shell amplitude psi_T times a
     binomial weight, and ``entries`` equals its transpose exactly.
     """
 
     entries: np.ndarray
-    n_max: int
 
     @property
     def captured_mass(self) -> float:
@@ -272,7 +272,7 @@ def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> Amplitu
     Raises TruncationError if the captured mass falls short of
     ``1 - policy.tail_tolerance`` or exceeds ``1 + policy.tail_tolerance``.
     """
-    amp = AmplitudeMatrix(entries=_shell_amplitudes(state, policy.n_max), n_max=policy.n_max)
+    amp = AmplitudeMatrix(entries=_shell_amplitudes(state, policy.n_max))
     captured = amp.captured_mass
     if not abs(captured - 1.0) <= policy.tail_tolerance:
         raise TruncationError(captured, policy.n_max, policy.tail_tolerance)

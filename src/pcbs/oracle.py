@@ -186,4 +186,4 @@ def oracle_state(state: SqueezedInput, n_max: int) -> AmplitudeMatrix:
 
     entries = np.zeros((dim, dim))
     entries[n1, n2] = out
-    return AmplitudeMatrix(entries=entries, n_max=n_max)
+    return AmplitudeMatrix(entries=entries)

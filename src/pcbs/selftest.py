@@ -212,7 +212,7 @@ def check_monte_carlo() -> CheckResult:
     res = CheckResult("session simulation")
     jd = _working_jd()
     tp = threshold_probs(jd)
-    baseline = (tp.q1 - tp.q2) / tp.q1
+    baseline = tp.baseline_miss / tp.q1
 
     clean = simulate_session(jd, 10**6, AttackModel(), seed=SEED)
     bound = 4.0 * math.sqrt(baseline * (1.0 - baseline) / clean.herald_count)

@@ -34,28 +34,24 @@ class PhysicalConstants:
 
 CODATA = PhysicalConstants()
 
-# relative mismatch allowed between a supplied amplitude and the one implied
-# by the supplied flux
-_AMPLITUDE_CONSISTENCY = 1e-3
-
 
 @dataclass(frozen=True)
 class PumpSpec:
     """Continuous pump beam: radiant flux through a disc of given radius.
 
-    ``amplitude`` may be supplied directly; when both flux and amplitude are
-    given they must agree through the intensity relation to 0.1%.
+    The flux fixes the field amplitude (:func:`flux_to_amplitude`), so the
+    amplitude is not an input: a pump whose flux and radius imply no finite,
+    positive amplitude is refused.
     """
 
     radiant_flux: float
     beam_radius: float
     refractive_index: float = 1.0
-    amplitude: float | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.radiant_flux <= 0 or self.beam_radius <= 0 or self.refractive_index <= 0:
             raise ValueError("flux, beam radius and refractive index must all be positive")
@@ -68,20 +64,6 @@ class PumpSpec:
                 f"flux {self.radiant_flux:.6g} W through beam radius {self.beam_radius:.6g} m "
                 "implies no finite, positive field amplitude"
             )
-        if self.amplitude is not None:
-            if self.amplitude <= 0:
-                raise ValueError("amplitude must be positive when given")
-            if abs(self.amplitude - implied) > _AMPLITUDE_CONSISTENCY * implied:
-                raise ValueError(
-                    f"amplitude {self.amplitude:.6g} V/m inconsistent with flux "
-                    f"{self.radiant_flux:.6g} W (implies {implied:.6g} V/m)"
-                )
-
-    def field_amplitude(self) -> float:
-        """The supplied amplitude, or the one implied by the flux."""
-        if self.amplitude is not None:
-            return self.amplitude
-        return flux_to_amplitude(self)
 
 
 def _finite(quantity: str, value: float) -> float:

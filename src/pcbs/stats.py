@@ -63,14 +63,19 @@ class HeraldedStats:
 class ThresholdProbs:
     """Threshold-detector probabilities for the beam-splitting-attack analysis.
 
-    q1: at least one photon at port a (herald fires).
-    q2: at least one photon at each port (coincidence).
-    q3: at least one photon at port a and exactly one at port b.
+    Each is a sum of the cells it counts, read from the herald marginal
+    m[k] = sum_{n1 >= 1} P(n1, k), so none is negative, and none exceeds q1
+    by more than the rounding of a sum:
 
-    ``baseline_miss`` = q1 - q2 is the joint probability that the herald fires
-    but the far detector sees nothing; an eavesdropper splitting off half of
-    every photon raises it to ``attacked_miss`` = q1 - q2 + q3/2 (a lone
-    photon is stolen outright with probability 1/2).
+    q1: at least one photon at port a (herald fires), sum of m.
+    q2: at least one photon at each port (coincidence), sum of m[k >= 1].
+    q3: at least one photon at port a and exactly one at port b, m[1].
+
+    ``baseline_miss`` = m[0] is the joint probability that the herald fires
+    but the far detector sees nothing (q1 - q2 up to rounding); an
+    eavesdropper splitting off half of every photon raises it to
+    ``attacked_miss`` = m[0] + m[1]/2 (a lone photon is stolen outright
+    with probability 1/2).
     """
 
     q1: float
@@ -127,13 +132,10 @@ def heralded_stats(jd: JointDistribution) -> HeraldedStats:
 
 def threshold_probs(jd: JointDistribution) -> ThresholdProbs:
     """Probabilities seen by ideal threshold detectors (fire on >= 1 photon)."""
-    q1 = float(jd.captured_mass - np.sum(jd.p[0, :]))
-    q2 = float(q1 - np.sum(jd.p[1:, 0]))
-    q3 = float(np.sum(jd.p[1:, 1]))
-    baseline = q1 - q2
-    return ThresholdProbs(q1=q1, q2=q2, q3=q3,
-                          baseline_miss=baseline,
-                          attacked_miss=baseline + 0.5 * q3)
+    m = np.sum(jd.p[1:, :], axis=0)    # herald marginal over port b's count
+    miss, q3 = float(m[0]), float(m[1])
+    return ThresholdProbs(q1=float(np.sum(m)), q2=float(np.sum(m[1:])), q3=q3,
+                          baseline_miss=miss, attacked_miss=miss + 0.5 * q3)
 
 
 def sweep_r(alpha: float, r_grid, n_max: int) -> SweepResult:

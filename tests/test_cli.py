@@ -12,6 +12,8 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pcbs
 from pcbs.cli import _FLAGS, _build_parser, _emit, main
@@ -178,6 +180,27 @@ def test_sweep_bytes_are_pinned(tmp_path, capsys):
             == "b0a60fa24e6c7488a34525430acbdbaad8660d97cd492d375b367d9f7902ead1")
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "2f5c886b73951daf9851cfa0862903003a0042bd8ca4be67927004cd2a4d5fcf")
+
+
+def test_dist_bytes_are_pinned(tmp_path, capsys):
+    # perfbench's dist-grid line at the working point
+    rc, _ = run(capsys, "dist", "--oracle", "--r", "1.0", "--alpha", "0.5",
+                "--tail-tolerance", "1e-08", "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert (hashlib.sha256((tmp_path / "dist.csv").read_bytes()).hexdigest()
+            == "e1fea7875633f6c5915249c7c09ed632b2ceb33a79d6f51b378c7cf9c0b80449")
+
+
+@pytest.mark.parametrize("attack, digest", [
+    (["--attack", "none"], "be35456321a5ee8d223c11a2435160f6ad0f39fea613410407922731f94f54ff"),
+    (["--attack", "balanced_beam_splitter", "--ratio", "0.5"],
+     "5de4012cb7f2db2d60a451ee2df9115d9858d95550283256c602049ffd3f2c92"),
+])
+def test_bb84_bytes_are_pinned(capsys, attack, digest):
+    # perfbench's bb84-sessions lines at seed 7
+    rc, out = run(capsys, "bb84", "--n-pulses", "10000000", "--seed", "7", *attack)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_strong_squeeze_served(tmp_path, capsys):
@@ -439,6 +462,34 @@ def test_pump_without_a_finite_amplitude_exit(tmp_path, capsys, flux, radius):
     assert main(["--config", str(cfg), "bands", "--out-dir", str(tmp_path)]) == 2
     assert "no finite, positive field amplitude" in capsys.readouterr().err
     assert not (tmp_path / "bands.csv").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# every finite magnitude; the non-negative half drawn twice as often, since a
+# negative value is refused at once
+PUMP_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300]),
+                        st.floats(min_value=0.0, allow_infinity=False),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flux=PUMP_FLOATS, radius=PUMP_FLOATS, index=PUMP_FLOATS)
+def test_any_pump_gives_strict_json_or_a_typed_exit(tmp_path, capsys, flux, radius, index):
+    cfg = tmp_path / "pump.json"
+    cfg.write_text(json.dumps({"pump": {"radiant_flux": flux, "beam_radius": radius,
+                                        "refractive_index": index}}))
+    for argv in (["bands", "--n-bands", "2", "--samples", "3", "--out-dir", str(tmp_path)],
+                 ["tune"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(capsys, "--config", str(cfg), *argv)    # an exception fails the test
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            json.loads(out, parse_constant=_refuse_constant)
 
 
 def test_non_finite_payload_exit(tmp_path, capsys):
@@ -833,6 +884,9 @@ def test_dist_with_no_photon_behind_the_herald(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["p1"] > 0.0 and payload["g2"] is None
     assert (tmp_path / "dist.csv").exists()
+    # q1 and q2 were differences of near-equal sums here: q1 read 0.0 and q2 -5e-301
+    assert payload["q1"] == payload["p1"] == payload["miss_no_attack"] == 5.000000000000001e-301
+    assert payload["q2"] == payload["q3"] == 0.0
 
 
 def test_crystal_of_tiny_period_exits_at_config_load(tmp_path, capsys, monkeypatch):

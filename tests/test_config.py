@@ -78,6 +78,9 @@ def test_unknown_keys_rejected():
         config_from_tree({"sweep": {"tail_tolerance": 0.05}})
     with pytest.raises(ConfigError):
         config_from_tree({"crystal": {"l_c": 1e-7}})
+    # the flux fixes the field amplitude, so a tree may not set it, even to its own value
+    with pytest.raises(ConfigError, match=r"^unknown key 'pump\.amplitude'$"):
+        config_from_tree({"pump": {"radiant_flux": 0.03, "amplitude": 536470.6514215705}})
 
 
 def test_malformed_values_rejected():
@@ -120,13 +123,13 @@ FLOAT_FIELDS = [(section, key, hint)
 
 
 def test_float_fields_are_found():
-    assert len(FLOAT_FIELDS) == 18 and ("pump", "amplitude", float | None) in FLOAT_FIELDS
+    assert len(FLOAT_FIELDS) == 17 and ("pump", "radiant_flux", float) in FLOAT_FIELDS
 
 
 @pytest.mark.parametrize("section, key, value", [
     (section, key, value) for section, key, hint in FLOAT_FIELDS
     for value in ("1", True, False, None, [1.0])
-    if not (value is None and hint == float | None)    # null is pump.amplitude's default
+    if not (value is None and hint == float | None)    # null is a float | None key's default
 ])
 def test_float_fields_reject_non_numbers(section, key, value):
     with pytest.raises(ConfigError, match=f"'{section}.{key}' must be a number"):

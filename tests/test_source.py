@@ -39,26 +39,15 @@ def test_flux_scaling():
 
 
 def test_pump_amplitude_consistency_check():
-    # 5.36e5 is within 0.1% of the implied amplitude; 5.3e5 is not
-    PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6, amplitude=5.36e5)
-    with pytest.raises(ValueError):
-        PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6, amplitude=5.3e5)
     with pytest.raises(ValueError):
         PumpSpec(radiant_flux=-1.0, beam_radius=5.0e-6)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["radiant_flux", "beam_radius", "refractive_index", "amplitude"])
+@pytest.mark.parametrize("field", ["radiant_flux", "beam_radius", "refractive_index"])
 def test_pump_spec_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         PumpSpec(**{"radiant_flux": 0.03, "beam_radius": 5.0e-6, field: value})
-
-
-def test_field_amplitude_accessor():
-    p = PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6)
-    assert p.field_amplitude() == flux_to_amplitude(p)
-    q = PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6, amplitude=5.36e5)
-    assert q.field_amplitude() == 5.36e5
 
 
 def test_squeeze_parameter_linear():

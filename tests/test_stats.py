@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcbs.errors import NoHeraldError
-from pcbs.fock import SqueezedInput, TruncationPolicy, herald_row
+from pcbs.fock import SqueezedInput, TruncationPolicy, herald_row, suggest_n_max
 from pcbs.stats import (
     _golden_maximum,
     heralded_stats,
@@ -99,6 +101,27 @@ def test_threshold_identities(working_jd):
     # q1 is the herald marginal summed over n1 >= 1
     marg = float(np.sum(working_jd.p[1:, :]))
     assert abs(tp.q1 - marg) < 1e-10
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(0.0, 2.0)),
+       alpha=st.one_of(st.sampled_from([0.0, 1e-150, -1e-150, 5e-324]), st.floats(-4.0, 4.0)))
+@example(r=2.227e-37, alpha=0.0)    # q2 once came out below 0 here
+@example(r=0.0, alpha=1e-150)       # and q1 read 0 below p1 = 5e-301
+def test_threshold_probs_are_ordered_probabilities(r, alpha):
+    jd = joint_distribution(SqueezedInput(r=r, alpha=alpha),
+                            TruncationPolicy(n_max=suggest_n_max(r, alpha)))
+    tp = threshold_probs(jd)
+    assert min(tp.q1, tp.q2, tp.q3, tp.baseline_miss, tp.attacked_miss) >= 0.0
+    try:
+        p1 = heralded_stats(jd).p1
+    except NoHeraldError:
+        p1 = 0.0
+    bound = tp.q1 * (1.0 + 4.0 * EPS)
+    assert tp.q2 <= bound and tp.baseline_miss <= bound and p1 <= bound
 
 
 def test_sweep_values_and_monotone_pn1():
