@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptySessionError, NoHeraldError
-from .stats import JointDistribution, threshold_probs
+from .stats import JointDistribution
 
 __all__ = [
     "AttackModel",
@@ -181,16 +181,19 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     Binomial(detected, 1/2) for the agreeing bases.  Nothing has length
     n_pulses, so the cost does not grow with the session.
 
-    The verdict is judged against the closed-form no-attack baseline
-    baseline_miss/q1 of the same source at ``z_threshold``; detect_attack
-    re-judges a report against any other baseline.
+    The verdict is judged at ``z_threshold`` against the no-attack baseline
+    m[0]/q1 of the same source, read from the herald marginal m[k] that
+    also gives the herald classes (the baseline_miss and q1 of
+    :func:`~pcbs.stats.threshold_probs`); detect_attack re-judges a report
+    against any other baseline.
     """
     _checked_pulses(jd, n_pulses)
     rng = np.random.default_rng(seed)
     rows, cols = jd.p.shape
+    marginal = jd.p[1:, :].sum(axis=0)     # herald with n2 = k, as threshold_probs sums it
     classes = np.concatenate((
         [jd.p[0, :].sum()],
-        jd.p[1:, :].sum(axis=0),
+        marginal,
         [max(0.0, 1.0 - jd.captured_mass)],
     ))
     counts = rng.multinomial(n_pulses, classes)
@@ -206,8 +209,8 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     sifted = int(rng.binomial(detect_count, 0.5))
 
     miss_given_herald = (herald_count - detect_count) / herald_count
-    tp = threshold_probs(jd)
-    baseline = tp.baseline_miss / tp.q1 if tp.q1 > 0.0 else 0.0
+    q1 = float(np.sum(marginal))
+    baseline = float(marginal[0]) / q1 if q1 > 0.0 else 0.0
     return SessionReport(
         n_pulses=n_pulses,
         herald_count=herald_count,

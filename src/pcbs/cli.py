@@ -121,10 +121,10 @@ def cmd_dist(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     alpha, sw = cfg.source.alpha, cfg.sweep
-    r_min, r_max, steps, n_max = sw.r_min, sw.r_max, sw.steps, sw.n_max
+    r_min, r_max, steps = sw.r_min, sw.r_max, sw.steps
     if r_min == r_max:
         steps = 1
-    result = sweep_r(alpha, np.linspace(r_min, r_max, steps), n_max)
+    result = sweep_r(alpha, np.linspace(r_min, r_max, steps))
 
     # "r,p11,p1,pn1,error" rows, error always empty, in one % over a repeated format
     cells = [x for pt in result.points for x in (pt.r, pt.p11, pt.p1, pt.pn1)]
@@ -138,7 +138,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             maxima[quantity] = None
             continue
         try:
-            r_star, value = locate_maximum(alpha, quantity, r_min, r_max, n_max)
+            r_star, value = locate_maximum(alpha, quantity, r_min, r_max)
             maxima[quantity] = {"r": r_star, "value": value}
         except ValueError as exc:
             maxima[quantity] = {"error": str(exc)}

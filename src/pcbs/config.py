@@ -45,9 +45,10 @@ class TruncationSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    """Sweeps and their maxima read only the herald row P(1, n), n <= n_max,
-    whose neglected terms add at most (n_max + 2) / 2^(n_max + 2) to P1 at
-    any squeeze (1.3e-17 at the default 60), so no row needs a mass gate."""
+    """Sweeps and their maxima read P(1,1) from psi_0..psi_2 and the exact
+    P1 (:func:`pcbs.stats._herald_probability`): no row is truncated, so no
+    sweep needs a mass gate.  ``n_max`` is still accepted and checked, but
+    nothing reads it any more."""
 
     r_min: float = 0.0
     r_max: float = 2.0

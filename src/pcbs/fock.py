@@ -284,7 +284,8 @@ def herald_row(state: SqueezedInput, n_max: int) -> np.ndarray:
 
     The one herald photon and the n others come from the single shell
     T = n + 1, split into (1, n) with weight C(T, 1) / 2^T.  So P(1,1) is
-    ``row[1]`` and the herald probability P1 is ``sum(row)``.  Because
+    ``row[1]``, and the herald probability P1 is the sum of the untruncated
+    row, which :func:`pcbs.stats.sweep_r` takes in closed form.  Because
     T / 2^T falls and psi is normalised, the terms beyond n_max add at most
     (n_max + 2) / 2^(n_max + 2) to P1 for any state (1.3e-17 at n_max 60).
     """

@@ -113,10 +113,10 @@ def check_threshold_probabilities() -> CheckResult:
 
 def check_sweep_maxima() -> CheckResult:
     res = CheckResult("sweep maxima over r")
-    r11, v11 = locate_maximum(WORKING_ALPHA, "p11", 0.0, 2.0, 60)
+    r11, v11 = locate_maximum(WORKING_ALPHA, "p11", 0.0, 2.0)
     res.close("max P(1,1)", v11, 0.0799, atol=P_ATOL)
     res.close("argmax P(1,1)", r11, 0.85, atol=0.01)
-    r1, v1 = locate_maximum(WORKING_ALPHA, "p1", 0.0, 2.0, 60)
+    r1, v1 = locate_maximum(WORKING_ALPHA, "p1", 0.0, 2.0)
     res.close("max P1", v1, 0.165, atol=P_ATOL)
     res.close("argmax P1", r1, 0.675, atol=0.01)
     return res

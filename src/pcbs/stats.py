@@ -3,9 +3,10 @@
 Everything here is a pure function of the joint photon-number distribution
 P(n1, n2): heralded single-photon statistics and g2(0), threshold-detector
 probabilities for the eavesdropping analysis, and squeeze-parameter sweeps
-with maximum location.  Sweeps and maxima need only the herald row
-P(1, n), which :func:`pcbs.fock.herald_row` builds from the single-mode
-column without the joint matrix.
+with maximum location.  Sweeps and maxima build no joint matrix and
+truncate no row: P(1,1) is entry 1 of :func:`pcbs.fock.herald_row`, and
+the herald probability P1 is exact, from the state's photon-number
+generating function (:func:`_herald_probability`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHeraldError
-from .fock import SqueezedInput, TruncationPolicy, _check_n_max, herald_row, output_amplitudes
+from .fock import SqueezedInput, TruncationPolicy, herald_row, output_amplitudes
 
 __all__ = [
     "JointDistribution",
@@ -72,10 +73,13 @@ class ThresholdProbs:
     q3: at least one photon at port a and exactly one at port b, m[1].
 
     ``baseline_miss`` = m[0] is the joint probability that the herald fires
-    but the far detector sees nothing (q1 - q2 up to rounding); an
-    eavesdropper splitting off half of every photon raises it to
-    ``attacked_miss`` = m[0] + m[1]/2 (a lone photon is stolen outright
-    with probability 1/2).
+    but the far detector sees nothing (q1 - q2 up to rounding).
+    ``attacked_miss`` = m[0] + m[1]/2 is the paper's single-photon-class
+    approximation of that miss under a 50/50 beam-splitting attack: only a
+    lone photon is counted as stolen outright, with probability 1/2
+    (0.13823 at r = 1, alpha = 1/2).  :mod:`pcbs.bb84` simulates the full
+    attack, which steals all k photons with probability 2^-k, so its
+    expected joint miss is sum_k m[k] 2^-k (0.171759 at the same point).
     """
 
     q1: float
@@ -138,37 +142,64 @@ def threshold_probs(jd: JointDistribution) -> ThresholdProbs:
                           baseline_miss=miss, attacked_miss=miss + 0.5 * q3)
 
 
-def sweep_r(alpha: float, r_grid, n_max: int) -> SweepResult:
-    """Evaluate (P(1,1), P1, pn(1)) across squeeze values.
+def _herald_probability(r: float, alpha: float) -> float:
+    """Exact herald probability P1 = sum_n P(1, n) of the state S(-r) D(alpha) |0>.
 
-    Each row reads the herald row P(1, n), n <= n_max: P(1,1) is its entry
-    at n = 1 and P1 its sum, short of the exact value by at most
-    (n_max + 2) / 2^(n_max + 2) (see :func:`pcbs.fock.herald_row`), so every
-    squeeze is served.  pn(1) = P(1,1)/P1 is the heralded single-photon
+    The splitter thins the input photon number T binomially, so P1 =
+    G'(1/2) / 2, where G(z) = sum_T p_T z^T is the input's generating
+    function, the overlap of two Gaussian states (Weedbrook et al., Rev.
+    Mod. Phys. 84, 621 (2012), sec. II).  With s = sinh^2 r and K = e^2r + 3,
+
+        G(1/2) = exp(-2 alpha^2 e^2r / K) / sqrt(1 + 3 s / 4),
+        P1 = G(1/2) (s / (4 + 3 s) + 8 alpha^2 e^2r / K^2).
+
+    Every term is positive, so nothing cancels, and G is exponentiated
+    directly, not through its logarithm, which would cost eps |log G|.
+    Written in e = e^-2r, hypot and sinh r, no term overflows for any r that
+    :class:`~pcbs.fock.SqueezedInput` accepts: e^2r / K = 1 / (1 + 3 e),
+    sqrt(1 + 3 s / 4) = hypot(1, sqrt(3/4) sinh r) = h, and
+    s / (4 + 3 s) = (sinh r / h)^2 / 4.  Within 2e-15 relative of a
+    50-digit value wherever P1 is a normal float.
+    """
+    e = math.exp(-2.0 * r)
+    sinh_r = math.sinh(r)
+    h = math.hypot(1.0, math.sqrt(0.75) * sinh_r)
+    g = math.exp(-2.0 * alpha * alpha / (1.0 + 3.0 * e)) / h     # G(1/2)
+    if g == 0.0:    # underflowed; past |alpha| ~ 1e154 the second term below is inf
+        return 0.0  # too, and 0 * inf would be NaN
+    w = sinh_r / h
+    return g * (0.25 * w * w + 8.0 * alpha * alpha * e / (1.0 + 3.0 * e) ** 2)
+
+
+def sweep_r(alpha: float, r_grid) -> SweepResult:
+    """Evaluate (P(1,1), P1, pn1) across squeeze values.
+
+    P(1,1) is entry 1 of the herald row (:func:`pcbs.fock.herald_row`) and
+    P1 is exact (:func:`_herald_probability`); no row is truncated, so every
+    squeeze is served.  pn1 = P(1,1)/P1 is the heralded single-photon
     fraction, NaN when nothing heralds.
     """
     points = []
     for r in r_grid:
         if r < 0:
             raise ValueError(f"sweep r values must be >= 0, got {r}")
-        row = herald_row(SqueezedInput(r=float(r), alpha=alpha), n_max)
-        p11 = float(row[1])
-        p1 = float(np.sum(row))
+        state = SqueezedInput(r=float(r), alpha=alpha)
+        p11 = float(herald_row(state, 1)[1])
+        p1 = _herald_probability(state.r, alpha)
         pn1 = p11 / p1 if p1 > 0.0 else math.nan
-        points.append(SweepPoint(r=float(r), p11=p11, p1=p1, pn1=pn1))
+        points.append(SweepPoint(r=state.r, p11=p11, p1=p1, pn1=pn1))
     return SweepResult(alpha=alpha, points=tuple(points))
 
 
 def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
-                   n_max: int, coarse: int = 33) -> tuple[float, float]:
+                   coarse: int = 33) -> tuple[float, float]:
     """Maximize P(1,1) or P1 over r in [r_lo, r_hi]; returns (r_star, value).
 
-    P1 is read from the herald row up to n_max, as in :func:`sweep_r`.
-    P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone, the row up to
-    n = 1: the column's prefix does not depend on its length, so it has the
-    same bits as entry 1 of the n_max row.  A coarse grid brackets the
-    maximum, and :func:`_golden_maximum` refines it to xtol 1e-6 from the
-    three grid points around the coarse maximum.
+    P1 is exact, as in :func:`sweep_r`.  P(1,1) = psi_2^2 / 2 is entry 1 of
+    the herald row, read from psi_0..psi_2 alone: the column's prefix does
+    not depend on its length, so it has the same bits in any longer row.  A
+    coarse grid brackets the maximum, and :func:`_golden_maximum` refines it
+    to xtol 1e-6 from the three grid points around the coarse maximum.
     Raises ValueError when the coarse maximum sits on the interval boundary
     (no interior bracket exists) or ties with a neighbour.
     """
@@ -176,13 +207,12 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
         raise ValueError(f"quantity must be 'p11' or 'p1', got {quantity!r}")
     if not (0.0 <= r_lo < r_hi):
         raise ValueError("need 0 <= r_lo < r_hi")
-
-    _check_n_max(n_max)
-    row_n_max = 1 if quantity == "p11" else n_max
+    SqueezedInput(r=r_hi, alpha=alpha)      # every r of the search is a valid input
 
     def f(r: float) -> float:
-        row = herald_row(SqueezedInput(r=float(r), alpha=alpha), row_n_max)
-        return float(row[1]) if quantity == "p11" else float(np.sum(row))
+        if quantity == "p1":
+            return _herald_probability(r, alpha)
+        return float(herald_row(SqueezedInput(r=float(r), alpha=alpha), 1)[1])
 
     grid = np.linspace(r_lo, r_hi, coarse).tolist()
     vals = [f(r) for r in grid]

@@ -172,14 +172,15 @@ def test_sweep_outputs(tmp_path, capsys):
 
 def test_sweep_bytes_are_pinned(tmp_path, capsys):
     # the sweep-maxima inputs of perfbench; bytes as written by the
-    # every-step rescale and the full-row P(1,1) search
+    # every-step rescale and the full-row P(1,1) search, and the JSON's
+    # P1 maximum from the exact P1 (0.16526504366043376)
     rc, out = run(capsys, "sweep", "--alpha", "0.5", "--r-min", "0", "--r-max", "2",
                   "--steps", "41", "--out-dir", str(tmp_path))
     assert rc == 0
     assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
             == "b0a60fa24e6c7488a34525430acbdbaad8660d97cd492d375b367d9f7902ead1")
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "2f5c886b73951daf9851cfa0862903003a0042bd8ca4be67927004cd2a4d5fcf")
+            == "024a4052f97ed6078c06514a724a035d66439f6b8c5d77a15984d0a94e8e12cf")
 
 
 def test_dist_bytes_are_pinned(tmp_path, capsys):

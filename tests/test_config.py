@@ -127,8 +127,10 @@ def test_float_fields_are_found():
 
 
 @pytest.mark.parametrize("section, key, value", [
-    (section, key, value) for section, key, hint in FLOAT_FIELDS
-    for value in ("1", True, False, None, [1.0])
+    pytest.param(section, key, value, id=f"{section}-{key}-{value_id}")
+    for section, key, hint in FLOAT_FIELDS
+    for value_id, value in (("1", "1"), ("True", True), ("False", False), ("None", None),
+                            ("list", [1.0]))
     if not (value is None and hint == float | None)    # null is a float | None key's default
 ])
 def test_float_fields_reject_non_numbers(section, key, value):

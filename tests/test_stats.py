@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcbs.errors import NoHeraldError
+from pcbs.errors import NoHeraldError, TruncationError
 from pcbs.fock import SqueezedInput, TruncationPolicy, herald_row, suggest_n_max
 from pcbs.stats import (
     _golden_maximum,
+    _herald_probability,
     heralded_stats,
     joint_distribution,
     locate_maximum,
@@ -125,7 +126,7 @@ def test_threshold_probs_are_ordered_probabilities(r, alpha):
 
 
 def test_sweep_values_and_monotone_pn1():
-    res = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0], 60)
+    res = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0])
     assert res.alpha == 0.5
     pn1 = [pt.pn1 for pt in res.points]
     assert np.allclose(pn1, [0.110312113, 0.417130842, 0.520317643,
@@ -138,42 +139,52 @@ def test_sweep_values_and_monotone_pn1():
 
 @pytest.mark.parametrize("r, n_max", [(2.0, 40), (3.0, 60)])
 def test_sweep_serves_strong_squeeze(r, n_max):
-    # the box at n_max holds 0.91 and 0.50 of the mass here, yet P1 misses
-    # only its herald-row tail, at most (n_max + 2) / 2^(n_max + 2)
-    pt = sweep_r(0.5, [r], n_max).points[0]
-    exact = float(np.sum(herald_row(SqueezedInput(r=r, alpha=0.5), 400)))
-    assert abs(pt.p1 - exact) <= (n_max + 2) / 2.0 ** (n_max + 2)
+    # the box at n_max holds 0.91 and 0.50 of the mass here, yet P1 is
+    # exact: a herald row long enough to drop nothing agrees with it
+    state = SqueezedInput(r=r, alpha=0.5)
+    with pytest.raises(TruncationError):
+        joint_distribution(state, TruncationPolicy(n_max=n_max))
+    pt = sweep_r(0.5, [r]).points[0]
+    exact = float(np.sum(herald_row(state, 400)))
+    assert abs(pt.p1 - exact) <= 1e-14 * exact
     assert math.isfinite(pt.p11) and math.isfinite(pt.pn1)
 
 
 def test_sweep_vacuum_row_has_no_herald():
-    res = sweep_r(0.0, [0.0], 8)
+    res = sweep_r(0.0, [0.0])
     pt = res.points[0]
     assert pt.p1 == 0.0 and math.isnan(pt.pn1)
 
 
 def test_sweep_rejects_negative_r():
     with pytest.raises(ValueError):
-        sweep_r(0.5, [-0.5], 8)
+        sweep_r(0.5, [-0.5])
 
 
 def test_locate_maximum_p11():
-    r_star, val = locate_maximum(0.5, "p11", 0.3, 1.3, 60, coarse=15)
+    r_star, val = locate_maximum(0.5, "p11", 0.3, 1.3, coarse=15)
     assert abs(val - 0.0799) < 0.002
     assert abs(r_star - 0.85) < 0.01
 
 
 def test_locate_maximum_p1():
-    r_star, val = locate_maximum(0.5, "p1", 0.3, 1.3, 60, coarse=15)
+    r_star, val = locate_maximum(0.5, "p1", 0.3, 1.3, coarse=15)
     assert abs(val - 0.165) < 0.002
     assert abs(r_star - 0.675) < 0.01
 
 
 def test_locate_maximum_rejects_boundary_and_bad_quantity():
     with pytest.raises(ValueError):
-        locate_maximum(0.5, "p11", 0.0, 0.3, 40, coarse=9)
+        locate_maximum(0.5, "p11", 0.0, 0.3, coarse=9)
     with pytest.raises(ValueError):
-        locate_maximum(0.5, "flux", 0.0, 2.0, 40)
+        locate_maximum(0.5, "flux", 0.0, 2.0)
+
+
+def test_locate_maximum_refuses_r_beyond_the_state():
+    # P1 is computed without a SqueezedInput, so the range is checked once up front
+    for quantity in ("p11", "p1"):
+        with pytest.raises(ValueError, match="too large"):
+            locate_maximum(0.5, quantity, 0.0, 711.0)
 
 
 def _scipy_golden_maximum(f, xs):
@@ -186,17 +197,18 @@ def _scipy_golden_maximum(f, xs):
 
 @pytest.mark.parametrize("quantity", ["p11", "p1"])
 def test_golden_search_matches_scipy_on_the_default_sweep(quantity):
-    # the brackets `pcbs sweep` refines: alpha 0.5, r in [0, 2], n_max 60
+    # the brackets `pcbs sweep` refines: alpha 0.5, r in [0, 2]
     def f(r):
-        row = herald_row(SqueezedInput(r=float(r), alpha=0.5), 60)
-        return float(row[1]) if quantity == "p11" else float(np.sum(row))
+        if quantity == "p1":
+            return _herald_probability(r, 0.5)
+        return float(herald_row(SqueezedInput(r=float(r), alpha=0.5), 60)[1])
 
     grid = np.linspace(0.0, 2.0, 33).tolist()
     vals = [f(r) for r in grid]
     i = int(np.argmax(vals))
     want = _scipy_golden_maximum(f, grid[i - 1:i + 2])
     assert _golden_maximum(f, grid[i - 1:i + 2], vals[i - 1:i + 2]) == want
-    assert locate_maximum(0.5, quantity, 0.0, 2.0, 60) == want
+    assert locate_maximum(0.5, quantity, 0.0, 2.0) == want
 
 
 def test_golden_search_matches_scipy_on_random_brackets():
