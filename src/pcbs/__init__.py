@@ -43,7 +43,6 @@ from .fock import (
     TruncationPolicy,
     box_probability,
     coherent_amplitudes,
-    herald_row,
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
@@ -78,8 +77,8 @@ __all__ = [
     "__version__",
     # fock
     "SqueezedInput", "TruncationPolicy", "AmplitudeMatrix", "coherent_amplitudes",
-    "squeeze_matrix", "output_amplitudes",
-    "herald_row", "box_probability", "suggest_n_max", "oracle_state",
+    "squeeze_matrix", "output_amplitudes", "box_probability", "suggest_n_max",
+    "oracle_state",
     # stats
     "JointDistribution", "HeraldedStats", "ThresholdProbs", "SweepPoint",
     "SweepResult", "joint_distribution", "heralded_stats", "threshold_probs",

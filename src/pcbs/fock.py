@@ -39,7 +39,6 @@ __all__ = [
     "coherent_amplitudes",
     "squeeze_matrix",
     "output_amplitudes",
-    "herald_row",
     "box_probability",
     "suggest_n_max",
     "N_MAX_CEILING",
@@ -279,19 +278,28 @@ def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> Amplitu
     return amp
 
 
-def herald_row(state: SqueezedInput, n_max: int) -> np.ndarray:
-    """Herald row P(1, n) = T psi_T^2 / 2^T, T = n + 1, for n = 0..n_max.
+_ROOT_2 = math.sqrt(2.0)
 
-    The one herald photon and the n others come from the single shell
-    T = n + 1, split into (1, n) with weight C(T, 1) / 2^T.  So P(1,1) is
-    ``row[1]``, and the herald probability P1 is the sum of the untruncated
-    row, which :func:`pcbs.stats.sweep_r` takes in closed form.  Because
-    T / 2^T falls and psi is normalised, the terms beyond n_max add at most
-    (n_max + 2) / 2^(n_max + 2) to P1 for any state (1.3e-17 at n_max 60).
+
+def _coincidence_11(r: float, alpha: float) -> float:
+    """Coincidence probability P(1,1) = psi_2^2 / 2 of S(-r) D(alpha) |0>.
+
+    Both photons come from the shell T = 2, split into (1, 1) with weight
+    C(2, 1) / 2^2.  psi_2 is two steps of :func:`_single_mode_column`'s
+    recurrence in Python floats, without its exponent split or rescale,
+    which cannot change a bit of P(1,1).  P(1,1) is 0 unless |psi_2| >
+    2^-537.  Where psi_0 needs the split (L = log psi_0 < -700),
+    |psi_2| <= e^L (2 |L| + 1) is far below that, so both give 0.
+    Elsewhere each term rounds as its scaled copy does, except one that is
+    subnormal unscaled, and such a term lies far below half an ulp of any
+    psi_2 that counts.  So the value has the bits of ``ldexp(2 psi_2^2, -2)``
+    from the column, at any length.
     """
-    _check_n_max(n_max)
-    t = np.arange(1, n_max + 2)
-    return np.ldexp(t * _single_mode_column(state.r, state.alpha, n_max + 1)[1:] ** 2, -t)
+    cosh_r = math.cosh(r)
+    drive = alpha / cosh_r
+    psi_0 = math.exp(-alpha * alpha * math.exp(r) / (2.0 * cosh_r) - 0.5 * math.log(cosh_r))
+    psi_2 = (drive * (drive * psi_0) + math.tanh(r) * psi_0) / _ROOT_2
+    return 0.5 * (psi_2 * psi_2)
 
 
 def box_probability(state: SqueezedInput, n_max: int) -> float:

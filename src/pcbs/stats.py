@@ -3,10 +3,11 @@
 Everything here is a pure function of the joint photon-number distribution
 P(n1, n2): heralded single-photon statistics and g2(0), threshold-detector
 probabilities for the eavesdropping analysis, and squeeze-parameter sweeps
-with maximum location.  Sweeps and maxima build no joint matrix and
-truncate no row: P(1,1) is entry 1 of :func:`pcbs.fock.herald_row`, and
-the herald probability P1 is exact, from the state's photon-number
-generating function (:func:`_herald_probability`).
+with maximum location.  Sweeps and maxima build no array and truncate
+no row: P(1,1) = psi_2^2 / 2 is two scalar steps of the single-mode
+recurrence (:func:`pcbs.fock._coincidence_11`), and the herald probability
+P1 is exact, from the state's photon-number generating function
+(:func:`_herald_probability`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHeraldError
-from .fock import SqueezedInput, TruncationPolicy, herald_row, output_amplitudes
+from .fock import SqueezedInput, TruncationPolicy, _coincidence_11, output_amplitudes
 
 __all__ = [
     "JointDistribution",
@@ -174,20 +175,26 @@ def _herald_probability(r: float, alpha: float) -> float:
 def sweep_r(alpha: float, r_grid) -> SweepResult:
     """Evaluate (P(1,1), P1, pn1) across squeeze values.
 
-    P(1,1) is entry 1 of the herald row (:func:`pcbs.fock.herald_row`) and
-    P1 is exact (:func:`_herald_probability`); no row is truncated, so every
-    squeeze is served.  pn1 = P(1,1)/P1 is the heralded single-photon
-    fraction, NaN when nothing heralds.
+    P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone
+    (:func:`pcbs.fock._coincidence_11`) and P1 is exact
+    (:func:`_herald_probability`); no row is truncated, so every squeeze is
+    served.  pn1 = P(1,1)/P1 is the heralded single-photon fraction, NaN
+    when nothing heralds.  The grid is checked once, before any point:
+    every r must be >= 0 (NaN is not), and the largest must make a valid
+    :class:`~pcbs.fock.SqueezedInput` with ``alpha``, or ValueError.
     """
-    points = []
-    for r in r_grid:
-        if r < 0:
+    grid = [float(r) for r in r_grid]
+    for r in grid:      # each r first: max() of a grid holding a NaN depends on its order
+        if not r >= 0.0:
             raise ValueError(f"sweep r values must be >= 0, got {r}")
-        state = SqueezedInput(r=float(r), alpha=alpha)
-        p11 = float(herald_row(state, 1)[1])
-        p1 = _herald_probability(state.r, alpha)
+    if grid:
+        SqueezedInput(r=max(grid), alpha=alpha)     # every r of the grid is a valid input
+    points = []
+    for r in grid:
+        p11 = _coincidence_11(r, alpha)
+        p1 = _herald_probability(r, alpha)
         pn1 = p11 / p1 if p1 > 0.0 else math.nan
-        points.append(SweepPoint(r=state.r, p11=p11, p1=p1, pn1=pn1))
+        points.append(SweepPoint(r=r, p11=p11, p1=p1, pn1=pn1))
     return SweepResult(alpha=alpha, points=tuple(points))
 
 
@@ -195,10 +202,10 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
                    coarse: int = 33) -> tuple[float, float]:
     """Maximize P(1,1) or P1 over r in [r_lo, r_hi]; returns (r_star, value).
 
-    P1 is exact, as in :func:`sweep_r`.  P(1,1) = psi_2^2 / 2 is entry 1 of
-    the herald row, read from psi_0..psi_2 alone: the column's prefix does
-    not depend on its length, so it has the same bits in any longer row.  A
-    coarse grid brackets the maximum, and :func:`_golden_maximum` refines it
+    P1 is exact and P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone,
+    as in :func:`sweep_r`; neither builds an array or a
+    :class:`~pcbs.fock.SqueezedInput`, so ``r_hi`` is checked once up front.
+    A coarse grid brackets the maximum, and :func:`_golden_maximum` refines it
     to xtol 1e-6 from the three grid points around the coarse maximum.
     Raises ValueError when the coarse maximum sits on the interval boundary
     (no interior bracket exists) or ties with a neighbour.
@@ -209,10 +216,10 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
         raise ValueError("need 0 <= r_lo < r_hi")
     SqueezedInput(r=r_hi, alpha=alpha)      # every r of the search is a valid input
 
+    probability = _herald_probability if quantity == "p1" else _coincidence_11
+
     def f(r: float) -> float:
-        if quantity == "p1":
-            return _herald_probability(r, alpha)
-        return float(herald_row(SqueezedInput(r=float(r), alpha=alpha), 1)[1])
+        return probability(r, alpha)
 
     grid = np.linspace(r_lo, r_hi, coarse).tolist()
     vals = [f(r) for r in grid]

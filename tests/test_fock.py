@@ -12,12 +12,12 @@ from pcbs.fock import (
     TAIL_TOLERANCE_FLOOR,
     SqueezedInput,
     TruncationPolicy,
+    _coincidence_11,
     _log_factorials,
     _shell_amplitudes,
     _single_mode_column,
     box_probability,
     coherent_amplitudes,
-    herald_row,
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
@@ -156,6 +156,42 @@ def test_windowed_rescale_keeps_a_bit_the_every_step_loop_rounds():
     assert _every_step_column(0.0, 3e-308, 2)[1] == 3.0000000000000007e-308
 
 
+def _assert_coincidence_is_the_column_entry(r, alpha):
+    # P(1,1) = C(2, 1) psi_2^2 / 2^2, the herald row's n = 1 entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _coincidence_11(r, alpha)
+        want = float(np.ldexp(2 * _single_mode_column(r, alpha, 2)[2] ** 2, -2))
+    assert got == want, (r, alpha, got, want)
+
+
+_R_PINS = [0.0, 5e-324, 1e-300, 20.0, 709.7]
+_ALPHA_PINS = [0.0, -0.0, 5e-324, 1e-150, 0.5, 27.2, 40.0, -1e5, 1e9, 1e154, -1e155]
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=st.floats(0.0, 709.78, exclude_max=True) | st.floats(0.0, 3.0) | st.sampled_from(_R_PINS),
+       alpha=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e10, 1e10)
+       | st.sampled_from(_ALPHA_PINS))
+def test_coincidence_has_the_bits_of_the_column(r, alpha):
+    _assert_coincidence_is_the_column_entry(r, alpha)
+
+
+def test_coincidence_has_the_bits_of_the_column_at_pinned_points():
+    for r in _R_PINS:
+        for alpha in _ALPHA_PINS:
+            _assert_coincidence_is_the_column_entry(r, alpha)
+    # the pins reach the column's exponent split (log psi_0 < -700) and its
+    # all-zero case (log psi_0 < -2^60), which _coincidence_11 goes without
+    logs = [-alpha * alpha * math.exp(r) / (2.0 * math.cosh(r)) - 0.5 * math.log(math.cosh(r))
+            for r in _R_PINS for alpha in _ALPHA_PINS]
+    assert any(-2.0**60 < log < -700.0 for log in logs)
+    assert any(log < -2.0**60 for log in logs)
+    # and a subnormal P(1,1) (at alpha 27.2), where a square rounds differently
+    assert any(0.0 < _coincidence_11(r, alpha) < 2.0**-1022
+               for r in _R_PINS for alpha in _ALPHA_PINS)
+
+
 def test_column_survives_underflowing_vacuum_amplitude():
     # log psi_0 is about -1170 here: a plain recurrence returns all zeros
     col = _single_mode_column(0.5, 40.0, 5000)
@@ -287,14 +323,17 @@ def test_amplitude_invariants(r, alpha, n_max):
     # the herald row is the joint matrix's n1 = 1 row, zeros included.  Below
     # 2^-1022 a cell is subnormal, spaced 2^-1074 apart, where no relative
     # bound can hold: there both clauses allow two more spacings
-    row = herald_row(state, n_max)
+    t = np.arange(1, n_max + 2)
+    row = np.ldexp(t * _single_mode_column(r, alpha, n_max + 1)[1:] ** 2, -t)
     joint = entries[1, :] ** 2
     spacings = 2.0 * 2.0**-1074
     assert np.all(((row == 0.0) == (joint == 0.0)) | (np.maximum(row, joint) <= spacings))
     assert np.all(np.abs(row - joint)
                   <= 1e-12 * joint + np.where(joint < 2.0**-1022, spacings, 0.0))
     # and the terms it leaves out of P1 sum to at most (n_max + 2) / 2^(n_max + 2)
-    tail = float(np.sum(herald_row(state, n_max + 80)[n_max + 1:]))
+    t = np.arange(n_max + 2, n_max + 82)
+    psi = _single_mode_column(r, alpha, n_max + 81)
+    tail = float(np.sum(np.ldexp(t * psi[n_max + 2:] ** 2, -t)))
     assert tail <= (n_max + 2) / 2.0 ** (n_max + 2)
 
 
@@ -373,8 +412,6 @@ def test_n_max_ceiling():
     assert TruncationPolicy(n_max=N_MAX_CEILING).n_max == 4000
     with pytest.raises(ValueError, match="n_max must be in \\[1, 4000\\], got 4001"):
         TruncationPolicy(n_max=N_MAX_CEILING + 1)
-    with pytest.raises(ValueError, match="got 4001"):
-        herald_row(state, N_MAX_CEILING + 1)
     with pytest.raises(ValueError, match="got 4001"):
         box_probability(state, N_MAX_CEILING + 1)
 

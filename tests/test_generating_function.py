@@ -25,9 +25,10 @@ import sys
 import numpy as np
 import pytest
 
+from pcbs.bb84 import AttackModel, simulate_session
 from pcbs.cli import main
-from pcbs.fock import _single_mode_column
-from pcbs.stats import _herald_probability
+from pcbs.fock import SqueezedInput, TruncationPolicy, _single_mode_column
+from pcbs.stats import _herald_probability, joint_distribution
 
 mp = pytest.importorskip("mpmath")
 
@@ -123,3 +124,27 @@ def test_dist_fields_sit_below_the_untruncated_values_by_at_most_the_tail(
         # a cell's binomial weight is good to 1.5e-12 relative at n_max 423
         rounding = 2e-12 * value
         assert value - tail - rounding <= box[key] <= value + rounding, key
+
+
+@pytest.fixture(scope="module")
+def working_jd():
+    return joint_distribution(SqueezedInput(r=1.0, alpha=0.5), TruncationPolicy(49, 1e-8))
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9])
+def test_attacked_session_miss_is_the_untruncated_expectation(working_jd, ratio):
+    # bb84 steals all k of Bob's photons with probability t^k, so the joint miss
+    # expects sum_k m[k] t^k = G((1 + t)/2) - G(t/2), m the herald marginal
+    m = working_jd.p[1:, :].sum(axis=0)
+    box = float(np.sum(m * ratio ** np.arange(m.size)))
+    with mp.workdps(40):
+        t = mp.mpf(ratio)
+        exact = (_g_and_slope((1 + t) / 2, mp.mpf(1), mp.mpf(0.5))[0]
+                 - _g_and_slope(t / 2, mp.mpf(1), mp.mpf(0.5))[0])
+    tail = 1.0 - working_jd.captured_mass
+    assert exact - tail - 2e-12 * exact <= box <= exact + 2e-12 * exact
+    n_pulses = 10**7
+    for seed in (7, 8, 9):
+        rep = simulate_session(working_jd, n_pulses,
+                               AttackModel("balanced_beam_splitter", ratio), seed=seed)
+        assert abs(rep.bob_miss_joint - box) <= 4.0 * math.sqrt(box * (1.0 - box) / n_pulses)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcbs.errors import NoHeraldError, TruncationError
-from pcbs.fock import SqueezedInput, TruncationPolicy, herald_row, suggest_n_max
+from pcbs.fock import SqueezedInput, TruncationPolicy, _single_mode_column, suggest_n_max
 from pcbs.stats import (
     _golden_maximum,
     _herald_probability,
@@ -145,7 +145,8 @@ def test_sweep_serves_strong_squeeze(r, n_max):
     with pytest.raises(TruncationError):
         joint_distribution(state, TruncationPolicy(n_max=n_max))
     pt = sweep_r(0.5, [r]).points[0]
-    exact = float(np.sum(herald_row(state, 400)))
+    t = np.arange(1, 402)     # the herald row P(1, n) = T psi_T^2 / 2^T, T = n + 1, n <= 400
+    exact = float(np.sum(np.ldexp(t * _single_mode_column(r, 0.5, 401)[1:] ** 2, -t)))
     assert abs(pt.p1 - exact) <= 1e-14 * exact
     assert math.isfinite(pt.p11) and math.isfinite(pt.pn1)
 
@@ -159,6 +160,15 @@ def test_sweep_vacuum_row_has_no_herald():
 def test_sweep_rejects_negative_r():
     with pytest.raises(ValueError):
         sweep_r(0.5, [-0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf, 711.0])
+def test_sweep_checks_every_r_of_its_grid(bad):
+    # one check before any point; a NaN first or last must not hide from max()
+    match = "too large" if bad == 711.0 else None
+    for grid in ([bad], [0.5, bad], [bad, 0.5], [711.0, bad], [bad, 711.0]):
+        with pytest.raises(ValueError, match=match):
+            sweep_r(0.5, np.array(grid))
 
 
 def test_locate_maximum_p11():
@@ -201,7 +211,7 @@ def test_golden_search_matches_scipy_on_the_default_sweep(quantity):
     def f(r):
         if quantity == "p1":
             return _herald_probability(r, 0.5)
-        return float(herald_row(SqueezedInput(r=float(r), alpha=0.5), 60)[1])
+        return float(np.ldexp(2 * _single_mode_column(r, 0.5, 2)[2] ** 2, -2))
 
     grid = np.linspace(0.0, 2.0, 33).tolist()
     vals = [f(r) for r in grid]
