@@ -63,7 +63,10 @@ _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
 _SCAN_STEP_LIMIT = 0.25       # refuse a scan whose half-angles advance more than this * pi a step
 _CLOSED_GAP = (4e-12, 2e-14)  # (abs, rel): a gap narrower than abs + rel * w is closed
 _STEP_TOL = 1e-14             # a root is done when its step is <= this * |x - anchor|
-_MAX_STEPS = 100              # Newton-or-bisection steps of a root solve
+# Newton-or-bisection steps of a root solve: bisection from a unit bracket
+# reaches adjacent doubles within 1075 halvings, even at a root near 0, where
+# Newton from far off only halves its distance (a root at w = 6.5e-33 took 96)
+_MAX_STEPS = 1100
 _SHIFT_RTOL = 1e-8            # a tuning shift rounded by more than this (relative) is refused
 _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degenerate
 # omega = w 2 pi c / Lambda must be finite at every w a band call reaches:

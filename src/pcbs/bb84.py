@@ -190,7 +190,7 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     _checked_pulses(jd, n_pulses)
     rng = np.random.default_rng(seed)
     rows, cols = jd.p.shape
-    marginal = jd.p[1:, :].sum(axis=0)     # herald with n2 = k, as threshold_probs sums it
+    marginal = jd.herald_marginal
     classes = np.concatenate((
         [jd.p[0, :].sum()],
         marginal,

@@ -31,7 +31,6 @@ from .bands import _band_intervals, _is_degenerate, sample_bands, tune_to_group_
 from .bb84 import ATTACK_KINDS, simulate_session
 from .config import RunConfig, config_from_tree, load_config
 from .errors import DegeneratePointError, NoHeraldError, PcbsError, UnachievableTargetError
-from .fock import TruncationPolicy, suggest_n_max
 from .oracle import oracle_state
 from .selftest import run_all
 from .source import CODATA, flux_to_amplitude, squeeze_parameter
@@ -58,13 +57,6 @@ def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
         fh.write("".join(lines))
 
 
-def _policy_for(cfg: RunConfig) -> TruncationPolicy:
-    n_max, tol = cfg.truncation.n_max, cfg.truncation.tail_tolerance
-    if n_max is None:
-        n_max = suggest_n_max(cfg.source.r, cfg.source.alpha, tol)
-    return TruncationPolicy(n_max=n_max, tail_tolerance=tol)
-
-
 def _dist_rows(p: np.ndarray) -> str:
     """Rows "n1,n2,probability" of the symmetric p, n1-major.
 
@@ -83,7 +75,7 @@ def _dist_rows(p: np.ndarray) -> str:
 
 def cmd_dist(cfg: RunConfig, args) -> int:
     state = cfg.source
-    policy = _policy_for(cfg)
+    policy = cfg.truncation.for_state(state)
     jd = joint_distribution(state, policy)
 
     _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"],
@@ -202,7 +194,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
 
 
 def cmd_bb84(cfg: RunConfig, args) -> int:
-    jd = joint_distribution(cfg.source, _policy_for(cfg))
+    jd = joint_distribution(cfg.source, cfg.truncation)
     section = cfg.bb84
     report = simulate_session(jd, section.n_pulses, section.attack_model(), seed=cfg.seed,
                               z_threshold=section.z_threshold)

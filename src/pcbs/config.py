@@ -3,10 +3,13 @@
 The schema is fixed; unknown keys anywhere in the tree are rejected so a
 typo cannot silently fall back to a default.  Every section is optional
 and defaults to the standard study parameters (air/LiNbO3 crystal, 30 mW
-pump over a 5 um beam, r = 1, alpha = 1/2).  config_from_tree sets a
-tree's keys on a config, one replace per section: a file's tree on the
-defaults, and the CLI flags' tree on the loaded config.  So each section
-checks its own keys when they are set, a flag value as a file value.
+pump over a 5 um beam, r = 1, alpha = 1/2, a box sized for a 1e-8 tail).
+The source, truncation, crystal and pump sections are the domain types
+themselves; ``truncation.n_max: null`` is TruncationPolicy's automatic box.
+config_from_tree sets a tree's keys on a config, one replace per section:
+a file's tree on the defaults, and the CLI flags' tree on the loaded
+config.  So each section checks its own keys when they are set, a flag
+value as a file value; RunConfig checks the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import get_args, get_type_hints
 from .bands import CrystalSpec
 from .bb84 import AttackModel
 from .errors import ConfigError
-from .fock import SqueezedInput, _check_n_max, _check_tail_tolerance
+from .fock import SqueezedInput, TruncationPolicy, _check_n_max
 from .source import PumpSpec
 
 __all__ = ["RunConfig", "load_config", "config_from_tree", "STEPS_CEILING", "ROWS_CEILING"]
@@ -30,17 +33,6 @@ __all__ = ["RunConfig", "load_config", "config_from_tree", "STEPS_CEILING", "ROW
 # and a one-band bands run peaks at about 180 MB.
 STEPS_CEILING = 100_000         # sweep.steps
 ROWS_CEILING = 250_000          # bands.n_samples, and bands.n_bands * bands.n_samples
-
-
-@dataclass(frozen=True)
-class TruncationSection:
-    n_max: int | None = None        # None: pick via suggest_n_max
-    tail_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.n_max is not None:
-            _check_n_max(self.n_max)
-        _check_tail_tolerance(self.tail_tolerance)    # before suggest_n_max grows a box
 
 
 @dataclass(frozen=True)
@@ -112,13 +104,17 @@ class OutputSection:
 class RunConfig:
     seed: int = 1
     source: SqueezedInput = SqueezedInput(r=1.0, alpha=0.5)
-    truncation: TruncationSection = TruncationSection()
+    truncation: TruncationPolicy = TruncationPolicy()
     crystal: CrystalSpec = CrystalSpec()
     pump: PumpSpec = PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6)
     sweep: SweepSection = SweepSection()
     bands: BandsSection = BandsSection()
     bb84: Bb84Section = Bb84Section()
     output: OutputSection = OutputSection()
+
+    def __post_init__(self):
+        if self.seed < 0:    # numpy's generators refuse it only once a box is built
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # the JSON types each field type accepts: type(), not isinstance(), since
@@ -169,7 +165,10 @@ def config_from_tree(tree: dict, cfg: RunConfig = RunConfig()) -> RunConfig:
             values[name] = replace(getattr(cfg, name), **value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-    return replace(cfg, **values)
+    try:
+        return replace(cfg, **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -26,7 +26,7 @@ alternating sums cancel at large alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,21 +101,27 @@ class TruncationPolicy:
 
     After computing a joint amplitude matrix, the captured probability mass
     must lie within ``tail_tolerance`` of 1; otherwise the computation raises
-    :class:`~pcbs.errors.TruncationError`.  The default covers squeeze
-    parameters up to about 0.9 with displacements up to 1; the working point
-    r = 1, alpha = 1/2 has a true tail of 8.6e-8 at n_max = 40 and needs
-    n_max of about 50 (see :func:`suggest_n_max`).  n_max may not exceed
-    ``N_MAX_CEILING``, which bounds the memory of every box built from it,
-    and ``tail_tolerance`` may not fall below ``TAIL_TOLERANCE_FLOOR``, the
+    :class:`~pcbs.errors.TruncationError`.  ``n_max = None`` means the box
+    :func:`suggest_n_max` picks for the state and ``tail_tolerance``, which
+    :meth:`for_state` resolves.  n_max may not exceed ``N_MAX_CEILING``,
+    which bounds the memory of every box built from it, and
+    ``tail_tolerance`` may not fall below ``TAIL_TOLERANCE_FLOOR``, the
     smallest gate the box mass's rounding lets it decide.
     """
 
-    n_max: int = 40
+    n_max: int | None = None
     tail_tolerance: float = 1e-8
 
     def __post_init__(self):
-        _check_n_max(self.n_max)
-        _check_tail_tolerance(self.tail_tolerance)
+        if self.n_max is not None:
+            _check_n_max(self.n_max)
+        _check_tail_tolerance(self.tail_tolerance)    # before suggest_n_max grows a box
+
+    def for_state(self, state: SqueezedInput) -> TruncationPolicy:
+        """This policy with n_max set: kept if given, else suggest_n_max's box."""
+        if self.n_max is not None:
+            return self
+        return replace(self, n_max=suggest_n_max(state.r, state.alpha, self.tail_tolerance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +274,11 @@ def _shell_amplitudes(state: SqueezedInput, n_max: int) -> np.ndarray:
 def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> AmplitudeMatrix:
     """Joint number-basis amplitudes of the two splitter outputs.
 
-    Raises TruncationError if the captured mass falls short of
-    ``1 - policy.tail_tolerance`` or exceeds ``1 + policy.tail_tolerance``.
+    The box is ``policy.for_state(state)``'s.  Raises TruncationError if the
+    captured mass falls short of ``1 - policy.tail_tolerance`` or exceeds
+    ``1 + policy.tail_tolerance``.
     """
+    policy = policy.for_state(state)
     amp = AmplitudeMatrix(entries=_shell_amplitudes(state, policy.n_max))
     captured = amp.captured_mass
     if not abs(captured - 1.0) <= policy.tail_tolerance:
@@ -321,8 +329,6 @@ def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
     so the suggestion is the smallest N >= 2 that passes, with a +2 safety
     margin.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
     _check_tail_tolerance(tail_tolerance)
     target = 0.5 * tail_tolerance
     state = SqueezedInput(r=r, alpha=alpha)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bands import CrystalSpec, band_frequencies, tune_to_group_velocity
 from .bb84 import AttackModel, Verdict, simulate_session
-from .fock import SqueezedInput, TruncationPolicy, output_amplitudes, suggest_n_max
+from .fock import SqueezedInput, TruncationPolicy, output_amplitudes
 from .oracle import oracle_state
 from .source import (
     CODATA,
@@ -75,9 +75,8 @@ class CheckResult:
 
 @lru_cache(maxsize=1)
 def _working_jd():
-    n_max = suggest_n_max(WORKING_R, WORKING_ALPHA, TAIL)
     return joint_distribution(SqueezedInput(r=WORKING_R, alpha=WORKING_ALPHA),
-                              TruncationPolicy(n_max=n_max, tail_tolerance=TAIL))
+                              TruncationPolicy(tail_tolerance=TAIL))
 
 
 def check_joint_distribution() -> CheckResult:
@@ -187,8 +186,9 @@ def check_oracle_equivalence() -> CheckResult:
     for r in _R_GRID:
         for alpha in _ALPHA_GRID:
             state = SqueezedInput(r=float(r), alpha=float(alpha))
-            n_max = suggest_n_max(r, alpha, TAIL)
-            amp = output_amplitudes(state, TruncationPolicy(n_max, TAIL))
+            policy = TruncationPolicy(tail_tolerance=TAIL).for_state(state)
+            n_max = policy.n_max
+            amp = output_amplitudes(state, policy)
             orc = oracle_state(state, n_max)
             # the oracle is exact on every shell that fits whole in the box
             total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))

@@ -46,6 +46,11 @@ class JointDistribution:
     captured_mass: float
     input_echo: SqueezedInput
 
+    @property
+    def herald_marginal(self) -> np.ndarray:
+        """m[k] = sum_{n1 >= 1} P(n1, k): the herald fires and port b holds k photons."""
+        return np.sum(self.p[1:, :], axis=0)
+
 
 @dataclass(frozen=True, eq=False)
 class HeraldedStats:
@@ -66,8 +71,9 @@ class ThresholdProbs:
     """Threshold-detector probabilities for the beam-splitting-attack analysis.
 
     Each is a sum of the cells it counts, read from the herald marginal
-    m[k] = sum_{n1 >= 1} P(n1, k), so none is negative, and none exceeds q1
-    by more than the rounding of a sum:
+    m[k] = sum_{n1 >= 1} P(n1, k) (``JointDistribution.herald_marginal``),
+    so none is negative, and none exceeds q1 by more than the rounding of a
+    sum:
 
     q1: at least one photon at port a (herald fires), sum of m.
     q2: at least one photon at each port (coincidence), sum of m[k >= 1].
@@ -107,8 +113,9 @@ class SweepResult:
 
 
 def joint_distribution(state: SqueezedInput, policy: TruncationPolicy) -> JointDistribution:
-    """Square the output amplitudes into the joint counting distribution."""
-    amp = output_amplitudes(state, policy)
+    """Square the output amplitudes, in the box ``policy.for_state(state)``,
+    into the joint counting distribution (output_amplitudes never sees None)."""
+    amp = output_amplitudes(state, policy.for_state(state))
     return JointDistribution(p=amp.entries**2, captured_mass=amp.captured_mass,
                              input_echo=state)
 
@@ -137,7 +144,7 @@ def heralded_stats(jd: JointDistribution) -> HeraldedStats:
 
 def threshold_probs(jd: JointDistribution) -> ThresholdProbs:
     """Probabilities seen by ideal threshold detectors (fire on >= 1 photon)."""
-    m = np.sum(jd.p[1:, :], axis=0)    # herald marginal over port b's count
+    m = jd.herald_marginal
     miss, q3 = float(m[0]), float(m[1])
     return ThresholdProbs(q1=float(np.sum(m)), q2=float(np.sum(m[1:])), q3=q3,
                           baseline_miss=miss, attacked_miss=miss + 0.5 * q3)

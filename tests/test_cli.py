@@ -12,10 +12,11 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pcbs
+from pcbs.bb84 import ATTACK_KINDS
 from pcbs.cli import _FLAGS, _build_parser, _emit, main
 from pcbs.config import ROWS_CEILING, STEPS_CEILING, BandsSection, RunConfig, SweepSection
 from pcbs.errors import (
@@ -28,7 +29,7 @@ from pcbs.errors import (
     TruncationError,
     UnachievableTargetError,
 )
-from pcbs.fock import TAIL_TOLERANCE_FLOOR, SqueezedInput, TruncationPolicy
+from pcbs.fock import N_MAX_CEILING, TAIL_TOLERANCE_FLOOR, SqueezedInput, TruncationPolicy
 from pcbs.oracle import oracle_state
 from pcbs.selftest import CheckResult
 from pcbs.source import CODATA
@@ -516,7 +517,7 @@ def test_tail_tolerance_below_the_floor_exits_before_any_box(tmp_path, capsys, m
     def no_box(*args):
         raise AssertionError("suggest_n_max was called")
 
-    monkeypatch.setattr("pcbs.cli.suggest_n_max", no_box)
+    monkeypatch.setattr("pcbs.fock.suggest_n_max", no_box)
     argv = ["dist", "--out-dir", str(tmp_path)]
     if source == "flag":
         argv += ["--tail-tolerance", "1e-20"]
@@ -683,6 +684,59 @@ def _key_type(key):
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
 
 
+SCHEMA_KEYS = ["seed"] + [f"{section}.{field.name}"
+                          for section, cls in get_type_hints(RunConfig).items()
+                          if is_dataclass(cls) for field in fields(cls)]
+# each int key's ceiling, None where it has none
+INT_CEILINGS = {"seed": None, "sweep.steps": STEPS_CEILING, "sweep.n_max": N_MAX_CEILING,
+                "bands.n_bands": ROWS_CEILING, "bands.n_samples": ROWS_CEILING,
+                "bands.band_index": None}
+SMALL_INTS = st.integers(-2, 12)
+# the values each drawn key takes; float keys take the pump property's magnitudes
+KEY_VALUES = {
+    "truncation.n_max": st.integers(1, 200),    # a box of (n_max + 1)^2 cells: never automatic
+    "bb84.n_pulses": st.integers(),             # any int: above 2**63 - 1 is refused
+    "bb84.attack": st.sampled_from(ATTACK_KINDS + ("eavesdrop",)),
+    **{key: PUMP_FLOATS for key in SCHEMA_KEYS if _key_type(key) is float},
+    **{key: SMALL_INTS if ceiling is None else
+       st.one_of(SMALL_INTS, st.integers(ceiling + 1, ceiling + 3))
+       for key, ceiling in INT_CEILINGS.items()},
+}
+# a few keys per tree, so that most trees load and their commands run
+SCHEMA_TREES = st.lists(st.sampled_from(sorted(set(KEY_VALUES) - {"truncation.n_max"})),
+                        max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: KEY_VALUES[key]
+                                        for key in ("truncation.n_max", *keys)}))
+
+
+def test_schema_property_draws_every_key():
+    assert len(SCHEMA_KEYS) == 27
+    assert set(KEY_VALUES) == set(SCHEMA_KEYS) - {"output.directory"}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=SCHEMA_TREES)
+# a root of the band-edge scan near w = 0 (6.5e-33) once took more Newton steps than allowed
+@example(values={"truncation.n_max": 1, "crystal.l_a": 4.569575166425668e-141,
+                 "crystal.eps_rel_a": 2.8919565351406293e+197})
+def test_any_config_gives_strict_json_or_a_typed_exit(tmp_path, capsys, values):
+    tree = {"output": {"directory": str(tmp_path)}}
+    for key, value in values.items():
+        name, _, field = key.rpartition(".")
+        (tree.setdefault(name, {}) if name else tree)[field] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(tree))
+    for argv in (["dist"], ["sweep"], ["bands"], ["tune"], ["bb84", "--attack", "none"],
+                 ["bb84", "--attack", "balanced_beam_splitter"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(capsys, "--config", str(cfg), *argv)    # an exception fails the test
+        assert rc in (0, 2, 3, 4), argv
+        if rc == 0:
+            json.loads(out, parse_constant=_refuse_constant)
+
+
 def test_every_flag_sets_a_config_key():
     seen = 0
     for name, parser in _subcommands().items():
@@ -777,7 +831,7 @@ def _commands_replaced_by(monkeypatch, func):
                         functools.cache(pcbs.cli._build_parser.__wrapped__))
     for name in ("joint_distribution", "sweep_r", "locate_maximum", "sample_bands",
                  "_band_intervals", "tune_to_group_velocity", "simulate_session",
-                 "suggest_n_max", "oracle_state", "run_all"):
+                 "oracle_state", "run_all"):
         monkeypatch.setattr(pcbs.cli, name, refuse)
 
 
@@ -830,6 +884,7 @@ def test_flag_and_file_set_the_same_config(tmp_path, monkeypatch):
     ("--n-pulses", "0", "n_pulses must be positive"),
     ("--ratio", "2", "splitting_ratio must lie in [0, 1]"),
     ("--z-threshold", "nan", "z_threshold must be positive"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_out_of_range_value_is_refused_alike_from_flag_and_file(tmp_path, capsys, monkeypatch,
                                                                 flag, value, message):

@@ -23,6 +23,7 @@ from pcbs.fock import (
     suggest_n_max,
 )
 from pcbs.oracle import oracle_state
+from pcbs.stats import joint_distribution
 
 
 def test_coherent_vacuum():
@@ -269,7 +270,22 @@ def test_headline_joint_probabilities():
 def test_default_policy_rejects_working_point():
     # the true tail at n_max=40 is 8.6e-8, above the default 1e-8 budget
     with pytest.raises(TruncationError):
-        output_amplitudes(SqueezedInput(r=1.0, alpha=0.5), TruncationPolicy())
+        output_amplitudes(SqueezedInput(r=1.0, alpha=0.5), TruncationPolicy(n_max=40))
+
+
+@pytest.mark.parametrize("r, alpha, tol", [(1.0, 0.5, 1e-8), (1.5, 1.0, 1e-8), (0.5, 2.0, 1e-4)])
+def test_automatic_policy_is_suggest_n_max_box(r, alpha, tol):
+    state = SqueezedInput(r=r, alpha=alpha)
+    auto = TruncationPolicy(tail_tolerance=tol)
+    n_max = suggest_n_max(r, alpha, tol)
+    assert auto.n_max is None and auto.for_state(state).n_max == n_max
+    assert TruncationPolicy(n_max=30, tail_tolerance=tol).for_state(state).n_max == 30
+    explicit = joint_distribution(state, TruncationPolicy(n_max, tol))
+    automatic = joint_distribution(state, auto)
+    assert np.array_equal(automatic.p, explicit.p)
+    assert automatic.captured_mass == explicit.captured_mass
+    assert np.array_equal(output_amplitudes(state, auto).entries,
+                          output_amplitudes(state, TruncationPolicy(n_max, tol)).entries)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])

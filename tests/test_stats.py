@@ -104,6 +104,16 @@ def test_threshold_identities(working_jd):
     assert abs(tp.q1 - marg) < 1e-10
 
 
+def test_herald_marginal_is_the_column_sum_below_row_0(working_jd):
+    m = working_jd.herald_marginal
+    p = working_jd.p
+    assert m.shape == (p.shape[1],)
+    assert np.allclose(m, [sum(p[n1, k] for n1 in range(1, p.shape[0])) for k in range(p.shape[1])],
+                       rtol=1e-14, atol=0.0)
+    tp = threshold_probs(working_jd)
+    assert (tp.baseline_miss, tp.q3, tp.q1) == (m[0], m[1], float(np.sum(m)))
+
+
 EPS = np.finfo(float).eps
 
 
