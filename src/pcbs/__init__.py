@@ -8,7 +8,6 @@ eavesdropper.
 """
 
 from .bands import (
-    BandSolution,
     CrystalSpec,
     TuningReport,
     band_frequencies,
@@ -38,11 +37,9 @@ from .errors import (
     UnachievableTargetError,
 )
 from .fock import (
-    AmplitudeMatrix,
     SqueezedInput,
     TruncationPolicy,
     box_probability,
-    coherent_amplitudes,
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
@@ -62,7 +59,6 @@ from .stats import (
     HeraldedStats,
     JointDistribution,
     SweepPoint,
-    SweepResult,
     ThresholdProbs,
     heralded_stats,
     joint_distribution,
@@ -76,15 +72,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # fock
-    "SqueezedInput", "TruncationPolicy", "AmplitudeMatrix", "coherent_amplitudes",
-    "squeeze_matrix", "output_amplitudes", "box_probability", "suggest_n_max",
-    "oracle_state",
+    "SqueezedInput", "TruncationPolicy", "squeeze_matrix", "output_amplitudes",
+    "box_probability", "suggest_n_max", "oracle_state",
     # stats
     "JointDistribution", "HeraldedStats", "ThresholdProbs", "SweepPoint",
-    "SweepResult", "joint_distribution", "heralded_stats", "threshold_probs",
-    "sweep_r", "locate_maximum",
+    "joint_distribution", "heralded_stats", "threshold_probs", "sweep_r",
+    "locate_maximum",
     # bands
-    "CrystalSpec", "BandSolution", "TuningReport", "dispersion_residual",
+    "CrystalSpec", "TuningReport", "dispersion_residual",
     "band_frequencies", "group_velocity", "sample_bands", "solve_band", "tune_to_group_velocity",
     # source
     "PhysicalConstants", "CODATA", "PumpSpec", "squeeze_parameter",

@@ -47,7 +47,6 @@ from .source import CODATA
 
 __all__ = [
     "CrystalSpec",
-    "BandSolution",
     "TuningReport",
     "dispersion_residual",
     "band_frequencies",
@@ -120,15 +119,6 @@ class CrystalSpec:
     @property
     def period(self) -> float:
         return self.l_a + self.l_b
-
-
-@dataclass(frozen=True)
-class BandSolution:
-    """Sampled dispersion of one band: (k [1/m], omega [rad/s], v_g [m/s])."""
-
-    band_index: int
-    samples: tuple[tuple[float, float, float], ...]
-    edges: tuple[float, float]     # omega at k=0 and at k=pi/Lambda
 
 
 @dataclass(frozen=True)
@@ -355,12 +345,12 @@ def sample_bands(spec: CrystalSpec, bands, n_samples: int = 121, *,
     return q / lam, w * (2.0 * math.pi * CODATA.c / lam), vg
 
 
-def solve_band(spec: CrystalSpec, band_index: int, n_samples: int = 121) -> BandSolution:
-    """Sample one band across the reduced zone, with edges and velocities."""
+def solve_band(spec: CrystalSpec, band_index: int,
+               n_samples: int = 121) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k [1/m], omega [rad/s], v_g [m/s]) of one band, as :func:`sample_bands`
+    gives them for that band alone; omega[0] and omega[-1] are its edges."""
     k, omega, vg = sample_bands(spec, [band_index], n_samples)
-    samples = tuple(zip(k.tolist(), omega[0].tolist(), vg[0].tolist()))
-    return BandSolution(band_index=band_index, samples=samples,
-                        edges=(samples[0][1], samples[-1][1]))
+    return k, omega[0], vg[0]
 
 
 def _edge_expansion(a: float, b: float, x: float, w0):

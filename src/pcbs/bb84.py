@@ -14,9 +14,11 @@ therefore works on counts, in a fixed draw order: one multinomial over
 the N + 2 classes (N = n_max + 1), one uniform in (0, 1] per herald class
 (N + 1 of them) whose binomial inverse CDF is that class's all-stolen
 count, and one Binomial(detected, 1/2) draw for the pulses whose bases
-agree.  Its cost does not depend on n_pulses.  The same draws are made
-whatever the attack settings, so sessions with the same seed share their
-randomness across attack models (common random numbers, per class): the
+agree.  Its memory does not depend on n_pulses, and without an attack
+neither does its time; with one, each class's inverse CDF bisects in about
+log2(n_pulses) betaincc rounds (see simulate_session).  The same draws are
+made whatever the attack settings, so sessions with the same seed share
+their randomness across attack models (common random numbers, per class): the
 no-attack session and a splitting_ratio = 0 session are bit-identical, and
 the miss rate never decreases in the ratio.
 
@@ -179,7 +181,13 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     per herald class, whose binomial inverse CDF at probability
     routed_fraction**n2 is the class's all-stolen count, and one
     Binomial(detected, 1/2) for the agreeing bases.  Nothing has length
-    n_pulses, so the cost does not grow with the session.
+    n_pulses, so memory does not grow with the session, and without an
+    attack neither does time.  With one, each inverse CDF bisects over
+    [0, count] in about log2(count) betaincc rounds, each slower at large
+    counts: in-process after a warm-up, on a 2-core x86_64 host (scipy
+    1.17), a ratio-0.5 session at r = 1, alpha = 1/2 took about 1 ms at
+    1e7 pulses, 12 ms at 1e12, 75 ms at 1e15 and 0.8 to 3 s at
+    2**63 - 1; without an attack, 0.1 ms at every size.
 
     The verdict is judged at ``z_threshold`` against the no-attack baseline
     m[0]/q1 of the same source, read from the herald marginal m[k] that

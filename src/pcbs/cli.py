@@ -105,8 +105,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         orc = oracle_state(state, policy.n_max)
         n = np.arange(policy.n_max + 1)
         triangle = np.add.outer(n, n) <= policy.n_max
-        payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(
-            jd.p - orc.entries ** 2)[triangle]))
+        payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(jd.p - orc ** 2)[triangle]))
     _emit(payload)
     return 0
 
@@ -116,13 +115,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     r_min, r_max, steps = sw.r_min, sw.r_max, sw.steps
     if r_min == r_max:
         steps = 1
-    result = sweep_r(alpha, np.linspace(r_min, r_max, steps))
+    points = sweep_r(alpha, np.linspace(r_min, r_max, steps))
 
     # "r,p11,p1,pn1,error" rows, error always empty, in one % over a repeated format
-    cells = [x for pt in result.points for x in (pt.r, pt.p11, pt.p1, pt.pn1)]
+    cells = [x for pt in points for x in (pt.r, pt.p11, pt.p1, pt.pn1)]
     _write_csv(os.path.join(cfg.output.directory, "sweep.csv"),
                ["r", "p11", "p1", "pn1", "error"],
-               [(f"{_FMT},{_FMT},{_FMT},{_FMT},\n" * len(result.points)) % tuple(cells)])
+               [(f"{_FMT},{_FMT},{_FMT},{_FMT},\n" * len(points)) % tuple(cells)])
 
     maxima = {}
     for quantity in ("p11", "p1"):
@@ -154,8 +153,6 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     bs = cfg.bands
     n_bands, n_samples, band_index, target = (bs.n_bands, bs.n_samples, bs.band_index,
                                               bs.target_vg_over_c)
-    if not target >= 0:
-        raise ValueError(f"target_vg_over_c must be >= 0, got {target}")
 
     # one edge scan serves every band and the tuning report; a gapless crystal needs none
     intervals = (None if _is_degenerate(cfg.crystal)

@@ -75,6 +75,8 @@ class BandsSection:
             raise ValueError(f"n_bands must be >= 1, got {self.n_bands}")
         if self.band_index < 1:
             raise ValueError(f"band_index must be >= 1, got {self.band_index}")
+        if not self.target_vg_over_c >= 0:    # NaN too
+            raise ValueError(f"target_vg_over_c must be >= 0, got {self.target_vg_over_c}")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ Everything here is real because all interaction phases are pinned to zero.
 The amplitudes agree with the operator-exponential oracle to rounding up to
 r = 2 at a 1e-8 tail.
 
-:func:`squeeze_matrix` and :func:`coherent_amplitudes` are kept as an
-independent reference for tests: their product is the same column, but its
+:func:`squeeze_matrix` is kept as an independent reference for tests: applied
+to the r = 0 column D(alpha)|0>, it gives the same column, but its
 alternating sums cancel at large alpha.
 """
 
@@ -35,8 +35,6 @@ from .errors import TruncationError
 __all__ = [
     "SqueezedInput",
     "TruncationPolicy",
-    "AmplitudeMatrix",
-    "coherent_amplitudes",
     "squeeze_matrix",
     "output_amplitudes",
     "box_probability",
@@ -124,50 +122,9 @@ class TruncationPolicy:
         return replace(self, n_max=suggest_n_max(state.r, state.alpha, self.tail_tolerance))
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeMatrix:
-    """Real amplitudes ``entries[n1, n2]`` of the two-port output state.
-
-    ``entries`` has shape ``(n_max + 1, n_max + 1)``, and that shape is the
-    only record of n_max; index ``n1`` counts photons in the port carrying
-    the transmitted input, ``n2`` the other port.
-    Amplitudes are real because every interaction phase is zero.  Every cell,
-    the edge cells included, is an exact shell amplitude psi_T times a
-    binomial weight, and ``entries`` equals its transpose exactly.
-    """
-
-    entries: np.ndarray
-
-    @property
-    def captured_mass(self) -> float:
-        """Probability mass of the stored block, sum of entries squared.
-
-        Equals :func:`box_probability` at the same state and ``n_max``.
-        """
-        return float(np.sum(self.entries**2))
-
-
 def _log_factorials(n_top: int) -> np.ndarray:
     """log k! for k = 0..n_top, from ``math.lgamma``; 0! and 1! are exactly 0."""
     return np.array([math.lgamma(k + 1.0) for k in range(n_top + 1)])
-
-
-def coherent_amplitudes(beta: float, n_max: int) -> np.ndarray:
-    """Number-basis column of a coherent state: exp(-beta^2/2) beta^m / sqrt(m!).
-
-    ``beta`` is the real displacement of the input port.  Reference only:
-    the amplitudes are built from the recurrence in ``_single_mode_column``.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    m = np.arange(n_max + 1)
-    if beta == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    logmag = -0.5 * beta * beta + m * math.log(abs(beta)) - 0.5 * _log_factorials(n_max)
-    signs = np.where(m % 2 == 0, 1.0, math.copysign(1.0, beta))
-    return signs * np.exp(logmag)
 
 
 def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
@@ -179,8 +136,9 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
     so the sum is organised here as a single pass over j with parity
     n == m (mod 2).  Signs come only from the annihilator side, (-1)^((m-j)/2).
 
-    Reference only: ``squeeze_matrix(r, N) @ coherent_amplitudes(alpha, N)``
-    is the column ``_single_mode_column`` builds, at O(N^2) memory and about
+    Reference only: ``squeeze_matrix(r, N) @ _single_mode_column(0.0, alpha, N)``,
+    the squeeze applied to the coherent column D(alpha)|0>, is the column
+    ``_single_mode_column`` builds at r, at O(N^2) memory and about
     O(N^3) time.  Its alternating sums cancel at large alpha: built on it,
     the box mass at r = 0.5, alpha = 10 and n_max = 69 reads 9.44, not <= 1.
     """
@@ -271,16 +229,19 @@ def _shell_amplitudes(state: SqueezedInput, n_max: int) -> np.ndarray:
     return psi[total] * np.exp(0.5 * log_binom)
 
 
-def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> AmplitudeMatrix:
-    """Joint number-basis amplitudes of the two splitter outputs.
+def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> np.ndarray:
+    """Amplitudes ``amp[n1, n2]``, n1, n2 <= n_max, of the two splitter outputs.
 
-    The box is ``policy.for_state(state)``'s.  Raises TruncationError if the
-    captured mass falls short of ``1 - policy.tail_tolerance`` or exceeds
-    ``1 + policy.tail_tolerance``.
+    The box is ``policy.for_state(state)``'s; ``n1`` counts photons in the
+    port carrying the transmitted input.  Every cell, the edge cells
+    included, is an exact shell amplitude psi_T times a binomial weight, and
+    ``amp`` equals its transpose exactly.  Raises TruncationError if the
+    captured mass, the sum of ``amp ** 2``, lies more than
+    ``policy.tail_tolerance`` from 1.
     """
     policy = policy.for_state(state)
-    amp = AmplitudeMatrix(entries=_shell_amplitudes(state, policy.n_max))
-    captured = amp.captured_mass
+    amp = _shell_amplitudes(state, policy.n_max)
+    captured = float(np.sum(amp**2))
     if not abs(captured - 1.0) <= policy.tail_tolerance:
         raise TruncationError(captured, policy.n_max, policy.tail_tolerance)
     return amp

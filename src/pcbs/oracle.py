@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .fock import AmplitudeMatrix, SqueezedInput
+from .fock import SqueezedInput
 
 __all__ = ["oracle_state"]
 
@@ -157,8 +157,9 @@ def _kept_column(state: SqueezedInput, dim: int) -> np.ndarray:
         kept = grown
 
 
-def oracle_state(state: SqueezedInput, n_max: int) -> AmplitudeMatrix:
-    """Output amplitudes via band exponentials of truncated generators.
+def oracle_state(state: SqueezedInput, n_max: int) -> np.ndarray:
+    """Output amplitudes ``amp[n1, n2]``, n1, n2 <= n_max, via band exponentials
+    of truncated generators, indexed as :func:`pcbs.fock.output_amplitudes`'s.
 
     The displacement and the squeeze act on the vacuum in a single-mode
     space whose headroom grows until the kept amplitudes psi_0..psi_{n_max}
@@ -184,6 +185,6 @@ def oracle_state(state: SqueezedInput, n_max: int) -> AmplitudeMatrix:
     hop = (math.pi / 4.0) * np.sqrt(n1[1:] * (n2[1:] + 1.0))
     out = _expm_apply(1, -hop, joint)
 
-    entries = np.zeros((dim, dim))
-    entries[n1, n2] = out
-    return AmplitudeMatrix(entries=entries)
+    amp = np.zeros((dim, dim))
+    amp[n1, n2] = out
+    return amp

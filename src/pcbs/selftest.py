@@ -192,13 +192,11 @@ def check_oracle_equivalence() -> CheckResult:
             orc = oracle_state(state, n_max)
             # the oracle is exact on every shell that fits whole in the box
             total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
-            worst_entry = max(worst_entry, float(np.max(np.abs(
-                amp.entries - orc.entries)[total <= n_max])))
-            worst_sym = max(worst_sym, float(np.max(np.abs(
-                amp.entries - amp.entries.T))))
-            worst_norm = max(worst_norm, abs(amp.captured_mass - 1.0))
+            worst_entry = max(worst_entry, float(np.max(np.abs(amp - orc)[total <= n_max])))
+            worst_sym = max(worst_sym, float(np.max(np.abs(amp - amp.T))))
+            worst_norm = max(worst_norm, abs(float(np.sum(amp**2)) - 1.0))
             if alpha == 0.0:
-                parity_exact &= bool(np.all(amp.entries[total % 2 == 1] == 0.0))
+                parity_exact &= bool(np.all(amp[total % 2 == 1] == 0.0))
     res.holds(f"entrywise |closed - oracle| on n1 + n2 <= n_max = {worst_entry:.3g} "
               f"<= 1e-12 ({len(_R_GRID) * len(_ALPHA_GRID)} grid points)",
               worst_entry <= 1e-12)

@@ -25,7 +25,6 @@ __all__ = [
     "HeraldedStats",
     "ThresholdProbs",
     "SweepPoint",
-    "SweepResult",
     "joint_distribution",
     "heralded_stats",
     "threshold_probs",
@@ -106,18 +105,11 @@ class SweepPoint:
     pn1: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    alpha: float
-    points: tuple[SweepPoint, ...]
-
-
 def joint_distribution(state: SqueezedInput, policy: TruncationPolicy) -> JointDistribution:
     """Square the output amplitudes, in the box ``policy.for_state(state)``,
     into the joint counting distribution (output_amplitudes never sees None)."""
-    amp = output_amplitudes(state, policy.for_state(state))
-    return JointDistribution(p=amp.entries**2, captured_mass=amp.captured_mass,
-                             input_echo=state)
+    p = output_amplitudes(state, policy.for_state(state)) ** 2
+    return JointDistribution(p=p, captured_mass=float(np.sum(p)), input_echo=state)
 
 
 def heralded_stats(jd: JointDistribution) -> HeraldedStats:
@@ -179,8 +171,8 @@ def _herald_probability(r: float, alpha: float) -> float:
     return g * (0.25 * w * w + 8.0 * alpha * alpha * e / (1.0 + 3.0 * e) ** 2)
 
 
-def sweep_r(alpha: float, r_grid) -> SweepResult:
-    """Evaluate (P(1,1), P1, pn1) across squeeze values.
+def sweep_r(alpha: float, r_grid) -> tuple[SweepPoint, ...]:
+    """Evaluate (P(1,1), P1, pn1) across squeeze values, one point per r of the grid.
 
     P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone
     (:func:`pcbs.fock._coincidence_11`) and P1 is exact
@@ -202,7 +194,7 @@ def sweep_r(alpha: float, r_grid) -> SweepResult:
         p1 = _herald_probability(r, alpha)
         pn1 = p11 / p1 if p1 > 0.0 else math.nan
         points.append(SweepPoint(r=r, p11=p11, p1=p1, pn1=pn1))
-    return SweepResult(alpha=alpha, points=tuple(points))
+    return tuple(points)
 
 
 def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,

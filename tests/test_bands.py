@@ -111,9 +111,8 @@ def test_band_one_origin_is_static_medium():
         (SPEC.l_a * SPEC.eps_rel_a + SPEC.l_b * SPEC.eps_rel_b) / LAM)
     assert group_velocity(SPEC, 1, 0.0) == static
     assert np.isclose(group_velocity(SPEC, 1, 1e-4 / LAM), static, rtol=1e-8)
-    sol = solve_band(SPEC, 1, n_samples=9)
-    assert sol.samples[0][2] == static
-    vgs = [s[2] for s in sol.samples]
+    _, _, vgs = solve_band(SPEC, 1, n_samples=9)
+    assert vgs[0] == static
     assert np.all(np.diff(vgs) < 0) and vgs[-1] == 0.0
 
 
@@ -141,14 +140,12 @@ def test_group_velocity_matches_finite_differences(band, q):
 
 
 def test_solve_band_samples_on_dispersion():
-    sol = solve_band(SPEC, 4, n_samples=25)
-    assert sol.band_index == 4
-    assert len(sol.samples) == 25
-    assert np.isclose(sol.edges[0] / SCALE, BAND4_EDGE_ZC, rtol=1e-12)
-    assert np.isclose(sol.edges[1] / SCALE, BAND4_EDGE_ZB, rtol=1e-12)
-    omegas = [s[1] for s in sol.samples]
+    ks, omegas, _ = solve_band(SPEC, 4, n_samples=25)
+    assert len(ks) == len(omegas) == 25
+    assert np.isclose(omegas[0] / SCALE, BAND4_EDGE_ZC, rtol=1e-12)
+    assert np.isclose(omegas[-1] / SCALE, BAND4_EDGE_ZB, rtol=1e-12)
     assert np.all(np.diff(omegas) < 0)          # band 4 bends downward
-    for k, omega, _ in sol.samples:
+    for k, omega in zip(ks, omegas):
         assert abs(dispersion_residual(SPEC, omega, k)) < 1e-9
 
 
@@ -158,7 +155,7 @@ def test_solve_band_samples_on_dispersion():
                          ids=["default", "eps_b=12.25", "eps_b=2.25", "homogeneous"])
 def test_solve_band_agrees_with_pointwise_functions(spec, band):
     # one frequency rule and one velocity rule serve all three entry points
-    for k, omega, v_g in solve_band(spec, band, n_samples=25).samples:
+    for k, omega, v_g in zip(*solve_band(spec, band, n_samples=25)):
         np.testing.assert_allclose(band_frequencies(spec, k, band)[band - 1], omega,
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(group_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)
@@ -367,7 +364,7 @@ def test_batched_bands_equal_each_band_alone(eps_rel_b, thickness_ratio, n_bands
     spec = CrystalSpec(l_b=SPEC.l_a * thickness_ratio, eps_rel_b=eps_rel_b)
     k, omega, v_g = sample_bands(spec, range(1, n_bands + 1), n_samples)
     for band in range(1, n_bands + 1):
-        alone = np.array(solve_band(spec, band, n_samples).samples).T
+        alone = np.array(solve_band(spec, band, n_samples))
         assert alone.tobytes() == np.array([k, omega[band - 1], v_g[band - 1]]).tobytes()
 
 
@@ -375,8 +372,8 @@ def test_closed_gap_shares_its_edge():
     k_pi = math.pi / LAM
     omega = band_frequencies(CLOSED, k_pi, 6)
     assert abs(omega[4] / SCALE - 2.0) < 1e-12 and abs(omega[5] / SCALE - 2.0) < 1e-12
-    assert solve_band(CLOSED, 5, n_samples=5).edges[1] == omega[4]
-    assert solve_band(CLOSED, 6, n_samples=5).edges[1] == omega[5]
+    assert solve_band(CLOSED, 5, n_samples=5)[1][-1] == omega[4]
+    assert solve_band(CLOSED, 6, n_samples=5)[1][-1] == omega[5]
 
 
 def test_closed_gap_velocity_is_the_crossing_limit():
@@ -419,7 +416,7 @@ def test_band_samples_match_40_digit_dispersion(eps_rel_b):
     scale = 2.0 * math.pi * CODATA.c / spec.period
     picks = sorted({1, 2, 118, 119} | set(range(5, 120, 10)))
     for band in range(1, 9):
-        samples = solve_band(spec, band, n_samples=121).samples
+        samples = list(zip(*solve_band(spec, band, n_samples=121)))
         for j in picks:
             k, omega, v_g = samples[j]
             omega_ref, v_ref = _mp_band_point(spec, k * spec.period, omega / scale)
@@ -460,7 +457,7 @@ def test_scanned_edges_match_40_digit_roots(eps_rel_b):
        band=st.integers(1, 6))
 def test_band_samples_on_random_crystals(eps_rel_b, thickness_ratio, band):
     spec = CrystalSpec(l_b=SPEC.l_a * thickness_ratio, eps_rel_b=eps_rel_b)
-    samples = solve_band(spec, band, n_samples=17).samples
+    samples = list(zip(*solve_band(spec, band, n_samples=17)))
     omegas = np.array([s[1] for s in samples])
     steps = np.diff(omegas) if band % 2 == 1 else -np.diff(omegas)   # k = 0 is an odd band's floor
     assert np.all(steps > 0.0)

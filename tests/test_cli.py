@@ -114,7 +114,7 @@ def test_dist_oracle_checks_the_whole_triangle(tmp_path, capsys, monkeypatch):
     # cell (n_max, 0) lies on the box edge, outside any inner block
     def perturbed(state, n_max):
         orc = oracle_state(state, n_max)
-        orc.entries[n_max, 0] += 1e-3
+        orc[n_max, 0] += 1e-3
         return orc
 
     monkeypatch.setattr("pcbs.cli.oracle_state", perturbed)
@@ -391,7 +391,7 @@ def test_tune_unachievable_exit(capsys):
 def test_tune_nan_target_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["tune", "--target-vg-over-c", "nan"]) == 2
-    assert capsys.readouterr().err.startswith("error: target_vg must be >= 0, got nan")
+    assert capsys.readouterr().err.startswith("error: target_vg_over_c must be >= 0, got nan")
     assert not (tmp_path / "bands.csv").exists()
 
 
@@ -881,6 +881,7 @@ def test_flag_and_file_set_the_same_config(tmp_path, monkeypatch):
     ("--n-bands", "0", "n_bands must be >= 1, got 0"),
     ("--samples", "1", "n_samples must be >= 2, got 1"),
     ("--band", "0", "band_index must be >= 1, got 0"),
+    ("--target-vg-over-c", "nan", "target_vg_over_c must be >= 0, got nan"),
     ("--n-pulses", "0", "n_pulses must be positive"),
     ("--ratio", "2", "splitting_ratio must lie in [0, 1]"),
     ("--z-threshold", "nan", "z_threshold must be positive"),
@@ -904,6 +905,7 @@ def test_out_of_range_value_is_refused_alike_from_flag_and_file(tmp_path, capsys
 
 @pytest.mark.parametrize("tree", [{"source": {"r": -1.0}}, {"bands": {"n_bands": 0}},
                                   {"bands": {"band_index": 0}}, {"sweep": {"steps": 0}},
+                                  {"bands": {"target_vg_over_c": -1.0}},
                                   {"sweep": {"n_max": 0}}])
 @pytest.mark.parametrize("command", ["dist", "sweep", "bands", "tune", "bb84", "selftest"])
 def test_every_command_refuses_a_bad_section(tmp_path, capsys, monkeypatch, tree, command):

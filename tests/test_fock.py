@@ -17,7 +17,6 @@ from pcbs.fock import (
     _shell_amplitudes,
     _single_mode_column,
     box_probability,
-    coherent_amplitudes,
     output_amplitudes,
     squeeze_matrix,
     suggest_n_max,
@@ -27,14 +26,15 @@ from pcbs.stats import joint_distribution
 
 
 def test_coherent_vacuum():
-    c = coherent_amplitudes(0.0, 10)
+    # at r = 0 the column is the coherent state D(alpha)|0>
+    c = _single_mode_column(0.0, 0.0, 10)
     assert c[0] == 1.0
     assert np.all(c[1:] == 0.0)
 
 
 def test_coherent_poisson_weights():
     beta = 0.7
-    c = coherent_amplitudes(beta, 60)
+    c = _single_mode_column(0.0, beta, 60)
     # |D_m|^2 is Poisson with mean beta^2
     assert np.isclose(np.sum(c**2), 1.0, atol=1e-12)
     assert np.isclose(c[0], math.exp(-beta**2 / 2), atol=1e-15)
@@ -92,7 +92,7 @@ def test_column_matches_squeeze_matrix_product(r, alpha, n_top):
     # the product is sound here: the coherent column has no weight past 160,
     # and its cancellation error stays near 5e-15 (it reaches 2.6e-13 at
     # r = 1.5, alpha = 3 against a 60-digit reference, where the column has 3e-16)
-    ref = (squeeze_matrix(r, 160) @ coherent_amplitudes(alpha, 160))[:n_top + 1]
+    ref = (squeeze_matrix(r, 160) @ _single_mode_column(0.0, alpha, 160))[:n_top + 1]
     assert np.max(np.abs(_single_mode_column(r, alpha, n_top) - ref)) <= 1e-13
 
 
@@ -232,29 +232,29 @@ def test_log_factorials_match_50_digit_loggamma():
 def test_output_vacuum_point():
     amp = output_amplitudes(SqueezedInput(r=0.0, alpha=0.0),
                             TruncationPolicy(n_max=8, tail_tolerance=1e-8))
-    assert amp.entries[0, 0] == 1.0
-    assert np.isclose(amp.captured_mass, 1.0, atol=1e-15)
+    assert amp[0, 0] == 1.0
+    assert np.isclose(np.sum(amp**2), 1.0, atol=1e-15)
 
 
 def test_output_symmetry_and_normalization():
     amp = output_amplitudes(SqueezedInput(r=1.0, alpha=0.5),
                             TruncationPolicy(n_max=49, tail_tolerance=1e-8))
-    assert np.array_equal(amp.entries, amp.entries.T)
-    assert 1.0 - 1e-8 <= amp.captured_mass <= 1.0 + 1e-12
+    assert np.array_equal(amp, amp.T)
+    assert 1.0 - 1e-8 <= np.sum(amp**2) <= 1.0 + 1e-12
 
 
 def test_output_parity_selection_without_displacement():
     amp = output_amplitudes(SqueezedInput(r=1.0, alpha=0.0),
                             TruncationPolicy(n_max=44, tail_tolerance=1e-8))
-    n1, n2 = np.indices(amp.entries.shape)
-    assert np.all(amp.entries[(n1 + n2) % 2 == 1] == 0.0)
+    n1, n2 = np.indices(amp.shape)
+    assert np.all(amp[(n1 + n2) % 2 == 1] == 0.0)
 
 
 def test_output_r_zero_factorizes_to_poisson():
     alpha = 0.8
     amp = output_amplitudes(SqueezedInput(r=0.0, alpha=alpha),
                             TruncationPolicy(n_max=40, tail_tolerance=1e-8))
-    p = amp.entries**2
+    p = amp**2
     lam = alpha**2 / 2
     n = np.arange(41)
     pois = np.exp(-lam) * lam**n / np.array([math.factorial(k) for k in n])
@@ -264,7 +264,7 @@ def test_output_r_zero_factorizes_to_poisson():
 def test_headline_joint_probabilities():
     amp = output_amplitudes(SqueezedInput(r=1.0, alpha=0.5),
                             TruncationPolicy(n_max=49, tail_tolerance=1e-8))
-    p = amp.entries**2
+    p = amp**2
     assert np.isclose(p[0, 0], 0.41720424978086246, atol=1e-9)
     assert np.isclose(p[1, 1], 0.0783274187644218, atol=1e-9)
     assert np.isclose(p[1, 3], 0.021628590143591045, atol=1e-9)
@@ -287,8 +287,8 @@ def test_automatic_policy_is_suggest_n_max_box(r, alpha, tol):
     automatic = joint_distribution(state, auto)
     assert np.array_equal(automatic.p, explicit.p)
     assert automatic.captured_mass == explicit.captured_mass
-    assert np.array_equal(output_amplitudes(state, auto).entries,
-                          output_amplitudes(state, TruncationPolicy(n_max, tol)).entries)
+    assert np.array_equal(output_amplitudes(state, auto),
+                          output_amplitudes(state, TruncationPolicy(n_max, tol)))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
@@ -298,10 +298,10 @@ def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
     state = SqueezedInput(r=1.5, alpha=alpha)
     nm = suggest_n_max(1.5, alpha, 1e-8)
     amp = output_amplitudes(state, TruncationPolicy(n_max=nm, tail_tolerance=1e-8))
-    assert amp.captured_mass >= 1.0 - 1e-8
-    assert np.array_equal(amp.entries, amp.entries.T)
+    assert np.sum(amp**2) >= 1.0 - 1e-8
+    assert np.array_equal(amp, amp.T)
     total = np.add.outer(np.arange(nm + 1), np.arange(nm + 1))
-    err = np.abs(amp.entries - oracle_state(state, nm).entries)[total <= nm]
+    err = np.abs(amp - oracle_state(state, nm))[total <= nm]
     assert np.max(err) <= 1e-12
 
 
@@ -310,7 +310,7 @@ def test_strong_squeeze_meets_strict_tail_and_matches_oracle(alpha):
 def test_output_amplitudes_equal_their_transpose(r, alpha, n_max):
     # pcbs dist formats the n1 <= n2 half of dist.csv and mirrors it
     entries = output_amplitudes(SqueezedInput(r=r, alpha=alpha),
-                                TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12)).entries
+                                TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12))
     assert np.array_equal(entries, entries.T)
 
 
@@ -330,7 +330,7 @@ def test_amplitude_invariants(r, alpha, n_max):
 
     # a gate every squeezed-vacuum box passes
     policy = TruncationPolicy(n_max=n_max, tail_tolerance=1.0 - 1e-12)
-    squeezed = output_amplitudes(SqueezedInput(r=r, alpha=0.0), policy).entries
+    squeezed = output_amplitudes(SqueezedInput(r=r, alpha=0.0), policy)
     total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     assert np.all(squeezed[total % 2 == 1] == 0.0)
 
@@ -371,8 +371,8 @@ def test_box_probability_vacuum_and_monotone():
 
 def test_captured_mass_matches_box_probability():
     st = SqueezedInput(r=1.2, alpha=0.5)
-    amp = output_amplitudes(st, TruncationPolicy(n_max=70, tail_tolerance=1e-8))
-    assert abs(amp.captured_mass - box_probability(st, 70)) < 1e-10
+    jd = joint_distribution(st, TruncationPolicy(n_max=70, tail_tolerance=1e-8))
+    assert abs(jd.captured_mass - box_probability(st, 70)) < 1e-10
 
 
 @pytest.mark.parametrize("r, alpha, expected", [

@@ -24,13 +24,13 @@ def triangle_error(state, n_max, tail_tolerance=1e-4):
     accuracy is what is under test, not the captured mass.
     """
     policy = TruncationPolicy(n_max=n_max, tail_tolerance=tail_tolerance)
-    cf = output_amplitudes(state, policy).entries
-    orc = oracle_state(state, n_max).entries
+    cf = output_amplitudes(state, policy)
+    orc = oracle_state(state, n_max)
     return float(np.max(np.abs(cf - orc)[triangle(n_max)]))
 
 
 def test_oracle_vacuum():
-    orc = oracle_state(SqueezedInput(r=0.0, alpha=0.0), 6).entries
+    orc = oracle_state(SqueezedInput(r=0.0, alpha=0.0), 6)
     assert np.isclose(orc[0, 0], 1.0, atol=1e-12)
     assert np.max(np.abs(orc)[1:, :]) < 1e-12
 
@@ -47,7 +47,7 @@ def test_oracle_matches_closed_form_elsewhere(r, alpha, n_max):
 
 
 def test_oracle_parity_selection():
-    orc = oracle_state(SqueezedInput(r=0.8, alpha=0.0), 24).entries
+    orc = oracle_state(SqueezedInput(r=0.8, alpha=0.0), 24)
     n1, n2 = np.indices(orc.shape)
     assert np.max(np.abs(orc[(n1 + n2) % 2 == 1])) < 1e-13
 
@@ -66,7 +66,7 @@ def test_oracle_headroom_grows_for_a_small_box():
 
 
 def test_oracle_is_zero_outside_triangle():
-    orc = oracle_state(SqueezedInput(r=1.0, alpha=1.0), 12).entries
+    orc = oracle_state(SqueezedInput(r=1.0, alpha=1.0), 12)
     assert np.all(orc[~triangle(12)] == 0.0)
 
 
@@ -171,7 +171,7 @@ def test_oracle_shares_no_algebra_with_fock():
     from_fock = {alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module == "fock"
                  for alias in node.names}
-    assert from_fock == {"SqueezedInput", "AmplitudeMatrix"}
+    assert from_fock == {"SqueezedInput"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"tanh", "cosh", "gammaln", "lgamma", "_log_factorials", "comb", "binom",

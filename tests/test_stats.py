@@ -136,15 +136,14 @@ def test_threshold_probs_are_ordered_probabilities(r, alpha):
 
 
 def test_sweep_values_and_monotone_pn1():
-    res = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0])
-    assert res.alpha == 0.5
-    pn1 = [pt.pn1 for pt in res.points]
+    points = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0])
+    pn1 = [pt.pn1 for pt in points]
     assert np.allclose(pn1, [0.110312113, 0.417130842, 0.520317643,
                              0.580237852, 0.605890982, 0.618424030], atol=1e-8)
     assert all(b >= a for a, b in zip(pn1, pn1[1:]))
     # r=0 rows are coherent light: pn(1) collapses to the Poisson weight
     lam = 0.5**2 / 2
-    assert np.isclose(res.points[0].pn1, lam * math.exp(-lam), atol=1e-12)
+    assert np.isclose(points[0].pn1, lam * math.exp(-lam), atol=1e-12)
 
 
 @pytest.mark.parametrize("r, n_max", [(2.0, 40), (3.0, 60)])
@@ -154,7 +153,7 @@ def test_sweep_serves_strong_squeeze(r, n_max):
     state = SqueezedInput(r=r, alpha=0.5)
     with pytest.raises(TruncationError):
         joint_distribution(state, TruncationPolicy(n_max=n_max))
-    pt = sweep_r(0.5, [r]).points[0]
+    (pt,) = sweep_r(0.5, [r])
     t = np.arange(1, 402)     # the herald row P(1, n) = T psi_T^2 / 2^T, T = n + 1, n <= 400
     exact = float(np.sum(np.ldexp(t * _single_mode_column(r, 0.5, 401)[1:] ** 2, -t)))
     assert abs(pt.p1 - exact) <= 1e-14 * exact
@@ -162,8 +161,7 @@ def test_sweep_serves_strong_squeeze(r, n_max):
 
 
 def test_sweep_vacuum_row_has_no_herald():
-    res = sweep_r(0.0, [0.0])
-    pt = res.points[0]
+    (pt,) = sweep_r(0.0, [0.0])
     assert pt.p1 == 0.0 and math.isnan(pt.pn1)
 
 
