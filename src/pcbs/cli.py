@@ -93,6 +93,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         "q3": tp.q3,
         "miss_no_attack": tp.baseline_miss,
         "miss_5050_attack": tp.attacked_miss,
+        "miss_5050_attack_simulated": tp.simulated_attack_miss,
     }
     try:
         hs = heralded_stats(jd)

@@ -26,7 +26,12 @@ single-mode stages therefore run with photon-number headroom beyond
 ``n_max``, and the headroom follows the state's tail: the space starts at
 2.5 (n_max + 1) photons and grows by a quarter at a time until two
 successive sizes agree on the kept amplitudes psi_0..psi_{n_max} to 1e-13.
-The larger of the two is kept.
+The larger of the two is kept.  The first two sizes run in one pair of
+exponentials, as two blocks of one vector with zero couplings at the seam.
+A zero coupling splits the vector into independent blocks, and the 1-norm
+rho is then the largest block norm, which bounds every block's spectrum, so
+every block's expansion stays exact.  The larger block sets rho, so it gets
+the same terms, and the same bits, as it would alone.
 
 The splitter conserves total photon number, so the shells T = n1 + n2 <=
 n_max span an invariant subspace, and the splitter runs on that triangle
@@ -95,8 +100,12 @@ def _expm_apply(offset: int, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     where W_k = i^k T_k(-iB) v keeps the norm of v at most.  Each term is
     two slice products on the band, and the Bessel coefficients say up
-    front where the sum stops.  Raises ValueError if A or the result is
-    not finite.
+    front where the sum stops.  Zero couplings that cut every link across
+    a seam split v into blocks that evolve independently; rho is then the
+    largest block norm, which bounds every block's spectrum, so every
+    block's expansion stays exact, and the block that sets rho gets the
+    bits it would get alone.  Raises ValueError if A or the result is not
+    finite.
     """
     out = np.array(v, dtype=float)
     column = np.zeros(out.size)         # |A| column sums: the exact 1-norm is their max
@@ -130,20 +139,38 @@ def _expm_apply(offset: int, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _single_mode(state: SqueezedInput, size: int) -> np.ndarray:
-    """S(-r) D(alpha) |0> on photon numbers 0..size-1, as two band exponentials."""
-    root = np.sqrt(np.arange(1.0, size))        # a[n-1, n] = sqrt(n)
+def _seamed(band: np.ndarray, offset: int, sizes) -> np.ndarray:
+    """Each size's couplings band[:size - offset] in turn, ``offset`` zeros between them."""
+    gap = np.zeros(offset)
+    parts = [part for size in sizes for part in (band[:size - offset], gap)]
+    return np.concatenate(parts)[:-offset]
+
+
+def _single_mode(state: SqueezedInput, sizes) -> list[np.ndarray]:
+    """S(-r) D(alpha) |0> on photon numbers 0..size-1, one block per size.
+
+    The blocks sit side by side in one vector, uncoupled at each seam, so one
+    pair of band exponentials serves every size.
+    """
+    root = np.sqrt(np.arange(1.0, max(sizes)))  # a[n-1, n] = sqrt(n)
     pair = root[:-1] * root[1:]                 # a^2[n-2, n] = sqrt(n (n-1))
-    vac = np.zeros(size)
-    vac[0] = 1.0
+    seams = np.cumsum(sizes)[:-1]
+    vac = np.zeros(sum(sizes))
+    vac[np.r_[0, seams]] = 1.0
     # alpha (a^dag - a) and (r/2) (a^dag^2 - a^2): creation sits below the diagonal
-    return _expm_apply(2, 0.5 * state.r * pair, _expm_apply(1, state.alpha * root, vac))
+    out = _expm_apply(2, 0.5 * state.r * _seamed(pair, 2, sizes),
+                      _expm_apply(1, state.alpha * _seamed(root, 1, sizes), vac))
+    return np.split(out, seams)
 
 
 def _kept_column(state: SqueezedInput, dim: int) -> np.ndarray:
-    """psi_0..psi_{dim-1}, grown until two single-mode sizes agree on them."""
+    """psi_0..psi_{dim-1}, grown until two single-mode sizes agree on them.
+
+    The first two sizes are solved together, as two blocks; each later size
+    alone.  No size above _MAX_SIZE is ever built.
+    """
     size = dim + math.ceil(1.5 * dim)
-    kept = _single_mode(state, size)[:dim]
+    sizes = [size]                      # the smaller size still to solve with the next
     while True:
         size += math.ceil(size / 4)
         if size > _MAX_SIZE:
@@ -151,10 +178,11 @@ def _kept_column(state: SqueezedInput, dim: int) -> np.ndarray:
                 f"oracle: psi_0..psi_{dim - 1} did not settle to {_SETTLED:g} "
                 f"within {_MAX_SIZE} single-mode photons at r={state.r}, "
                 f"alpha={state.alpha}")
-        grown = _single_mode(state, size)[:dim]
+        blocks = [block[:dim] for block in _single_mode(state, sizes + [size])]
+        kept, grown = (blocks[0] if sizes else kept), blocks[-1]
         if np.max(np.abs(grown - kept)) <= _SETTLED:
             return grown
-        kept = grown
+        kept, sizes = grown, []
 
 
 def oracle_state(state: SqueezedInput, n_max: int) -> np.ndarray:

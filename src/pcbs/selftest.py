@@ -222,6 +222,12 @@ def check_monte_carlo() -> CheckResult:
     attacked = simulate_session(jd, 10**5,
                                 AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
     res.holds("50-50 attack flagged at z=5", attacked.verdict is Verdict.ATTACK_SUSPECTED)
+    # bb84 steals all k of Bob's photons with probability 2^-k
+    expected = tp.simulated_attack_miss
+    bound = 4.0 * math.sqrt(expected * (1.0 - expected) / attacked.n_pulses)
+    res.holds(f"attacked joint miss {attacked.bob_miss_joint:.5f} within 4 sigma "
+              f"of {expected:.5f}",
+              abs(attacked.bob_miss_joint - expected) < bound)
     return res
 
 

@@ -85,7 +85,8 @@ class ThresholdProbs:
     lone photon is counted as stolen outright, with probability 1/2
     (0.13823 at r = 1, alpha = 1/2).  :mod:`pcbs.bb84` simulates the full
     attack, which steals all k photons with probability 2^-k, so its
-    expected joint miss is sum_k m[k] 2^-k (0.171759 at the same point).
+    expected joint miss is ``simulated_attack_miss`` = sum_k m[k] 2^-k
+    (0.171759 at the same point).
     """
 
     q1: float
@@ -93,6 +94,7 @@ class ThresholdProbs:
     q3: float
     baseline_miss: float
     attacked_miss: float
+    simulated_attack_miss: float
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def threshold_probs(jd: JointDistribution) -> ThresholdProbs:
     m = jd.herald_marginal
     miss, q3 = float(m[0]), float(m[1])
     return ThresholdProbs(q1=float(np.sum(m)), q2=float(np.sum(m[1:])), q3=q3,
-                          baseline_miss=miss, attacked_miss=miss + 0.5 * q3)
+                          baseline_miss=miss, attacked_miss=miss + 0.5 * q3,
+                          simulated_attack_miss=float(np.sum(np.ldexp(m, -np.arange(m.size)))))
 
 
 def _herald_probability(r: float, alpha: float) -> float:

@@ -116,8 +116,12 @@ def test_dist_fields_sit_below_the_untruncated_values_by_at_most_the_tail(
         g0, slope0 = _g_and_slope(mp.mpf(0), r_mp, alpha_mp)
         g, slope = _g_and_slope(mp.mpf(1) / 2, r_mp, alpha_mp)
         q1, miss = 1 - g, g - g0
+        # the joint miss bb84 simulates at ratio 1/2: sum_k m[k] 2^-k = G(3/4) - G(1/4)
+        simulated = (_g_and_slope(mp.mpf(3) / 4, r_mp, alpha_mp)[0]
+                     - _g_and_slope(mp.mpf(1) / 4, r_mp, alpha_mp)[0])
         exact = {"q1": q1, "miss_no_attack": miss, "q2": q1 - miss,
-                 "q3": (slope - slope0) / 2, "p1": slope / 2}
+                 "q3": (slope - slope0) / 2, "p1": slope / 2,
+                 "miss_5050_attack_simulated": simulated}
     tail = 1.0 - box["captured_mass"]
     assert 0.0 < tail <= box["tail_tolerance"]
     for key, value in exact.items():

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import pcbs.oracle
 from pcbs.fock import SqueezedInput, TruncationPolicy, output_amplitudes, suggest_n_max
-from pcbs.oracle import _bessel_j, _expm_apply, oracle_state
+from pcbs.oracle import _bessel_j, _expm_apply, _single_mode, oracle_state
+from pcbs.selftest import _ALPHA_GRID, _R_GRID
 
 
 def triangle(n_max):
@@ -74,6 +76,82 @@ def test_oracle_refuses_unsettled_headroom(monkeypatch):
     monkeypatch.setattr(pcbs.oracle, "_MAX_SIZE", 64)
     with pytest.raises(ValueError, match="did not settle"):
         oracle_state(SqueezedInput(r=2.0, alpha=0.5), 5)
+
+
+def serial_kept_column(state, dim):
+    """The headroom loop with one size per _single_mode call, each a quarter above the last."""
+    size = dim + math.ceil(1.5 * dim)
+    kept = _single_mode(state, [size])[0][:dim]
+    while True:
+        size += math.ceil(size / 4)
+        assert size <= pcbs.oracle._MAX_SIZE
+        grown = _single_mode(state, [size])[0][:dim]
+        if np.max(np.abs(grown - kept)) <= 1e-13:
+            return grown
+        kept = grown
+
+
+def _bit_identity_cases():
+    for r in _R_GRID:
+        for alpha in _ALPHA_GRID:
+            state = SqueezedInput(r=float(r), alpha=float(alpha))
+            yield state, TruncationPolicy(tail_tolerance=1e-8).for_state(state).n_max
+    for alpha in (0.5, 1.0):
+        yield SqueezedInput(r=2.0, alpha=alpha), suggest_n_max(2.0, alpha, 1e-8)
+        # the loop grows past the first pair of sizes here
+        for n_max in (5, 12):
+            yield SqueezedInput(r=2.0, alpha=alpha), n_max
+
+
+def test_paired_headroom_keeps_the_serial_bits(monkeypatch):
+    cases = list(_bit_identity_cases())
+    got = [oracle_state(state, n_max) for state, n_max in cases]
+    monkeypatch.setattr(pcbs.oracle, "_kept_column", serial_kept_column)
+    for (state, n_max), amp in zip(cases, got):
+        assert np.array_equal(amp, oracle_state(state, n_max)), (state, n_max)
+
+
+@pytest.mark.parametrize("r,alpha,dim", [(1.0, 0.5, 50), (2.0, 1.0, 13), (0.5, 0.0, 6)])
+def test_seam_leaves_each_block_its_own_state(r, alpha, dim):
+    state = SqueezedInput(r=r, alpha=alpha)
+    small = dim + math.ceil(1.5 * dim)
+    large = small + math.ceil(small / 4)
+    pair = _single_mode(state, [small, large])
+    assert [block.size for block in pair] == [small, large]
+    # the larger block sets the 1-norm, so it gets the terms it gets alone
+    assert np.array_equal(pair[1], _single_mode(state, [large])[0])
+    # the smaller runs on the larger 1-norm: more terms, the same exponential
+    assert np.max(np.abs(pair[0] - _single_mode(state, [small])[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("ceiling", [16, 64])
+def test_headroom_never_builds_a_size_above_the_ceiling(monkeypatch, ceiling):
+    # at dim 6 the sizes run 15, 19, 24, ..., 60, 75: 16 sits inside the first pair
+    requested = []
+
+    def spy(state, sizes):
+        requested.append(list(sizes))
+        return _single_mode(state, sizes)
+
+    monkeypatch.setattr(pcbs.oracle, "_MAX_SIZE", ceiling)
+    monkeypatch.setattr(pcbs.oracle, "_single_mode", spy)
+    with pytest.raises(ValueError, match="did not settle"):
+        oracle_state(SqueezedInput(r=2.0, alpha=0.5), 5)
+    assert all(size <= ceiling for sizes in requested for size in sizes)
+    assert requested == ([] if ceiling == 16 else [[15, 19], [24], [30], [38], [48], [60]])
+
+
+def test_settled_first_pair_takes_three_exponentials(monkeypatch):
+    # displacement and squeeze on both sizes at once, then the splitter
+    calls = []
+
+    def spy(offset, coeffs, v):
+        calls.append(offset)
+        return _expm_apply(offset, coeffs, v)
+
+    monkeypatch.setattr(pcbs.oracle, "_expm_apply", spy)
+    oracle_state(SqueezedInput(r=1.0, alpha=0.5), 49)
+    assert calls == [1, 2, 1]
 
 
 def band_generator(offset, coeffs, size):

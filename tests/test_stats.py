@@ -94,6 +94,7 @@ def test_threshold_probs(working_jd):
     assert abs(tp.q3 - 0.129) < 0.002
     assert abs(tp.baseline_miss - 0.074) < 0.002
     assert abs(tp.attacked_miss - 0.139) < 0.002
+    assert np.isclose(tp.simulated_attack_miss, 0.171759, atol=1e-6)
 
 
 def test_threshold_identities(working_jd):
@@ -112,6 +113,8 @@ def test_herald_marginal_is_the_column_sum_below_row_0(working_jd):
                        rtol=1e-14, atol=0.0)
     tp = threshold_probs(working_jd)
     assert (tp.baseline_miss, tp.q3, tp.q1) == (m[0], m[1], float(np.sum(m)))
+    assert np.isclose(tp.simulated_attack_miss, sum(m[k] / 2**k for k in range(m.size)),
+                      rtol=1e-14, atol=0.0)
 
 
 EPS = np.finfo(float).eps
@@ -126,13 +129,15 @@ def test_threshold_probs_are_ordered_probabilities(r, alpha):
     jd = joint_distribution(SqueezedInput(r=r, alpha=alpha),
                             TruncationPolicy(n_max=suggest_n_max(r, alpha)))
     tp = threshold_probs(jd)
-    assert min(tp.q1, tp.q2, tp.q3, tp.baseline_miss, tp.attacked_miss) >= 0.0
+    assert min(tp.q1, tp.q2, tp.q3, tp.baseline_miss, tp.attacked_miss,
+               tp.simulated_attack_miss) >= 0.0
     try:
         p1 = heralded_stats(jd).p1
     except NoHeraldError:
         p1 = 0.0
     bound = tp.q1 * (1.0 + 4.0 * EPS)
     assert tp.q2 <= bound and tp.baseline_miss <= bound and p1 <= bound
+    assert tp.simulated_attack_miss <= bound
 
 
 def test_sweep_values_and_monotone_pn1():
