@@ -35,6 +35,7 @@ from .errors import (
     PcbsError,
     TruncationError,
     UnachievableTargetError,
+    UndefinedCdfError,
 )
 from .fock import (
     SqueezedInput,
@@ -93,5 +94,5 @@ __all__ = [
     # errors
     "PcbsError", "TruncationError", "NoHeraldError",
     "InsufficientScanError", "DegeneratePointError", "UnachievableTargetError",
-    "EmptySessionError", "ConfigError",
+    "EmptySessionError", "ConfigError", "UndefinedCdfError",
 ]

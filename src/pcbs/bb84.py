@@ -15,8 +15,11 @@ the N + 2 classes (N = n_max + 1), one uniform in (0, 1] per herald class
 (N + 1 of them) whose binomial inverse CDF is that class's all-stolen
 count, and one Binomial(detected, 1/2) draw for the pulses whose bases
 agree.  Its memory does not depend on n_pulses, and without an attack
-neither does its time; with one, each class's inverse CDF bisects in about
-log2(n_pulses) betaincc rounds (see simulate_session).  The same draws are
+neither does its time; with one, the classes' inverse CDFs are searched
+together, from a normal-quantile start, in a few betaincc rounds (see
+simulate_session).  n_pulses is capped at 10**15: scipy's betaincc returns
+NaN at scattered points from n ~ 7.8e15, and a NaN met in the search
+raises UndefinedCdfError instead of moving a count.  The same draws are
 made whatever the attack settings, so sessions with the same seed share
 their randomness across attack models (common random numbers, per class): the
 no-attack session and a splitting_ratio = 0 session are bit-identical, and
@@ -36,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySessionError, NoHeraldError
+from .errors import EmptySessionError, NoHeraldError, UndefinedCdfError
 from .stats import JointDistribution
 
 __all__ = [
@@ -52,7 +55,9 @@ __all__ = [
 ATTACK_KINDS = ("none", "balanced_beam_splitter")
 MIN_HERALDS_FOR_TEST = 100      # below this the z-test is not trustworthy
 _MAX_MISSING_MASS = 1e-6        # sampling precondition on 1 - captured_mass
-_MAX_PULSES = 2**63 - 1         # class counts are int64
+# betaincc, which draws the stolen-photon counts, is NaN at scattered points
+# from n ~ 7.8e15 (scipy 1.17); tests/test_bb84.py checks it NaN-free up to here
+_MAX_PULSES = 10**15
 
 
 @dataclass(frozen=True)
@@ -104,12 +109,17 @@ class SessionReport:
         return json.dumps(asdict(self), indent=2, allow_nan=False)
 
 
+def _check_pulse_cap(n_pulses: int) -> None:
+    if n_pulses > _MAX_PULSES:
+        raise ValueError(f"n_pulses must be at most 10**15, where the stolen-photon "
+                         f"counts' binomial CDF is NaN-free, got {n_pulses}")
+
+
 def _checked_pulses(jd: JointDistribution, n_pulses: int) -> None:
-    """Refuse a session that is empty, too long for int64 counts, or undersampled."""
+    """Refuse a session that is empty, longer than 10**15 pulses, or undersampled."""
     if n_pulses <= 0:
         raise EmptySessionError(f"n_pulses must be positive, got {n_pulses}")
-    if n_pulses > _MAX_PULSES:
-        raise ValueError(f"n_pulses must be at most 2**63 - 1, got {n_pulses}")
+    _check_pulse_cap(n_pulses)
     if jd.captured_mass < 1.0 - _MAX_MISSING_MASS:
         raise ValueError(
             f"captured_mass = {jd.captured_mass:.9f} leaves more than "
@@ -139,23 +149,55 @@ def sample_cells(jd: JointDistribution, n_pulses: int, seed) -> tuple[np.ndarray
 def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Smallest s in [0, n] with P(Binomial(n, p) <= s) >= u, elementwise, u in (0, 1].
 
-    P(X <= s) = betaincc(s + 1, n - s, p) for 0 <= s < n, bisected over s
-    for every element at once.  p = 0 gives 0; p = 1, or u = 1 with p > 0,
-    gives n.  (scipy.special.bdtrik is not used: it loses accuracy from
-    n ~ 1e7 and returns NaN above 2**31.)
+    P(X <= s) = betaincc(s + 1, n - s, p) for 0 <= s < n.  The search starts
+    every element at once from the normal quantile with its Cornish-Fisher
+    skew term, floor(np + sigma z + (1 - 2p)(z^2 - 1)/6) with z = ndtri(u)
+    (Johnson, Kemp & Kotz, Univariate Discrete Distributions, 3rd ed.,
+    ch. 3), gallops away from it with doubling steps until the comparison
+    flips, then bisects the bracket found.  Each round is one betaincc call;
+    the start is usually within a count or two of the answer.  The answer
+    does not depend on the path while the CDF is NaN-free and monotone; a
+    NaN raises UndefinedCdfError rather than taking a side.  p = 0 gives 0;
+    p = 1, or u = 1 with p > 0, gives n.  (scipy.special.bdtrik is not
+    used: it loses accuracy from n ~ 1e7 and returns NaN above 2**31.)
     """
     n = np.asarray(n, dtype=np.int64)
     lo = np.where((p >= 1.0) | ((u >= 1.0) & (p > 0.0)), n, 0)
     hi = np.where(p > 0.0, n, 0)
-    while np.any(open_ := lo < hi):
-        # imported here, not at module level, because scipy.special takes about
-        # 0.2 s to load; a session without an attack never bisects
-        from scipy.special import betaincc
-        a, b = lo[open_], hi[open_]
-        mid = a + (b - a) // 2
-        below = betaincc(mid + 1.0, (n[open_] - mid).astype(float), p[open_]) < u[open_]
-        lo[open_] = np.where(below, mid + 1, a)
-        hi[open_] = np.where(below, b, mid)
+    open_ = lo < hi
+    if not np.any(open_):
+        return lo
+    # imported here, not at module level, because scipy.special takes about
+    # 0.2 s to load; a session without an attack never searches
+    from scipy.special import betaincc, ndtri
+
+    u, n, p, a, b = u[open_], n[open_], p[open_], lo[open_], hi[open_]
+
+    def below(s, live):
+        cdf = betaincc(s + 1.0, (n[live] - s).astype(float), p[live])
+        if (nan := np.isnan(cdf)).any():
+            k = nan.argmax()
+            raise UndefinedCdfError(
+                f"the binomial CDF betaincc(s + 1, n - s, p) is NaN at n = {n[live][k]}, "
+                f"p = {p[live][k]!r}, s = {s[k]}; no stolen-photon count is taken from it")
+        return cdf < u[live]
+
+    z = ndtri(u)
+    start = np.floor(n * p + np.sqrt(n * p * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0)
+    s = np.clip(start, a, b - 1).astype(np.int64)
+    live = np.ones(a.shape, dtype=bool)
+    up = below(s, live)                 # gallop toward the answer, bisect once it is passed
+    a, b = np.where(up, s + 1, a), np.where(up, b, s)
+    step = np.ones_like(a)              # 0 once bisecting
+    while np.any(live := a < b):
+        la, lb, lstep, lup = a[live], b[live], step[live], up[live]
+        s = np.where(lstep == 0, la + (lb - la) // 2,
+                     np.where(lup, np.minimum(la - 1 + lstep, lb - 1), np.maximum(lb - lstep, la)))
+        flag = below(s, live)
+        a[live] = np.where(flag, s + 1, la)
+        b[live] = np.where(flag, lb, s)
+        step[live] = np.where(flag == lup, 2 * lstep, 0)
+    lo[open_] = a
     return lo
 
 
@@ -182,12 +224,14 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     routed_fraction**n2 is the class's all-stolen count, and one
     Binomial(detected, 1/2) for the agreeing bases.  Nothing has length
     n_pulses, so memory does not grow with the session, and without an
-    attack neither does time.  With one, each inverse CDF bisects over
-    [0, count] in about log2(count) betaincc rounds, each slower at large
-    counts: in-process after a warm-up, on a 2-core x86_64 host (scipy
-    1.17), a ratio-0.5 session at r = 1, alpha = 1/2 took about 1 ms at
-    1e7 pulses, 12 ms at 1e12, 75 ms at 1e15 and 0.8 to 3 s at
-    2**63 - 1; without an attack, 0.1 ms at every size.
+    attack neither does time.  With one, the inverse CDFs start from a
+    normal quantile with a skew term and take 2 betaincc rounds at the
+    working point from 1e7 to 1e15 pulses; each round is slower at large
+    counts.  In-process after a warm-up, on a 2-core x86_64 host (scipy
+    1.17), a ratio-0.5 session at r = 1, alpha = 1/2 took about 0.3 ms at
+    1e7 pulses, 1.3 ms at 1e12 and 4 ms at 1e15 (a bisection took 1.2, 12
+    to 18 and 57 to 68 ms); without an attack, 0.1 ms at every size.  n_pulses above 10**15 is
+    refused (ValueError), and a NaN CDF value raises UndefinedCdfError.
 
     The verdict is judged at ``z_threshold`` against the no-attack baseline
     m[0]/q1 of the same source, read from the herald marginal m[k] that

@@ -11,8 +11,9 @@ Exit codes are the exit_code of the error raised (see errors.py): 0
 success, 2 validation/configuration error (any ValueError, and every
 PcbsError without a code of its own), 3 truncation failure, 4 numerical
 degeneracy (touching bands, no band edge below dimensionless frequency 64,
-or a layer whose optical thickness l sqrt(eps_rel) exceeds 1000 periods,
-beyond what the edge scan resolves).
+a layer whose optical thickness l sqrt(eps_rel) exceeds 1000 periods,
+beyond what the edge scan resolves, or a NaN binomial CDF in an attacked
+bb84 session).
 """
 
 from __future__ import annotations

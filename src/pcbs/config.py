@@ -21,7 +21,7 @@ from dataclasses import dataclass, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 from .bands import CrystalSpec
-from .bb84 import AttackModel
+from .bb84 import AttackModel, _check_pulse_cap
 from .errors import ConfigError
 from .fock import SqueezedInput, TruncationPolicy, _check_n_max
 from .source import PumpSpec
@@ -89,6 +89,7 @@ class Bb84Section:
     def __post_init__(self):
         if self.n_pulses <= 0:
             raise ValueError(f"n_pulses must be positive, got {self.n_pulses}")
+        _check_pulse_cap(self.n_pulses)
         self.attack_model()    # reject bad kind/ratio at load time
         if not self.z_threshold > 0:    # NaN too: z > nan never flags an attack
             raise ValueError(f"z_threshold must be positive, got {self.z_threshold}")

@@ -6,7 +6,7 @@ amplitudes carry no precision limit of their own.
 
 Each error carries the exit code the command line returns for it: 2 for a
 refused input unless a subclass sets its own, 3 for a truncation failure
-and 4 for a numerical degeneracy.
+and 4 for a numerical degeneracy, a NaN binomial CDF among them.
 """
 
 
@@ -73,6 +73,13 @@ class DegeneratePointError(PcbsError):
 
 class UnachievableTargetError(PcbsError):
     """Raised when a requested group velocity is not reached anywhere in a band."""
+
+
+class UndefinedCdfError(PcbsError):
+    """Raised when a binomial CDF that an attacked BB84 session searches
+    evaluates to NaN: no stolen-photon count is taken from it."""
+
+    exit_code = 4
 
 
 class EmptySessionError(PcbsError):

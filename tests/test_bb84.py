@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcbs.bb84 import (
+    _MAX_PULSES,
     AttackModel,
     Verdict,
     _binom_ppf,
@@ -14,7 +16,7 @@ from pcbs.bb84 import (
     sample_cells,
     simulate_session,
 )
-from pcbs.errors import EmptySessionError, NoHeraldError
+from pcbs.errors import EmptySessionError, NoHeraldError, UndefinedCdfError
 from pcbs.fock import SqueezedInput, TruncationPolicy
 from pcbs.stats import JointDistribution, joint_distribution, threshold_probs
 
@@ -48,8 +50,10 @@ def test_empty_session(jd):
 
 
 def test_session_longer_than_int64_rejected(jd):
-    with pytest.raises(ValueError, match="2\\*\\*63"):
-        simulate_session(jd, 2**63)
+    # betaincc turns NaN at scattered points from n ~ 7.8e15, so the cap is 10**15
+    for n_pulses in (2**63, _MAX_PULSES + 1):
+        with pytest.raises(ValueError, match="10\\*\\*15"):
+            simulate_session(jd, n_pulses)
 
 
 def test_undersampled_box_rejected():
@@ -164,6 +168,95 @@ def test_binom_ppf_matches_scipy():
     # binom.ppf(1, n, 0) reports the top of the support, n; at p = 0 X is 0.
     want[(u == 1.0) & (p == 0.0)] = 0
     np.testing.assert_array_equal(got, want)
+
+
+def bisected_ppf(u, n, p):
+    """The plain bisection over [0, n] that _binom_ppf replaced: the reference."""
+    n = np.asarray(n, dtype=np.int64)
+    lo = np.where((p >= 1.0) | ((u >= 1.0) & (p > 0.0)), n, 0)
+    hi = np.where(p > 0.0, n, 0)
+    while np.any(open_ := lo < hi):
+        a, b = lo[open_], hi[open_]
+        mid = a + (b - a) // 2
+        below = scipy.special.betaincc(mid + 1.0, (n[open_] - mid).astype(float),
+                                       p[open_]) < u[open_]
+        lo[open_] = np.where(below, mid + 1, a)
+        hi[open_] = np.where(below, b, mid)
+    return lo
+
+
+PPF_CLASSES = st.lists(st.tuples(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.one_of(st.integers(0, 100), st.integers(0, _MAX_PULSES)),
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-20, 1.0 - 1e-9, 0.5]), st.floats(0.0, 1.0))),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(classes=PPF_CLASSES)
+def test_binom_ppf_matches_bisection(classes):
+    u, n, p = (np.array(column) for column in zip(*classes))
+    n = n.astype(np.int64)
+    got = _binom_ppf(u, n, p)
+    np.testing.assert_array_equal(got, bisected_ppf(u, n, p))
+    # the quantile's defining bracket F(s - 1) < u <= F(s), where the CDF is
+    # a betaincc value; u = 1 reads the top of the support by convention
+    for s, ui, ni, pi in zip(got, u, n, p):
+        if ui < 1.0 and 0 < s:
+            assert scipy.special.betaincc(float(s), float(ni - s + 1), pi) < ui
+        if ui < 1.0 and s < ni:
+            assert scipy.special.betaincc(s + 1.0, float(ni - s), pi) >= ui
+
+
+def counting_betaincc(monkeypatch, nan_at=None):
+    """Spy on scipy.special.betaincc: count its calls, and make the value at
+    call number nan_at (from 0) NaN in its first element."""
+    real, calls = scipy.special.betaincc, []
+
+    def spy(*args):
+        values = np.array(real(*args))
+        if len(calls) == nan_at:
+            values.flat[0] = np.nan
+        calls.append(values.size)
+        return values
+
+    monkeypatch.setattr(scipy.special, "betaincc", spy)
+    return calls
+
+
+def test_attacked_session_finds_its_quantiles_in_few_rounds(jd, monkeypatch):
+    # a count of rounds, not a time: bisection took 20-21 rounds at 1e7 pulses
+    calls = counting_betaincc(monkeypatch)
+    for seed in range(20):
+        calls.clear()
+        simulate_session(jd, 10**7, AttackModel("balanced_beam_splitter", 0.5), seed=seed)
+        assert 1 <= len(calls) <= 4, seed
+
+
+def test_nan_cdf_raises_instead_of_taking_a_side(jd, monkeypatch):
+    attack = AttackModel("balanced_beam_splitter", 0.5)
+    calls = counting_betaincc(monkeypatch)
+    simulate_session(jd, 10**12, attack, seed=SEED)
+    rounds = len(calls)
+    assert rounds >= 2
+    for nan_at in range(rounds):    # a NaN at any probe, the first or a later one
+        counting_betaincc(monkeypatch, nan_at)
+        with pytest.raises(UndefinedCdfError, match="NaN") as exc:
+            simulate_session(jd, 10**12, attack, seed=SEED)
+        assert exc.value.exit_code == 4
+
+
+def test_cdf_is_nan_free_up_to_the_pulse_cap():
+    # scipy's betaincc returns NaN at scattered points from n ~ 7.8e15 (p = 1/4);
+    # the session cap must stay below them.  Each (n, p) is probed at s over
+    # mean +- 6 sigma and at both ends of [0, n - 1].
+    n, p = (a.ravel() for a in np.meshgrid(
+        np.unique(np.floor(np.logspace(0.5, math.log10(_MAX_PULSES), 30))),
+        2.0 ** -np.arange(1, 61)))
+    spread = np.floor(n * p + np.outer(np.linspace(-6.0, 6.0, 41), np.sqrt(n * p * (1.0 - p))))
+    s = np.clip(np.vstack((spread, np.zeros_like(n), n - 1)), 0, n - 1)
+    cdf = scipy.special.betaincc(s + 1.0, n - s, p)
+    assert not np.any(np.isnan(cdf)), np.column_stack((n, p))[np.isnan(cdf).any(axis=0)]
 
 
 def test_small_session_inconclusive(jd):

@@ -28,6 +28,7 @@ from pcbs.errors import (
     PcbsError,
     TruncationError,
     UnachievableTargetError,
+    UndefinedCdfError,
 )
 from pcbs.fock import N_MAX_CEILING, TAIL_TOLERANCE_FLOOR, SqueezedInput, TruncationPolicy
 from pcbs.oracle import oracle_state
@@ -590,8 +591,29 @@ def test_bb84_config_non_integer_pulses_exit(tmp_path, capsys, n_pulses):
 
 
 def test_bb84_pulses_beyond_int64_exit(capsys):
-    assert main(["bb84", "--n-pulses", str(10**20)]) == 2
-    assert "2**63" in capsys.readouterr().err
+    # refused at config load: the cap is 10**15, below betaincc's first NaN
+    for n_pulses in (10**20, 10**15 + 1):
+        assert main(["bb84", "--n-pulses", str(n_pulses)]) == 2
+        assert "10**15" in capsys.readouterr().err
+
+
+def test_bb84_nan_cdf_exit(capsys, monkeypatch):
+    import scipy.special
+
+    real = scipy.special.betaincc
+
+    def nan_at_first_probe(*args):
+        values = np.array(real(*args))
+        values.flat[0] = np.nan
+        return values
+
+    monkeypatch.setattr(scipy.special, "betaincc", nan_at_first_probe)
+    rc = main(["bb84", *WORKING, "--n-pulses", str(10**7),
+               "--attack", "balanced_beam_splitter"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "NaN" in captured.err
 
 
 def test_bb84_terapulse_session(capsys):
@@ -695,7 +717,7 @@ SMALL_INTS = st.integers(-2, 12)
 # the values each drawn key takes; float keys take the pump property's magnitudes
 KEY_VALUES = {
     "truncation.n_max": st.integers(1, 200),    # a box of (n_max + 1)^2 cells: never automatic
-    "bb84.n_pulses": st.integers(),             # any int: above 2**63 - 1 is refused
+    "bb84.n_pulses": st.integers(),             # any int: above 10**15 is refused
     "bb84.attack": st.sampled_from(ATTACK_KINDS + ("eavesdrop",)),
     **{key: PUMP_FLOATS for key in SCHEMA_KEYS if _key_type(key) is float},
     **{key: SMALL_INTS if ceiling is None else
@@ -919,6 +941,7 @@ def test_every_command_refuses_a_bad_section(tmp_path, capsys, monkeypatch, tree
 EXIT_CODES = {
     ConfigError: 2, EmptySessionError: 2, NoHeraldError: 2, UnachievableTargetError: 2,
     TruncationError: 3, DegeneratePointError: 4, InsufficientScanError: 4,
+    UndefinedCdfError: 4,
 }
 
 

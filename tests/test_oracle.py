@@ -67,6 +67,20 @@ def test_oracle_headroom_grows_for_a_small_box():
     assert triangle_error(SqueezedInput(r=2.0, alpha=0.5), 5, 0.9) <= 1e-12
 
 
+@pytest.mark.parametrize("r,alpha,tail_tolerance", [
+    (1.0, 0.5, 1e-8), (0.5, 1.0, 1e-8), (1.5, 0.5, 1e-8), (1.0, 3.0, 1e-8),
+    # at 1e-8 this box is n_max 323, where the doubled oracle takes about 0.8 s
+    (2.0, 0.5, 1e-3),
+])
+def test_doubled_oracle_matches_the_whole_square(r, alpha, tail_tolerance):
+    # the triangle n1 + n2 <= 2 n_max covers the whole (n_max + 1)^2 box
+    state = SqueezedInput(r=r, alpha=alpha)
+    policy = TruncationPolicy(tail_tolerance=tail_tolerance).for_state(state)
+    assert policy.n_max <= 140
+    orc = oracle_state(state, 2 * policy.n_max)[:policy.n_max + 1, :policy.n_max + 1]
+    assert np.max(np.abs(output_amplitudes(state, policy) - orc)) <= 1e-13
+
+
 def test_oracle_is_zero_outside_triangle():
     orc = oracle_state(SqueezedInput(r=1.0, alpha=1.0), 12)
     assert np.all(orc[~triangle(12)] == 0.0)
