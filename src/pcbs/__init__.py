@@ -8,12 +8,13 @@ eavesdropper.
 """
 
 from .bands import (
+    BandStructure,
     CrystalSpec,
     TuningReport,
     band_frequencies,
     dispersion_residual,
-    group_velocity,
     sample_bands,
+    scan_bands,
     solve_band,
     tune_to_group_velocity,
 )
@@ -80,8 +81,8 @@ __all__ = [
     "joint_distribution", "heralded_stats", "threshold_probs", "sweep_r",
     "locate_maximum",
     # bands
-    "CrystalSpec", "TuningReport", "dispersion_residual",
-    "band_frequencies", "group_velocity", "sample_bands", "solve_band", "tune_to_group_velocity",
+    "CrystalSpec", "BandStructure", "TuningReport", "dispersion_residual", "scan_bands",
+    "band_frequencies", "sample_bands", "solve_band", "tune_to_group_velocity",
     # source
     "PhysicalConstants", "CODATA", "PumpSpec", "squeeze_parameter",
     "amplitude_for_target_squeeze", "flux_to_amplitude", "pulse_volume",

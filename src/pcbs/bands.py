@@ -22,11 +22,13 @@ half-angle factors of the symmetric cell (Yeh, Yariv & Hong, JOSA 67, 423
 Every band edge is a simple zero of one of these four factors, and a gap is
 closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
-zeroth closed gap.  Band samples and group-velocity tuning both work in
-the offset delta from the scanned k = 0 edge, on the factors expanded
-about it by angle addition: P = f2 f3 = sin^2(q/2) is solved for all
-samples of all requested bands at once, each on its own band's expansion,
-and v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
+zeroth closed gap.  scan_bands finds the edges once and returns them as a
+frozen BandStructure, with each k = 0 edge's factors expanded about it by
+angle addition; sample_bands, band_frequencies and tune_to_group_velocity
+read that value and never scan.  They work in the offset delta from the
+k = 0 edge: P = f2 f3 = sin^2(q/2) is solved for all samples of all
+requested bands at once, each on its own band's expansion, and
+v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
 A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
 precision there.  Edges, samples and the tuning point are all roots of one
 vectorised Newton-with-bisection solve (_bracketed_newton), on numpy
@@ -38,6 +40,7 @@ return SI quantities.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,10 +50,11 @@ from .source import CODATA
 
 __all__ = [
     "CrystalSpec",
+    "BandStructure",
     "TuningReport",
     "dispersion_residual",
+    "scan_bands",
     "band_frequencies",
-    "group_velocity",
     "sample_bands",
     "solve_band",
     "tune_to_group_velocity",
@@ -79,7 +83,7 @@ def brentq(*args, **kwargs):
     """Unused: no pcbs code calls this name, and a call raises.
 
     perfbench's tracer reads and rebinds ``pcbs.bands.brentq`` to count root
-    solves, so the name stays bound, and that count reads 0.  ROADMAP item 4
+    solves, so the name stays bound, and that count reads 0.  ROADMAP item 3
     replaces the tracer's wrappers with stage spans and removes this name.
     """
     raise NotImplementedError("pcbs.bands finds its roots with _bracketed_newton")
@@ -132,6 +136,23 @@ class TuningReport:
     nu_s: float            # Hz, edge frequency omega(k=0) / 2 pi
 
 
+@dataclass(frozen=True, eq=False)    # numpy fields: compared by identity
+class BandStructure:
+    """The lowest n_bands bands of one crystal, as scan_bands found them.
+
+    edges[n - 1] is band n's (w, v_g [m/s]) at k = 0, then at k = pi/Lambda.
+    expansion(delta, edge) is _edge_expansion about the k = 0 edges, and
+    delta0[n - 1] band n's edge as the root of its own odd factor's expansion.
+    A gapless stack holds None for all three: its bands are exact.
+    """
+
+    spec: CrystalSpec
+    n_bands: int
+    edges: np.ndarray | None
+    delta0: np.ndarray | None
+    expansion: Callable | None
+
+
 def _coeffs(spec: CrystalSpec) -> tuple[float, float, float]:
     """(a, b, eta): l_i K_i = (a|b) * w in dimensionless frequency w."""
     lam = spec.period
@@ -171,41 +192,32 @@ def _gap_velocity(lower: tuple[float, float], upper: tuple[float, float]) -> flo
     return CODATA.c * math.pi / math.sqrt(abs(f_slope)) / math.sqrt(abs(g_slope))
 
 
-def _is_degenerate(spec: CrystalSpec) -> bool:
-    # single effective medium: no gaps, bands touch at the zone edges
-    return spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b
-
-
-def _bands(spec: CrystalSpec, bands, q, intervals=None) -> tuple[np.ndarray, np.ndarray]:
+def _bands(structure: BandStructure, bands, q) -> tuple[np.ndarray, np.ndarray]:
     """(w, v_g [m/s]) arrays of shape (len(bands), q.size) along the bands at q = Lambda k.
 
-    bands is a sequence of band indices, q an array in [0, pi].  A gapless
-    stack is one medium of optical thickness s = (l_a n_a + l_b n_b) / Lambda
-    folded at the zone edges: band n spans w in [(n - 1)/(2s), n/(2s)] and
-    v_g = c/s.  On a gapped band cos q == +-1 gives the scanned edge and the
-    velocity beside its gap (0.0 when open); every other q of every band is
-    solved in one batch, in the offset from its band's k = 0 edge
-    (_solve_offsets, _offset_velocity).  intervals is a _band_intervals scan
-    covering the bands.
+    bands is a sequence of the structure's band indices, q an array in
+    [0, pi].  A gapless stack is one medium of optical thickness
+    s = (l_a n_a + l_b n_b) / Lambda folded at the zone edges: band n spans
+    w in [(n - 1)/(2s), n/(2s)] and v_g = c/s.  On a gapped band cos q == +-1
+    gives the scanned edge and the velocity beside its gap (0.0 when open);
+    every other q of every band is solved in one batch, in the offset from
+    its band's k = 0 edge (_solve_offsets, _offset_velocity).
     """
-    n = np.array(bands)[:, None]
-    if _is_degenerate(spec):
+    spec, n = structure.spec, np.array(bands)[:, None]
+    if structure.expansion is None:
         s = (spec.l_a * math.sqrt(spec.eps_rel_a)
              + spec.l_b * math.sqrt(spec.eps_rel_b)) / spec.period
         w = np.where(n % 2 == 1, (n - 1) * math.pi + q, n * math.pi - q) / (2.0 * math.pi * s)
         return w, np.full(w.shape, CODATA.c / s)
 
-    if intervals is None:
-        intervals = _band_intervals(spec, int(n.max()))
-    w0, v0, w_pi, v_pi = np.array([intervals[i - 1] for i in bands]).T[..., None]
+    w0, v0, w_pi, v_pi = structure.edges[n[:, 0] - 1].T[..., None]
     cos_q = np.cos(q)
     w = np.where(cos_q == 1.0, w0, w_pi)
     v = np.where(cos_q == 1.0, v0, v_pi)
     inside = np.abs(cos_q) != 1.0
     if inside.any():
-        expansion, delta0 = _expanded_edge(spec, w0[:, 0])
-        delta = _solve_offsets(expansion, delta0, (w_pi - w0)[:, 0], q[inside])
-        v_inside, _, dp = _offset_velocity(expansion, delta, np.arange(n.size)[:, None])
+        delta = _solve_offsets(structure, n[:, 0] - 1, (w_pi - w0)[:, 0], q[inside])
+        v_inside, _, dp = _offset_velocity(structure.expansion, delta, n - 1)
         _check_slope(spec, dp, bands)
         w[:, inside] = w0 + delta
         v[:, inside] = v_inside * CODATA.c
@@ -226,31 +238,39 @@ def dispersion_residual(spec: CrystalSpec, omega: float, k: float) -> float:
     Zero exactly on the band structure.  The omega -> 0 limit is
     cos(Lambda k) - 1 and is handled smoothly (eta is frequency independent).
     """
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
+    if not 0.0 <= omega < math.inf:
+        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k!r}")
     w = omega * spec.period / (2.0 * math.pi * CODATA.c)
     return math.cos(spec.period * k) - _rhs(*_coeffs(spec), w)
 
 
-def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float, float, float]]:
-    """(w, v_g at k = 0, w, v_g at k = pi/Lambda) of the first n_bands gapped bands.
-
-    Each edge factor is scanned for sign changes at SCAN_POINTS_PER_UNIT, one
-    unit of w at a time, until the scan holds enough brackets.  A crystal
-    whose faster half-angle max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT
-    pi per scan step is refused first: a layer of optical thickness above
-    1000 periods.  On 7000 random crystals at 0.05 to 0.52 pi a step, a 4x
-    finer scan found the same brackets on every one below 0.5 pi, and the
-    first that differed lay just above it.  Every bracket
-    starts at the linear interpolation of its two scan values, and all are
-    polished at once (_bracketed_newton) on the factor and its slope in w,
-    read from its expansion about w itself at delta = 0 (_edge_expansion).
-    With w = 0 prepended once per odd factor, the sorted roots alternate gap,
-    band, gap, ...: gap g spans roots 2g and 2g + 1, band n spans roots
-    2n - 1 and 2n, and k = 0 is the lower edge of an odd band.  One more
-    call reads every edge's slope, from which _gap_velocity takes the
-    velocity beside each gap.
+def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
+    """The lowest n_bands bands of spec.  A single medium (l_b = 0, or equal
+    permittivities) needs no scan.  Otherwise each edge factor is scanned for
+    sign changes at SCAN_POINTS_PER_UNIT, one unit of w at a time, until the
+    scan holds enough brackets.  A crystal whose faster half-angle
+    max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT pi per scan step is
+    refused first: a layer of optical thickness above 1000 periods.  On 7000
+    random crystals at 0.05 to 0.52 pi a step, a 4x finer scan found the same
+    brackets on every one below 0.5 pi, and the first that differed lay just
+    above it.  Every bracket starts at the linear interpolation of its two
+    scan values, and all are polished at once (_bracketed_newton) on the
+    factor and its slope in w, read from its expansion about w itself at
+    delta = 0 (_edge_expansion).  With w = 0 prepended once per odd factor,
+    the sorted roots alternate gap, band, gap, ...: gap g spans roots 2g and
+    2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower edge of
+    an odd band.  One more call reads every edge's slope, from which
+    _gap_velocity takes the velocity beside each gap.  Last, each k = 0 edge
+    is polished as the root delta0 of its own odd factor's expansion about it
+    (two Newton steps from 0, all edges at once).  A band's values do not
+    depend on n_bands.
     """
+    if n_bands < 1:
+        raise ValueError("n_bands must be >= 1")
+    if spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b:
+        return BandStructure(spec, n_bands, None, None, None)
     a, b, _ = _coeffs(spec)
     if 0.5 * max(a, b) / SCAN_POINTS_PER_UNIT > _SCAN_STEP_LIMIT * math.pi:
         raise InsufficientScanError(
@@ -293,55 +313,48 @@ def _band_intervals(spec: CrystalSpec, n_bands: int) -> list[tuple[float, float,
     order = np.lexsort((factor, roots))[:need]    # by root, then factor
     w_edge = np.concatenate(([0.0, 0.0], roots[order]))
     slope = factor_at(w_edge, np.concatenate(([2, 3], factor[order])))[1]
-    edges = list(zip(w_edge.tolist(), slope.tolist()))
-    v = [_gap_velocity(edges[2 * g], edges[2 * g + 1]) for g in range(n_bands + 1)]
-    ends = [((edges[2 * n - 1][0], v[n - 1]), (edges[2 * n][0], v[n]))
+    points = list(zip(w_edge.tolist(), slope.tolist()))
+    v = [_gap_velocity(points[2 * g], points[2 * g + 1]) for g in range(n_bands + 1)]
+    ends = [((points[2 * n - 1][0], v[n - 1]), (points[2 * n][0], v[n]))
             for n in range(1, n_bands + 1)]
-    return [lo + hi if n % 2 == 1 else hi + lo for n, (lo, hi) in enumerate(ends, start=1)]
+    edges = np.array([lo + hi if n % 2 == 1 else hi + lo
+                      for n, (lo, hi) in enumerate(ends, start=1)])
+    expansion = _edge_expansion(a, b, x, edges[:, 0])
+    each = np.arange(n_bands)
+    f, df = expansion(np.zeros(n_bands), each)
+    i = np.where(np.abs(f[:, 3]) < np.abs(f[:, 2]), 3, 2)    # each edge's factor
+    delta0 = -f[each, i] / df[each, i]
+    f, df = expansion(delta0, each)
+    return BandStructure(spec, n_bands, edges, delta0 - f[each, i] / df[each, i], expansion)
 
 
-def band_frequencies(spec: CrystalSpec, k: float, n_bands: int) -> np.ndarray:
-    """Angular frequencies (rad/s) of the lowest n_bands bands at wavenumber k.
+def band_frequencies(structure: BandStructure, k: float) -> np.ndarray:
+    """Angular frequencies (rad/s) of the structure's bands at wavenumber k.
 
     k must lie in the reduced zone [0, pi/Lambda].  Frequencies are strictly
     increasing with band index; band 1 at k = 0 is the origin omega = 0.
     """
-    if n_bands < 1:
-        raise ValueError("n_bands must be >= 1")
-    q = np.array([_reduced_q(spec, k)])
-    return _bands(spec, range(1, n_bands + 1), q)[0][:, 0] * (2.0 * math.pi * CODATA.c
-                                                              / spec.period)
+    q = np.array([_reduced_q(structure.spec, k)])
+    w = _bands(structure, range(1, structure.n_bands + 1), q)[0][:, 0]
+    return w * (2.0 * math.pi * CODATA.c / structure.spec.period)
 
 
-def group_velocity(spec: CrystalSpec, band_index: int, k: float) -> float:
-    """|d omega / d k| (m/s) at wavenumber k on one band.
-
-    v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta| with P = sin^2(Lambda k / 2)
-    (_offset_velocity).  The band edges return the limit beside their gap:
-    zero when it is open, c pi / sqrt(F'G') when it is closed.  Raises
-    DegeneratePointError when dRHS/dw vanishes, which happens only when
-    bands touch.
-    """
-    if band_index < 1:
-        raise ValueError("band_index must be >= 1")
-    q = np.array([_reduced_q(spec, k)])
-    return float(_bands(spec, [band_index], q)[1][0, 0])
-
-
-def sample_bands(spec: CrystalSpec, bands, n_samples: int = 121, *,
-                 _intervals=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_bands(structure: BandStructure, bands,
+                 n_samples: int = 121) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(k [1/m], omega [rad/s], v_g [m/s]) of the given bands across the reduced zone.
 
-    bands is a sequence of band indices.  k has shape (n_samples,), omega and
-    v_g (len(bands), n_samples); every band is solved in the same batch.
-    _intervals is a _band_intervals scan covering the bands, if the caller
-    has one.
+    bands is a sequence of the structure's band indices.  k has shape
+    (n_samples,), omega and v_g (len(bands), n_samples); every band is
+    solved in the same batch.  v_g is |d omega / d k|; at a band edge it is
+    the limit beside its gap: zero when the gap is open, c pi / sqrt(F'G')
+    when it is closed.
     """
-    if n_samples < 2 or len(bands) == 0 or min(bands) < 1:
-        raise ValueError("band indices must be >= 1 and n_samples >= 2")
-    lam = spec.period
+    if not (n_samples >= 2 and len(bands) > 0
+            and 1 <= min(bands) <= max(bands) <= structure.n_bands):
+        raise ValueError(f"band indices must lie in [1, {structure.n_bands}] and n_samples >= 2")
+    lam = structure.spec.period
     q = np.linspace(0.0, math.pi, n_samples)
-    w, vg = _bands(spec, bands, q, _intervals)
+    w, vg = _bands(structure, bands, q)
     return q / lam, w * (2.0 * math.pi * CODATA.c / lam), vg
 
 
@@ -349,27 +362,26 @@ def solve_band(spec: CrystalSpec, band_index: int,
                n_samples: int = 121) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(k [1/m], omega [rad/s], v_g [m/s]) of one band, as :func:`sample_bands`
     gives them for that band alone; omega[0] and omega[-1] are its edges."""
-    k, omega, vg = sample_bands(spec, [band_index], n_samples)
+    k, omega, vg = sample_bands(scan_bands(spec, band_index), [band_index], n_samples)
     return k, omega[0], vg[0]
 
 
 def _edge_expansion(a: float, b: float, x: float, w0):
     """(edge, delta) -> (the four edge factors at w0[edge] + delta, their slopes in delta).
 
-    w0 is a sequence of edges.  Each factor is bilinear in (sin A, cos A) and
+    w0 is an array of edges.  Each factor is bilinear in (sin A, cos A) and
     (sin B, cos B), so angle addition with u = a delta / 2, v = b delta / 2
     gives f(w0 + delta) = cu cv f + su cv f_A + cu sv f_B + su sv f_AB, where
     f, df/dA, df/dB and d2f/dAdB are taken once at each edge: coefficients of
     shape (edges, 4 terms, 4 factors).  On the factor that vanishes at w0
     every term is O(delta) or the polished residual f(w0), so it keeps its
     relative precision at a delta far below one ulp of w0.  delta may be a
-    float or an array, and edge an index (0 by default), a slice, or an
-    index array that broadcasts with it, so each delta takes its own edge's
-    coefficients; the factors run along the last axis.  With curvature=True the second
+    float or an array, and edge an index, a slice, or an index array that
+    broadcasts with it, so each delta takes its own edge's coefficients; the
+    factors run along the last axis.  With curvature=True the second
     derivatives in delta follow as a third item.
     """
     ha, hb = 0.5 * a, 0.5 * b
-    w0 = np.asarray(w0, dtype=float)
     sa, ca = np.sin(ha * w0), np.cos(ha * w0)
     sb, cb = np.sin(hb * w0), np.cos(hb * w0)
     # terms f, f_A, f_B, f_AB: (sA, cA) -> (cA, -sA) and (sB, cB) -> (cB, -sB)
@@ -377,7 +389,7 @@ def _edge_expansion(a: float, b: float, x: float, w0):
                                np.array([sb, sb, cb, cb]), np.array([cb, cb, -sb, -sb]),
                                x)).transpose(2, 1, 0)
 
-    def at(delta, edge=0, curvature=False):
+    def at(delta, edge, curvature=False):
         su, cu = np.sin(ha * delta), np.cos(ha * delta)
         sv, cv = np.sin(hb * delta), np.cos(hb * delta)
         rows = [(cu * cv, su * cv, cu * sv, su * sv),
@@ -393,7 +405,7 @@ def _edge_expansion(a: float, b: float, x: float, w0):
     return at
 
 
-def _offset_velocity(expansion, delta, edge=0):
+def _offset_velocity(expansion, delta, edge):
     """(v_g / c, P, dP/d delta) at offset delta from edge, with P = f2 f3 = sin^2(q/2).
 
     1 - P = f0 f1 on the same expansion, and dq/dw = |dP/dw| / sqrt(P (1 - P))
@@ -406,22 +418,6 @@ def _offset_velocity(expansion, delta, edge=0):
     slope = np.where(dp != 0.0, np.abs(dp), np.nan)
     v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[..., 0] * f[..., 1], 0.0)) / slope
     return v, p, dp
-
-
-def _expanded_edge(spec: CrystalSpec, w0):
-    """(expansion, delta0): the factors expanded about the scanned k = 0 edges w0,
-    and each edge itself as the root delta0 of its own odd factor's expansion
-    (two Newton steps from 0, all edges at once).
-    """
-    a, b, _ = _coeffs(spec)
-    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
-    expansion = _edge_expansion(a, b, x, w0)
-    edge = np.arange(len(w0))
-    f, df = expansion(np.zeros(edge.size), edge)
-    i = np.where(np.abs(f[:, 3]) < np.abs(f[:, 2]), 3, 2)    # each edge's factor
-    delta0 = -f[edge, i] / df[edge, i]
-    f, df = expansion(delta0, edge)
-    return expansion, delta0 - f[edge, i] / df[edge, i]
 
 
 def _bracketed_newton(residual, x, neg, pos, anchor) -> np.ndarray:
@@ -457,19 +453,19 @@ def _bracketed_newton(residual, x, neg, pos, anchor) -> np.ndarray:
     raise RuntimeError(f"roots did not converge in {_MAX_STEPS} steps")
 
 
-def _solve_offsets(expansion, delta0, delta_pi, q: np.ndarray) -> np.ndarray:
-    """Offsets, shape (edges, q.size), where P(delta) = sin^2(q/2) on each edge's band.
+def _solve_offsets(structure: BandStructure, edge, delta_pi, q: np.ndarray) -> np.ndarray:
+    """Offsets, shape (edge.size, q.size), where P(delta) = sin^2(q/2) on each edge's band.
 
     P rises from 0 at the edge's delta0 to 1 at its delta_pi.  Each q starts
     a share q/pi of the way, bracketed by delta0 and a point just past the
     scanned edge delta_pi; every root is one of a single solve.
     """
     targets = np.sin(0.5 * q) ** 2
-    d0, d_pi = delta0[:, None], delta_pi[:, None]
+    d0, d_pi = structure.delta0[edge][:, None], delta_pi[:, None]
     start = d0 + (d_pi - d0) * q / math.pi
 
     def residual(delta, todo):
-        f, df = expansion(delta, todo // q.size)
+        f, df = structure.expansion(delta, edge[todo // q.size])
         return (f[..., 2] * f[..., 3] - targets[todo % q.size],
                 df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3])
 
@@ -491,8 +487,8 @@ def _check_slope(spec: CrystalSpec, dp, bands) -> None:
                                    "differentiation")
 
 
-def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float, *,
-                           _intervals=None) -> TuningReport:
+def tune_to_group_velocity(structure: BandStructure, band_index: int,
+                           target_vg: float) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
 
     The shift is measured from the k = 0 band edge, whose frequency is also
@@ -500,24 +496,24 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     band's maximum group velocity raise UnachievableTargetError.
 
     A slow-light shift is ~1e-13 of the edge frequency, so no two band
-    frequencies are subtracted: in the offset from the scanned k = 0 edge
-    (_expanded_edge) v_g is scanned on a geometric grid.  In the first step
-    that reaches the target, delta* is the root of
+    frequencies are subtracted: in the offset from the k = 0 edge, on the
+    structure's expansion about it, v_g is scanned on a geometric grid.  In
+    the first step that reaches the target, delta* is the root of
     G = 4 pi^2 P Q - (v/c)^2 P'^2 with Q = 1 - P = f0 f1, which is negative
     at the near end and whose slope is P' (4 pi^2 (Q - P) - 2 (v/c)^2 P'')
     (_bracketed_newton).  delta_omega = |delta* - delta0| 2 pi c / Lambda and
-    Lambda k* = 2 asin sqrt(P(delta*)).  _intervals is a _band_intervals scan
-    covering the band.
+    Lambda k* = 2 asin sqrt(P(delta*)).
     """
     c = CODATA.c
     if not target_vg >= 0:
         raise ValueError(f"target_vg must be >= 0, got {target_vg}")
-    if band_index < 1:
-        raise ValueError("band_index must be >= 1")
+    if not 1 <= band_index <= structure.n_bands:
+        raise ValueError(f"band_index must lie in [1, {structure.n_bands}], got {band_index}")
+    spec, edge, expansion = structure.spec, band_index - 1, structure.expansion
     lam = spec.period
     scale = 2.0 * math.pi * c / lam
-    if _is_degenerate(spec):
-        w0, vg0 = (float(u[0, 0]) for u in _bands(spec, [band_index], np.zeros(1)))
+    if expansion is None:
+        w0, vg0 = (float(u[0, 0]) for u in _bands(structure, [band_index], np.zeros(1)))
         if math.isclose(target_vg, vg0, rel_tol=1e-12):
             return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                                 delta_omega=0.0, delta_nu=0.0,
@@ -526,9 +522,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
             f"gapless crystal has constant group velocity {vg0:.6g} m/s; "
             f"target {target_vg:.6g} m/s is unreachable"
         )
-    if _intervals is None:
-        _intervals = _band_intervals(spec, band_index)
-    w0, vg0, w_far, _ = _intervals[band_index - 1]
+    w0, vg0, w_far, _ = structure.edges[edge].tolist()
     nu_s = w0 * scale / (2.0 * math.pi)
     if vg0 >= target_vg:
         # the edge itself (target 0), or a k = 0 edge at a closed gap (band 1's
@@ -536,10 +530,10 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 
-    expansion, (delta0,) = _expanded_edge(spec, [w0])
+    delta0 = structure.delta0[edge]
     ratio = target_vg / c
     deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
-    vs = _offset_velocity(expansion, deltas)[0]
+    vs = _offset_velocity(expansion, deltas, edge)[0]
     hit = np.flatnonzero(vs >= ratio)
     if hit.size == 0:
         raise UnachievableTargetError(
@@ -550,7 +544,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
     near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
 
     def gap(delta, todo):    # one root, evaluated as a scalar: cheaper than a 1-element array
-        f, df, d2f = expansion(delta[0], curvature=True)
+        f, df, d2f = expansion(delta[0], edge, curvature=True)
         p, q = f[2] * f[3], f[0] * f[1]
         dp = df[2] * f[3] + f[2] * df[3]
         d2p = d2f[2] * f[3] + 2.0 * df[2] * df[3] + f[2] * d2f[3]
@@ -559,7 +553,7 @@ def tune_to_group_velocity(spec: CrystalSpec, band_index: int, target_vg: float,
 
     start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
     delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
-    _, p, dp = _offset_velocity(expansion, delta)
+    _, p, dp = _offset_velocity(expansion, delta, edge)
     _check_slope(spec, dp, [band_index])
     shift = float(abs(delta - delta0))
     # offsets next to delta0 are spaced, and the factors' residual at w0

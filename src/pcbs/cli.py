@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bands import _band_intervals, _is_degenerate, sample_bands, tune_to_group_velocity
+from .bands import sample_bands, scan_bands, tune_to_group_velocity
 from .bb84 import ATTACK_KINDS, simulate_session
 from .config import RunConfig, config_from_tree, load_config
 from .errors import DegeneratePointError, NoHeraldError, PcbsError, UnachievableTargetError
@@ -156,11 +156,10 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     n_bands, n_samples, band_index, target = (bs.n_bands, bs.n_samples, bs.band_index,
                                               bs.target_vg_over_c)
 
-    # one edge scan serves every band and the tuning report; a gapless crystal needs none
-    intervals = (None if _is_degenerate(cfg.crystal)
-                 else _band_intervals(cfg.crystal, max(n_bands, band_index)))
+    # one edge scan serves every band and the tuning report
+    structure = scan_bands(cfg.crystal, max(n_bands, band_index))
     bands = np.arange(1, n_bands + 1)
-    k, omega, v_g = sample_bands(cfg.crystal, bands, n_samples, _intervals=intervals)
+    k, omega, v_g = sample_bands(structure, bands, n_samples)
     # "band,k,omega,v_g" rows, band-major, in one % over a repeated format
     cells = np.stack(np.broadcast_arrays(bands[:, None], k, omega, v_g), axis=-1)
     _write_csv(os.path.join(cfg.output.directory, "bands.csv"),
@@ -169,8 +168,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
     payload = {"n_bands": n_bands, "samples_per_band": n_samples}
     try:
-        rep = tune_to_group_velocity(cfg.crystal, band_index, target * CODATA.c,
-                                     _intervals=intervals)
+        rep = tune_to_group_velocity(structure, band_index, target * CODATA.c)
     except (UnachievableTargetError, DegeneratePointError) as exc:
         payload["tuning"] = {"error": str(exc)}
     else:
@@ -186,8 +184,9 @@ def cmd_bands(cfg: RunConfig, args) -> int:
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
-    rep = tune_to_group_velocity(cfg.crystal, cfg.bands.band_index,
-                                 cfg.bands.target_vg_over_c * CODATA.c)
+    bs = cfg.bands
+    rep = tune_to_group_velocity(scan_bands(cfg.crystal, bs.band_index), bs.band_index,
+                                 bs.target_vg_over_c * CODATA.c)
     _emit(asdict(rep))
     return 0
 

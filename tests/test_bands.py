@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import pcbs.bands
 from pcbs.bands import (
     CrystalSpec,
-    _band_intervals,
+    _bands,
     _check_slope,
+    _reduced_q,
     band_frequencies,
     dispersion_residual,
-    group_velocity,
     sample_bands,
+    scan_bands,
     solve_band,
     tune_to_group_velocity,
 )
@@ -53,10 +54,11 @@ def test_period_floor_keeps_every_frequency_finite():
         # just above the floor, the top of the edge scan and band 2^63 - 1 of a
         # gapless crystal (w below 2^62) both keep omega finite
         spec = CrystalSpec(l_a=1e-280, l_b=1e-280)
-        k, omega, v_g = sample_bands(spec, range(1, 9), 5)
+        k, omega, v_g = sample_bands(scan_bands(spec, 8), range(1, 9), 5)
         assert np.isfinite(k).all() and np.isfinite(omega).all() and np.isfinite(v_g).all()
-        rep = tune_to_group_velocity(CrystalSpec(l_a=1e-280, l_b=1e-280, eps_rel_b=1.0),
-                                     2**63 - 1, CODATA.c)
+        rep = tune_to_group_velocity(
+            scan_bands(CrystalSpec(l_a=1e-280, l_b=1e-280, eps_rel_b=1.0), 2**63 - 1),
+            2**63 - 1, CODATA.c)
         assert 0.0 < rep.nu_s < math.inf
 
 
@@ -73,11 +75,20 @@ def test_residual_zero_at_origin():
         dispersion_residual(SPEC, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("omega, k, name", [
+    (math.nan, 0.0, "omega"), (math.inf, 0.0, "omega"), (1e15, math.nan, "k"), (1e15, math.inf, "k"),
+])
+def test_residual_refuses_non_finite_arguments(omega, k, name):
+    # nan once came back as the residual, and an infinite omega as a bare math domain error
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        dispersion_residual(SPEC, omega, k)
+
+
 def test_band_edges_frozen():
-    w = band_frequencies(SPEC, 0.0, 8) / SCALE
+    w = band_frequencies(scan_bands(SPEC, 8), 0.0) / SCALE
     assert np.isclose(w[3], BAND4_EDGE_ZC, rtol=1e-12)
     assert np.isclose(w[7], BAND8_EDGE_ZC, rtol=1e-12)
-    wpi = band_frequencies(SPEC, math.pi / LAM, 8) / SCALE
+    wpi = band_frequencies(scan_bands(SPEC, 8), math.pi / LAM) / SCALE
     assert np.isclose(wpi[3], BAND4_EDGE_ZB, rtol=1e-12)
     assert np.isclose(wpi[7], BAND8_EDGE_ZB, rtol=1e-12)
     assert np.all(np.diff(w) > 0) and np.all(np.diff(wpi) > 0)
@@ -95,37 +106,42 @@ def test_doubled_signal_frequency_inside_band_8():
     assert np.isclose(w_pump, 2.368040197820895, rtol=1e-12)
 
 
+def _velocity(spec, band, k):
+    # v_g [m/s] of one band at wavenumber k: one sample of a scan of the bands up to it
+    return float(_bands(scan_bands(spec, band), [band], np.array([_reduced_q(spec, k)]))[1][0, 0])
+
+
 def test_group_velocity_frozen_point():
-    vg = group_velocity(SPEC, 4, 4.33e-3 / LAM)
+    vg = _velocity(SPEC, 4, 4.33e-3 / LAM)
     assert np.isclose(vg / CODATA.c, 0.0045892614283261695, rtol=1e-10)
     assert abs(vg / CODATA.c - 4.59e-3) / 4.59e-3 < 0.001
 
 
 def test_group_velocity_zero_at_zone_center():
-    assert group_velocity(SPEC, 4, 0.0) == 0.0
+    assert _velocity(SPEC, 4, 0.0) == 0.0
 
 
 def test_band_one_origin_is_static_medium():
     # omega -> 0: velocity of the volume-averaged permittivity
     static = CODATA.c / math.sqrt(
         (SPEC.l_a * SPEC.eps_rel_a + SPEC.l_b * SPEC.eps_rel_b) / LAM)
-    assert group_velocity(SPEC, 1, 0.0) == static
-    assert np.isclose(group_velocity(SPEC, 1, 1e-4 / LAM), static, rtol=1e-8)
+    assert _velocity(SPEC, 1, 0.0) == static
+    assert np.isclose(_velocity(SPEC, 1, 1e-4 / LAM), static, rtol=1e-8)
     _, _, vgs = solve_band(SPEC, 1, n_samples=9)
     assert vgs[0] == static
     assert np.all(np.diff(vgs) < 0) and vgs[-1] == 0.0
 
 
 def test_tune_band_one():
-    rep = tune_to_group_velocity(SPEC, 1, 0.3 * CODATA.c)
+    rep = tune_to_group_velocity(scan_bands(SPEC, 1), 1, 0.3 * CODATA.c)
     assert rep.k_star == 0.0     # zone center is already faster
     with pytest.raises(UnachievableTargetError):
-        tune_to_group_velocity(SPEC, 1, 0.59 * CODATA.c)
+        tune_to_group_velocity(scan_bands(SPEC, 1), 1, 0.59 * CODATA.c)
 
 
 def test_tune_deep_slow_light():
-    rep = tune_to_group_velocity(SPEC, 4, 1e-6 * CODATA.c)
-    assert np.isclose(group_velocity(SPEC, 4, rep.k_star) / CODATA.c, 1e-6, rtol=1e-9)
+    rep = tune_to_group_velocity(scan_bands(SPEC, 4), 4, 1e-6 * CODATA.c)
+    assert np.isclose(_velocity(SPEC, 4, rep.k_star) / CODATA.c, 1e-6, rtol=1e-9)
 
 
 @pytest.mark.parametrize("band", [1, 2, 4, 8])
@@ -133,8 +149,9 @@ def test_tune_deep_slow_light():
 def test_group_velocity_matches_finite_differences(band, q):
     k = q / LAM
     h = 1e-6 * math.pi / LAM
-    vg = group_velocity(SPEC, band, k)
-    om = band_frequencies(SPEC, k + h, band)[band - 1], band_frequencies(SPEC, k - h, band)[band - 1]
+    vg = _velocity(SPEC, band, k)
+    structure = scan_bands(SPEC, band)
+    om = band_frequencies(structure, k + h)[band - 1], band_frequencies(structure, k - h)[band - 1]
     vg_fd = abs(om[0] - om[1]) / (2.0 * h)
     assert abs(vg - vg_fd) / vg_fd < 1e-6
 
@@ -156,14 +173,14 @@ def test_solve_band_samples_on_dispersion():
 def test_solve_band_agrees_with_pointwise_functions(spec, band):
     # one frequency rule and one velocity rule serve all three entry points
     for k, omega, v_g in zip(*solve_band(spec, band, n_samples=25)):
-        np.testing.assert_allclose(band_frequencies(spec, k, band)[band - 1], omega,
+        np.testing.assert_allclose(band_frequencies(scan_bands(spec, band), k)[band - 1], omega,
                                    rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(group_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)
 
 
 def test_band_gap_has_no_solutions():
     # no (omega, k) root between band 4's upper and band 5's lower edge
-    w5 = band_frequencies(SPEC, 0.0, 5)[4] / SCALE
+    w5 = band_frequencies(scan_bands(SPEC, 5), 0.0)[4] / SCALE
     grid = np.linspace(BAND4_EDGE_ZC * 1.0001, w5 * 0.9999, 400) * SCALE
     for k in (0.0, math.pi / LAM):
         res = np.array([dispersion_residual(SPEC, w, k) for w in grid])
@@ -171,7 +188,7 @@ def test_band_gap_has_no_solutions():
 
 
 def test_tune_frozen_report():
-    rep = tune_to_group_velocity(SPEC, 4, 4.59e-3 * CODATA.c)
+    rep = tune_to_group_velocity(scan_bands(SPEC, 4), 4, 4.59e-3 * CODATA.c)
     assert np.isclose(rep.k_star * LAM, 0.004330696888961764, rtol=1e-8)
     assert np.isclose(rep.delta_nu, 431116939.70807433, rtol=1e-8)
     assert np.isclose(rep.nu_s, 322691177976151.0, rtol=1e-12)
@@ -192,10 +209,10 @@ def test_tune_shift_is_integral_of_group_velocity(eps_rel_b, band, vg_over_c):
     # delta_omega = int_0^k* v_g dk, which at a parabolic band edge is v_g k*/2
     spec = CrystalSpec(eps_rel_b=eps_rel_b)
     target = vg_over_c * CODATA.c
-    rep = tune_to_group_velocity(spec, band, target)
+    rep = tune_to_group_velocity(scan_bands(spec, band), band, target)
     nodes, weights = np.polynomial.legendre.leggauss(20)
     half = rep.k_star / 2.0
-    integral = half * sum(w * group_velocity(spec, band, half * (x + 1.0))
+    integral = half * sum(w * _velocity(spec, band, half * (x + 1.0))
                           for x, w in zip(nodes, weights))
     assert np.isclose(rep.delta_omega, integral, rtol=1e-6, atol=0.0)
     assert np.isclose(rep.delta_omega, target * rep.k_star / 2.0, rtol=1e-3, atol=0.0)
@@ -209,7 +226,7 @@ def test_tune_slow_light_shift(band, vg_over_c):
     # 1e-5 c
     target = vg_over_c * CODATA.c
     for eps_rel_b in (4.9284, 12.25, 2.25):
-        rep = tune_to_group_velocity(CrystalSpec(eps_rel_b=eps_rel_b), band, target)
+        rep = tune_to_group_velocity(scan_bands(CrystalSpec(eps_rel_b=eps_rel_b), band), band, target)
         assert abs(rep.delta_omega / (target * rep.k_star / 2.0) - 1.0) <= 1e-8
 
 def _mp_tuning(spec, band, vg_over_c):
@@ -233,7 +250,8 @@ def _mp_tuning(spec, band, vg_over_c):
                   - eta * (a * mpmath.cos(a * w) * mpmath.sin(b * w) + b * mpmath.sin(a * w) * mpmath.cos(b * w)))
             return 2 * mpmath.pi * mpmath.sqrt(1 - rhs(w) ** 2) / abs(rp)
 
-        w0 = band_frequencies(spec, 0.0, band)[band - 1] / (2.0 * math.pi * CODATA.c / spec.period)
+        w0 = (band_frequencies(scan_bands(spec, band), 0.0)[band - 1]
+              / (2.0 * math.pi * CODATA.c / spec.period))
         w0 = mpmath.findroot(lambda w: 1 - rhs(w), mpf(w0)) if w0 > 0 else mpf(0)    # band 1: RHS(0) = 1
         side = 1 if band % 2 == 1 else -1     # k = 0 is the lower edge of an odd band
         target = mpf(vg_over_c)
@@ -253,7 +271,7 @@ def test_tune_matches_60_digit_dispersion(eps_rel_b, band, vg_over_c):
     # the shift at 1e-6 c is ~1e-13 of the edge frequency: the difference of
     # two float64 band roots missed it by up to 1e-2 on band 8 of eps_rel_b 2.25
     spec = CrystalSpec(eps_rel_b=eps_rel_b)
-    rep = tune_to_group_velocity(spec, band, vg_over_c * CODATA.c)
+    rep = tune_to_group_velocity(scan_bands(spec, band), band, vg_over_c * CODATA.c)
     q_ref, shift_ref = _mp_tuning(spec, band, vg_over_c)
     scale = 2.0 * math.pi * CODATA.c / spec.period
     np.testing.assert_allclose(rep.k_star * spec.period, q_ref, rtol=1e-12, atol=0.0)
@@ -267,55 +285,88 @@ def test_tune_refuses_an_unresolved_shift(band):
     # eps |delta0| ~ 1e-32: served, k* and the shift were off by 1e-7 to 6e-5
     # against a 90-digit solve (up to 0.5 at 1e-15 c)
     with pytest.raises(UnachievableTargetError, match="too slow to resolve"):
-        tune_to_group_velocity(SPEC, band, 1e-13 * CODATA.c)
+        tune_to_group_velocity(scan_bands(SPEC, band), band, 1e-13 * CODATA.c)
 
 
 def test_tune_zero_target_is_the_edge():
-    rep = tune_to_group_velocity(SPEC, 4, 0.0)
+    rep = tune_to_group_velocity(scan_bands(SPEC, 4), 4, 0.0)
     assert rep.k_star == 0.0 and rep.delta_omega == 0.0 and rep.delta_nu == 0.0
     assert np.isclose(rep.nu_s, 322691177976151.0, rtol=1e-12)
 
 
 def test_tune_unreachable_target():
     with pytest.raises(UnachievableTargetError):
-        tune_to_group_velocity(SPEC, 4, 0.9 * CODATA.c)
+        tune_to_group_velocity(scan_bands(SPEC, 4), 4, 0.9 * CODATA.c)
 
 
 def test_zone_and_index_validation():
     with pytest.raises(ValueError):
-        band_frequencies(SPEC, 1.5 * math.pi / LAM, 2)
+        band_frequencies(scan_bands(SPEC, 2), 1.5 * math.pi / LAM)
     with pytest.raises(ValueError):
-        band_frequencies(SPEC, 0.0, 0)
+        band_frequencies(scan_bands(SPEC, 0), 0.0)
     with pytest.raises(ValueError):
-        group_velocity(SPEC, 0, 0.1 / LAM)
-    with pytest.raises(ValueError):
-        tune_to_group_velocity(SPEC, 4, -1.0)
+        tune_to_group_velocity(scan_bands(SPEC, 4), 4, -1.0)
+
+
+@pytest.mark.parametrize("spec", [SPEC, CrystalSpec(eps_rel_b=1.0)], ids=["gapped", "gapless"])
+def test_a_band_above_the_scan_is_refused(spec):
+    structure = scan_bands(spec, 4)
+    with pytest.raises(ValueError, match=r"\[1, 4\]"):
+        sample_bands(structure, [2, 5], 5)
+    with pytest.raises(ValueError, match=r"\[1, 4\]"):
+        tune_to_group_velocity(structure, 5, 0.0)
+    with pytest.raises(ValueError, match=r"\[1, 4\]"):
+        sample_bands(structure, [0, 1], 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps_rel_b=st.floats(1.2, 16.0), thickness_ratio=st.floats(0.2, 5.0),
+       n_bands=st.integers(2, 8), data=st.data())
+def test_a_larger_scan_serves_a_lower_band_with_the_same_bits(eps_rel_b, thickness_ratio,
+                                                              n_bands, data):
+    # bands tunes band b on a scan of max(n_bands, b) bands and tune on one of
+    # b: the two commands agree because a band's values do not depend on the
+    # size of the scan that holds it
+    band = data.draw(st.integers(1, n_bands - 1), label="band")
+    vg_over_c = data.draw(st.sampled_from([0.0, 1e-10, 1e-6, 4.59e-3]) | st.floats(0.0, 1.0),
+                          label="vg_over_c")
+    spec = CrystalSpec(l_b=SPEC.l_a * thickness_ratio, eps_rel_b=eps_rel_b)
+    large, small = scan_bands(spec, n_bands), scan_bands(spec, band)
+    assert large.edges[:band].tobytes() == small.edges.tobytes()
+    assert large.delta0[:band].tobytes() == small.delta0.tobytes()
+    reports = []
+    for structure in (large, small):
+        try:
+            reports.append(tune_to_group_velocity(structure, band, vg_over_c * CODATA.c))
+        except (UnachievableTargetError, DegeneratePointError) as exc:
+            reports.append(str(exc))
+    assert reports[0] == reports[1]
 
 
 def test_vacuum_crystal_is_free_space():
     vac = CrystalSpec(eps_rel_a=1.0, eps_rel_b=1.0)
     k = 0.7 * math.pi / LAM
-    assert np.isclose(band_frequencies(vac, k, 1)[0], CODATA.c * k, rtol=1e-14)
-    assert group_velocity(vac, 1, k) == CODATA.c
+    assert np.isclose(band_frequencies(scan_bands(vac, 1), k)[0], CODATA.c * k, rtol=1e-14)
+    assert _velocity(vac, 1, k) == CODATA.c
     empty = CrystalSpec(l_b=0.0)
-    assert group_velocity(empty, 3, k) == CODATA.c
+    assert _velocity(empty, 3, k) == CODATA.c
 
 
 def test_homogeneous_medium_velocity():
     med = CrystalSpec(eps_rel_a=4.0, eps_rel_b=4.0)
     k = 0.3 * math.pi / LAM
-    assert np.isclose(group_velocity(med, 2, k), CODATA.c / 2.0, rtol=1e-14)
-    rep = tune_to_group_velocity(med, 1, CODATA.c / 2.0)
+    assert np.isclose(_velocity(med, 2, k), CODATA.c / 2.0, rtol=1e-14)
+    rep = tune_to_group_velocity(scan_bands(med, 1), 1, CODATA.c / 2.0)
     assert rep.k_star == 0.0
     with pytest.raises(UnachievableTargetError):
-        tune_to_group_velocity(med, 1, 0.3 * CODATA.c)
+        tune_to_group_velocity(scan_bands(med, 1), 1, 0.3 * CODATA.c)
 
 
 @pytest.mark.parametrize("delta", [0.2, 0.05, 0.01])
 def test_weak_contrast_approaches_free_space(delta):
     sp = CrystalSpec(eps_rel_b=1.0 + delta)
     k = 1.0 / LAM
-    om = band_frequencies(sp, k, 1)[0]
+    om = band_frequencies(scan_bands(sp, 1), k)[0]
     assert abs(om - CODATA.c * k) / (CODATA.c * k) < delta / 3.0
 
 
@@ -324,15 +375,15 @@ def test_weak_contrast_gaps_are_open_edges():
     # open, and both bands stop at their own edge
     sp = CrystalSpec(eps_rel_b=1.0 + 1e-8)
     k_pi = math.pi / LAM
-    w1, w2 = band_frequencies(sp, k_pi, 2) / SCALE
+    w1, w2 = band_frequencies(scan_bands(sp, 2), k_pi) / SCALE
     assert 1e-9 < w2 - w1 < 3e-9
-    assert group_velocity(sp, 1, k_pi) == 0.0
-    assert group_velocity(sp, 2, k_pi) == 0.0
+    assert _velocity(sp, 1, k_pi) == 0.0
+    assert _velocity(sp, 2, k_pi) == 0.0
 
 
 def test_scan_ceiling_raises():
     with pytest.raises(InsufficientScanError, match="no band edge below dimensionless frequency 64"):
-        band_frequencies(SPEC, 0.0, 400)
+        band_frequencies(scan_bands(SPEC, 400), 0.0)
 
 
 @pytest.mark.parametrize("thickness", [999.0, 1001.0])
@@ -342,11 +393,11 @@ def test_scan_resolves_layers_up_to_1000_periods(monkeypatch, thickness):
     spec = CrystalSpec(eps_rel_b=(2.0 * thickness) ** 2)
     if thickness > 1000.0:
         with pytest.raises(InsufficientScanError, match="exceeds 1000 periods"):
-            _band_intervals(spec, 8)
+            scan_bands(spec, 8)
         return
-    coarse = _band_intervals(spec, 8)
+    coarse = scan_bands(spec, 8).edges
     monkeypatch.setattr(pcbs.bands, "SCAN_POINTS_PER_UNIT", 4 * pcbs.bands.SCAN_POINTS_PER_UNIT)
-    np.testing.assert_allclose(coarse, _band_intervals(spec, 8), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(coarse, scan_bands(spec, 8).edges, rtol=1e-12, atol=0.0)
 
 
 def test_slope_check_names_the_lowest_failing_band():
@@ -362,7 +413,7 @@ def test_slope_check_names_the_lowest_failing_band():
 def test_batched_bands_equal_each_band_alone(eps_rel_b, thickness_ratio, n_bands, n_samples):
     # eps_rel_b = 1.0 is the gapless stack; every band's samples are bit-identical
     spec = CrystalSpec(l_b=SPEC.l_a * thickness_ratio, eps_rel_b=eps_rel_b)
-    k, omega, v_g = sample_bands(spec, range(1, n_bands + 1), n_samples)
+    k, omega, v_g = sample_bands(scan_bands(spec, n_bands), range(1, n_bands + 1), n_samples)
     for band in range(1, n_bands + 1):
         alone = np.array(solve_band(spec, band, n_samples))
         assert alone.tobytes() == np.array([k, omega[band - 1], v_g[band - 1]]).tobytes()
@@ -370,7 +421,7 @@ def test_batched_bands_equal_each_band_alone(eps_rel_b, thickness_ratio, n_bands
 
 def test_closed_gap_shares_its_edge():
     k_pi = math.pi / LAM
-    omega = band_frequencies(CLOSED, k_pi, 6)
+    omega = band_frequencies(scan_bands(CLOSED, 6), k_pi)
     assert abs(omega[4] / SCALE - 2.0) < 1e-12 and abs(omega[5] / SCALE - 2.0) < 1e-12
     assert solve_band(CLOSED, 5, n_samples=5)[1][-1] == omega[4]
     assert solve_band(CLOSED, 6, n_samples=5)[1][-1] == omega[5]
@@ -378,11 +429,11 @@ def test_closed_gap_shares_its_edge():
 
 def test_closed_gap_velocity_is_the_crossing_limit():
     k_pi = math.pi / LAM
-    vg5, vg6 = group_velocity(CLOSED, 5, k_pi), group_velocity(CLOSED, 6, k_pi)
+    vg5, vg6 = _velocity(CLOSED, 5, k_pi), _velocity(CLOSED, 6, k_pi)
     assert vg5 == vg6 and 0.5 * CODATA.c < vg5 < CODATA.c
     # implicit differentiation just inside the zone edge, on both bands
     for band in (5, 6):
-        near = group_velocity(CLOSED, band, (math.pi - 1e-3) / LAM)
+        near = _velocity(CLOSED, band, (math.pi - 1e-3) / LAM)
         assert abs(near - vg5) / vg5 < 1e-6
 
 
@@ -431,7 +482,7 @@ def test_scanned_edges_match_40_digit_roots(eps_rel_b):
     # edges up to 8.9e-13 off
     mpmath = pytest.importorskip("mpmath")
     spec = CrystalSpec(eps_rel_b=eps_rel_b)
-    edges = [w for w0, _, w_pi, _ in _band_intervals(spec, 8) for w in (w0, w_pi) if w > 0.0]
+    edges = [w for w0, _, w_pi, _ in scan_bands(spec, 8).edges.tolist() for w in (w0, w_pi) if w > 0.0]
     assert len(edges) == 15
     with mpmath.workdps(40):
         mpf = mpmath.mpf
@@ -464,6 +515,6 @@ def test_band_samples_on_random_crystals(eps_rel_b, thickness_ratio, band):
     for k, omega, v_g in samples:
         assert abs(dispersion_residual(spec, omega, k)) < 1e-10
         assert math.isfinite(v_g) and v_g >= 0.0
-        np.testing.assert_allclose(band_frequencies(spec, k, band)[band - 1], omega,
+        np.testing.assert_allclose(band_frequencies(scan_bands(spec, band), k)[band - 1], omega,
                                    rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(group_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)

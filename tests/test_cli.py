@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import functools
 import hashlib
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pcbs
+import pcbs.selftest
 from pcbs.bb84 import ATTACK_KINDS
 from pcbs.cli import _FLAGS, _build_parser, _emit, main
 from pcbs.config import ROWS_CEILING, STEPS_CEILING, BandsSection, RunConfig, SweepSection
@@ -250,20 +253,67 @@ def test_bands_outputs(tmp_path, capsys):
     assert {row[0] for row in rows} == {"1", "2"}
 
 
-def test_bands_and_tune_scan_band_edges_once(tmp_path, capsys, monkeypatch):
-    # the bands, their velocities and the tuning report share one edge scan
-    scan, calls = pcbs.bands._band_intervals, []
+def _counting_scans(monkeypatch, module):
+    """Count the scan_bands calls that module and pcbs.bands make; return their sizes."""
+    scan, calls = pcbs.bands.scan_bands, []
 
     def counting(spec, n_bands):
         calls.append(n_bands)
         return scan(spec, n_bands)
 
-    monkeypatch.setattr("pcbs.bands._band_intervals", counting)
-    monkeypatch.setattr("pcbs.cli._band_intervals", counting)
+    monkeypatch.setattr(pcbs.bands, "scan_bands", counting)
+    monkeypatch.setattr(module, "scan_bands", counting)
+    return calls
+
+
+def test_bands_and_tune_scan_band_edges_once(tmp_path, capsys, monkeypatch):
+    # the bands, their velocities and the tuning report share one edge scan
+    calls = _counting_scans(monkeypatch, pcbs.cli)
     rc, _ = run(capsys, "bands", "--n-bands", "8", "--samples", "5", "--out-dir", str(tmp_path))
     assert rc == 0 and calls == [8]
     rc, _ = run(capsys, "tune", "--band", "4")
     assert rc == 0 and calls == [8, 4]
+    rc, _ = run(capsys, "bands", "--n-bands", "2", "--samples", "5", "--band", "6",
+                "--out-dir", str(tmp_path))
+    assert rc == 0 and calls == [8, 4, 6]
+
+
+def test_selftest_scans_the_default_crystal_once(monkeypatch):
+    calls = _counting_scans(monkeypatch, pcbs.selftest)
+    pcbs.selftest._working_bands.cache_clear()
+    assert all(res.passed for res in pcbs.selftest.run_all())
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("eps_rel_b, band, target", [
+    (4.9284, 3, "4.59e-3"), (2.25, 4, "1e-6"), (12.25, 7, "0.3"),    # the last is refused
+])
+def test_bands_tunes_as_tune_does(tmp_path, capsys, eps_rel_b, band, target):
+    # bands tunes on its scan of 8 bands, tune on a scan of the bands up to its own
+    cfg = tmp_path / "crystal.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": eps_rel_b}}))
+    flags = ["--band", str(band), "--target-vg-over-c", target]
+    rc, out = run(capsys, "--config", str(cfg), "bands", "--n-bands", "8", "--samples", "2",
+                  *flags, "--out-dir", str(tmp_path))
+    assert rc == 0
+    tuning = json.loads(out)["tuning"]
+    rc = main(["--config", str(cfg), "tune", *flags])
+    out, err = capsys.readouterr()
+    if "error" in tuning:
+        assert rc == 2 and err == f"error: {tuning['error']}\n"
+    else:
+        assert rc == 0 and json.loads(out) == tuning
+
+
+@pytest.mark.parametrize("module", ["cli", "selftest"])
+def test_front_ends_import_no_private_name(module):
+    # cli and selftest reach the bands, and every other layer, through public names
+    tree = ast.parse((Path(pcbs.__file__).parent / f"{module}.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "pcbs")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_bands_homogeneous_config(tmp_path, capsys):
@@ -359,7 +409,7 @@ def test_sizes_above_ceiling_exit_before_allocating(tmp_path, capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("called with a size above its ceiling")
 
-    for name in ("_band_intervals", "sample_bands", "sweep_r"):
+    for name in ("scan_bands", "sample_bands", "sweep_r"):
         monkeypatch.setattr(pcbs.cli, name, refuse)
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
@@ -455,6 +505,26 @@ def test_bands_csv_bytes_are_pinned(tmp_path, capsys, eps_rel_b, digest):
     assert main(["--config", str(cfg), "bands", "--n-bands", "8", "--samples", "121",
                  "--out-dir", str(out)]) == 0
     assert hashlib.sha256((out / "bands.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("eps_rel_b, bands_digest, tune_digest", [
+    (4.9284, "bce3c2304c96e1ae55fb0c1f5c37932f9c3715c036a4b63e4ae85f3120c41e34",
+     "79d3c318b2747a6ed087086051d9810d6d09eda8d700506b421ea86545a91ee2"),
+    (12.25, "42f2ec007f91d8bc8c5480a79e0e6ba90ca6e20c72e34d11ab8a380a5a04ed92",
+     "39b0d70fc0c66763d4edd87abc4ce337b3087ec0252661ca808dce7a315b20e3"),
+    (2.25, "d6c7989b22eb5de579cffc97d4c51c82ddf8b7bd95edb47a912e588f51bd59c0",
+     "bf59fc36b0d9cca976f3fe676db75c466c1f84fb68a52368f8bac9039c220c98"),
+])
+def test_bands_and_tune_json_bytes_are_pinned(tmp_path, capsys, eps_rel_b, bands_digest,
+                                              tune_digest):
+    # the bands-tune inputs of perfbench; stdout as printed by the per-command edge scans
+    cfg = tmp_path / "crystal.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": eps_rel_b}}))
+    rc, out = run(capsys, "--config", str(cfg), "bands", "--n-bands", "8", "--samples", "121",
+                  "--out-dir", str(tmp_path / "out"))
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == bands_digest
+    rc, out = run(capsys, "--config", str(cfg), "tune", "--band", "4")
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == tune_digest
 
 
 @pytest.mark.parametrize("flux, radius", [(0.03, 1e-200), (0.03, 1e200), (1e308, 1e-10)])
@@ -852,7 +922,7 @@ def _commands_replaced_by(monkeypatch, func):
     monkeypatch.setattr(pcbs.cli, "_build_parser",
                         functools.cache(pcbs.cli._build_parser.__wrapped__))
     for name in ("joint_distribution", "sweep_r", "locate_maximum", "sample_bands",
-                 "_band_intervals", "tune_to_group_velocity", "simulate_session",
+                 "scan_bands", "tune_to_group_velocity", "simulate_session",
                  "oracle_state", "run_all"):
         monkeypatch.setattr(pcbs.cli, name, refuse)
 
