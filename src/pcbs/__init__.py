@@ -59,9 +59,9 @@ from .source import (
 )
 from .stats import (
     HeraldedStats,
-    JointDistribution,
     SweepPoint,
     ThresholdProbs,
+    herald_marginal,
     heralded_stats,
     joint_distribution,
     locate_maximum,
@@ -77,9 +77,8 @@ __all__ = [
     "SqueezedInput", "TruncationPolicy", "squeeze_matrix", "output_amplitudes",
     "box_probability", "suggest_n_max", "oracle_state",
     # stats
-    "JointDistribution", "HeraldedStats", "ThresholdProbs", "SweepPoint",
-    "joint_distribution", "heralded_stats", "threshold_probs", "sweep_r",
-    "locate_maximum",
+    "HeraldedStats", "ThresholdProbs", "SweepPoint", "joint_distribution",
+    "herald_marginal", "heralded_stats", "threshold_probs", "sweep_r", "locate_maximum",
     # bands
     "CrystalSpec", "BandStructure", "TuningReport", "dispersion_residual", "scan_bands",
     "band_frequencies", "sample_bands", "solve_band", "tune_to_group_velocity",

@@ -32,15 +32,14 @@ are not drawn.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import EmptySessionError, NoHeraldError, UndefinedCdfError
-from .stats import JointDistribution
+from .stats import herald_marginal
 
 __all__ = [
     "AttackModel",
@@ -54,7 +53,7 @@ __all__ = [
 
 ATTACK_KINDS = ("none", "balanced_beam_splitter")
 MIN_HERALDS_FOR_TEST = 100      # below this the z-test is not trustworthy
-_MAX_MISSING_MASS = 1e-6        # sampling precondition on 1 - captured_mass
+_MAX_MISSING_MASS = 1e-6        # sampling precondition on 1 - sum(p)
 # betaincc, which draws the stolen-photon counts, is NaN at scattered points
 # from n ~ 7.8e15 (scipy 1.17); tests/test_bb84.py checks it NaN-free up to here
 _MAX_PULSES = 10**15
@@ -105,9 +104,6 @@ class SessionReport:
     seed: int
     rng_algorithm: str = "pcg64"
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, allow_nan=False)
-
 
 def _check_pulse_cap(n_pulses: int) -> None:
     if n_pulses > _MAX_PULSES:
@@ -115,31 +111,36 @@ def _check_pulse_cap(n_pulses: int) -> None:
                          f"counts' binomial CDF is NaN-free, got {n_pulses}")
 
 
-def _checked_pulses(jd: JointDistribution, n_pulses: int) -> None:
-    """Refuse a session that is empty, longer than 10**15 pulses, or undersampled."""
+def _checked_pulses(p: np.ndarray, n_pulses: int) -> float:
+    """Refuse a session that is empty, longer than 10**15 pulses, or undersampled.
+
+    Returns the mass sum(p) that the box captures.
+    """
     if n_pulses <= 0:
         raise EmptySessionError(f"n_pulses must be positive, got {n_pulses}")
     _check_pulse_cap(n_pulses)
-    if jd.captured_mass < 1.0 - _MAX_MISSING_MASS:
+    captured_mass = float(np.sum(p))
+    if not captured_mass >= 1.0 - _MAX_MISSING_MASS:     # a NaN mass is refused too
         raise ValueError(
-            f"captured_mass = {jd.captured_mass:.9f} leaves more than "
+            f"captured_mass = {captured_mass:.9f} leaves more than "
             f"{_MAX_MISSING_MASS:.0e} unsampled; rerun with a larger box"
         )
+    return captured_mass
 
 
-def sample_cells(jd: JointDistribution, n_pulses: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (n1, n2) photon numbers for n_pulses pulses.
+def sample_cells(p: np.ndarray, n_pulses: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (n1, n2) photon numbers for n_pulses pulses from the joint distribution p.
 
     seed is an integer or a numpy Generator (consumes one uniform per
-    pulse).  The residual mass 1 - captured_mass goes to an overflow bucket
-    reported as n1 = n2 = jd.p.shape[0], i.e. beyond the box: a
+    pulse).  The residual mass 1 - sum(p) goes to an overflow bucket
+    reported as n1 = n2 = p.shape[0], i.e. beyond the box: a
     multi-photon event on both ports.
     """
-    _checked_pulses(jd, n_pulses)
+    _checked_pulses(p, n_pulses)
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(jd.p.ravel())
+    cum = np.cumsum(p.ravel())
     idx = np.searchsorted(cum, rng.random(n_pulses), side="right")
-    rows, cols = jd.p.shape
+    rows, cols = p.shape
     over = idx >= rows * cols
     n1 = np.where(over, rows, idx // cols)
     n2 = np.where(over, rows, idx % cols)
@@ -213,10 +214,11 @@ def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: flo
     return Verdict.ATTACK_SUSPECTED if z > z_threshold else Verdict.CLEAN
 
 
-def simulate_session(jd: JointDistribution, n_pulses: int,
+def simulate_session(p: np.ndarray, n_pulses: int,
                      attack: AttackModel = AttackModel(), seed: int = 0,
                      z_threshold: float = 5.0) -> SessionReport:
-    """Run one session; deterministic given (jd, n_pulses, attack, seed).
+    """Run one session from the joint distribution p; deterministic given
+    (p, n_pulses, attack, seed).
 
     Draws, in order: one multinomial of n_pulses over the classes (no
     herald; herald with n2 = 0..n_max; overflow), one uniform in (0, 1]
@@ -234,19 +236,21 @@ def simulate_session(jd: JointDistribution, n_pulses: int,
     refused (ValueError), and a NaN CDF value raises UndefinedCdfError.
 
     The verdict is judged at ``z_threshold`` against the no-attack baseline
-    m[0]/q1 of the same source, read from the herald marginal m[k] that
-    also gives the herald classes (the baseline_miss and q1 of
+    m[0]/q1 of the same source, read from the herald marginal m[k]
+    (:func:`~pcbs.stats.herald_marginal`) that also gives the herald
+    classes (the baseline_miss and q1 of
     :func:`~pcbs.stats.threshold_probs`); detect_attack re-judges a report
-    against any other baseline.
+    against any other baseline.  The box's mass sum(p) must reach
+    1 - 1e-6, or ValueError; the rest is the overflow class.
     """
-    _checked_pulses(jd, n_pulses)
+    captured_mass = _checked_pulses(p, n_pulses)
     rng = np.random.default_rng(seed)
-    rows, cols = jd.p.shape
-    marginal = jd.herald_marginal
+    rows, cols = p.shape
+    marginal = herald_marginal(p)
     classes = np.concatenate((
-        [jd.p[0, :].sum()],
+        [p[0, :].sum()],
         marginal,
-        [max(0.0, 1.0 - jd.captured_mass)],
+        [max(0.0, 1.0 - captured_mass)],
     ))
     counts = rng.multinomial(n_pulses, classes)
     heralded = counts[1:]

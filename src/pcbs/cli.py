@@ -77,18 +77,18 @@ def _dist_rows(p: np.ndarray) -> str:
 def cmd_dist(cfg: RunConfig, args) -> int:
     state = cfg.source
     policy = cfg.truncation.for_state(state)
-    jd = joint_distribution(state, policy)
+    p = joint_distribution(state, policy)
 
     _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"],
-               [_dist_rows(jd.p)])
+               [_dist_rows(p)])
 
-    tp = threshold_probs(jd)
+    tp = threshold_probs(p)
     payload = {
         "r": state.r,
         "alpha": state.alpha,
         "n_max": policy.n_max,
         "tail_tolerance": policy.tail_tolerance,
-        "captured_mass": jd.captured_mass,
+        "captured_mass": float(np.sum(p)),
         "q1": tp.q1,
         "q2": tp.q2,
         "q3": tp.q3,
@@ -97,7 +97,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         "miss_5050_attack_simulated": tp.simulated_attack_miss,
     }
     try:
-        hs = heralded_stats(jd)
+        hs = heralded_stats(p)
         payload.update(p1=hs.p1, g2=None if math.isnan(hs.g2) else hs.g2,
                        pn=list(hs.pn[:10]))
     except NoHeraldError:
@@ -107,7 +107,7 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         orc = oracle_state(state, policy.n_max)
         n = np.arange(policy.n_max + 1)
         triangle = np.add.outer(n, n) <= policy.n_max
-        payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(jd.p - orc ** 2)[triangle]))
+        payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(p - orc ** 2)[triangle]))
     _emit(payload)
     return 0
 
@@ -192,9 +192,9 @@ def cmd_tune(cfg: RunConfig, args) -> int:
 
 
 def cmd_bb84(cfg: RunConfig, args) -> int:
-    jd = joint_distribution(cfg.source, cfg.truncation)
+    p = joint_distribution(cfg.source, cfg.truncation)
     section = cfg.bb84
-    report = simulate_session(jd, section.n_pulses, section.attack_model(), seed=cfg.seed,
+    report = simulate_session(p, section.n_pulses, section.attack_model(), seed=cfg.seed,
                               z_threshold=section.z_threshold)
     _emit(asdict(report))
     return 0

@@ -74,7 +74,7 @@ class CheckResult:
 
 
 @lru_cache(maxsize=1)
-def _working_jd():
+def _working_p():
     return joint_distribution(SqueezedInput(r=WORKING_R, alpha=WORKING_ALPHA),
                               TruncationPolicy(tail_tolerance=TAIL))
 
@@ -86,7 +86,7 @@ def _working_bands():
 
 def check_joint_distribution() -> CheckResult:
     res = CheckResult("joint photon-number distribution")
-    p = _working_jd().p
+    p = _working_p()
     res.close("P(0,0)", p[0, 0], 0.417, atol=P_ATOL)
     res.close("P(1,1)", p[1, 1], 0.0783, atol=P_ATOL)
     res.close("P(1,3)", p[1, 3], 0.0216, atol=P_ATOL)
@@ -95,7 +95,7 @@ def check_joint_distribution() -> CheckResult:
 
 def check_heralded_statistics() -> CheckResult:
     res = CheckResult("heralded statistics")
-    hs = heralded_stats(_working_jd())
+    hs = heralded_stats(_working_p())
     res.close("P1", hs.p1, 0.151, atol=P_ATOL)
     table = (0.145, 0.520, 0.104, 0.144, 0.0343, 0.0325, 0.00885)
     for n, want in enumerate(table):
@@ -106,7 +106,7 @@ def check_heralded_statistics() -> CheckResult:
 
 def check_threshold_probabilities() -> CheckResult:
     res = CheckResult("threshold detection probabilities")
-    tp = threshold_probs(_working_jd())
+    tp = threshold_probs(_working_p())
     res.close("Q1", tp.q1, 0.509, atol=P_ATOL)
     res.close("Q2", tp.q2, 0.435, atol=P_ATOL)
     res.close("Q3", tp.q3, 0.129, atol=P_ATOL)
@@ -213,18 +213,18 @@ def check_oracle_equivalence() -> CheckResult:
 
 def check_monte_carlo() -> CheckResult:
     res = CheckResult("session simulation")
-    jd = _working_jd()
-    tp = threshold_probs(jd)
+    p = _working_p()
+    tp = threshold_probs(p)
     baseline = tp.baseline_miss / tp.q1
 
-    clean = simulate_session(jd, 10**6, AttackModel(), seed=SEED)
+    clean = simulate_session(p, 10**6, AttackModel(), seed=SEED)
     bound = 4.0 * math.sqrt(baseline * (1.0 - baseline) / clean.herald_count)
     res.holds(f"clean miss rate {clean.bob_miss_given_herald:.5f} within 4 sigma "
               f"of {baseline:.5f}",
               abs(clean.bob_miss_given_herald - baseline) < bound)
     res.holds("clean verdict", clean.verdict is Verdict.CLEAN)
 
-    attacked = simulate_session(jd, 10**5,
+    attacked = simulate_session(p, 10**5,
                                 AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
     res.holds("50-50 attack flagged at z=5", attacked.verdict is Verdict.ATTACK_SUSPECTED)
     # bb84 steals all k of Bob's photons with probability 2^-k

@@ -1,7 +1,8 @@
 """Counting statistics of the two output ports.
 
-Everything here is a pure function of the joint photon-number distribution
-P(n1, n2): heralded single-photon statistics and g2(0), threshold-detector
+Everything here is a pure function of the joint photon-number distribution,
+the (n_max + 1)^2 array p[n1, n2] that :func:`joint_distribution` returns:
+heralded single-photon statistics and g2(0), threshold-detector
 probabilities for the eavesdropping analysis, and squeeze-parameter sweeps
 with maximum location.  Sweeps and maxima build no array and truncate
 no row: P(1,1) = psi_2^2 / 2 is two scalar steps of the single-mode
@@ -21,34 +22,16 @@ from .errors import NoHeraldError
 from .fock import SqueezedInput, TruncationPolicy, _coincidence_11, output_amplitudes
 
 __all__ = [
-    "JointDistribution",
     "HeraldedStats",
     "ThresholdProbs",
     "SweepPoint",
     "joint_distribution",
+    "herald_marginal",
     "heralded_stats",
     "threshold_probs",
     "sweep_r",
     "locate_maximum",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Joint probabilities ``p[n1, n2]`` of photon counts at the two ports.
-
-    ``captured_mass`` is the total probability inside the truncated block;
-    the residual tail is bounded by the policy used to produce it.
-    """
-
-    p: np.ndarray
-    captured_mass: float
-    input_echo: SqueezedInput
-
-    @property
-    def herald_marginal(self) -> np.ndarray:
-        """m[k] = sum_{n1 >= 1} P(n1, k): the herald fires and port b holds k photons."""
-        return np.sum(self.p[1:, :], axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +53,7 @@ class ThresholdProbs:
     """Threshold-detector probabilities for the beam-splitting-attack analysis.
 
     Each is a sum of the cells it counts, read from the herald marginal
-    m[k] = sum_{n1 >= 1} P(n1, k) (``JointDistribution.herald_marginal``),
+    m[k] = sum_{n1 >= 1} P(n1, k) (:func:`herald_marginal`),
     so none is negative, and none exceeds q1 by more than the rounding of a
     sum:
 
@@ -107,28 +90,33 @@ class SweepPoint:
     pn1: float
 
 
-def joint_distribution(state: SqueezedInput, policy: TruncationPolicy) -> JointDistribution:
-    """Square the output amplitudes, in the box ``policy.for_state(state)``,
-    into the joint counting distribution (output_amplitudes never sees None)."""
-    p = output_amplitudes(state, policy.for_state(state)) ** 2
-    return JointDistribution(p=p, captured_mass=float(np.sum(p)), input_echo=state)
+def joint_distribution(state: SqueezedInput, policy: TruncationPolicy) -> np.ndarray:
+    """Joint probabilities ``p[n1, n2]`` of photon counts at the two ports.
+
+    The output amplitudes, in the box ``policy.for_state(state)``, squared
+    (output_amplitudes never sees None).  The box holds mass ``sum(p)``;
+    the residual tail is bounded by the policy's tail tolerance.
+    """
+    return output_amplitudes(state, policy.for_state(state)) ** 2
 
 
-def heralded_stats(jd: JointDistribution) -> HeraldedStats:
-    """Condition port b on a single-photon herald at port a.
+def herald_marginal(p: np.ndarray) -> np.ndarray:
+    """m[k] = sum_{n1 >= 1} P(n1, k): the herald fires and port b holds k photons."""
+    return np.sum(p[1:, :], axis=0)
+
+
+def heralded_stats(p: np.ndarray) -> HeraldedStats:
+    """Condition port b of the joint distribution p on a single-photon herald at port a.
 
     g2 uses the full conditional vector up to the truncation; the neglected
     tail is bounded by the distribution's tail tolerance.  g2 is nan where
     the conditional mean's square is 0 in float64: a herald row held all at
     n = 0 (r = 0, alpha = 1e-150) gives P1 > 0 but no photon at port b.
     """
-    row = jd.p[1, :]
+    row = p[1, :]
     p1 = float(np.sum(row))
     if p1 == 0.0:
-        raise NoHeraldError(
-            f"herald probability is exactly zero for r={jd.input_echo.r}, "
-            f"alpha={jd.input_echo.alpha}"
-        )
+        raise NoHeraldError("herald probability is exactly zero")
     pn = row / p1
     n = np.arange(pn.size)
     mean = float(np.sum(n * pn))
@@ -136,9 +124,9 @@ def heralded_stats(jd: JointDistribution) -> HeraldedStats:
     return HeraldedStats(p1=p1, pn=pn, g2=fact2 / mean**2 if mean**2 > 0.0 else math.nan)
 
 
-def threshold_probs(jd: JointDistribution) -> ThresholdProbs:
+def threshold_probs(p: np.ndarray) -> ThresholdProbs:
     """Probabilities seen by ideal threshold detectors (fire on >= 1 photon)."""
-    m = jd.herald_marginal
+    m = herald_marginal(p)
     miss, q3 = float(m[0]), float(m[1])
     return ThresholdProbs(q1=float(np.sum(m)), q2=float(np.sum(m[1:])), q3=q3,
                           baseline_miss=miss, attacked_miss=miss + 0.5 * q3,
@@ -200,14 +188,16 @@ def sweep_r(alpha: float, r_grid) -> tuple[SweepPoint, ...]:
     return tuple(points)
 
 
-def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
-                   coarse: int = 33) -> tuple[float, float]:
+_COARSE = 33            # points of the grid that brackets a maximum
+
+
+def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float) -> tuple[float, float]:
     """Maximize P(1,1) or P1 over r in [r_lo, r_hi]; returns (r_star, value).
 
     P1 is exact and P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone,
     as in :func:`sweep_r`; neither builds an array or a
     :class:`~pcbs.fock.SqueezedInput`, so ``r_hi`` is checked once up front.
-    A coarse grid brackets the maximum, and :func:`_golden_maximum` refines it
+    A 33-point grid brackets the maximum, and :func:`_golden_maximum` refines it
     to xtol 1e-6 from the three grid points around the coarse maximum.
     Raises ValueError when the coarse maximum sits on the interval boundary
     (no interior bracket exists) or ties with a neighbour.
@@ -223,10 +213,10 @@ def locate_maximum(alpha: float, quantity: str, r_lo: float, r_hi: float,
     def f(r: float) -> float:
         return probability(r, alpha)
 
-    grid = np.linspace(r_lo, r_hi, coarse).tolist()
+    grid = np.linspace(r_lo, r_hi, _COARSE).tolist()
     vals = [f(r) for r in grid]
     i = int(np.argmax(vals))
-    if i == 0 or i == coarse - 1:
+    if i == 0 or i == _COARSE - 1:
         raise ValueError(
             f"maximum of {quantity} lies at the boundary of [{r_lo}, {r_hi}]"
         )

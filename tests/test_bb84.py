@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from pcbs.bb84 import (
 )
 from pcbs.errors import EmptySessionError, NoHeraldError, UndefinedCdfError
 from pcbs.fock import SqueezedInput, TruncationPolicy
-from pcbs.stats import JointDistribution, joint_distribution, threshold_probs
+from pcbs.stats import joint_distribution, threshold_probs
 
 SEED = 20260813
 N_PULSES = 10**6
@@ -57,10 +58,14 @@ def test_session_longer_than_int64_rejected(jd):
 
 
 def test_undersampled_box_rejected():
-    p = np.array([[0.5, 0.0], [0.0, 0.4]])
-    leaky = JointDistribution(p=p, captured_mass=0.9, input_echo=None)
-    with pytest.raises(ValueError):
-        sample_cells(leaky, 100, 0)
+    # the gate reads the mass off the array: a box holding 0.9 or 0.5 of it,
+    # or a NaN, is refused before any draw
+    for p in (np.array([[0.5, 0.0], [0.0, 0.4]]), np.array([[0.25, 0.0], [0.0, 0.25]]),
+              np.array([[0.5, math.nan], [math.nan, 0.5]])):
+        with pytest.raises(ValueError, match="captured_mass"):
+            sample_cells(p, 100, 0)
+        with pytest.raises(ValueError, match="captured_mass"):
+            simulate_session(p, 10**6, AttackModel(), seed=1)
 
 
 def test_deterministic(jd):
@@ -100,13 +105,13 @@ def test_attacked_session_statistics(jd):
     rep = simulate_session(
         jd, N_PULSES, AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
     # exact thinning model: a heralded pulse is missed iff all n2 photons stolen
-    n2 = np.arange(jd.p.shape[1])
-    miss_joint = float(np.sum(jd.p[1:, :] * 0.5 ** n2[None, :]))
+    n2 = np.arange(jd.shape[1])
+    miss_joint = float(np.sum(jd[1:, :] * 0.5 ** n2[None, :]))
     miss_cond = miss_joint / tp.q1
     assert abs(rep.bob_miss_joint - miss_joint) < four_sigma(miss_joint, N_PULSES)
     assert abs(rep.bob_miss_given_herald - miss_cond) < four_sigma(miss_cond, rep.herald_count)
     # the single-photon component of the increment is exactly q3 / 2
-    increment_n2_1 = float(np.sum(jd.p[1:, 1])) * 0.5
+    increment_n2_1 = float(np.sum(jd[1:, 1])) * 0.5
     assert np.isclose(increment_n2_1, 0.5 * tp.q3, rtol=1e-12)
     assert miss_joint > tp.baseline_miss + 0.5 * tp.q3  # thinning adds n2 >= 2 losses
     assert rep.verdict is Verdict.ATTACK_SUSPECTED
@@ -135,7 +140,7 @@ def test_terapulse_session_matches_exact_rates(jd, ratio):
     n = 10**12
     tp = threshold_probs(jd)
     rep = simulate_session(jd, n, AttackModel("balanced_beam_splitter", ratio), seed=SEED)
-    detect = tp.q1 - float(np.sum(jd.p[1:, :] * ratio ** np.arange(jd.p.shape[1])))
+    detect = tp.q1 - float(np.sum(jd[1:, :] * ratio ** np.arange(jd.shape[1])))
     for count, p in ((rep.herald_count, tp.q1), (rep.bob_detect_count, detect)):
         assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
 
@@ -297,19 +302,18 @@ def test_session_rejects_a_threshold_that_clears_every_session(jd, z_threshold):
 
 def test_cell_frequencies_match_distribution(jd):
     n1, n2 = sample_cells(jd, N_PULSES, SEED)
-    counts = np.zeros(jd.p.shape)
-    inside = n1 < jd.p.shape[0]
+    counts = np.zeros(jd.shape)
+    inside = n1 < jd.shape[0]
     np.add.at(counts, (n1[inside], n2[inside]), 1.0)
     freq = counts / N_PULSES
-    check = jd.p > 1e-4
-    bound = 4.0 * np.sqrt(jd.p[check] * (1.0 - jd.p[check]) / N_PULSES)
-    assert np.all(np.abs(freq[check] - jd.p[check]) < bound)
+    check = jd > 1e-4
+    bound = 4.0 * np.sqrt(jd[check] * (1.0 - jd[check]) / N_PULSES)
+    assert np.all(np.abs(freq[check] - jd[check]) < bound)
 
 
 def test_overflow_bucket_is_multiphoton():
     p = np.array([[0.3, 0.2], [0.25, 0.25 - 1e-6]])
-    fake = JointDistribution(p=p, captured_mass=float(p.sum()), input_echo=None)
-    n1, n2 = sample_cells(fake, 5 * 10**6, seed=0)
+    n1, n2 = sample_cells(p, 5 * 10**6, seed=0)
     over = n1 == 2
     assert np.count_nonzero(over) > 0
     assert np.all(n2[over] == 2)
@@ -319,9 +323,8 @@ def test_overflow_bucket_is_multiphoton():
 def test_overflow_class_is_a_multiphoton_herald():
     # the 1e-6 outside the box is a herald with n2 = 2 photons toward Bob
     p = np.array([[0.3, 0.2], [0.25, 0.25 - 1e-6]])
-    fake = JointDistribution(p=p, captured_mass=float(p.sum()), input_echo=None)
     n = 10**15
-    rep = simulate_session(fake, n, AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
+    rep = simulate_session(p, n, AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
     herald, detect = 0.5, (0.25 - 1e-6) * 0.5 + 1e-6 * 0.75
     for count, q in ((rep.herald_count, herald), (rep.bob_detect_count, detect)):
         assert abs(count / n - q) < 5.0 * math.sqrt(q * (1.0 - q) / n)
@@ -329,7 +332,7 @@ def test_overflow_class_is_a_multiphoton_herald():
 
 def test_report_json_round_trip(jd):
     rep = simulate_session(jd, 2000, AttackModel(), seed=1)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(asdict(rep), allow_nan=False))    # as `pcbs bb84` prints it
     assert data["verdict"] in ("clean", "attack_suspected", "inconclusive")
     assert set(data) == {
         "n_pulses", "herald_count", "bob_detect_count", "bob_miss_given_herald",

@@ -82,7 +82,7 @@ def test_dist_csv_matches_a_per_cell_writer(tmp_path, capsys, r, alpha):
     assert rc == 0
     n_max = json.loads(out)["n_max"]
     p = joint_distribution(SqueezedInput(r=r, alpha=alpha),
-                           TruncationPolicy(n_max=n_max, tail_tolerance=1e-8)).p
+                           TruncationPolicy(n_max=n_max, tail_tolerance=1e-8))
     want = "n1,n2,probability\n" + "".join(
         f"{n1},{n2},{'%.12g' % p[n1, n2]}\n" for n1 in range(n_max + 1) for n2 in range(n_max + 1))
     assert (tmp_path / "dist.csv").read_bytes() == want.encode()
@@ -190,11 +190,13 @@ def test_sweep_bytes_are_pinned(tmp_path, capsys):
 
 def test_dist_bytes_are_pinned(tmp_path, capsys):
     # perfbench's dist-grid line at the working point
-    rc, _ = run(capsys, "dist", "--oracle", "--r", "1.0", "--alpha", "0.5",
-                "--tail-tolerance", "1e-08", "--out-dir", str(tmp_path))
+    rc, out = run(capsys, "dist", "--oracle", "--r", "1.0", "--alpha", "0.5",
+                  "--tail-tolerance", "1e-08", "--out-dir", str(tmp_path))
     assert rc == 0
     assert (hashlib.sha256((tmp_path / "dist.csv").read_bytes()).hexdigest()
             == "e1fea7875633f6c5915249c7c09ed632b2ceb33a79d6f51b378c7cf9c0b80449")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "ceaa37399dce7905d478b9e15c262f520909af31533374ae773f6ff92d5b1279")
 
 
 @pytest.mark.parametrize("attack, digest", [
