@@ -83,8 +83,8 @@ def brentq(*args, **kwargs):
     """Unused: no pcbs code calls this name, and a call raises.
 
     perfbench's tracer reads and rebinds ``pcbs.bands.brentq`` to count root
-    solves, so the name stays bound, and that count reads 0.  ROADMAP item 3
-    replaces the tracer's wrappers with stage spans and removes this name.
+    solves, so the name stays bound, and that count reads 0.  ROADMAP item 2
+    removes this name, together with the perfbench edit that stops reading it.
     """
     raise NotImplementedError("pcbs.bands finds its roots with _bracketed_newton")
 

@@ -54,6 +54,7 @@ __all__ = [
 ATTACK_KINDS = ("none", "balanced_beam_splitter")
 MIN_HERALDS_FOR_TEST = 100      # below this the z-test is not trustworthy
 _MAX_MISSING_MASS = 1e-6        # sampling precondition on 1 - sum(p)
+_MAX_EXCESS_MASS = 1e-12        # and on sum(p) - 1: numpy's multinomial allows no more
 # betaincc, which draws the stolen-photon counts, is NaN at scattered points
 # from n ~ 7.8e15 (scipy 1.17); tests/test_bb84.py checks it NaN-free up to here
 _MAX_PULSES = 10**15
@@ -112,10 +113,8 @@ def _check_pulse_cap(n_pulses: int) -> None:
 
 
 def _checked_pulses(p: np.ndarray, n_pulses: int) -> float:
-    """Refuse a session that is empty, longer than 10**15 pulses, or undersampled.
-
-    Returns the mass sum(p) that the box captures.
-    """
+    """Refuse a session that is empty, longer than 10**15 pulses, or whose box
+    mass sum(p) lies outside [1 - 1e-6, 1 + 1e-12]; return that mass."""
     if n_pulses <= 0:
         raise EmptySessionError(f"n_pulses must be positive, got {n_pulses}")
     _check_pulse_cap(n_pulses)
@@ -125,6 +124,9 @@ def _checked_pulses(p: np.ndarray, n_pulses: int) -> float:
             f"captured_mass = {captured_mass:.9f} leaves more than "
             f"{_MAX_MISSING_MASS:.0e} unsampled; rerun with a larger box"
         )
+    if captured_mass > 1.0 + _MAX_EXCESS_MASS:
+        raise ValueError(f"captured_mass = {captured_mass:.15g} exceeds 1 by more than "
+                         f"{_MAX_EXCESS_MASS:.0e}; p is not a probability distribution")
     return captured_mass
 
 
@@ -240,8 +242,8 @@ def simulate_session(p: np.ndarray, n_pulses: int,
     (:func:`~pcbs.stats.herald_marginal`) that also gives the herald
     classes (the baseline_miss and q1 of
     :func:`~pcbs.stats.threshold_probs`); detect_attack re-judges a report
-    against any other baseline.  The box's mass sum(p) must reach
-    1 - 1e-6, or ValueError; the rest is the overflow class.
+    against any other baseline.  The box's mass sum(p) must lie in
+    [1 - 1e-6, 1 + 1e-12], or ValueError; the rest is the overflow class.
     """
     captured_mass = _checked_pulses(p, n_pulses)
     rng = np.random.default_rng(seed)

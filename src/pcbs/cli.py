@@ -3,9 +3,10 @@
 Commands share a JSON config tree (--config, see config.py).  Each flag
 sets one key of it, named by its argparse dest and shown by --help, on
 the loaded RunConfig, through the config_from_tree that reads the file;
-every command reads its inputs from that alone.  Numeric CSV output is
-written with 12 significant digits and '\\n' line endings so repeated
-runs are byte-identical.
+every command but selftest (which checks it, then runs at the reference
+point) reads its inputs from that alone.  Numeric CSV output is written
+with 12 significant digits and '\\n' line endings so repeated runs are
+byte-identical.
 
 Exit codes are the exit_code of the error raised (see errors.py): 0
 success, 2 validation/configuration error (any ValueError, and every
@@ -47,15 +48,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
-    """Write the header row, then ``lines``, each a whole row ending in "\n".
+def _write_csv(path: str, header: list[str], body: str) -> None:
+    """Write the header row, then ``body``: whole rows, each ending in "\n".
 
     No field holds a comma, quote or newline, so no field is quoted.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(lines))
+        fh.write(body)
 
 
 def _dist_rows(p: np.ndarray) -> str:
@@ -76,18 +77,18 @@ def _dist_rows(p: np.ndarray) -> str:
 
 def cmd_dist(cfg: RunConfig, args) -> int:
     state = cfg.source
-    policy = cfg.truncation.for_state(state)
-    p = joint_distribution(state, policy)
+    p = joint_distribution(state, cfg.truncation)    # the box it resolves is p's shape
+    n_max = p.shape[0] - 1
 
     _write_csv(os.path.join(cfg.output.directory, "dist.csv"), ["n1", "n2", "probability"],
-               [_dist_rows(p)])
+               _dist_rows(p))
 
     tp = threshold_probs(p)
     payload = {
         "r": state.r,
         "alpha": state.alpha,
-        "n_max": policy.n_max,
-        "tail_tolerance": policy.tail_tolerance,
+        "n_max": n_max,
+        "tail_tolerance": cfg.truncation.tail_tolerance,
         "captured_mass": float(np.sum(p)),
         "q1": tp.q1,
         "q2": tp.q2,
@@ -104,9 +105,9 @@ def cmd_dist(cfg: RunConfig, args) -> int:
         payload.update(p1=0.0, g2=None, pn=None)
     if args.oracle:
         # the oracle is exact on every shell that fits whole in the box
-        orc = oracle_state(state, policy.n_max)
-        n = np.arange(policy.n_max + 1)
-        triangle = np.add.outer(n, n) <= policy.n_max
+        orc = oracle_state(state, n_max)
+        n = np.arange(n_max + 1)
+        triangle = np.add.outer(n, n) <= n_max
         payload["oracle_block_max_abs_dp"] = float(np.max(np.abs(p - orc ** 2)[triangle]))
     _emit(payload)
     return 0
@@ -123,7 +124,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     cells = [x for pt in points for x in (pt.r, pt.p11, pt.p1, pt.pn1)]
     _write_csv(os.path.join(cfg.output.directory, "sweep.csv"),
                ["r", "p11", "p1", "pn1", "error"],
-               [(f"{_FMT},{_FMT},{_FMT},{_FMT},\n" * len(points)) % tuple(cells)])
+               (f"{_FMT},{_FMT},{_FMT},{_FMT},\n" * len(points)) % tuple(cells))
 
     maxima = {}
     for quantity in ("p11", "p1"):
@@ -164,7 +165,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     cells = np.stack(np.broadcast_arrays(bands[:, None], k, omega, v_g), axis=-1)
     _write_csv(os.path.join(cfg.output.directory, "bands.csv"),
                ["band_index", "k", "omega", "v_g"],
-               [(f"%d,{_FMT},{_FMT},{_FMT}\n" * (cells.size // 4)) % tuple(cells.ravel().tolist())])
+               (f"%d,{_FMT},{_FMT},{_FMT}\n" * (cells.size // 4)) % tuple(cells.ravel().tolist()))
 
     payload = {"n_bands": n_bands, "samples_per_band": n_samples}
     try:

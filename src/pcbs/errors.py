@@ -9,6 +9,12 @@ refused input unless a subclass sets its own, 3 for a truncation failure
 and 4 for a numerical degeneracy, a NaN binomial CDF among them.
 """
 
+__all__ = [
+    "PcbsError", "TruncationError", "NoHeraldError", "InsufficientScanError",
+    "DegeneratePointError", "UnachievableTargetError", "EmptySessionError",
+    "ConfigError", "UndefinedCdfError",
+]
+
 
 class PcbsError(Exception):
     """Base class for all package-specific errors."""

@@ -68,6 +68,22 @@ def test_undersampled_box_rejected():
             simulate_session(p, 10**6, AttackModel(), seed=1)
 
 
+def test_overfull_box_rejected():
+    # a mass above 1 + 1e-12, the excess numpy's multinomial allows, is refused
+    # by the gate, not by numpy (simulate_session) or not at all (sample_cells)
+    for p in (np.array([[0.5, 0.25], [0.25, 0.5]]), np.array([[0.5, 0.25], [0.25, 2e-12]])):
+        with pytest.raises(ValueError, match="captured_mass"):
+            sample_cells(p, 100, 0)
+        with pytest.raises(ValueError, match="captured_mass"):
+            simulate_session(p, 10**6, AttackModel(), seed=1)
+    # an excess of 5e-13 is still drawn from, with the report it gave before the gate
+    p = np.array([[0.75, 0.0], [0.0, 0.25 + 5e-13]])
+    assert sample_cells(p, 100, 0)[0].shape == (100,)
+    rep = simulate_session(p, 10**6, AttackModel(), seed=1)
+    assert (rep.herald_count, rep.bob_detect_count, rep.sifted_key_bits,
+            rep.verdict) == (249742, 249742, 124716, Verdict.CLEAN)
+
+
 def test_deterministic(jd):
     a = simulate_session(jd, 5000, AttackModel(), seed=42)
     b = simulate_session(jd, 5000, AttackModel(), seed=42)
