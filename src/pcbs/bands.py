@@ -261,11 +261,12 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     delta = 0 (_edge_expansion).  With w = 0 prepended once per odd factor,
     the sorted roots alternate gap, band, gap, ...: gap g spans roots 2g and
     2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower edge of
-    an odd band.  One more call reads every edge's slope, from which
-    _gap_velocity takes the velocity beside each gap.  Last, each k = 0 edge
-    is polished as the root delta0 of its own odd factor's expansion about it
-    (two Newton steps from 0, all edges at once).  A band's values do not
-    depend on n_bands.
+    an odd band.  One more call reads every factor and slope at every root,
+    for _gap_velocity's velocity beside each gap.  Last, each k = 0 edge is
+    polished as the root delta0 of its own odd factor's expansion about it
+    (two Newton steps from 0, all edges at once, the first from that call's
+    row of root 2n - n mod 2 for band n).  A band's values do not depend on
+    n_bands.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
@@ -312,7 +313,8 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
                               np.where(first_negative, w_1, w_0), 0.0)
     order = np.lexsort((factor, roots))[:need]    # by root, then factor
     w_edge = np.concatenate(([0.0, 0.0], roots[order]))
-    slope = factor_at(w_edge, np.concatenate(([2, 3], factor[order])))[1]
+    f, df = _edge_expansion(a, b, x, w_edge)(0.0, slice(None))    # every factor at every root
+    slope = df[np.arange(w_edge.size), np.concatenate(([2, 3], factor[order]))]
     points = list(zip(w_edge.tolist(), slope.tolist()))
     v = [_gap_velocity(points[2 * g], points[2 * g + 1]) for g in range(n_bands + 1)]
     ends = [((points[2 * n - 1][0], v[n - 1]), (points[2 * n][0], v[n]))
@@ -321,7 +323,8 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
                       for n, (lo, hi) in enumerate(ends, start=1)])
     expansion = _edge_expansion(a, b, x, edges[:, 0])
     each = np.arange(n_bands)
-    f, df = expansion(np.zeros(n_bands), each)
+    root = 2 * each + 1 + each % 2    # band n = each + 1's k = 0 edge: root 2n - n mod 2
+    f, df = f[root], df[root]
     i = np.where(np.abs(f[:, 3]) < np.abs(f[:, 2]), 3, 2)    # each edge's factor
     delta0 = -f[each, i] / df[each, i]
     f, df = expansion(delta0, each)

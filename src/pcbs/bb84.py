@@ -3,9 +3,10 @@
 Alice heralds a pulse when her port fires (n1 >= 1); Bob's threshold
 detector fires when at least one photon reaches him.  An eavesdropper on
 the channel routes each of Bob's photons to herself independently with
-probability splitting_ratio; only the detection indicator is observable,
-so the per-photon routing enters through its exact marginal
-P(all stolen | n2) = ratio**n2.
+probability routed_fraction (0 without an attack), the beam-splitting
+attack of Brassard, Lutkenhaus, Mor & Sanders (PRL 85, 1330 (2000)); only
+the detection indicator is observable, so the per-photon routing enters
+through its exact marginal P(all stolen | n2) = routed_fraction**n2.
 
 A session's observables depend on a pulse only through its class: no
 herald (n1 = 0), herald with n2 = k for k = 0..n_max, or overflow (the
@@ -20,10 +21,9 @@ together, from a normal-quantile start, in a few betaincc rounds (see
 simulate_session).  n_pulses is capped at 10**15: scipy's betaincc returns
 NaN at scattered points from n ~ 7.8e15, and a NaN met in the search
 raises UndefinedCdfError instead of moving a count.  The same draws are
-made whatever the attack settings, so sessions with the same seed share
-their randomness across attack models (common random numbers, per class): the
-no-attack session and a splitting_ratio = 0 session are bit-identical, and
-the miss rate never decreases in the ratio.
+made whatever the routed fraction, so sessions with the same seed share
+their randomness across fractions (common random numbers, per class), and
+the miss rate never decreases in the fraction.
 
 Detection is rate-based: sifting is counted, but bit values never
 influence anything observable (no channel noise, QBER not modeled) and
@@ -38,11 +38,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptySessionError, NoHeraldError, UndefinedCdfError
+from .errors import NoHeraldError, UndefinedCdfError
 from .stats import herald_marginal
 
 __all__ = [
-    "AttackModel",
     "Verdict",
     "SessionReport",
     "sample_cells",
@@ -51,32 +50,12 @@ __all__ = [
     "MIN_HERALDS_FOR_TEST",
 ]
 
-ATTACK_KINDS = ("none", "balanced_beam_splitter")
 MIN_HERALDS_FOR_TEST = 100      # below this the z-test is not trustworthy
 _MAX_MISSING_MASS = 1e-6        # sampling precondition on 1 - sum(p)
 _MAX_EXCESS_MASS = 1e-12        # and on sum(p) - 1: numpy's multinomial allows no more
 # betaincc, which draws the stolen-photon counts, is NaN at scattered points
 # from n ~ 7.8e15 (scipy 1.17); tests/test_bb84.py checks it NaN-free up to here
 _MAX_PULSES = 10**15
-
-
-@dataclass(frozen=True)
-class AttackModel:
-    """Beam-splitting eavesdropper on Bob's channel."""
-
-    kind: str = "none"
-    splitting_ratio: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.splitting_ratio <= 1.0:
-            raise ValueError("splitting_ratio must lie in [0, 1]")
-
-    @property
-    def routed_fraction(self) -> float:
-        """Per-photon probability of theft; zero when no attack is present."""
-        return self.splitting_ratio if self.kind == "balanced_beam_splitter" else 0.0
 
 
 class Verdict(str, Enum):
@@ -106,18 +85,28 @@ class SessionReport:
     rng_algorithm: str = "pcg64"
 
 
-def _check_pulse_cap(n_pulses: int) -> None:
+def _check_n_pulses(n_pulses: int) -> None:
+    if n_pulses <= 0:
+        raise ValueError(f"n_pulses must be positive, got {n_pulses}")
     if n_pulses > _MAX_PULSES:
         raise ValueError(f"n_pulses must be at most 10**15, where the stolen-photon "
                          f"counts' binomial CDF is NaN-free, got {n_pulses}")
 
 
+def _check_fraction(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:    # NaN too
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def _check_z_threshold(z_threshold: float) -> None:
+    if not z_threshold > 0.0:    # z > nan is never true: a NaN threshold would clear every session
+        raise ValueError(f"z_threshold must be positive, got {z_threshold}")
+
+
 def _checked_pulses(p: np.ndarray, n_pulses: int) -> float:
     """Refuse a session that is empty, longer than 10**15 pulses, or whose box
     mass sum(p) lies outside [1 - 1e-6, 1 + 1e-12]; return that mass."""
-    if n_pulses <= 0:
-        raise EmptySessionError(f"n_pulses must be positive, got {n_pulses}")
-    _check_pulse_cap(n_pulses)
+    _check_n_pulses(n_pulses)
     captured_mass = float(np.sum(p))
     if not captured_mass >= 1.0 - _MAX_MISSING_MASS:     # a NaN mass is refused too
         raise ValueError(
@@ -205,8 +194,7 @@ def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: float) -> Verdict:
-    if not z_threshold > 0.0:    # z > nan is never true: a NaN threshold would clear every session
-        raise ValueError(f"z_threshold must be positive, got {z_threshold}")
+    _check_z_threshold(z_threshold)
     if herald_count < MIN_HERALDS_FOR_TEST:
         return Verdict.INCONCLUSIVE
     spread = baseline * (1.0 - baseline)
@@ -216,11 +204,15 @@ def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: flo
     return Verdict.ATTACK_SUSPECTED if z > z_threshold else Verdict.CLEAN
 
 
-def simulate_session(p: np.ndarray, n_pulses: int,
-                     attack: AttackModel = AttackModel(), seed: int = 0,
-                     z_threshold: float = 5.0) -> SessionReport:
+def simulate_session(p: np.ndarray, n_pulses: int, routed_fraction: float = 0.0,
+                     seed: int = 0, z_threshold: float = 5.0) -> SessionReport:
     """Run one session from the joint distribution p; deterministic given
-    (p, n_pulses, attack, seed).
+    (p, n_pulses, routed_fraction, seed).
+
+    routed_fraction, the probability that the eavesdropper takes each of
+    Bob's photons, is 0 without an attack.  Before any draw, ValueError
+    refuses a fraction outside [0, 1] (NaN too), an n_pulses outside
+    [1, 10**15] and a box mass sum(p) outside [1 - 1e-6, 1 + 1e-12].
 
     Draws, in order: one multinomial of n_pulses over the classes (no
     herald; herald with n2 = 0..n_max; overflow), one uniform in (0, 1]
@@ -234,18 +226,18 @@ def simulate_session(p: np.ndarray, n_pulses: int,
     counts.  In-process after a warm-up, on a 2-core x86_64 host (scipy
     1.17), a ratio-0.5 session at r = 1, alpha = 1/2 took about 0.3 ms at
     1e7 pulses, 1.3 ms at 1e12 and 4 ms at 1e15 (a bisection took 1.2, 12
-    to 18 and 57 to 68 ms); without an attack, 0.1 ms at every size.  n_pulses above 10**15 is
-    refused (ValueError), and a NaN CDF value raises UndefinedCdfError.
+    to 18 and 57 to 68 ms); without an attack, 0.1 ms at every size.  A
+    NaN CDF value raises UndefinedCdfError.
 
     The verdict is judged at ``z_threshold`` against the no-attack baseline
     m[0]/q1 of the same source, read from the herald marginal m[k]
     (:func:`~pcbs.stats.herald_marginal`) that also gives the herald
     classes (the baseline_miss and q1 of
     :func:`~pcbs.stats.threshold_probs`); detect_attack re-judges a report
-    against any other baseline.  The box's mass sum(p) must lie in
-    [1 - 1e-6, 1 + 1e-12], or ValueError; the rest is the overflow class.
+    against any other baseline.
     """
     captured_mass = _checked_pulses(p, n_pulses)
+    _check_fraction("routed_fraction", routed_fraction)
     rng = np.random.default_rng(seed)
     rows, cols = p.shape
     marginal = herald_marginal(p)
@@ -258,7 +250,7 @@ def simulate_session(p: np.ndarray, n_pulses: int,
     heralded = counts[1:]
     u = 1.0 - rng.random(heralded.size)
     n2 = np.append(np.arange(cols), rows)
-    stolen = _binom_ppf(u, heralded, np.power(attack.routed_fraction, n2))
+    stolen = _binom_ppf(u, heralded, np.power(routed_fraction, n2))
 
     herald_count = n_pulses - int(counts[0])
     if herald_count == 0:
@@ -288,7 +280,6 @@ def detect_attack(report: SessionReport, baseline_miss_given_herald: float,
     attack_suspected iff z > z_threshold; fewer than MIN_HERALDS_FOR_TEST
     heralds is inconclusive.
     """
-    if not 0.0 <= baseline_miss_given_herald <= 1.0:
-        raise ValueError("baseline_miss_given_herald must lie in [0, 1]")
+    _check_fraction("baseline_miss_given_herald", baseline_miss_given_herald)
     return _judge(report.bob_miss_given_herald, report.herald_count,
                   baseline_miss_given_herald, z_threshold)

@@ -30,8 +30,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .bands import sample_bands, scan_bands, tune_to_group_velocity
-from .bb84 import ATTACK_KINDS, simulate_session
-from .config import RunConfig, config_from_tree, load_config
+from .bb84 import simulate_session
+from .config import ATTACK_KINDS, RunConfig, config_from_tree, load_config
 from .errors import DegeneratePointError, NoHeraldError, PcbsError, UnachievableTargetError
 from .oracle import oracle_state
 from .selftest import run_all
@@ -195,7 +195,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
 def cmd_bb84(cfg: RunConfig, args) -> int:
     p = joint_distribution(cfg.source, cfg.truncation)
     section = cfg.bb84
-    report = simulate_session(p, section.n_pulses, section.attack_model(), seed=cfg.seed,
+    report = simulate_session(p, section.n_pulses, section.routed_fraction, seed=cfg.seed,
                               z_threshold=section.z_threshold)
     _emit(asdict(report))
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 from .bands import CrystalSpec
-from .bb84 import AttackModel, _check_pulse_cap
+from .bb84 import _check_fraction, _check_n_pulses, _check_z_threshold
 from .errors import ConfigError
 from .fock import SqueezedInput, TruncationPolicy, _check_n_max
 from .source import PumpSpec
@@ -33,6 +33,7 @@ __all__ = ["RunConfig", "load_config", "config_from_tree", "STEPS_CEILING", "ROW
 # and a one-band bands run peaks at about 180 MB.
 STEPS_CEILING = 100_000         # sweep.steps
 ROWS_CEILING = 250_000          # bands.n_samples, and bands.n_bands * bands.n_samples
+ATTACK_KINDS = ("none", "balanced_beam_splitter")    # bb84.attack
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,16 @@ class Bb84Section:
     z_threshold: float = 5.0
 
     def __post_init__(self):
-        if self.n_pulses <= 0:
-            raise ValueError(f"n_pulses must be positive, got {self.n_pulses}")
-        _check_pulse_cap(self.n_pulses)
-        self.attack_model()    # reject bad kind/ratio at load time
-        if not self.z_threshold > 0:    # NaN too: z > nan never flags an attack
-            raise ValueError(f"z_threshold must be positive, got {self.z_threshold}")
+        _check_n_pulses(self.n_pulses)
+        if self.attack not in ATTACK_KINDS:
+            raise ValueError(f"kind must be one of {ATTACK_KINDS}, got {self.attack!r}")
+        _check_fraction("splitting_ratio", self.splitting_ratio)
+        _check_z_threshold(self.z_threshold)
 
-    def attack_model(self) -> AttackModel:
-        return AttackModel(kind=self.attack, splitting_ratio=self.splitting_ratio)
+    @property
+    def routed_fraction(self) -> float:
+        """simulate_session's per-photon theft probability: the ratio under an attack, else 0."""
+        return self.splitting_ratio if self.attack == "balanced_beam_splitter" else 0.0
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,11 @@ def _check_type(path: str, value, hint) -> None:
     accepted, noun = _ACCEPTS[next(k for k in kinds if k is not type(None))]
     if type(value) not in accepted:
         raise ConfigError(f"'{path}' must be {noun}, got {value!r}")
+    if float in kinds and type(value) is int:
+        try:
+            float(value)    # only checked: an integer in range is kept as given
+        except OverflowError:
+            raise ConfigError(f"'{path}' must be a number within float range") from None
 
 
 def config_from_tree(tree: dict, cfg: RunConfig = RunConfig()) -> RunConfig:

@@ -6,13 +6,15 @@ amplitudes carry no precision limit of their own.
 
 Each error carries the exit code the command line returns for it: 2 for a
 refused input unless a subclass sets its own, 3 for a truncation failure
-and 4 for a numerical degeneracy, a NaN binomial CDF among them.
+and 4 for a numerical degeneracy, a NaN binomial CDF among them.  An input
+no type here names, such as an empty BB84 session or a routed fraction
+outside [0, 1], is refused with a plain ValueError, and exits 2 as well.
 """
 
 __all__ = [
     "PcbsError", "TruncationError", "NoHeraldError", "InsufficientScanError",
-    "DegeneratePointError", "UnachievableTargetError", "EmptySessionError",
-    "ConfigError", "UndefinedCdfError",
+    "DegeneratePointError", "UnachievableTargetError", "ConfigError",
+    "UndefinedCdfError",
 ]
 
 
@@ -86,10 +88,6 @@ class UndefinedCdfError(PcbsError):
     evaluates to NaN: no stolen-photon count is taken from it."""
 
     exit_code = 4
-
-
-class EmptySessionError(PcbsError):
-    """Raised when a Monte Carlo session is configured with zero pulses."""
 
 
 class ConfigError(PcbsError):

@@ -200,12 +200,13 @@ def oracle_state(state: SqueezedInput, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     dim = n_max + 1
+    column = _kept_column(state, dim)       # first: it may refuse, and the triangle is O(dim^2)
     total = np.repeat(np.arange(dim), np.arange(1, dim + 1))    # shell T of each index
     n1 = np.arange(total.size) - total * (total + 1) // 2
     n2 = total - n1
 
     joint = np.zeros(total.size)
-    joint[n1 == total] = _kept_column(state, dim)               # |T, 0> carries psi_T
+    joint[n1 == total] = column                                 # |T, 0> carries psi_T
 
     # B(0) = exp[(pi/4)(a^dag b - a b^dag)]; we apply its adjoint, whose
     # a b^dag term sends index i = |n1, n2> to i - 1 = |n1 - 1, n2 + 1>

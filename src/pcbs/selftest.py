@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bands import CrystalSpec, band_frequencies, scan_bands, tune_to_group_velocity
-from .bb84 import AttackModel, Verdict, simulate_session
+from .bb84 import Verdict, simulate_session
 from .fock import SqueezedInput, TruncationPolicy, output_amplitudes
 from .oracle import oracle_state
 from .source import (
@@ -217,15 +217,14 @@ def check_monte_carlo() -> CheckResult:
     tp = threshold_probs(p)
     baseline = tp.baseline_miss / tp.q1
 
-    clean = simulate_session(p, 10**6, AttackModel(), seed=SEED)
+    clean = simulate_session(p, 10**6, seed=SEED)
     bound = 4.0 * math.sqrt(baseline * (1.0 - baseline) / clean.herald_count)
     res.holds(f"clean miss rate {clean.bob_miss_given_herald:.5f} within 4 sigma "
               f"of {baseline:.5f}",
               abs(clean.bob_miss_given_herald - baseline) < bound)
     res.holds("clean verdict", clean.verdict is Verdict.CLEAN)
 
-    attacked = simulate_session(p, 10**5,
-                                AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
+    attacked = simulate_session(p, 10**5, 0.5, seed=SEED)
     res.holds("50-50 attack flagged at z=5", attacked.verdict is Verdict.ATTACK_SUSPECTED)
     # bb84 steals all k of Bob's photons with probability 2^-k
     expected = tp.simulated_attack_miss

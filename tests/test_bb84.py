@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from pcbs.bb84 import (
     _MAX_PULSES,
-    AttackModel,
     Verdict,
     _binom_ppf,
     detect_attack,
     sample_cells,
     simulate_session,
 )
-from pcbs.errors import EmptySessionError, NoHeraldError, UndefinedCdfError
+from pcbs.errors import NoHeraldError, UndefinedCdfError
 from pcbs.fock import SqueezedInput, TruncationPolicy
 from pcbs.stats import joint_distribution, threshold_probs
 
@@ -34,19 +33,21 @@ def four_sigma(p, n):
     return 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def test_attack_model_validation():
-    with pytest.raises(ValueError):
-        AttackModel(kind="intercept_resend")
-    with pytest.raises(ValueError):
-        AttackModel(kind="balanced_beam_splitter", splitting_ratio=1.5)
-    assert AttackModel().routed_fraction == 0.0
-    assert AttackModel("balanced_beam_splitter", 0.3).routed_fraction == 0.3
+def test_routed_fraction_validation(jd, monkeypatch):
+    # refused before any draw: a generator that is built fails the test
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("a draw was made"))
+    for fraction in (math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"^routed_fraction must lie in \[0, 1\]$"):
+            simulate_session(jd, 10**6, fraction, seed=1)
 
 
 def test_empty_session(jd):
-    with pytest.raises(EmptySessionError):
-        simulate_session(jd, 0)
-    with pytest.raises(EmptySessionError):
+    for n_pulses in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_pulses must be positive, got {n_pulses}$"):
+            simulate_session(jd, n_pulses)
+        with pytest.raises(ValueError, match=f"^n_pulses must be positive, got {n_pulses}$"):
+            simulate_session(jd, n_pulses, 0.5)
+    with pytest.raises(ValueError, match="n_pulses must be positive"):
         sample_cells(jd, -5, 0)
 
 
@@ -65,7 +66,7 @@ def test_undersampled_box_rejected():
         with pytest.raises(ValueError, match="captured_mass"):
             sample_cells(p, 100, 0)
         with pytest.raises(ValueError, match="captured_mass"):
-            simulate_session(p, 10**6, AttackModel(), seed=1)
+            simulate_session(p, 10**6, seed=1)
 
 
 def test_overfull_box_rejected():
@@ -75,33 +76,32 @@ def test_overfull_box_rejected():
         with pytest.raises(ValueError, match="captured_mass"):
             sample_cells(p, 100, 0)
         with pytest.raises(ValueError, match="captured_mass"):
-            simulate_session(p, 10**6, AttackModel(), seed=1)
+            simulate_session(p, 10**6, seed=1)
     # an excess of 5e-13 is still drawn from, with the report it gave before the gate
     p = np.array([[0.75, 0.0], [0.0, 0.25 + 5e-13]])
     assert sample_cells(p, 100, 0)[0].shape == (100,)
-    rep = simulate_session(p, 10**6, AttackModel(), seed=1)
+    rep = simulate_session(p, 10**6, seed=1)
     assert (rep.herald_count, rep.bob_detect_count, rep.sifted_key_bits,
             rep.verdict) == (249742, 249742, 124716, Verdict.CLEAN)
 
 
 def test_deterministic(jd):
-    a = simulate_session(jd, 5000, AttackModel(), seed=42)
-    b = simulate_session(jd, 5000, AttackModel(), seed=42)
+    a = simulate_session(jd, 5000, seed=42)
+    b = simulate_session(jd, 5000, seed=42)
     assert a == b
-    c = simulate_session(jd, 5000, AttackModel(), seed=43)
+    c = simulate_session(jd, 5000, seed=43)
     assert c != a
 
 
 def test_zero_ratio_attack_equals_no_attack(jd):
-    clean = simulate_session(jd, 10**5, AttackModel(), seed=SEED)
-    degenerate = simulate_session(
-        jd, 10**5, AttackModel("balanced_beam_splitter", 0.0), seed=SEED)
-    assert degenerate == clean
+    clean = simulate_session(jd, 10**5, seed=SEED)    # the default: no attack
+    assert simulate_session(jd, 10**5, 0.0, seed=SEED) == clean
+    assert simulate_session(jd, 10**5, 0, seed=SEED) == clean    # a JSON integer ratio
 
 
 def test_clean_session_statistics(jd):
     tp = threshold_probs(jd)
-    rep = simulate_session(jd, N_PULSES, AttackModel(), seed=SEED)
+    rep = simulate_session(jd, N_PULSES, seed=SEED)
     assert rep.n_pulses == N_PULSES and rep.seed == SEED
     assert rep.herald_count <= N_PULSES
     assert rep.rng_algorithm == "pcg64"
@@ -118,8 +118,7 @@ def test_clean_session_statistics(jd):
 
 def test_attacked_session_statistics(jd):
     tp = threshold_probs(jd)
-    rep = simulate_session(
-        jd, N_PULSES, AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
+    rep = simulate_session(jd, N_PULSES, 0.5, seed=SEED)
     # exact thinning model: a heralded pulse is missed iff all n2 photons stolen
     n2 = np.arange(jd.shape[1])
     miss_joint = float(np.sum(jd[1:, :] * 0.5 ** n2[None, :]))
@@ -134,17 +133,14 @@ def test_attacked_session_statistics(jd):
 
 
 def test_full_theft_misses_everything(jd):
-    rep = simulate_session(
-        jd, 10**4, AttackModel("balanced_beam_splitter", 1.0), seed=SEED)
+    rep = simulate_session(jd, 10**4, 1.0, seed=SEED)
     assert rep.bob_detect_count == 0
     assert rep.bob_miss_given_herald == 1.0
 
 
 def test_miss_rate_monotone_in_ratio(jd):
     rates = [
-        simulate_session(jd, 2 * 10**5,
-                         AttackModel("balanced_beam_splitter", ratio),
-                         seed=11).bob_miss_given_herald
+        simulate_session(jd, 2 * 10**5, ratio, seed=11).bob_miss_given_herald
         for ratio in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert all(a <= b for a, b in zip(rates, rates[1:]))  # shared draws: exact
@@ -155,7 +151,7 @@ def test_miss_rate_monotone_in_ratio(jd):
 def test_terapulse_session_matches_exact_rates(jd, ratio):
     n = 10**12
     tp = threshold_probs(jd)
-    rep = simulate_session(jd, n, AttackModel("balanced_beam_splitter", ratio), seed=SEED)
+    rep = simulate_session(jd, n, ratio, seed=SEED)
     detect = tp.q1 - float(np.sum(jd[1:, :] * ratio ** np.arange(jd.shape[1])))
     for count, p in ((rep.herald_count, tp.q1), (rep.bob_detect_count, detect)):
         assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
@@ -166,12 +162,10 @@ def test_terapulse_session_matches_exact_rates(jd, ratio):
        ratios=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
 def test_count_sampler_couples_ratios(jd, seed, n_pulses, ratios):
     def session(ratio):
-        return simulate_session(
-            jd, n_pulses, AttackModel("balanced_beam_splitter", ratio), seed=seed)
+        return simulate_session(jd, n_pulses, ratio, seed=seed)
 
     rates = [session(ratio).bob_miss_given_herald for ratio in sorted(ratios)]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
-    assert session(0.0) == simulate_session(jd, n_pulses, AttackModel(), seed=seed)
     assert session(1.0).bob_detect_count == 0
 
 
@@ -250,20 +244,19 @@ def test_attacked_session_finds_its_quantiles_in_few_rounds(jd, monkeypatch):
     calls = counting_betaincc(monkeypatch)
     for seed in range(20):
         calls.clear()
-        simulate_session(jd, 10**7, AttackModel("balanced_beam_splitter", 0.5), seed=seed)
+        simulate_session(jd, 10**7, 0.5, seed=seed)
         assert 1 <= len(calls) <= 4, seed
 
 
 def test_nan_cdf_raises_instead_of_taking_a_side(jd, monkeypatch):
-    attack = AttackModel("balanced_beam_splitter", 0.5)
     calls = counting_betaincc(monkeypatch)
-    simulate_session(jd, 10**12, attack, seed=SEED)
+    simulate_session(jd, 10**12, 0.5, seed=SEED)
     rounds = len(calls)
     assert rounds >= 2
     for nan_at in range(rounds):    # a NaN at any probe, the first or a later one
         counting_betaincc(monkeypatch, nan_at)
         with pytest.raises(UndefinedCdfError, match="NaN") as exc:
-            simulate_session(jd, 10**12, attack, seed=SEED)
+            simulate_session(jd, 10**12, 0.5, seed=SEED)
         assert exc.value.exit_code == 4
 
 
@@ -281,7 +274,7 @@ def test_cdf_is_nan_free_up_to_the_pulse_cap():
 
 
 def test_small_session_inconclusive(jd):
-    rep = simulate_session(jd, 120, AttackModel(), seed=3)
+    rep = simulate_session(jd, 120, seed=3)
     assert rep.herald_count < 100
     assert rep.verdict is Verdict.INCONCLUSIVE
 
@@ -289,13 +282,13 @@ def test_small_session_inconclusive(jd):
 def test_no_herald_source():
     vacuum = joint_distribution(SqueezedInput(r=0.0, alpha=0.0), TruncationPolicy(8, 1e-9))
     with pytest.raises(NoHeraldError):
-        simulate_session(vacuum, 1000, AttackModel(), seed=0)
+        simulate_session(vacuum, 1000, seed=0)
 
 
 def test_detect_attack_rejudge(jd):
     tp = threshold_probs(jd)
     baseline = (tp.q1 - tp.q2) / tp.q1
-    rep = simulate_session(jd, N_PULSES, AttackModel(), seed=SEED)
+    rep = simulate_session(jd, N_PULSES, seed=SEED)
     assert detect_attack(rep, baseline) is Verdict.CLEAN
     miss = rep.bob_miss_given_herald
     assert detect_attack(rep, miss - 1e-6, z_threshold=1e-9) is Verdict.ATTACK_SUSPECTED
@@ -309,9 +302,9 @@ def test_detect_attack_rejudge(jd):
 @pytest.mark.parametrize("z_threshold", [0.0, -1.0, math.nan])
 def test_session_rejects_a_threshold_that_clears_every_session(jd, z_threshold):
     # z > nan is never true, so a NaN threshold would report every attack as clean
-    rep = simulate_session(jd, N_PULSES, AttackModel(), seed=SEED)
+    rep = simulate_session(jd, N_PULSES, seed=SEED)
     with pytest.raises(ValueError, match="z_threshold"):
-        simulate_session(jd, N_PULSES, AttackModel(), seed=SEED, z_threshold=z_threshold)
+        simulate_session(jd, N_PULSES, seed=SEED, z_threshold=z_threshold)
     with pytest.raises(ValueError, match="z_threshold"):
         detect_attack(rep, 0.5, z_threshold=z_threshold)
 
@@ -340,14 +333,14 @@ def test_overflow_class_is_a_multiphoton_herald():
     # the 1e-6 outside the box is a herald with n2 = 2 photons toward Bob
     p = np.array([[0.3, 0.2], [0.25, 0.25 - 1e-6]])
     n = 10**15
-    rep = simulate_session(p, n, AttackModel("balanced_beam_splitter", 0.5), seed=SEED)
+    rep = simulate_session(p, n, 0.5, seed=SEED)
     herald, detect = 0.5, (0.25 - 1e-6) * 0.5 + 1e-6 * 0.75
     for count, q in ((rep.herald_count, herald), (rep.bob_detect_count, detect)):
         assert abs(count / n - q) < 5.0 * math.sqrt(q * (1.0 - q) / n)
 
 
 def test_report_json_round_trip(jd):
-    rep = simulate_session(jd, 2000, AttackModel(), seed=1)
+    rep = simulate_session(jd, 2000, seed=1)
     data = json.loads(json.dumps(asdict(rep), allow_nan=False))    # as `pcbs bb84` prints it
     assert data["verdict"] in ("clean", "attack_suspected", "inconclusive")
     assert set(data) == {

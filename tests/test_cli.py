@@ -19,13 +19,18 @@ from hypothesis import strategies as st
 
 import pcbs
 import pcbs.selftest
-from pcbs.bb84 import ATTACK_KINDS
 from pcbs.cli import _FLAGS, _build_parser, _emit, main
-from pcbs.config import ROWS_CEILING, STEPS_CEILING, BandsSection, RunConfig, SweepSection
+from pcbs.config import (
+    ATTACK_KINDS,
+    ROWS_CEILING,
+    STEPS_CEILING,
+    BandsSection,
+    RunConfig,
+    SweepSection,
+)
 from pcbs.errors import (
     ConfigError,
     DegeneratePointError,
-    EmptySessionError,
     InsufficientScanError,
     NoHeraldError,
     PcbsError,
@@ -209,6 +214,27 @@ def test_bb84_bytes_are_pinned(capsys, attack, digest):
     rc, out = run(capsys, "bb84", "--n-pulses", "10000000", "--seed", "7", *attack)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_no_attack_routes_nothing_whatever_the_ratio(capsys):
+    rc, clean = run(capsys, "bb84", "--attack", "none", "--ratio", "0.7")
+    assert rc == 0
+    assert run(capsys, "bb84", "--attack", "balanced_beam_splitter", "--ratio", "0") == (0, clean)
+    # the ratio is still checked under "none"
+    assert main(["bb84", "--attack", "none", "--ratio", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: splitting_ratio must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("key, command", [("source.alpha", "dist"), ("crystal.l_a", "bands"),
+                                          ("pump.radiant_flux", "bands"),
+                                          ("bands.target_vg_over_c", "tune"),
+                                          ("sweep.r_max", "sweep")])
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, key, command):
+    name, _, field = key.partition(".")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: {field: 10**400}}))
+    assert main(["--config", str(cfg), command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: '{key}' must be a number within float range")
 
 
 def test_sweep_strong_squeeze_served(tmp_path, capsys):
@@ -1011,7 +1037,7 @@ def test_every_command_refuses_a_bad_section(tmp_path, capsys, monkeypatch, tree
 
 
 EXIT_CODES = {
-    ConfigError: 2, EmptySessionError: 2, NoHeraldError: 2, UnachievableTargetError: 2,
+    ConfigError: 2, NoHeraldError: 2, UnachievableTargetError: 2,
     TruncationError: 3, DegeneratePointError: 4, InsufficientScanError: 4,
     UndefinedCdfError: 4,
 }

@@ -142,6 +142,22 @@ def test_float_fields_accept_json_integers():
     cfg = config_from_tree({"crystal": {"eps_rel_b": 4}, "source": {"r": 1, "alpha": 0},
                             "bb84": {"z_threshold": 5}})
     assert cfg.crystal.eps_rel_b == 4 and cfg.source.r == 1 and cfg.bb84.z_threshold == 5
+    top = 2**1024 - 2**970 - 1    # the largest integer float() takes: it rounds to 1.8e308
+    r_max = config_from_tree({"sweep": {"r_max": top}}).sweep.r_max
+    assert type(r_max) is int and r_max == top    # kept as given
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024 - 2**970])
+@pytest.mark.parametrize("section, key", [(section, key) for section, key, _ in FLOAT_FIELDS])
+def test_float_fields_refuse_integers_beyond_float_range(tmp_path, section, key, value):
+    # 2**1024 - 2**970 is the least integer that rounds to inf
+    message = f"^'{section}.{key}' must be a number within float range"
+    with pytest.raises(ConfigError, match=message):
+        config_from_tree({section: {key: value}})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("section, key", [("output", "directory"), ("bb84", "attack")])
@@ -167,11 +183,21 @@ def test_optional_n_max_accepts_null():
     assert config_from_tree({"truncation": {"n_max": 50}}).truncation.n_max == 50
 
 
-def test_attack_model_built_from_section():
+def test_routed_fraction_read_from_section():
     cfg = config_from_tree({"bb84": {"attack": "balanced_beam_splitter",
                                      "splitting_ratio": 0.25}})
-    model = cfg.bb84.attack_model()
-    assert model.routed_fraction == 0.25
+    assert cfg.bb84.routed_fraction == 0.25
+    # without an attack the ratio is kept and checked, but nothing is routed
+    cfg = config_from_tree({"bb84": {"attack": "none", "splitting_ratio": 0.7}})
+    assert cfg.bb84.splitting_ratio == 0.7 and cfg.bb84.routed_fraction == 0.0
+    assert RunConfig().bb84.routed_fraction == 0.0
+
+
+@pytest.mark.parametrize("attack", ["none", "balanced_beam_splitter"])
+@pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
+def test_ratio_outside_unit_interval_rejected_whatever_the_kind(attack, ratio):
+    with pytest.raises(ConfigError, match=r"^splitting_ratio must lie in \[0, 1\]$"):
+        config_from_tree({"bb84": {"attack": attack, "splitting_ratio": ratio}})
 
 
 def test_load_config_file(tmp_path):

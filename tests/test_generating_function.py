@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from pcbs.bb84 import AttackModel, simulate_session
+from pcbs.bb84 import simulate_session
 from pcbs.cli import main
 from pcbs.fock import SqueezedInput, TruncationPolicy, _single_mode_column
 from pcbs.stats import _herald_probability, joint_distribution
@@ -149,6 +149,5 @@ def test_attacked_session_miss_is_the_untruncated_expectation(working_jd, ratio)
     assert exact - tail - 2e-12 * exact <= box <= exact + 2e-12 * exact
     n_pulses = 10**7
     for seed in (7, 8, 9):
-        rep = simulate_session(working_jd, n_pulses,
-                               AttackModel("balanced_beam_splitter", ratio), seed=seed)
+        rep = simulate_session(working_jd, n_pulses, ratio, seed=seed)
         assert abs(rep.bob_miss_joint - box) <= 4.0 * math.sqrt(box * (1.0 - box) / n_pulses)

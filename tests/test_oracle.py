@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_oracle_refuses_unsettled_headroom(monkeypatch):
     monkeypatch.setattr(pcbs.oracle, "_MAX_SIZE", 64)
     with pytest.raises(ValueError, match="did not settle"):
         oracle_state(SqueezedInput(r=2.0, alpha=0.5), 5)
+
+
+def test_oracle_refuses_an_unservable_box_before_building_its_triangle():
+    # n_max 5300 needs sizes above 2^14 at once; the parent built the
+    # 14-million-entry triangle first and peaked near 429 MB before refusing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="did not settle"):
+            oracle_state(SqueezedInput(r=1.0, alpha=0.5), 5300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def serial_kept_column(state, dim):
