@@ -194,7 +194,6 @@ def _binom_ppf(u: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _judge(miss_hat: float, herald_count: int, baseline: float, z_threshold: float) -> Verdict:
-    _check_z_threshold(z_threshold)
     if herald_count < MIN_HERALDS_FOR_TEST:
         return Verdict.INCONCLUSIVE
     spread = baseline * (1.0 - baseline)
@@ -211,8 +210,9 @@ def simulate_session(p: np.ndarray, n_pulses: int, routed_fraction: float = 0.0,
 
     routed_fraction, the probability that the eavesdropper takes each of
     Bob's photons, is 0 without an attack.  Before any draw, ValueError
-    refuses a fraction outside [0, 1] (NaN too), an n_pulses outside
-    [1, 10**15] and a box mass sum(p) outside [1 - 1e-6, 1 + 1e-12].
+    refuses a fraction outside [0, 1] (NaN too), a z_threshold that is not
+    positive (NaN too), an n_pulses outside [1, 10**15] and a box mass
+    sum(p) outside [1 - 1e-6, 1 + 1e-12].
 
     Draws, in order: one multinomial of n_pulses over the classes (no
     herald; herald with n2 = 0..n_max; overflow), one uniform in (0, 1]
@@ -238,6 +238,7 @@ def simulate_session(p: np.ndarray, n_pulses: int, routed_fraction: float = 0.0,
     """
     captured_mass = _checked_pulses(p, n_pulses)
     _check_fraction("routed_fraction", routed_fraction)
+    _check_z_threshold(z_threshold)
     rng = np.random.default_rng(seed)
     rows, cols = p.shape
     marginal = herald_marginal(p)
@@ -281,5 +282,6 @@ def detect_attack(report: SessionReport, baseline_miss_given_herald: float,
     heralds is inconclusive.
     """
     _check_fraction("baseline_miss_given_herald", baseline_miss_given_herald)
+    _check_z_threshold(z_threshold)
     return _judge(report.bob_miss_given_herald, report.herald_count,
                   baseline_miss_given_herald, z_threshold)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -190,4 +191,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:   # json reads an integer with int(), which caps its digits
+        raise ConfigError(f"config file {path!r} holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits, the limit of "
+                          f"Python's integer reader") from exc
     return config_from_tree(tree)

@@ -99,13 +99,16 @@ def _expm_apply(offset: int, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
         W_0 = v,  W_1 = B v,  W_{k+1} = 2 B W_k + W_{k-1},
 
     where W_k = i^k T_k(-iB) v keeps the norm of v at most.  Each term is
-    two slice products on the band, and the Bessel coefficients say up
-    front where the sum stops.  Zero couplings that cut every link across
-    a seam split v into blocks that evolve independently; rho is then the
-    largest block norm, which bounds every block's spectrum, so every
-    block's expansion stays exact, and the block that sets rho gets the
-    bits it would get alone.  Raises ValueError if A or the result is not
-    finite.
+    six ufunc calls, all written into buffers made before the loop: two
+    slice products on the band, the two slice updates they feed, and the
+    weighted term added to the sum.  The views of the two recurrence
+    buffers are cut once and swap with them, so a term allocates nothing.
+    The Bessel coefficients say up front where the sum stops.  Zero
+    couplings that cut every link across a seam split v into blocks that
+    evolve independently; rho is then the largest block norm, which bounds
+    every block's spectrum, so every block's expansion stays exact, and the
+    block that sets rho gets the bits it would get alone.  Raises
+    ValueError if A or the result is not finite.
     """
     out = np.array(v, dtype=float)
     column = np.zeros(out.size)         # |A| column sums: the exact 1-norm is their max
@@ -119,21 +122,25 @@ def _expm_apply(offset: int, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = coeffs * (2.0 / rho)        # 2B, as a band pair
         lower, term = np.empty(out.size - offset), np.empty_like(out)
         prev, cur = out, np.zeros_like(out)
+        prev_lo, prev_hi = prev[:-offset], prev[offset:]     # band slices, cut once
+        cur_lo, cur_hi = cur[:-offset], cur[offset:]
+        mul, add, sub = np.multiply, np.add, np.subtract
 
-        def add_2b(into, w):            # into += 2B w, as two slice products
-            np.multiply(c, w[:-offset], out=lower)
-            into[offset:] += lower
-            np.multiply(c, w[offset:], out=lower)
-            into[:-offset] -= lower
-
-        add_2b(cur, prev)
-        cur *= 0.5                      # W_1
+        mul(c, prev_lo, out=lower)      # W_1 = (2B W_0) / 2
+        add(cur_hi, lower, out=cur_hi)
+        mul(c, prev_hi, out=lower)
+        sub(cur_lo, lower, out=cur_lo)
+        cur *= 0.5
         out = prev * (0.5 * weights[0]) + cur * weights[1]
-        for weight in weights[2:]:
-            add_2b(prev, cur)           # W_{k-1} becomes W_{k+1}
-            prev, cur = cur, prev
-            np.multiply(cur, weight, out=term)
-            out += term
+        for weight in weights[2:]:      # W_{k-1} += 2B W_k becomes W_{k+1}
+            mul(c, cur_lo, out=lower)
+            add(prev_hi, lower, out=prev_hi)
+            mul(c, cur_hi, out=lower)
+            sub(prev_lo, lower, out=prev_lo)
+            mul(prev, weight, out=term)
+            add(out, term, out=out)
+            prev, prev_lo, prev_hi, cur, cur_lo, cur_hi = (
+                cur, cur_lo, cur_hi, prev, prev_lo, prev_hi)
     if not np.isfinite(out).all():
         raise ValueError(f"oracle: exp(A) v is not finite (1-norm {rho:g})")
     return out

@@ -186,7 +186,7 @@ _ALPHA_GRID = (0.0, 0.25, 0.5, 1.0)
 
 def check_oracle_equivalence() -> CheckResult:
     res = CheckResult("closed form vs operator-exponential oracle")
-    worst_entry = worst_norm = worst_sym = 0.0
+    worst_entry = worst_square = worst_norm = worst_sym = 0.0
     parity_exact = True
     for r in _R_GRID:
         for alpha in _ALPHA_GRID:
@@ -198,6 +198,9 @@ def check_oracle_equivalence() -> CheckResult:
             # the oracle is exact on every shell that fits whole in the box
             total = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
             worst_entry = max(worst_entry, float(np.max(np.abs(amp - orc)[total <= n_max])))
+            # the triangle n1 + n2 <= 2 n_max holds the whole box
+            whole = oracle_state(state, 2 * n_max)[:n_max + 1, :n_max + 1]
+            worst_square = max(worst_square, float(np.max(np.abs(amp - whole))))
             worst_sym = max(worst_sym, float(np.max(np.abs(amp - amp.T))))
             worst_norm = max(worst_norm, abs(float(np.sum(amp**2)) - 1.0))
             if alpha == 0.0:
@@ -205,6 +208,8 @@ def check_oracle_equivalence() -> CheckResult:
     res.holds(f"entrywise |closed - oracle| on n1 + n2 <= n_max = {worst_entry:.3g} "
               f"<= 1e-12 ({len(_R_GRID) * len(_ALPHA_GRID)} grid points)",
               worst_entry <= 1e-12)
+    res.holds(f"entrywise |closed - oracle| on the whole box = {worst_square:.3g} <= 1e-12 "
+              f"(oracle on n1 + n2 <= 2 n_max)", worst_square <= 1e-12)
     res.holds(f"normalization |sum - 1| = {worst_norm:.3g} <= 1e-8", worst_norm <= 1e-8)
     res.holds(f"mode-swap symmetry = {worst_sym:.3g} <= 1e-12", worst_sym <= 1e-12)
     res.holds("parity selection at alpha=0 exact", parity_exact)

@@ -300,13 +300,18 @@ def test_detect_attack_rejudge(jd):
 
 
 @pytest.mark.parametrize("z_threshold", [0.0, -1.0, math.nan])
-def test_session_rejects_a_threshold_that_clears_every_session(jd, z_threshold):
+def test_session_rejects_a_threshold_that_clears_every_session(jd, monkeypatch, z_threshold):
     # z > nan is never true, so a NaN threshold would report every attack as clean
     rep = simulate_session(jd, N_PULSES, seed=SEED)
     with pytest.raises(ValueError, match="z_threshold"):
-        simulate_session(jd, N_PULSES, seed=SEED, z_threshold=z_threshold)
-    with pytest.raises(ValueError, match="z_threshold"):
         detect_attack(rep, 0.5, z_threshold=z_threshold)
+    # refused before any draw: before a 1e15-pulse attack's betaincc rounds, and
+    # before a box that never heralds could raise NoHeraldError
+    vacuum = joint_distribution(SqueezedInput(r=0.0, alpha=0.0), TruncationPolicy(8, 1e-9))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("a draw was made"))
+    for p, n_pulses, fraction in ((jd, N_PULSES, 0.0), (jd, 10**15, 0.5), (vacuum, 1000, 0.0)):
+        with pytest.raises(ValueError, match=f"^z_threshold must be positive, got {z_threshold}$"):
+            simulate_session(p, n_pulses, fraction, seed=SEED, z_threshold=z_threshold)
 
 
 def test_cell_frequencies_match_distribution(jd):

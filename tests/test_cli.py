@@ -237,6 +237,15 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, key, command):
     assert capsys.readouterr().err.startswith(f"error: '{key}' must be a number within float range")
 
 
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"source": {"alpha": 1' + "0" * 4999 + "}}")
+    assert main(["--config", str(cfg), "dist"]) == 2
+    assert capsys.readouterr().err == (f"error: config file {str(cfg)!r} holds an integer of "
+                                       f"more than {sys.get_int_max_str_digits()} digits, "
+                                       "the limit of Python's integer reader\n")
+
+
 def test_sweep_strong_squeeze_served(tmp_path, capsys):
     # the box at n_max 60 holds half the mass at r = 3; the herald row is exact
     rc, out = run(capsys, "sweep", "--alpha", "0.5", "--r-min", "0", "--r-max", "3",

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from dataclasses import asdict
 from typing import get_type_hints
 
@@ -211,3 +213,15 @@ def test_load_config_file(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(broken))
+    # json reads an integer with int(), which refuses more than
+    # sys.get_int_max_str_digits() digits (4300 by default) with a bare ValueError
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"source": {"alpha": 1' + "0" * 4999 + "}}")
+    with pytest.raises(ConfigError, match=f"^config file '{re.escape(str(long_int))}' holds an "
+                                          f"integer of more than {sys.get_int_max_str_digits()} "
+                                          "digits"):
+        load_config(str(long_int))
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"output": {"directory": "\xff"}}')
+    with pytest.raises(ConfigError, match="is not UTF-8 text"):
+        load_config(str(not_utf8))

@@ -189,6 +189,24 @@ def band_generator(offset, coeffs, size):
     return diags([coeffs, -coeffs], [-offset, offset], shape=(size, size), format="csr")
 
 
+def band_couplings(offset, size, norm, ladder, rng, seams=()):
+    """The couplings of a band pair on ``size`` entries, scaled to 1-norm ``norm``.
+
+    ladder: sqrt(n) couplings as in the oracle's generators; else random signs
+    and sizes.  At each seam, ``offset`` zero couplings cut every link across it.
+    """
+    coeffs = np.sqrt(np.arange(1.0, size - offset + 1)) if ladder else rng.normal(size=size - offset)
+    for seam in seams:
+        start = seam % max(coeffs.size, 1)
+        coeffs[start:start + offset] = 0.0
+    column = np.zeros(size)
+    column[:-offset] = np.abs(coeffs)
+    column[offset:] += np.abs(coeffs)
+    if column.max(initial=0.0) > 0.0:
+        coeffs *= norm / column.max()
+    return coeffs
+
+
 @settings(max_examples=60, deadline=None)
 @given(offset=st.sampled_from([1, 2]), size=st.integers(2, 400),
        # expm_multiply divides by zero at subnormal norms
@@ -198,13 +216,7 @@ def test_expm_apply_matches_scipy(offset, size, norm, ladder, seed):
     from scipy.sparse.linalg import expm_multiply
 
     rng = np.random.default_rng(seed)
-    # ladder: sqrt(n) couplings as in the oracle's generators; else random signs and sizes
-    coeffs = np.sqrt(np.arange(1.0, size - offset + 1)) if ladder else rng.normal(size=size - offset)
-    column = np.zeros(size)
-    column[:-offset] = np.abs(coeffs)
-    column[offset:] += np.abs(coeffs)
-    if column.max(initial=0.0) > 0.0:
-        coeffs *= norm / column.max()
+    coeffs = band_couplings(offset, size, norm, ladder, rng)
     v = rng.normal(size=size)
     scale = np.linalg.norm(v)
     # The reference sets the bound: each of expm_multiply's Taylor substeps (1-norm
@@ -220,6 +232,66 @@ def test_expm_apply_matches_scipy(offset, size, norm, ladder, seed):
     assert np.max(np.abs(_expm_apply(offset, -coeffs, got) - v)) <= tol
     assert abs(np.linalg.norm(got) - scale) <= tol
     np.testing.assert_array_equal(_expm_apply(offset, np.zeros(size - offset), v), v)
+
+
+def add_2b_expm_apply(offset, coeffs, v):
+    """_expm_apply with its term loop as first written: a nested add_2b that
+    cuts the band slices of its buffers afresh at every term."""
+    out = np.array(v, dtype=float)
+    column = np.zeros(out.size)
+    column[:-offset] = np.abs(coeffs)
+    column[offset:] += np.abs(coeffs)
+    rho = column.max(initial=0.0)
+    if not math.isfinite(rho):
+        raise ValueError(f"oracle: the generator's 1-norm is {rho}")
+    if rho > 0.0:
+        weights = (2.0 * _bessel_j(rho)).tolist()
+        c = coeffs * (2.0 / rho)
+        lower, term = np.empty(out.size - offset), np.empty_like(out)
+        prev, cur = out, np.zeros_like(out)
+
+        def add_2b(into, w):
+            np.multiply(c, w[:-offset], out=lower)
+            into[offset:] += lower
+            np.multiply(c, w[offset:], out=lower)
+            into[:-offset] -= lower
+
+        add_2b(cur, prev)
+        cur *= 0.5
+        out = prev * (0.5 * weights[0]) + cur * weights[1]
+        for weight in weights[2:]:
+            add_2b(prev, cur)
+            prev, cur = cur, prev
+            np.multiply(cur, weight, out=term)
+            out += term
+    if not np.isfinite(out).all():
+        raise ValueError(f"oracle: exp(A) v is not finite (1-norm {rho:g})")
+    return out
+
+
+def same_bits(a, b):
+    # stricter than np.array_equal: the sign of each zero counts too
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(offset=st.sampled_from([1, 2]), size=st.integers(2, 400),
+       # 2 / rho overflows at a subnormal 1-norm, on either loop
+       norm=st.floats(0.0, 300.0, allow_subnormal=False), ladder=st.booleans(),
+       seams=st.lists(st.integers(0, 399), max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_expm_apply_keeps_the_add_2b_bits(offset, size, norm, ladder, seams, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = band_couplings(offset, size, norm, ladder, rng, seams)
+    v = rng.normal(size=size)
+    assert same_bits(_expm_apply(offset, coeffs, v), add_2b_expm_apply(offset, coeffs, v))
+
+
+def test_oracle_keeps_the_add_2b_bits(monkeypatch):
+    cases = list(_bit_identity_cases())
+    got = [oracle_state(state, n_max) for state, n_max in cases]
+    monkeypatch.setattr(pcbs.oracle, "_expm_apply", add_2b_expm_apply)
+    for (state, n_max), amp in zip(cases, got):
+        assert same_bits(amp, oracle_state(state, n_max)), (state, n_max)
 
 
 def test_expm_apply_refuses_a_non_finite_vector(monkeypatch):
