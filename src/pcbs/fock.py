@@ -14,6 +14,12 @@ The splitter conserves total photon number and spreads each shell |T, 0>
 binomially over the outputs (n1, T - n1), so every output amplitude is one
 entry of psi times a binomial weight, taken in log space from a table of
 log-factorials (``math.lgamma``, within 6e-16 relative of the exact value).
+A weight depends on (n1, n2) alone, never on r or alpha, so the process
+keeps one read-only table of them for the largest box built so far, and
+every box up to that size reads its weights as the table's top-left
+corner: the same bits as building them afresh.  Only a larger box builds
+a new table, and a box above 1024 per side (8 MB) builds its own and
+keeps none.  Nothing that depends on the state is kept.
 Everything here is real because all interaction phases are pinned to zero.
 The amplitudes agree with the operator-exponential oracle to rounding up to
 r = 2 at a 1e-8 tail.
@@ -29,6 +35,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import TruncationError
 
@@ -210,23 +217,49 @@ def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
     return np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
 
 
+_WEIGHTS_KEPT = 1024            # rows of the largest table kept: 1024^2 float64 is 8 MB
+_weights = np.empty((0, 0))     # read-only weights of the largest box built so far
+
+
+def _binomial_weights(n_max: int) -> np.ndarray:
+    """Read-only weights ``w[n1, n2] = sqrt(C(T, n1) / 2^T)``, T = n1 + n2, n1, n2 <= n_max.
+
+    The top-left corner of the kept table, when it is large enough; else a
+    new table, kept if it has at most _WEIGHTS_KEPT rows.  The log-binomial
+    adds lg[n1] + lg[n2] before subtracting, which makes the table exactly
+    symmetric under n1 <-> n2.
+    """
+    global _weights
+    dim = n_max + 1
+    table = _weights
+    if dim > table.shape[0]:
+        n = np.arange(dim)
+        lg = _log_factorials(2 * n_max)
+        total = np.add.outer(n, n)
+        log_binom = lg[total] - np.add.outer(lg[n], lg[n]) - total * math.log(2.0)
+        table = np.exp(0.5 * log_binom)
+        table.flags.writeable = False
+        if dim <= _WEIGHTS_KEPT:
+            _weights = table
+    return table[:dim, :dim]
+
+
 def _shell_amplitudes(state: SqueezedInput, n_max: int) -> np.ndarray:
     """Output amplitudes ``amp[n1, n2]`` for n1, n2 <= n_max, one shell at a time.
 
     The splitter conserves total photon number T = n1 + n2 and spreads the
     input shell psi_T binomially over the outputs, so
 
-        amp[n1, n2] = psi_T * sqrt(C(T, n1) / 2^T),   psi = S(-r) D(alpha) |0>.
+        amp[n1, n2] = psi_T * sqrt(C(T, n1) / 2^T),   psi = S(-r) D(alpha) |0>,
 
-    The log-binomial adds lg[n1] + lg[n2] before subtracting, which makes the
-    matrix exactly symmetric under n1 <-> n2.
+    the column psi read along the anti-diagonals (``hankel[n1, n2] =
+    psi[n1 + n2]``, a strided view of psi, no copy) times
+    :func:`_binomial_weights`.
     """
     psi = _single_mode_column(state.r, state.alpha, 2 * n_max)
-    n = np.arange(n_max + 1)
-    lg = _log_factorials(2 * n_max)
-    total = np.add.outer(n, n)
-    log_binom = lg[total] - np.add.outer(lg[n], lg[n]) - total * math.log(2.0)
-    return psi[total] * np.exp(0.5 * log_binom)
+    step = psi.itemsize
+    hankel = as_strided(psi, shape=(n_max + 1, n_max + 1), strides=(step, step))
+    return hankel * _binomial_weights(n_max)
 
 
 def output_amplitudes(state: SqueezedInput, policy: TruncationPolicy) -> np.ndarray:
@@ -288,21 +321,24 @@ def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
     growing box squares its shell amplitudes once and reads the box mass at
     every smaller N from cumulative sums (no entry depends on the box size),
     so the suggestion is the smallest N >= 2 that passes, with a +2 safety
-    margin.
+    margin.  The box grows 20, 40, 72, ..., and its last step is cut to
+    N_MAX_CEILING - 2, so every N within the ceiling is tried.
     """
     _check_tail_tolerance(tail_tolerance)
     target = 0.5 * tail_tolerance
     state = SqueezedInput(r=r, alpha=alpha)
 
+    top = N_MAX_CEILING - 2     # the largest box whose N + 2 stays within the ceiling
     hi = 20
-    while hi <= N_MAX_CEILING:
+    while True:
         cells = _shell_amplitudes(state, hi) ** 2
         tail = 1.0 - np.diagonal(cells.cumsum(axis=0).cumsum(axis=1))
         passing = np.flatnonzero(tail[2:] <= target)
         if passing.size:
             return (2 + int(passing[0])) + 2
-        hi = int(hi * 1.6) + 8
-    raise ValueError(
-        f"no truncation below {N_MAX_CEILING} reaches tail {tail_tolerance:g} "
-        f"for r={r}, alpha={alpha}"
-    )
+        if hi >= top:
+            raise ValueError(
+                f"no truncation below {N_MAX_CEILING} reaches tail {tail_tolerance:g} "
+                f"for r={r}, alpha={alpha}"
+            )
+        hi = min(int(hi * 1.6) + 8, top)

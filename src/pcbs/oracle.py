@@ -59,6 +59,7 @@ __all__ = ["oracle_state"]
 _SETTLED = 1e-13        # kept-block agreement between two single-mode sizes
 _MAX_SIZE = 1 << 14     # single-mode photon numbers the headroom may grow to
 _SMALL = 2.0 ** -60     # the expansion stops after the last |J_k(rho)| at or above this
+_NORMAL = 2.0 ** -1022  # the smallest normal double: below it, 2 / rho can overflow
 
 
 def _bessel_j(rho: float) -> np.ndarray:
@@ -119,7 +120,10 @@ def _expm_apply(offset: int, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"oracle: the generator's 1-norm is {rho}")
     if rho > 0.0:
         weights = (2.0 * _bessel_j(rho)).tolist()
-        c = coeffs * (2.0 / rho)        # 2B, as a band pair
+        if rho >= _NORMAL:
+            c = coeffs * (2.0 / rho)    # 2B, as a band pair
+        else:                           # 2 / rho overflows at a subnormal norm
+            c = (2.0 * coeffs) / rho
         lower, term = np.empty(out.size - offset), np.empty_like(out)
         prev, cur = out, np.zeros_like(out)
         prev_lo, prev_hi = prev[:-offset], prev[offset:]     # band slices, cut once

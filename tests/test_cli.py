@@ -156,6 +156,17 @@ def test_dist_strong_squeeze_oracle(tmp_path, capsys):
     assert json.loads(out)["oracle_block_max_abs_dp"] <= 1e-12
 
 
+def test_dist_oracle_at_a_subnormal_displacement(tmp_path, capsys):
+    # the displacement's 1-norm is subnormal (7.9e-310), where 2 / rho overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["dist", "--r", "0", "--alpha", "1e-310", "--oracle",
+                   "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert json.loads(out)["oracle_block_max_abs_dp"] <= 1e-12
+
+
 def test_sweep_outputs(tmp_path, capsys):
     rc, out = run(capsys, "sweep", "--alpha", "0.5", "--r-min", "0",
                   "--r-max", "2", "--steps", "9", "--out-dir", str(tmp_path))

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcbs.fock
 from pcbs.errors import TruncationError
 from pcbs.fock import (
     N_MAX_CEILING,
     TAIL_TOLERANCE_FLOOR,
     SqueezedInput,
     TruncationPolicy,
+    _binomial_weights,
     _coincidence_11,
     _log_factorials,
     _shell_amplitudes,
@@ -356,6 +358,64 @@ def test_amplitude_invariants(r, alpha, n_max):
     assert tail <= (n_max + 2) / 2.0 ** (n_max + 2)
 
 
+def fresh_shell_amplitudes(state, n_max):
+    """_shell_amplitudes as first written: the weights built afresh for each box."""
+    psi = _single_mode_column(state.r, state.alpha, 2 * n_max)
+    n = np.arange(n_max + 1)
+    lg = _log_factorials(2 * n_max)
+    total = np.add.outer(n, n)
+    log_binom = lg[total] - np.add.outer(lg[n], lg[n]) - total * math.log(2.0)
+    return psi[total] * np.exp(0.5 * log_binom)
+
+
+def same_bits(a, b):
+    # stricter than np.array_equal: the sign of each zero counts too
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+grown = st.lists(st.integers(1, 300), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(up=grown.map(sorted), down=grown.map(lambda boxes: sorted(boxes, reverse=True)),
+       again=grown.map(sorted),
+       states=st.lists(st.builds(SqueezedInput, r=st.floats(0.0, 2.5),
+                                 alpha=st.floats(-12.0, 12.0)), min_size=2, max_size=3))
+@example(up=[5, 300], down=[299, 1], again=[1, 300], states=[SqueezedInput(1.0, 0.5),
+                                                              SqueezedInput(0.0, 0.0)])
+def test_kept_weights_give_the_fresh_bits(up, down, again, states):
+    # from an empty table, boxes that grow, shrink and grow again, the state
+    # switching at every call: each result has the bits of weights built afresh
+    kept = pcbs.fock._weights
+    pcbs.fock._weights = np.empty((0, 0))
+    try:
+        for step, n_max in enumerate(up + down + again):
+            state = states[step % len(states)]
+            assert same_bits(_shell_amplitudes(state, n_max),
+                             fresh_shell_amplitudes(state, n_max)), (state, n_max)
+        assert pcbs.fock._weights.shape[0] == max(up + down + again) + 1
+    finally:
+        pcbs.fock._weights = kept
+
+
+def test_kept_weights_are_read_only_and_bounded(monkeypatch):
+    monkeypatch.setattr("pcbs.fock._weights", np.empty((0, 0)))
+    weights = _binomial_weights(30)
+    table = pcbs.fock._weights
+    assert weights.base is table and table.shape == (31, 31)
+    for view in (weights, weights.base):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 2.0
+    assert _binomial_weights(10).base is table      # a smaller box keeps the table
+    # a box above 1024 per side builds its own weights and keeps none
+    big = _shell_amplitudes(SqueezedInput(r=1.0, alpha=0.5), 1100)
+    assert big.shape == (1101, 1101) and big.flags.writeable
+    assert pcbs.fock._weights is table
+    assert _binomial_weights(1024).shape == (1025, 1025) and pcbs.fock._weights is table
+    assert _binomial_weights(1023).base.shape == (1024, 1024)
+    assert pcbs.fock._weights.shape == (1024, 1024)
+
+
 def test_box_probability_at_most_one_at_large_displacement():
     # the squeeze-matrix product cancelled here and gave 9.44
     assert box_probability(SqueezedInput(0.5, 10.0), 69) <= 1.0 + 1e-12
@@ -386,6 +446,26 @@ def test_suggest_n_max_working_point(r, alpha, expected):
     # minimal up to the +2 safety pad, above the floor N = 2
     if nm > 4:
         assert 1.0 - box_probability(st, nm - 3) > 0.5e-8
+
+
+def test_suggest_n_max_tries_the_last_box_within_the_ceiling(monkeypatch):
+    # the box grows 20, 40, 72, then 123, past a ceiling of 100: that step is
+    # cut to 98, so a state that first passes at N = 73 is served, not refused
+    assert suggest_n_max(1.23, 0.5, 1e-8) == 75
+    monkeypatch.setattr("pcbs.fock.N_MAX_CEILING", 100)
+    boxes = []
+
+    def spy(state, n_max):
+        boxes.append(n_max)
+        return _shell_amplitudes(state, n_max)
+
+    monkeypatch.setattr("pcbs.fock._shell_amplitudes", spy)
+    assert suggest_n_max(1.23, 0.5, 1e-8) == 75
+    assert boxes == [20, 40, 72, 98]
+    boxes.clear()
+    with pytest.raises(ValueError, match="no truncation below 100 reaches tail 1e-08"):
+        suggest_n_max(1.5, 1.0, 1e-8)          # needs n_max 161
+    assert boxes == [20, 40, 72, 98]
 
 
 def test_suggest_n_max_vacuum_is_small():

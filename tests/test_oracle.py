@@ -305,6 +305,17 @@ def test_expm_apply_refuses_a_non_finite_vector(monkeypatch):
         oracle_state(SqueezedInput(r=1.0, alpha=0.5), 5)
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 1e-310, 2.2e-308])
+def test_oracle_serves_a_subnormal_norm(alpha):
+    # the displacement's 1-norm, a few times alpha, is subnormal at the first
+    # two, where 2 / rho overflows; at 2.2e-308 it is normal
+    state = SqueezedInput(r=0.0, alpha=alpha)
+    amp = output_amplitudes(state, TruncationPolicy(n_max=4))
+    assert np.max(np.abs(oracle_state(state, 4) - amp)[triangle(4)]) <= 1e-12
+    v = np.array([1.0, -0.5, 0.25])
+    assert same_bits(_expm_apply(1, np.array([alpha, -alpha]), v), v)
+
+
 def besselj_reference(rho, count):
     """J_0(rho)..J_{count-1}(rho) to better than 50 digits, as mpmath numbers.
 
