@@ -10,6 +10,11 @@ recurrence (Yuen, PRA 13, 2226 (1976)).  The recurrence carries a binary
 exponent, so that a column whose psi_0 underflows (alpha^2 e^r / (2 cosh r)
 above about 745) keeps its entries.  The pair is rescaled exactly, by a power
 of two, and only on the steps where it leaves a window of 400 binary orders.
+No entry depends on the column's length, so the process keeps the last
+state's column, and a shorter column for the same state is a prefix of it:
+the final box of :func:`output_amplitudes` reads the column that the
+largest search box of :func:`suggest_n_max` built, and a repeated state
+builds none.
 The splitter conserves total photon number and spreads each shell |T, 0>
 binomially over the outputs (n1, T - n1), so every output amplitude is one
 entry of psi times a binomial weight, taken in log space from a table of
@@ -19,7 +24,8 @@ keeps one read-only table of them for the largest box built so far, and
 every box up to that size reads its weights as the table's top-left
 corner: the same bits as building them afresh.  Only a larger box builds
 a new table, and a box above 1024 per side (8 MB) builds its own and
-keeps none.  Nothing that depends on the state is kept.
+keeps none.  Both kept arrays are read-only, and neither changes a bit of
+any result.
 Everything here is real because all interaction phases are pinned to zero.
 The amplitudes agree with the operator-exponential oracle to rounding up to
 r = 2 at a 1e-8 tail.
@@ -175,8 +181,11 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
 _WINDOW_LO, _WINDOW_HI, _WINDOW_MID = 1.0, 2.0**400, 200
 
 
+_column = (None, np.empty(0))     # (key, read-only psi) of the last state built
+
+
 def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
-    """Fock amplitudes psi_0..psi_{n_top} of S(-r) D(alpha) |0>, from the recurrence
+    """Read-only Fock amplitudes psi_0..psi_{n_top} of S(-r) D(alpha) |0>, from the recurrence
 
         log psi_0 = -alpha^2 e^r / (2 cosh r) - log(cosh r) / 2,
         sqrt(n + 1) psi_{n+1} = (alpha / cosh r) psi_n + tanh(r) sqrt(n) psi_{n-1}.
@@ -193,12 +202,28 @@ def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
     holds as a subnormal, where this one keeps the bit.  A column whose
     log psi_0 lies below -2^60 holds no entry above the smallest subnormal at
     any length that fits in memory, and is returned as zeros.
+
+    No entry depends on the column's length, so the process keeps the last
+    column built, keyed on the exact bits of (r, alpha), signed zeros apart.
+    A request for that state that it covers reads a prefix of it; any other
+    builds from n = 0 and replaces it.  A zero column keeps nothing.  The
+    entry is one tuple, read once per call, so threads never mix two
+    states' arrays.  Every caller in the package asks for at most
+    2 N_MAX_CEILING + 1 entries, so it holds at most 64 KB.
     """
+    global _column
+    r, alpha = float(r), float(alpha)
+    key = (r.hex(), alpha.hex())
+    kept_key, kept = _column
+    if kept_key == key and kept.size > n_top:
+        return kept[:n_top + 1]
     cosh_r = math.cosh(r)
     drive, pull = alpha / cosh_r, math.tanh(r)
     log_psi0 = -alpha * alpha * math.exp(r) / (2.0 * cosh_r) - 0.5 * math.log(cosh_r)
     if not log_psi0 > -2.0**60:
-        return np.zeros(n_top + 1)
+        zeros = np.zeros(n_top + 1)
+        zeros.flags.writeable = False
+        return zeros
     # split a power of two off psi_0 only where exp(log_psi0) would underflow
     exp2 = 0 if log_psi0 > -700.0 else math.floor(log_psi0 / math.log(2.0))
     prev, cur = 0.0, math.exp(log_psi0 - exp2 * math.log(2.0))
@@ -214,7 +239,10 @@ def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
             prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
         mant.append(cur)
         exps.append(exp2)
-    return np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
+    column = np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
+    column.flags.writeable = False
+    _column = (key, column)
+    return column
 
 
 _WEIGHTS_KEPT = 1024            # rows of the largest table kept: 1024^2 float64 is 8 MB

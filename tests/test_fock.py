@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 import pcbs.fock
 from pcbs.errors import TruncationError
 from pcbs.fock import (
+    _WINDOW_HI,
+    _WINDOW_LO,
+    _WINDOW_MID,
     N_MAX_CEILING,
     TAIL_TOLERANCE_FLOOR,
     SqueezedInput,
@@ -88,6 +93,31 @@ def _mp_column(r, alpha, n_top):
         return np.array([float(x) for x in out])
 
 
+def fresh_single_mode_column(r, alpha, n_top):
+    """_single_mode_column without the kept column: the recurrence from n = 0 at every call."""
+    cosh_r = math.cosh(r)
+    drive, pull = alpha / cosh_r, math.tanh(r)
+    log_psi0 = -alpha * alpha * math.exp(r) / (2.0 * cosh_r) - 0.5 * math.log(cosh_r)
+    if not log_psi0 > -2.0**60:
+        return np.zeros(n_top + 1)
+    # split a power of two off psi_0 only where exp(log_psi0) would underflow
+    exp2 = 0 if log_psi0 > -700.0 else math.floor(log_psi0 / math.log(2.0))
+    prev, cur = 0.0, math.exp(log_psi0 - exp2 * math.log(2.0))
+    mant, exps = [cur], [exp2]
+    roots = np.sqrt(np.arange(n_top + 1)).tolist()
+    pulls = [pull * root for root in roots]
+    for n in range(n_top):
+        prev, cur = cur, (drive * cur + pulls[n] * prev) / roots[n + 1]
+        # prev passed this test as cur: only cur can lift the pair above the window
+        size = abs(cur)
+        if size > _WINDOW_HI or (size < _WINDOW_LO and abs(prev) < _WINDOW_LO):
+            shift = math.frexp(max(abs(prev), size))[1] - _WINDOW_MID
+            prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
+        mant.append(cur)
+        exps.append(exp2)
+    return np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
+
+
 @settings(max_examples=30, deadline=None)
 @given(r=st.floats(0.0, 2.0), alpha=st.floats(-2.0, 2.0), n_top=st.integers(0, 160))
 def test_column_matches_squeeze_matrix_product(r, alpha, n_top):
@@ -100,8 +130,9 @@ def test_column_matches_squeeze_matrix_product(r, alpha, n_top):
 
 @pytest.mark.parametrize("r, alpha, n_top", [(1.0, 0.5, 60), (0.5, 40.0, 2500), (2.0, -3.0, 161)])
 def test_column_is_a_prefix_of_longer_columns(r, alpha, n_top):
-    short = _single_mode_column(r, alpha, n_top)
-    assert np.array_equal(short, _single_mode_column(r, alpha, 2 * n_top)[:n_top + 1])
+    # no entry depends on the column's length: what lets the kept column serve
+    short = fresh_single_mode_column(r, alpha, n_top)
+    assert np.array_equal(short, fresh_single_mode_column(r, alpha, 2 * n_top)[:n_top + 1])
 
 
 def _every_step_column(r, alpha, n_top):
@@ -359,8 +390,8 @@ def test_amplitude_invariants(r, alpha, n_max):
 
 
 def fresh_shell_amplitudes(state, n_max):
-    """_shell_amplitudes as first written: the weights built afresh for each box."""
-    psi = _single_mode_column(state.r, state.alpha, 2 * n_max)
+    """_shell_amplitudes as first written: the column and weights built afresh for each box."""
+    psi = fresh_single_mode_column(state.r, state.alpha, 2 * n_max)
     n = np.arange(n_max + 1)
     lg = _log_factorials(2 * n_max)
     total = np.add.outer(n, n)
@@ -396,6 +427,106 @@ def test_kept_weights_give_the_fresh_bits(up, down, again, states):
         assert pcbs.fock._weights.shape[0] == max(up + down + again) + 1
     finally:
         pcbs.fock._weights = kept
+
+
+EMPTY_COLUMN = (None, np.empty(0))      # pcbs.fock._column before any build
+
+
+def log_psi0(r, alpha):
+    return -alpha * alpha * math.exp(r) / (2.0 * math.cosh(r)) - 0.5 * math.log(math.cosh(r))
+
+
+column_states = (st.sampled_from([(1.0, 0.5), (0.0, -0.0), (-0.0, -0.0), (0.5, 40.0), (0.5, 1e9),
+                                (0.5, 1e200)])
+                 | st.tuples(st.floats(0.0, 2.5), st.floats(-12.0, 12.0)))
+lengths = st.lists(st.integers(0, 400), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(up=lengths.map(sorted), down=lengths.map(lambda tops: sorted(tops, reverse=True)),
+       again=lengths.map(sorted), states=st.lists(column_states, min_size=1, max_size=3))
+# equal under ==, but the zeros of the two columns differ in sign
+@example(up=[0, 40], down=[80, 3], again=[6, 200], states=[(0.0, -0.0), (-0.0, -0.0)])
+@example(up=[1, 40], down=[80, 3], again=[6, 200], states=[(0.0, -0.0), (0.0, -0.0), (-0.0, -0.0)])
+# one entry past the kept column must build, and the kept length itself is a prefix
+@example(up=[40, 41], down=[41, 40], again=[41], states=[(1.0, 0.5)])
+# psi_0 underflows, and the pair is rescaled on the way
+@example(up=[200, 5000], down=[4000, 10], again=[5000], states=[(0.5, 40.0)])
+# the zero column keeps nothing, so the state before it still reads its prefix
+@example(up=[20, 40], down=[30], again=[72, 144], states=[(1.0, 0.5), (1.0, 0.5), (0.5, 1e200)])
+def test_kept_column_gives_the_fresh_bits(up, down, again, states):
+    # from an empty entry, lengths that grow, shrink and grow again, the state
+    # switching at every call when more than one is drawn: every column has the
+    # bits of a fresh build and is read-only
+    kept = pcbs.fock._column
+    pcbs.fock._column = EMPTY_COLUMN
+    try:
+        for step, n_top in enumerate(up + down + again):
+            r, alpha = states[step % len(states)]
+            before = pcbs.fock._column
+            got = _single_mode_column(r, alpha, n_top)
+            assert same_bits(got, fresh_single_mode_column(r, alpha, n_top)), (r, alpha, n_top)
+            assert not got.flags.writeable
+            if not log_psi0(r, alpha) > -2.0**60:
+                assert pcbs.fock._column is before
+            else:
+                key, column = pcbs.fock._column
+                assert key == (r.hex(), alpha.hex()) and same_bits(column[:n_top + 1], got)
+                assert not column.flags.writeable
+    finally:
+        pcbs.fock._column = kept
+
+
+def test_final_box_reads_the_kept_column(monkeypatch):
+    # suggest_n_max's boxes 20, 40, 72 extend one column to 145 entries, and the
+    # final box, 49, reads a prefix of it: the kept array is not rebuilt
+    monkeypatch.setattr("pcbs.fock._column", EMPTY_COLUMN)
+    seen = []
+
+    def spy(state, policy):
+        before = pcbs.fock._column
+        amp = output_amplitudes(state, policy)
+        seen.append((policy.n_max, before, pcbs.fock._column))
+        return amp
+
+    monkeypatch.setattr("pcbs.stats.output_amplitudes", spy)
+    joint_distribution(SqueezedInput(1.0, 0.5), TruncationPolicy())
+    [(n_max, before, after)] = seen
+    assert n_max == 49 and before[1].size == 145
+    assert after[1] is before[1]
+
+
+def test_threads_get_the_fresh_column(monkeypatch):
+    # four threads build interleaved states and lengths from one kept entry
+    monkeypatch.setattr("pcbs.fock._column", EMPTY_COLUMN)
+    states = [(1.0, 0.5), (1.0, -0.5), (0.5, 40.0), (2.0, 0.0)]
+    tops = [40, 80, 144, 98, 300, 10]
+    want = {(state, n_top): fresh_single_mode_column(*state, n_top)
+            for state in states for n_top in tops}
+    wrong, done = [], []
+    start = threading.Barrier(4, timeout=60)
+
+    def work(offset):
+        start.wait()
+        for rep in range(25):
+            for step, n_top in enumerate(tops):
+                state = states[(offset + step + rep) % len(states)]
+                if not same_bits(_single_mode_column(*state, n_top), want[state, n_top]):
+                    wrong.append((state, n_top))
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 def test_kept_weights_are_read_only_and_bounded(monkeypatch):
