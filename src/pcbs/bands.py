@@ -22,10 +22,15 @@ half-angle factors of the symmetric cell (Yeh, Yariv & Hong, JOSA 67, 423
 Every band edge is a simple zero of one of these four factors, and a gap is
 closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
-zeroth closed gap.  scan_bands finds the edges once and returns them as a
-frozen BandStructure, with each k = 0 edge's factors expanded about it by
-angle addition; sample_bands, band_frequencies and tune_to_group_velocity
-read that value and never scan.  They work in the offset delta from the
+zeroth closed gap.  Each factor is R cos theta+ + S cos theta- (sin for the
+odd ones), with theta+- = (a +- b) w / 2, so its size and slopes in w have
+bounds that hold at every w (_factor_bounds).  The edge scan and the tuning
+scan each define their result on a dense grid, but evaluate the grid only
+where such a bound cannot rule out a crossing (_may_reach_zero).
+scan_bands finds the edges once and returns them as a frozen BandStructure,
+with each k = 0 edge's factors expanded about it by angle addition;
+sample_bands, band_frequencies and tune_to_group_velocity read that value
+and never scan.  They work in the offset delta from the
 k = 0 edge: P = f2 f3 = sin^2(q/2) is solved for all samples of all
 requested bands at once, each on its own band's expansion, and
 v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
@@ -62,6 +67,8 @@ __all__ = [
 ]
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
+_COARSE_STRIDE = 16           # a scan evaluates every 16th grid point (and the last) first
+_ROUNDING = 1e-12             # relative margin of a bound test for rounding (~4500 ulps)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
 _SCAN_STEP_LIMIT = 0.25       # refuse a scan whose half-angles advance more than this * pi a step
 _CLOSED_GAP = (4e-12, 2e-14)  # (abs, rel): a gap narrower than abs + rel * w is closed
@@ -175,6 +182,48 @@ def _factors(sa, ca, sb, cb, x):
             sa * cb + x * ca * sb, sa * cb + ca * sb / x)
 
 
+def _factor_bounds(a: float, b: float, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds on |f|, |df/dw| and |d2f/dw2| of the four edge factors, at any w.
+
+    By angle addition factor i is R cos theta+ + S cos theta- (sin for f2 and
+    f3), with R = (1 + y)/2, S = (1 - y)/2, y = x for f0 and f2, 1/x for f1
+    and f3, and theta+- = (a +- b) w / 2.  The bounds hold for any anchor
+    angles, so also on an expansion about any edge.
+    """
+    y = np.array([x, 1.0 / x, x, 1.0 / x])
+    r, s = 0.5 * (1.0 + y), 0.5 * np.abs(1.0 - y)
+    plus, minus = 0.5 * (a + b), 0.5 * abs(a - b)
+    return r + s, r * plus + s * minus, r * plus ** 2 + s * minus ** 2
+
+
+def _may_reach_zero(values, slope_bound, width, scale) -> np.ndarray:
+    """Mask of the intervals between consecutive scan points in which a function may reach 0.
+
+    values holds the function's computed values at the points along its
+    last axis, width the widths of the intervals between them.  A function
+    whose slope is at most slope_bound stays below (g_l + g_r +
+    slope_bound width) / 2 between two points, so an interval is ruled out
+    only when that sum is negative by more than _ROUNDING * scale, where
+    scale bounds the size of what rounding moves in the computed values and
+    in the bound.  A nan value keeps its intervals.
+    """
+    return ~(values[..., :-1] + values[..., 1:] + slope_bound * width + _ROUNDING * scale < 0.0)
+
+
+def _coarse_points(last: int) -> np.ndarray:
+    """Every _COARSE_STRIDE-th index of the grid 0 .. last, and last."""
+    return np.append(np.arange(0, last, _COARSE_STRIDE), last)
+
+
+def _interval_mask(coarse: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Mask over the grid 0 .. coarse[-1] of every point of the intervals
+    between consecutive coarse indices that keep marks, their ends included."""
+    lo, hi = coarse[:-1][keep, None], coarse[1:][keep, None]
+    points = np.zeros(coarse[-1] + 1, dtype=bool)
+    points[np.minimum(lo + np.arange(_COARSE_STRIDE + 1), hi)] = True
+    return points
+
+
 def _gap_velocity(lower: tuple[float, float], upper: tuple[float, float]) -> float:
     """v_g [m/s] at either band edge beside the gap between two (w, slope) roots,
     each slope that of its own factor in w.
@@ -224,6 +273,11 @@ def _bands(structure: BandStructure, bands, q) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _is_index(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _reduced_q(spec: CrystalSpec, k: float) -> float:
     """Lambda k, checked against the reduced zone [0, pi] and clamped into it."""
     q = k * spec.period
@@ -250,7 +304,13 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     """The lowest n_bands bands of spec.  A single medium (l_b = 0, or equal
     permittivities) needs no scan.  Otherwise each edge factor is scanned for
     sign changes at SCAN_POINTS_PER_UNIT, one unit of w at a time, until the
-    scan holds enough brackets.  A crystal whose faster half-angle
+    scan holds enough brackets.  A unit evaluates the factors at every
+    _COARSE_STRIDE-th grid point and its end first, and then at every point
+    of each coarse interval where some factor may vanish: an interval
+    is ruled out when |f_l| + |f_r| exceeds the factor's slope bound times its
+    width (_may_reach_zero on -|f|).  Every sign change between neighbouring
+    grid points lies in one coarse interval, so the brackets, their order and
+    their values are those of the whole grid.  A crystal whose faster half-angle
     max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT pi per scan step is
     refused first: a layer of optical thickness above 1000 periods.  On 7000
     random crystals at 0.05 to 0.52 pi a step, a 4x finer scan found the same
@@ -281,10 +341,17 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
             "cannot resolve its band edges"
         )
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
+    size, slope_bound, _ = (u[:, None] for u in _factor_bounds(a, b, x))
+
+    def factors_at(w):
+        ha, hb = 0.5 * a * w, 0.5 * b * w
+        return np.array(_factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x))
+
     need = 2 * n_bands    # scanned roots up to the top of gap n_bands
     brackets = []         # per unit: (w, f(w)) at both scan points of each bracket, its factor
     found = 0
     w_hi = 0.0
+    coarse = _coarse_points(SCAN_POINTS_PER_UNIT)
     while found < need:
         w_lo, w_hi = w_hi, w_hi + 1.0
         if w_lo >= _SCAN_CEILING:
@@ -293,11 +360,14 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
                 f"beyond the first {found}; band {n_bands} needs {need}"
             )
         grid = np.linspace(w_lo, w_hi, SCAN_POINTS_PER_UNIT + 1)
-        ha, hb = 0.5 * a * grid, 0.5 * b * grid
-        values = np.array(_factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x))
+        w = grid[coarse]
+        near = _may_reach_zero(-np.abs(factors_at(w)), slope_bound, np.diff(w),
+                               size * (1.0 + (a + b) * (1.0 + w[1:])))
+        j = np.flatnonzero(_interval_mask(coarse, near.any(axis=0)))
+        values = factors_at(grid[j])
         negative = np.signbit(values)    # an exact 0.0 joins one side, so each root counts once
-        i, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
-        brackets.append((grid[j], values[i, j], grid[j + 1], values[i, j + 1], i))
+        i, k = np.nonzero((negative[:, :-1] != negative[:, 1:]) & (np.diff(j) == 1))
+        brackets.append((grid[j[k]], values[i, k], grid[j[k] + 1], values[i, k + 1], i))
         found += i.size
     w_0, f_0, w_1, f_1, factor = (np.concatenate(column) for column in zip(*brackets))
 
@@ -352,7 +422,8 @@ def sample_bands(structure: BandStructure, bands,
     the limit beside its gap: zero when the gap is open, c pi / sqrt(F'G')
     when it is closed.
     """
-    if not (n_samples >= 2 and len(bands) > 0
+    if not (_is_index(n_samples) and n_samples >= 2 and len(bands) > 0
+            and all(_is_index(n) for n in bands)
             and 1 <= min(bands) <= max(bands) <= structure.n_bands):
         raise ValueError(f"band indices must lie in [1, {structure.n_bands}] and n_samples >= 2")
     lam = structure.spec.period
@@ -490,6 +561,42 @@ def _check_slope(spec: CrystalSpec, dp, bands) -> None:
                                    "differentiation")
 
 
+def _vg_scan_points(structure: BandStructure, edge: int, deltas: np.ndarray,
+                    ratio: float) -> np.ndarray:
+    """The indices of deltas that tune_to_group_velocity's scan for v_g / c >= ratio reads.
+
+    v_g is read at every _COARSE_STRIDE-th offset and the last.  With none
+    of them at the target, every index.  Otherwise, up to the first, G =
+    4 pi^2 max(PQ, 0) - ratio^2 P'^2 (read off v_g = 2 pi sqrt(max(PQ, 0)) /
+    |P'|) rules out each coarse interval where its slope bound
+    |P'|max (4 pi^2 (|P|max + |Q|max) + 2 ratio^2 |P''|max) keeps it
+    negative (_may_reach_zero); the indices are the coarse ones, those of
+    every interval kept, and the one just before the first coarse hit.
+    """
+    spec = structure.spec
+    coarse = _coarse_points(deltas.size - 1)
+    vs, _, dp = _offset_velocity(structure.expansion, deltas[coarse], edge)
+    first = np.flatnonzero(vs >= ratio)[:1]
+    if first.size == 0:
+        return np.arange(deltas.size)
+    coarse, vs, dp = coarse[:first[0] + 1], vs[:first[0] + 1], dp[:first[0] + 1]
+    a, b, _ = _coeffs(spec)
+    size, slope, curve = _factor_bounds(a, b, math.sqrt(spec.eps_rel_b / spec.eps_rel_a))
+    size_p, size_q = size[2] * size[3], size[0] * size[1]
+    slope_p = slope[2] * size[3] + size[2] * slope[3]
+    curve_p = curve[2] * size[3] + 2.0 * slope[2] * slope[3] + size[2] * curve[3]
+    maybe = _may_reach_zero((vs * dp) ** 2 - (ratio * dp) ** 2,
+                            slope_p * (4.0 * math.pi ** 2 * (size_p + size_q)
+                                       + 2.0 * ratio ** 2 * curve_p),
+                            np.abs(np.diff(deltas[coarse])),
+                            (4.0 * math.pi ** 2 * size_p * size_q + (ratio * slope_p) ** 2)
+                            * (1.0 + (a + b) * np.abs(deltas[coarse[1:]])))
+    points = _interval_mask(coarse, maybe)
+    points[coarse] = True
+    points[max(coarse[-1] - 1, 0)] = True
+    return np.flatnonzero(points)
+
+
 def tune_to_group_velocity(structure: BandStructure, band_index: int,
                            target_vg: float) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
@@ -500,17 +607,23 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
 
     A slow-light shift is ~1e-13 of the edge frequency, so no two band
     frequencies are subtracted: in the offset from the k = 0 edge, on the
-    structure's expansion about it, v_g is scanned on a geometric grid.  In
-    the first step that reaches the target, delta* is the root of
+    structure's expansion about it, v_g is scanned on a 2048-point geometric
+    grid.  In the first step that reaches the target, delta* is the root of
     G = 4 pi^2 P Q - (v/c)^2 P'^2 with Q = 1 - P = f0 f1, which is negative
     at the near end and whose slope is P' (4 pi^2 (Q - P) - 2 (v/c)^2 P'')
     (_bracketed_newton).  delta_omega = |delta* - delta0| 2 pi c / Lambda and
     Lambda k* = 2 asin sqrt(P(delta*)).
+
+    The scan reads only the grid points that _vg_scan_points picks: those
+    where a bound on G's slope cannot rule out v_g reaching the target, and
+    the whole grid when no coarse point reaches it, for the first step or
+    for the maximum that the error reports.  So the step, its ends and the
+    report are those of the whole grid.
     """
     c = CODATA.c
     if not target_vg >= 0:
         raise ValueError(f"target_vg must be >= 0, got {target_vg}")
-    if not 1 <= band_index <= structure.n_bands:
+    if not (_is_index(band_index) and 1 <= band_index <= structure.n_bands):
         raise ValueError(f"band_index must lie in [1, {structure.n_bands}], got {band_index}")
     spec, edge, expansion = structure.spec, band_index - 1, structure.expansion
     lam = spec.period
@@ -536,15 +649,17 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
     delta0 = structure.delta0[edge]
     ratio = target_vg / c
     deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
-    vs = _offset_velocity(expansion, deltas, edge)[0]
+    points = _vg_scan_points(structure, edge, deltas, ratio)
+    vs = _offset_velocity(expansion, deltas[points], edge)[0]
     hit = np.flatnonzero(vs >= ratio)
     if hit.size == 0:
         raise UnachievableTargetError(
             f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
             f"(~{np.max(vs) * c:.6g} m/s)"
         )
-    j = hit[0]
-    near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
+    i = hit[0]
+    j = points[i]
+    near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[i - 1])
 
     def gap(delta, todo):    # one root, evaluated as a scalar: cheaper than a 1-element array
         f, df, d2f = expansion(delta[0], edge, curvature=True)
@@ -554,7 +669,7 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
         return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
                 dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
 
-    start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
+    start = near + (ratio**2 - v_near**2) / (vs[i]**2 - v_near**2) * (deltas[j] - near)
     delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
     _, p, dp = _offset_velocity(expansion, delta, edge)
     _check_slope(spec, dp, [band_index])

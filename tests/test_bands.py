@@ -3,14 +3,26 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcbs.bands
 from pcbs.bands import (
+    _SCAN_CEILING,
+    _SCAN_STEP_LIMIT,
+    _SHIFT_RTOL,
+    BandStructure,
     CrystalSpec,
+    TuningReport,
     _bands,
+    _bracketed_newton,
     _check_slope,
+    _coeffs,
+    _edge_expansion,
+    _factors,
+    _gap_velocity,
+    _may_reach_zero,
+    _offset_velocity,
     _reduced_q,
     band_frequencies,
     dispersion_residual,
@@ -319,6 +331,19 @@ def test_a_band_above_the_scan_is_refused(spec):
         sample_bands(structure, [0, 1], 5)
 
 
+@pytest.mark.parametrize("spec", [SPEC, CrystalSpec(eps_rel_b=1.0)], ids=["gapped", "gapless"])
+def test_a_non_integer_band_or_sample_count_is_refused(spec):
+    # a float index once reached numpy as a bare IndexError or TypeError
+    structure = scan_bands(spec, 4)
+    for bands, n_samples in (([1.5], 5), ([2, np.float64(3.0)], 5), ([1], 3.0), ([True], 5)):
+        with pytest.raises(ValueError, match=r"\[1, 4\] and n_samples >= 2"):
+            sample_bands(structure, bands, n_samples)
+    for band in (4.0, np.float64(2.0), True):
+        with pytest.raises(ValueError, match=r"band_index must lie in \[1, 4\]"):
+            tune_to_group_velocity(structure, band, 0.1 * CODATA.c)
+    assert sample_bands(structure, np.arange(1, 3), np.int64(5))[1].shape == (2, 5)
+
+
 @settings(max_examples=150, deadline=None)
 @given(eps_rel_b=st.floats(1.2, 16.0), thickness_ratio=st.floats(0.2, 5.0),
        n_bands=st.integers(2, 8), data=st.data())
@@ -518,3 +543,233 @@ def test_band_samples_on_random_crystals(eps_rel_b, thickness_ratio, band):
         np.testing.assert_allclose(band_frequencies(scan_bands(spec, band), k)[band - 1], omega,
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(_velocity(spec, band, k), v_g, rtol=1e-13, atol=0.0)
+
+
+# -- the dense scans ----------------------------------------------------------
+# scan_bands and tune_to_group_velocity skip the grid points where a bound
+# rules out a crossing.  These two bodies evaluate every point of each grid,
+# as both functions once did, and are the references they must match bit for
+# bit.
+
+
+def dense_scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
+    # every one of SCAN_POINTS_PER_UNIT + 1 points of each unit of w
+    if n_bands < 1:
+        raise ValueError("n_bands must be >= 1")
+    if spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b:
+        return BandStructure(spec, n_bands, None, None, None)
+    a, b, _ = _coeffs(spec)
+    if 0.5 * max(a, b) / pcbs.bands.SCAN_POINTS_PER_UNIT > _SCAN_STEP_LIMIT * math.pi:
+        raise InsufficientScanError(
+            f"a layer's optical thickness l sqrt(eps_rel) exceeds "
+            f"{_SCAN_STEP_LIMIT * pcbs.bands.SCAN_POINTS_PER_UNIT:g} periods: the band-edge scan "
+            f"({pcbs.bands.SCAN_POINTS_PER_UNIT} points per unit of dimensionless frequency) "
+            "cannot resolve its band edges"
+        )
+    x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
+    need = 2 * n_bands    # scanned roots up to the top of gap n_bands
+    brackets = []         # per unit: (w, f(w)) at both scan points of each bracket, its factor
+    found = 0
+    w_hi = 0.0
+    while found < need:
+        w_lo, w_hi = w_hi, w_hi + 1.0
+        if w_lo >= _SCAN_CEILING:
+            raise InsufficientScanError(
+                f"no band edge below dimensionless frequency {_SCAN_CEILING:g} "
+                f"beyond the first {found}; band {n_bands} needs {need}"
+            )
+        grid = np.linspace(w_lo, w_hi, pcbs.bands.SCAN_POINTS_PER_UNIT + 1)
+        ha, hb = 0.5 * a * grid, 0.5 * b * grid
+        values = np.array(_factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x))
+        negative = np.signbit(values)    # an exact 0.0 joins one side, so each root counts once
+        i, j = np.nonzero(negative[:, :-1] != negative[:, 1:])
+        brackets.append((grid[j], values[i, j], grid[j + 1], values[i, j + 1], i))
+        found += i.size
+    w_0, f_0, w_1, f_1, factor = (np.concatenate(column) for column in zip(*brackets))
+
+    def factor_at(w, which):    # (value, slope in w) of factor which[i] at w[i]
+        f, df = _edge_expansion(a, b, x, w)(0.0, slice(None))
+        each = np.arange(w.size)
+        return f[each, which], df[each, which]
+
+    first_negative = np.signbit(f_0)
+    roots = _bracketed_newton(lambda w, todo: factor_at(w, factor[todo]),
+                              w_0 + f_0 / (f_0 - f_1) * (w_1 - w_0),
+                              np.where(first_negative, w_0, w_1),
+                              np.where(first_negative, w_1, w_0), 0.0)
+    order = np.lexsort((factor, roots))[:need]    # by root, then factor
+    w_edge = np.concatenate(([0.0, 0.0], roots[order]))
+    f, df = _edge_expansion(a, b, x, w_edge)(0.0, slice(None))    # every factor at every root
+    slope = df[np.arange(w_edge.size), np.concatenate(([2, 3], factor[order]))]
+    points = list(zip(w_edge.tolist(), slope.tolist()))
+    v = [_gap_velocity(points[2 * g], points[2 * g + 1]) for g in range(n_bands + 1)]
+    ends = [((points[2 * n - 1][0], v[n - 1]), (points[2 * n][0], v[n]))
+            for n in range(1, n_bands + 1)]
+    edges = np.array([lo + hi if n % 2 == 1 else hi + lo
+                      for n, (lo, hi) in enumerate(ends, start=1)])
+    expansion = _edge_expansion(a, b, x, edges[:, 0])
+    each = np.arange(n_bands)
+    root = 2 * each + 1 + each % 2    # band n = each + 1's k = 0 edge: root 2n - n mod 2
+    f, df = f[root], df[root]
+    i = np.where(np.abs(f[:, 3]) < np.abs(f[:, 2]), 3, 2)    # each edge's factor
+    delta0 = -f[each, i] / df[each, i]
+    f, df = expansion(delta0, each)
+    return BandStructure(spec, n_bands, edges, delta0 - f[each, i] / df[each, i], expansion)
+
+
+def dense_tune_to_group_velocity(structure: BandStructure, band_index: int,
+                                 target_vg: float) -> TuningReport:
+    # every one of the 2048 offsets of the v_g scan
+    c = CODATA.c
+    if not target_vg >= 0:
+        raise ValueError(f"target_vg must be >= 0, got {target_vg}")
+    if not 1 <= band_index <= structure.n_bands:
+        raise ValueError(f"band_index must lie in [1, {structure.n_bands}], got {band_index}")
+    spec, edge, expansion = structure.spec, band_index - 1, structure.expansion
+    lam = spec.period
+    scale = 2.0 * math.pi * c / lam
+    if expansion is None:
+        w0, vg0 = (float(u[0, 0]) for u in _bands(structure, [band_index], np.zeros(1)))
+        if math.isclose(target_vg, vg0, rel_tol=1e-12):
+            return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
+                                delta_omega=0.0, delta_nu=0.0,
+                                nu_s=w0 * scale / (2.0 * math.pi))
+        raise UnachievableTargetError(
+            f"gapless crystal has constant group velocity {vg0:.6g} m/s; "
+            f"target {target_vg:.6g} m/s is unreachable"
+        )
+    w0, vg0, w_far, _ = structure.edges[edge].tolist()
+    nu_s = w0 * scale / (2.0 * math.pi)
+    if vg0 >= target_vg:
+        # the edge itself (target 0), or a k = 0 edge at a closed gap (band 1's
+        # is the static medium at w = 0) that is already at least as fast
+        return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
+                            delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
+
+    delta0 = structure.delta0[edge]
+    ratio = target_vg / c
+    deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
+    vs = _offset_velocity(expansion, deltas, edge)[0]
+    hit = np.flatnonzero(vs >= ratio)
+    if hit.size == 0:
+        raise UnachievableTargetError(
+            f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
+            f"(~{np.max(vs) * c:.6g} m/s)"
+        )
+    j = hit[0]
+    near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
+
+    def gap(delta, todo):    # one root, evaluated as a scalar: cheaper than a 1-element array
+        f, df, d2f = expansion(delta[0], edge, curvature=True)
+        p, q = f[2] * f[3], f[0] * f[1]
+        dp = df[2] * f[3] + f[2] * df[3]
+        d2p = d2f[2] * f[3] + 2.0 * df[2] * df[3] + f[2] * d2f[3]
+        return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
+                dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
+
+    start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
+    delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
+    _, p, dp = _offset_velocity(expansion, delta, edge)
+    _check_slope(spec, dp, [band_index])
+    shift = float(abs(delta - delta0))
+    # offsets next to delta0 are spaced, and the factors' residual at w0
+    # (~ f' delta0) rounded, at eps |delta0|: the shift's relative error
+    if not (p > 0.0 and np.finfo(float).eps * abs(delta0) <= _SHIFT_RTOL * shift):
+        raise UnachievableTargetError(
+            f"target v_g = {target_vg:.6g} m/s is too slow to resolve on band {band_index}: "
+            f"its shift from the edge is not known to {_SHIFT_RTOL:g} in float64"
+        )
+    delta_omega = shift * scale
+    return TuningReport(target_vg_over_c=target_vg / c,
+                        k_star=2.0 * math.asin(math.sqrt(p)) / lam,
+                        delta_omega=delta_omega,
+                        delta_nu=delta_omega / (2.0 * math.pi),
+                        nu_s=nu_s)
+
+
+CRYSTALS = st.builds(lambda eps_rel_a, eps_rel_b, thickness_ratio: CrystalSpec(
+                         l_b=SPEC.l_a * thickness_ratio, eps_rel_a=eps_rel_a, eps_rel_b=eps_rel_b),
+                     st.just(1.0) | st.floats(1.0, 16.0), st.floats(1.0, 16.0), st.floats(0.2, 5.0))
+
+
+def _outcome(call, *args):
+    # repr of the result (exact for every float), or the error's type and message
+    with warnings.catch_warnings():
+        # a band-1 target at the edge's own velocity divides 0 by 0 for the
+        # Newton start, or leaves the solve unconverged (RuntimeError), on
+        # both sides alike
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return repr(call(*args))
+        except (InsufficientScanError, UnachievableTargetError, DegeneratePointError,
+                RuntimeError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=CRYSTALS, n_bands=st.integers(1, 8), finer=st.booleans())
+@example(spec=SPEC, n_bands=8, finer=False)
+@example(spec=CrystalSpec(eps_rel_b=12.25), n_bands=8, finer=False)
+@example(spec=CLOSED, n_bands=12, finer=False)
+@example(spec=CrystalSpec(eps_rel_b=(2.0 * 999.0) ** 2), n_bands=8, finer=True)
+def test_edge_scan_gives_the_dense_scans_bits(spec, n_bands, finer):
+    # finer: SCAN_POINTS_PER_UNIT patched to 4x, read by both at call time
+    def scan_or_refusal(scan):
+        try:
+            return scan(spec, n_bands)
+        except InsufficientScanError as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if finer:
+            patch.setattr(pcbs.bands, "SCAN_POINTS_PER_UNIT", 4 * pcbs.bands.SCAN_POINTS_PER_UNIT)
+        got, want = scan_or_refusal(scan_bands), scan_or_refusal(dense_scan_bands)
+    if isinstance(want, str):
+        assert got == want
+        return
+    if want.expansion is None:
+        assert got.edges is got.delta0 is got.expansion is None
+        return
+    assert got.edges.tobytes() == want.edges.tobytes()
+    assert got.delta0.tobytes() == want.delta0.tobytes()
+    each = np.arange(n_bands)
+    for delta in (want.delta0, 0.0, 1e-12, -3e-2, 0.2):
+        assert (np.array(got.expansion(delta, each, curvature=True)).tobytes()
+                == np.array(want.expansion(delta, each, curvature=True)).tobytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=CRYSTALS, n_bands=st.integers(1, 8), data=st.data())
+@example(spec=SPEC, n_bands=4, data=None)
+@example(spec=CrystalSpec(eps_rel_b=(2.0 * 999.0) ** 2), n_bands=8, data=None)
+def test_tuning_scan_gives_the_dense_scans_bits(spec, n_bands, data):
+    # targets from 1e-12 c to above the band's maximum, inf, and the v_g of a
+    # grid point of the dense scan with its two neighbouring floats; an example
+    # (data None) tunes every band to the selftest's target and to inf
+    structure = scan_bands(spec, n_bands)
+    if data is None:
+        cases = [(band, ratio) for band in range(1, n_bands + 1) for ratio in (4.59e-3, math.inf)]
+    else:
+        band = data.draw(st.integers(1, n_bands), label="band")
+        targets = [math.inf, 10.0 ** data.draw(st.floats(-12.0, 0.3), label="log10 target")]
+        if structure.expansion is not None:
+            w0, _, w_far, _ = structure.edges[band - 1].tolist()
+            delta0 = structure.delta0[band - 1]
+            deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
+            v = float(_offset_velocity(structure.expansion, deltas, band - 1)[0][
+                data.draw(st.integers(0, 2047), label="grid point")])
+            if math.isfinite(v):
+                targets += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+        cases = [(band, ratio) for ratio in targets]
+    for band, ratio in cases:
+        assert (_outcome(tune_to_group_velocity, structure, band, ratio * CODATA.c)
+                == _outcome(dense_tune_to_group_velocity, structure, band, ratio * CODATA.c))
+
+
+def test_a_bound_test_keeps_an_interval_within_rounding_of_its_bound():
+    # ends whose sizes exceed slope * width by a rounding error, such as two
+    # of opposite sign on either side of a root, may still hold a crossing
+    assert _may_reach_zero(-np.array([0.5, 0.5 + 1e-15]), 1.0, 1.0, 1.0).all()
+    assert not _may_reach_zero(-np.array([0.5, 0.5 + 1e-9]), 1.0, 1.0, 1.0).any()
+    assert _may_reach_zero(np.array([-5.0, np.nan, -5.0]), 1.0, 1.0, 1.0).all()
+    assert list(_may_reach_zero(-np.array([0.0, 1.0, 3.0]), 1.0, 1.0, 1e-300)) == [True, False]

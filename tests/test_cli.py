@@ -575,6 +575,25 @@ def test_bands_and_tune_json_bytes_are_pinned(tmp_path, capsys, eps_rel_b, bands
     assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == tune_digest
 
 
+def test_wide_band_scans_are_pinned(tmp_path, capsys):
+    # 12 bands of eps_rel_b 2.25 span many scan units and its closed gap 5, at
+    # 2001 samples a band; band 7 of 12.25 is tuned to a slow target
+    cfg = tmp_path / "closed.json"
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": 2.25}}))
+    rc, out = run(capsys, "--config", str(cfg), "bands", "--n-bands", "12", "--samples", "2001",
+                  "--out-dir", str(tmp_path / "out"))
+    assert rc == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "c09be79ad6e81e5d0977a0e3da097ea488e6a10d97341d62d74055a005107f06")
+    assert (hashlib.sha256((tmp_path / "out" / "bands.csv").read_bytes()).hexdigest()
+            == "0a42caa08b51d76c329276766bcddcbdf3265002e50334351131b3998259cebb")
+    cfg.write_text(json.dumps({"crystal": {"eps_rel_b": 12.25}}))
+    rc, out = run(capsys, "--config", str(cfg), "tune", "--band", "7", "--target-vg-over-c", "1e-5")
+    assert rc == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "9ec1dd2ec29b06b14033dea1ed0d7b7e212485abb4878c91bf4c3cda5f3cf1db")
+
+
 @pytest.mark.parametrize("flux, radius", [(0.03, 1e-200), (0.03, 1e200), (1e308, 1e-10)])
 def test_pump_without_a_finite_amplitude_exit(tmp_path, capsys, flux, radius):
     # d**2 underflows to 0, overflows, or the amplitude itself overflows
