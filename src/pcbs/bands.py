@@ -27,13 +27,17 @@ odd ones), with theta+- = (a +- b) w / 2, so its size and slopes in w have
 bounds that hold at every w (_factor_bounds).  The edge scan and the tuning
 scan each define their result on a dense grid, but evaluate the grid only
 where such a bound cannot rule out a crossing (_may_reach_zero).
-scan_bands finds the edges once and returns them as a frozen BandStructure,
-with each k = 0 edge's factors expanded about it by angle addition;
+scan_bands finds the edges once and returns them as a frozen BandStructure
+that holds one expansion of the factors by angle addition, about each band's
+k = 0 edge (row n - 1 for band n) and about every scanned root after them;
 sample_bands, band_frequencies and tune_to_group_velocity read that value
 and never scan.  They work in the offset delta from the
 k = 0 edge: P = f2 f3 = sin^2(q/2) is solved for all samples of all
-requested bands at once, each on its own band's expansion, and
-v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|.
+requested bands at once, each on its own band's row, and
+v_g = 2 pi c sqrt(P (1 - P)) / |dP/d delta|, with P and its derivatives
+from one product rule (_product).  tune_to_group_velocity has one edge rule
+for both kinds of crystal: a target at the k = 0 edge's v_g (to 1e-12), or
+on a gapped band at or below it, is the edge itself, k* = 0.
 A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
 precision there.  Edges, samples and the tuning point are all roots of one
 vectorised Newton-with-bisection solve (_bracketed_newton), on numpy
@@ -50,7 +54,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegeneratePointError, InsufficientScanError, UnachievableTargetError
+from .errors import (DegeneratePointError, InsufficientScanError, UnachievableTargetError,
+                     _is_index)
 from .source import CODATA
 
 __all__ = [
@@ -148,9 +153,12 @@ class BandStructure:
     """The lowest n_bands bands of one crystal, as scan_bands found them.
 
     edges[n - 1] is band n's (w, v_g [m/s]) at k = 0, then at k = pi/Lambda.
-    expansion(delta, edge) is _edge_expansion about the k = 0 edges, and
-    delta0[n - 1] band n's edge as the root of its own odd factor's expansion.
-    A gapless stack holds None for all three: its bands are exact.
+    expansion(delta, edge) is the scan's one _edge_expansion.  Its row n - 1
+    is about band n's k = 0 edge, so edge = n - 1 reads band n; rows n_bands
+    to 3 n_bands + 1 are about every scanned root in order (w = 0 twice, for
+    the two odd factors, then the roots up to the top of gap n_bands).
+    delta0[n - 1] is band n's edge as the root of its own odd factor's
+    expansion.  A gapless stack holds None for all three: its bands are exact.
     """
 
     spec: CrystalSpec
@@ -273,11 +281,6 @@ def _bands(structure: BandStructure, bands, q) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _is_index(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _reduced_q(spec: CrystalSpec, k: float) -> float:
     """Lambda k, checked against the reduced zone [0, pi] and clamped into it."""
     q = k * spec.period
@@ -321,15 +324,18 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     delta = 0 (_edge_expansion).  With w = 0 prepended once per odd factor,
     the sorted roots alternate gap, band, gap, ...: gap g spans roots 2g and
     2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower edge of
-    an odd band.  One more call reads every factor and slope at every root,
-    for _gap_velocity's velocity beside each gap.  Last, each k = 0 edge is
-    polished as the root delta0 of its own odd factor's expansion about it
-    (two Newton steps from 0, all edges at once, the first from that call's
-    row of root 2n - n mod 2 for band n).  A band's values do not depend on
-    n_bands.
+    an odd band, so band n's k = 0 edge is root 2n - n mod 2.  After the
+    polish one expansion is built, about each band's k = 0 edge (rows 0 to
+    n_bands - 1) and then about every root (rows n_bands on): the structure's
+    expansion.  Its root rows at delta = 0 give every factor and slope at
+    every root, for _gap_velocity's velocity beside each gap.  Last, each
+    k = 0 edge is polished as the root delta0 of its own odd factor's
+    expansion about it (two Newton steps from 0, all edges at once, the first
+    from the edge's root row, the second on its edge row).  A band's values
+    do not depend on n_bands.
     """
-    if n_bands < 1:
-        raise ValueError("n_bands must be >= 1")
+    if not (_is_index(n_bands) and n_bands >= 1):
+        raise ValueError(f"n_bands must be an integer >= 1, got {n_bands!r}")
     if spec.l_b == 0.0 or spec.eps_rel_a == spec.eps_rel_b:
         return BandStructure(spec, n_bands, None, None, None)
     a, b, _ = _coeffs(spec)
@@ -383,7 +389,10 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
                               np.where(first_negative, w_1, w_0), 0.0)
     order = np.lexsort((factor, roots))[:need]    # by root, then factor
     w_edge = np.concatenate(([0.0, 0.0], roots[order]))
-    f, df = _edge_expansion(a, b, x, w_edge)(0.0, slice(None))    # every factor at every root
+    each = np.arange(n_bands)
+    root = 2 * each + 1 + each % 2    # band n = each + 1's k = 0 edge: root 2n - n mod 2
+    expansion = _edge_expansion(a, b, x, np.concatenate((w_edge[root], w_edge)))
+    f, df = expansion(0.0, slice(n_bands, None))    # every factor at every root
     slope = df[np.arange(w_edge.size), np.concatenate(([2, 3], factor[order]))]
     points = list(zip(w_edge.tolist(), slope.tolist()))
     v = [_gap_velocity(points[2 * g], points[2 * g + 1]) for g in range(n_bands + 1)]
@@ -391,9 +400,6 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
             for n in range(1, n_bands + 1)]
     edges = np.array([lo + hi if n % 2 == 1 else hi + lo
                       for n, (lo, hi) in enumerate(ends, start=1)])
-    expansion = _edge_expansion(a, b, x, edges[:, 0])
-    each = np.arange(n_bands)
-    root = 2 * each + 1 + each % 2    # band n = each + 1's k = 0 edge: root 2n - n mod 2
     f, df = f[root], df[root]
     i = np.where(np.abs(f[:, 3]) < np.abs(f[:, 2]), 3, 2)    # each edge's factor
     delta0 = -f[each, i] / df[each, i]
@@ -479,6 +485,19 @@ def _edge_expansion(a: float, b: float, x: float, w0):
     return at
 
 
+def _product(f, df, d2f=None) -> tuple:
+    """(P, P', P'') of P = f2 f3 by the product rule, from the four factors
+    (f, f', f'') along their last axis; P'' only when d2f is given.
+
+    The same rule bounds |P|, |P'| and |P''| from _factor_bounds.
+    """
+    f2, f3, df2, df3 = f[..., 2], f[..., 3], df[..., 2], df[..., 3]
+    p, dp = f2 * f3, df2 * f3 + f2 * df3
+    if d2f is None:
+        return p, dp
+    return p, dp, d2f[..., 2] * f3 + 2.0 * df2 * df3 + f2 * d2f[..., 3]
+
+
 def _offset_velocity(expansion, delta, edge):
     """(v_g / c, P, dP/d delta) at offset delta from edge, with P = f2 f3 = sin^2(q/2).
 
@@ -487,8 +506,7 @@ def _offset_velocity(expansion, delta, edge):
     0 the velocity is undefined and reads nan; _check_slope refuses it.
     """
     f, df = expansion(delta, edge)
-    p = f[..., 2] * f[..., 3]
-    dp = df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3]
+    p, dp = _product(f, df)
     slope = np.where(dp != 0.0, np.abs(dp), np.nan)
     v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[..., 0] * f[..., 1], 0.0)) / slope
     return v, p, dp
@@ -539,9 +557,8 @@ def _solve_offsets(structure: BandStructure, edge, delta_pi, q: np.ndarray) -> n
     start = d0 + (d_pi - d0) * q / math.pi
 
     def residual(delta, todo):
-        f, df = structure.expansion(delta, edge[todo // q.size])
-        return (f[..., 2] * f[..., 3] - targets[todo % q.size],
-                df[..., 2] * f[..., 3] + f[..., 2] * df[..., 3])
+        p, dp = _product(*structure.expansion(delta, edge[todo // q.size]))
+        return p - targets[todo % q.size], dp
 
     neg, pos = (np.broadcast_to(u, start.shape).ravel() for u in (d0, d_pi + 1e-9 * (d_pi - d0)))
     return _bracketed_newton(residual, start.ravel(), neg, pos, neg).reshape(start.shape)
@@ -582,9 +599,8 @@ def _vg_scan_points(structure: BandStructure, edge: int, deltas: np.ndarray,
     coarse, vs, dp = coarse[:first[0] + 1], vs[:first[0] + 1], dp[:first[0] + 1]
     a, b, _ = _coeffs(spec)
     size, slope, curve = _factor_bounds(a, b, math.sqrt(spec.eps_rel_b / spec.eps_rel_a))
-    size_p, size_q = size[2] * size[3], size[0] * size[1]
-    slope_p = slope[2] * size[3] + size[2] * slope[3]
-    curve_p = curve[2] * size[3] + 2.0 * slope[2] * slope[3] + size[2] * curve[3]
+    size_p, slope_p, curve_p = _product(size, slope, curve)
+    size_q = size[0] * size[1]
     maybe = _may_reach_zero((vs * dp) ** 2 - (ratio * dp) ** 2,
                             slope_p * (4.0 * math.pi ** 2 * (size_p + size_q)
                                        + 2.0 * ratio ** 2 * curve_p),
@@ -602,8 +618,14 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
 
     The shift is measured from the k = 0 band edge, whose frequency is also
-    reported as nu_s.  target_vg = 0 is the edge itself.  Targets above the
-    band's maximum group velocity raise UnachievableTargetError.
+    reported as nu_s.  Targets above the band's maximum group velocity raise
+    UnachievableTargetError.
+
+    One edge rule serves both kinds of crystal: (w0, v_g0) is read at q = 0
+    (_bands), and a target within 1e-12 (relative) of v_g0, or on a gapped
+    band at most v_g0, is the edge itself: k* = 0 and delta_omega = 0, bit
+    for bit.  So is target_vg = 0 on a band beside an open gap.  A gapless
+    crystal has one velocity and refuses every other target.
 
     A slow-light shift is ~1e-13 of the edge frequency, so no two band
     frequencies are subtracted: in the offset from the k = 0 edge, on the
@@ -627,63 +649,56 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
         raise ValueError(f"band_index must lie in [1, {structure.n_bands}], got {band_index}")
     spec, edge, expansion = structure.spec, band_index - 1, structure.expansion
     lam = spec.period
-    scale = 2.0 * math.pi * c / lam
-    if expansion is None:
-        w0, vg0 = (float(u[0, 0]) for u in _bands(structure, [band_index], np.zeros(1)))
-        if math.isclose(target_vg, vg0, rel_tol=1e-12):
-            return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
-                                delta_omega=0.0, delta_nu=0.0,
-                                nu_s=w0 * scale / (2.0 * math.pi))
+    scale, ratio = 2.0 * math.pi * c / lam, target_vg / c
+    (w0, w_far), (vg0, _) = (u[0].tolist() for u in
+                             _bands(structure, [band_index], np.array([0.0, math.pi])))
+    # the edge itself: the target is its velocity, or on a gapped band at
+    # most that (target 0 at an open gap; band 1 starts at c / sqrt(<eps>))
+    at_edge = (math.isclose(target_vg, vg0, rel_tol=1e-12)
+               or (expansion is not None and vg0 >= target_vg))
+    if not (at_edge or expansion is not None):
         raise UnachievableTargetError(
             f"gapless crystal has constant group velocity {vg0:.6g} m/s; "
             f"target {target_vg:.6g} m/s is unreachable"
         )
-    w0, vg0, w_far, _ = structure.edges[edge].tolist()
-    nu_s = w0 * scale / (2.0 * math.pi)
-    if vg0 >= target_vg:
-        # the edge itself (target 0), or a k = 0 edge at a closed gap (band 1's
-        # is the static medium at w = 0) that is already at least as fast
-        return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
-                            delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
+    p = shift = 0.0
+    if not at_edge:
+        delta0 = structure.delta0[edge]
+        deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
+        points = _vg_scan_points(structure, edge, deltas, ratio)
+        vs = _offset_velocity(expansion, deltas[points], edge)[0]
+        hit = np.flatnonzero(vs >= ratio)
+        if hit.size == 0:
+            raise UnachievableTargetError(
+                f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
+                f"(~{np.max(vs) * c:.6g} m/s)"
+            )
+        i = hit[0]
+        j = points[i]
+        near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[i - 1])
 
-    delta0 = structure.delta0[edge]
-    ratio = target_vg / c
-    deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
-    points = _vg_scan_points(structure, edge, deltas, ratio)
-    vs = _offset_velocity(expansion, deltas[points], edge)[0]
-    hit = np.flatnonzero(vs >= ratio)
-    if hit.size == 0:
-        raise UnachievableTargetError(
-            f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
-            f"(~{np.max(vs) * c:.6g} m/s)"
-        )
-    i = hit[0]
-    j = points[i]
-    near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[i - 1])
+        def gap(delta, todo):    # one root, evaluated at a scalar delta
+            f, df, d2f = expansion(delta[0], edge, curvature=True)
+            p, dp, d2p = _product(f, df, d2f)
+            q = f[0] * f[1]
+            return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
+                    dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
 
-    def gap(delta, todo):    # one root, evaluated as a scalar: cheaper than a 1-element array
-        f, df, d2f = expansion(delta[0], edge, curvature=True)
-        p, q = f[2] * f[3], f[0] * f[1]
-        dp = df[2] * f[3] + f[2] * df[3]
-        d2p = d2f[2] * f[3] + 2.0 * df[2] * df[3] + f[2] * d2f[3]
-        return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
-                dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
-
-    start = near + (ratio**2 - v_near**2) / (vs[i]**2 - v_near**2) * (deltas[j] - near)
-    delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
-    _, p, dp = _offset_velocity(expansion, delta, edge)
-    _check_slope(spec, dp, [band_index])
-    shift = float(abs(delta - delta0))
-    # offsets next to delta0 are spaced, and the factors' residual at w0
-    # (~ f' delta0) rounded, at eps |delta0|: the shift's relative error
-    if not (p > 0.0 and np.finfo(float).eps * abs(delta0) <= _SHIFT_RTOL * shift):
-        raise UnachievableTargetError(
-            f"target v_g = {target_vg:.6g} m/s is too slow to resolve on band {band_index}: "
-            f"its shift from the edge is not known to {_SHIFT_RTOL:g} in float64"
-        )
+        start = near + (ratio**2 - v_near**2) / (vs[i]**2 - v_near**2) * (deltas[j] - near)
+        delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
+        _, p, dp = _offset_velocity(expansion, delta, edge)
+        _check_slope(spec, dp, [band_index])
+        shift = float(abs(delta - delta0))
+        # offsets next to delta0 are spaced, and the factors' residual at w0
+        # (~ f' delta0) rounded, at eps |delta0|: the shift's relative error
+        if not (p > 0.0 and np.finfo(float).eps * abs(delta0) <= _SHIFT_RTOL * shift):
+            raise UnachievableTargetError(
+                f"target v_g = {target_vg:.6g} m/s is too slow to resolve on band {band_index}: "
+                f"its shift from the edge is not known to {_SHIFT_RTOL:g} in float64"
+            )
     delta_omega = shift * scale
-    return TuningReport(target_vg_over_c=target_vg / c,
+    return TuningReport(target_vg_over_c=ratio,
                         k_star=2.0 * math.asin(math.sqrt(p)) / lam,
                         delta_omega=delta_omega,
                         delta_nu=delta_omega / (2.0 * math.pi),
-                        nu_s=nu_s)
+                        nu_s=w0 * scale / (2.0 * math.pi))

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NoHeraldError, UndefinedCdfError
+from .errors import NoHeraldError, UndefinedCdfError, _is_index
 from .stats import herald_marginal
 
 __all__ = [
@@ -86,6 +86,8 @@ class SessionReport:
 
 
 def _check_n_pulses(n_pulses: int) -> None:
+    if not _is_index(n_pulses):
+        raise ValueError(f"n_pulses must be an integer, got {n_pulses!r}")
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be positive, got {n_pulses}")
     if n_pulses > _MAX_PULSES:
@@ -104,8 +106,9 @@ def _check_z_threshold(z_threshold: float) -> None:
 
 
 def _checked_pulses(p: np.ndarray, n_pulses: int) -> float:
-    """Refuse a session that is empty, longer than 10**15 pulses, or whose box
-    mass sum(p) lies outside [1 - 1e-6, 1 + 1e-12]; return that mass."""
+    """Refuse a session whose n_pulses is not an integer, that is empty, longer
+    than 10**15 pulses, or whose box mass sum(p) lies outside
+    [1 - 1e-6, 1 + 1e-12]; return that mass."""
     _check_n_pulses(n_pulses)
     captured_mass = float(np.sum(p))
     if not captured_mass >= 1.0 - _MAX_MISSING_MASS:     # a NaN mass is refused too
@@ -211,8 +214,9 @@ def simulate_session(p: np.ndarray, n_pulses: int, routed_fraction: float = 0.0,
     routed_fraction, the probability that the eavesdropper takes each of
     Bob's photons, is 0 without an attack.  Before any draw, ValueError
     refuses a fraction outside [0, 1] (NaN too), a z_threshold that is not
-    positive (NaN too), an n_pulses outside [1, 10**15] and a box mass
-    sum(p) outside [1 - 1e-6, 1 + 1e-12].
+    positive (NaN too), an n_pulses that is not an integer in [1, 10**15]
+    (a float or a bool too) and a box mass sum(p) outside
+    [1 - 1e-6, 1 + 1e-12].
 
     Draws, in order: one multinomial of n_pulses over the classes (no
     herald; herald with n2 = 0..n_max; overflow), one uniform in (0, 1]

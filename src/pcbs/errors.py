@@ -9,13 +9,21 @@ refused input unless a subclass sets its own, 3 for a truncation failure
 and 4 for a numerical degeneracy, a NaN binomial CDF among them.  An input
 no type here names, such as an empty BB84 session or a routed fraction
 outside [0, 1], is refused with a plain ValueError, and exits 2 as well.
+A size or an index that is not an integer (_is_index) is one of those.
 """
+
+import numpy as np
 
 __all__ = [
     "PcbsError", "TruncationError", "NoHeraldError", "InsufficientScanError",
     "DegeneratePointError", "UnachievableTargetError", "ConfigError",
     "UndefinedCdfError",
 ]
+
+
+def _is_index(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class PcbsError(Exception):

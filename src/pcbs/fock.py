@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import TruncationError
+from .errors import TruncationError, _is_index
 
 __all__ = [
     "SqueezedInput",
@@ -66,6 +66,8 @@ TAIL_TOLERANCE_FLOOR = 1e-10
 
 
 def _check_n_max(n_max: int) -> None:
+    if not _is_index(n_max):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if not 1 <= n_max <= N_MAX_CEILING:
         raise ValueError(f"n_max must be in [1, {N_MAX_CEILING}], got {n_max}")
 

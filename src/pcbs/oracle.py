@@ -52,6 +52,7 @@ import math
 
 import numpy as np
 
+from .errors import _is_index
 from .fock import SqueezedInput
 
 __all__ = ["oracle_state"]
@@ -208,8 +209,8 @@ def oracle_state(state: SqueezedInput, n_max: int) -> np.ndarray:
     Raises ValueError if the kept amplitudes have not settled within
     2^14 single-mode photons.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not (_is_index(n_max) and n_max >= 1):
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     dim = n_max + 1
     column = _kept_column(state, dim)       # first: it may refuse, and the triangle is O(dim^2)
     total = np.repeat(np.arange(dim), np.arange(1, dim + 1))    # shell T of each index

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -306,6 +307,21 @@ def test_tune_zero_target_is_the_edge():
     assert np.isclose(rep.nu_s, 322691177976151.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("eps_rel_b", [4.9284, 12.25, 2.25])
+def test_a_target_at_the_edge_velocity_is_the_edge(eps_rel_b):
+    # v_g0 and the float above it: one ulp above, band 1 was refused as
+    # degenerate, or its solve divided 0 by 0 or never converged
+    structure = scan_bands(CrystalSpec(eps_rel_b=eps_rel_b), 8)
+    fast = [band for band in range(1, 9) if structure.edges[band - 1, 1] > 0.0]
+    assert fast[0] == 1
+    for band in fast:
+        w0, vg0 = structure.edges[band - 1, :2].tolist()
+        for target in (vg0, math.nextafter(vg0, math.inf)):
+            rep = tune_to_group_velocity(structure, band, target)
+            assert rep.k_star == 0.0 and rep.delta_omega == 0.0 and rep.delta_nu == 0.0
+            assert rep.nu_s == w0 * SCALE / (2.0 * math.pi)
+
+
 def test_tune_unreachable_target():
     with pytest.raises(UnachievableTargetError):
         tune_to_group_velocity(scan_bands(SPEC, 4), 4, 0.9 * CODATA.c)
@@ -318,6 +334,30 @@ def test_zone_and_index_validation():
         band_frequencies(scan_bands(SPEC, 0), 0.0)
     with pytest.raises(ValueError):
         tune_to_group_velocity(scan_bands(SPEC, 4), 4, -1.0)
+
+
+@pytest.mark.parametrize("n_bands", [2.5, 4.0, np.float64(4.0), True])
+def test_scan_refuses_a_band_count_that_is_not_an_integer(n_bands, monkeypatch):
+    # before any work: a gapped crystal once scanned and polished its edges
+    # before a TypeError, a gapless one kept 2.5 bands, and True was 1 band
+    monkeypatch.setattr(pcbs.bands, "_coeffs", lambda spec: pytest.fail("the scan began"))
+    for spec in (SPEC, CrystalSpec(eps_rel_b=1.0)):
+        with pytest.raises(ValueError,
+                           match=f"^n_bands must be an integer >= 1, got {re.escape(repr(n_bands))}$"):
+            scan_bands(spec, n_bands)
+    assert scan_bands(CrystalSpec(eps_rel_b=1.0), np.int64(4)).n_bands == 4
+
+
+def test_the_expansion_holds_each_k0_edge_then_every_root():
+    # row n - 1 is band n's k = 0 edge, root 2n - n mod 2 of the rows after
+    # the first n_bands, which hold w = 0 twice and every root up to gap 8
+    structure = scan_bands(SPEC, 8)
+    f, df = structure.expansion(0.0, slice(None))
+    assert f.shape == df.shape == (8 + 2 + 2 * 8, 4)
+    each = np.arange(8)
+    root = 8 + 2 * each + 1 + each % 2
+    assert f[:8].tobytes() == f[root].tobytes() and df[:8].tobytes() == df[root].tobytes()
+    assert np.all(np.min(np.abs(f[8:]), axis=1) < 1e-14)    # a factor vanishes at each root
 
 
 @pytest.mark.parametrize("spec", [SPEC, CrystalSpec(eps_rel_b=1.0)], ids=["gapped", "gapless"])
@@ -640,9 +680,10 @@ def dense_tune_to_group_velocity(structure: BandStructure, band_index: int,
         )
     w0, vg0, w_far, _ = structure.edges[edge].tolist()
     nu_s = w0 * scale / (2.0 * math.pi)
-    if vg0 >= target_vg:
+    if vg0 >= target_vg or math.isclose(target_vg, vg0, rel_tol=1e-12):
         # the edge itself (target 0), or a k = 0 edge at a closed gap (band 1's
-        # is the static medium at w = 0) that is already at least as fast
+        # is the static medium at w = 0) that is already at least as fast, or
+        # within 1e-12 of as fast, the gapless rule
         return TuningReport(target_vg_over_c=target_vg / c, k_star=0.0,
                             delta_omega=0.0, delta_nu=0.0, nu_s=nu_s)
 
@@ -695,9 +736,9 @@ CRYSTALS = st.builds(lambda eps_rel_a, eps_rel_b, thickness_ratio: CrystalSpec(
 def _outcome(call, *args):
     # repr of the result (exact for every float), or the error's type and message
     with warnings.catch_warnings():
-        # a band-1 target at the edge's own velocity divides 0 by 0 for the
-        # Newton start, or leaves the solve unconverged (RuntimeError), on
-        # both sides alike
+        # a 0/0 Newton start or an unconverged solve (RuntimeError) is an
+        # outcome that both sides must share; a band-1 target one ulp above
+        # its edge's own velocity gave both before the shared edge rule
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             return repr(call(*args))

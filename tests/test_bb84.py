@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -39,6 +40,17 @@ def test_routed_fraction_validation(jd, monkeypatch):
     for fraction in (math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match=r"^routed_fraction must lie in \[0, 1\]$"):
             simulate_session(jd, 10**6, fraction, seed=1)
+
+
+def test_session_refuses_a_pulse_count_that_is_not_an_integer(jd, monkeypatch):
+    # refused before any draw: 1000.5 once gave herald_count 488.5, and 1e6
+    # float counts; True was read as one pulse
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("a draw was made"))
+    for n_pulses in (1000.5, 1e6, np.float64(1e6), True):
+        for fraction in (0.0, 0.5):
+            with pytest.raises(ValueError,
+                               match=f"^n_pulses must be an integer, got {re.escape(repr(n_pulses))}$"):
+                simulate_session(jd, n_pulses, fraction)
 
 
 def test_empty_session(jd):

@@ -503,6 +503,24 @@ def test_tune_weak_contrast_served(tmp_path, capsys):
     assert report["k_star"] == 0.0 and report["nu_s"] > 0.0
 
 
+@pytest.mark.parametrize("crystal, target", [
+    ({}, "0.5808262671004204"),
+    ({"l_b": 1.1e-7, "eps_rel_b": 9.010992040998248}, "0.6543968226601684"),
+])
+def test_tune_serves_band_1_at_its_own_edge_velocity(tmp_path, capsys, crystal, target):
+    # band 1's v_g(0)/c as printed, whose product with c rounds one ulp above
+    # v_g(0): the first was refused as degenerate (exit 4), the second ended
+    # in an unconverged solve's RuntimeError
+    cfg = tmp_path / "crystal.json"
+    cfg.write_text(json.dumps({"crystal": crystal}))
+    rc, out = run(capsys, "--config", str(cfg), "tune", "--band", "1",
+                  "--target-vg-over-c", target)
+    assert rc == 0
+    report = json.loads(out)
+    assert repr(report["target_vg_over_c"]) == target
+    assert report["k_star"] == report["delta_omega"] == report["delta_nu"] == report["nu_s"] == 0.0
+
+
 def test_degenerate_crystal_exits_without_a_warning(tmp_path, capsys):
     # eps_b 1e300 makes layer b 5e149 periods thick optically: the edge scan is
     # refused before it runs, where it once aliased into touching bands at w = 0

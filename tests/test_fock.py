@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -644,6 +645,20 @@ def test_n_max_ceiling():
         TruncationPolicy(n_max=N_MAX_CEILING + 1)
     with pytest.raises(ValueError, match="got 4001"):
         box_probability(state, N_MAX_CEILING + 1)
+
+
+@pytest.mark.parametrize("n_max", [49.5, 20.0, np.float64(20.0), True])
+def test_n_max_must_be_an_integer(n_max, monkeypatch):
+    # refused with ValueError before any box is built; 49.5 and 20.0 once
+    # raised TypeError from numpy, and True was read as 1
+    monkeypatch.setattr(pcbs.fock, "_shell_amplitudes",
+                        lambda *args: pytest.fail("a box was built"))
+    message = f"^n_max must be an integer, got {re.escape(repr(n_max))}$"
+    with pytest.raises(ValueError, match=message):
+        TruncationPolicy(n_max=n_max)
+    with pytest.raises(ValueError, match=message):
+        box_probability(SqueezedInput(r=1.0, alpha=0.5), n_max)
+    assert TruncationPolicy(n_max=np.int64(20)).n_max == 20
 
 
 @pytest.mark.parametrize("r", [709.9, 710.0, 800.0, 1e300])

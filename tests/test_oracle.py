@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,17 @@ def test_oracle_refuses_unsettled_headroom(monkeypatch):
     monkeypatch.setattr(pcbs.oracle, "_MAX_SIZE", 64)
     with pytest.raises(ValueError, match="did not settle"):
         oracle_state(SqueezedInput(r=2.0, alpha=0.5), 5)
+
+
+@pytest.mark.parametrize("n_max", [20.0, 49.5, np.float64(20.0), True, 0])
+def test_oracle_refuses_a_box_that_is_not_an_integer(n_max, monkeypatch):
+    # before the single-mode column is solved; 20.0 once solved it and then
+    # raised TypeError in np.repeat, and True was read as 1
+    monkeypatch.setattr(pcbs.oracle, "_kept_column",
+                        lambda *args: pytest.fail("a column was solved"))
+    with pytest.raises(ValueError,
+                       match=f"^n_max must be an integer >= 1, got {re.escape(repr(n_max))}$"):
+        oracle_state(SqueezedInput(r=0.5, alpha=0.5), n_max)
 
 
 def test_oracle_refuses_an_unservable_box_before_building_its_triangle():
@@ -356,11 +368,12 @@ def test_oracle_shares_no_algebra_with_fock():
                 for alias in node.names}
     imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"}
-    assert imported == {"math", "numpy", ".fock"}
-    from_fock = {alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module == "fock"
-                 for alias in node.names}
+    assert imported == {"math", "numpy", ".errors", ".fock"}
+    from_fock, from_errors = ({alias.name for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) and node.module == module
+                               for alias in node.names} for module in ("fock", "errors"))
     assert from_fock == {"SqueezedInput"}
+    assert from_errors == {"_is_index"}    # the package's integer rule for n_max, no algebra
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"tanh", "cosh", "gammaln", "lgamma", "_log_factorials", "comb", "binom",
