@@ -22,11 +22,9 @@ half-angle factors of the symmetric cell (Yeh, Yariv & Hong, JOSA 67, 423
 Every band edge is a simple zero of one of these four factors, and a gap is
 closed where two factors share a root: the bands on either side meet there
 with a finite group velocity.  w = 0, a root of both odd factors, is the
-zeroth closed gap.  Each factor is R cos theta+ + S cos theta- (sin for the
-odd ones), with theta+- = (a +- b) w / 2, so its size and slopes in w have
-bounds that hold at every w (_factor_bounds).  The edge scan and the tuning
-scan each define their result on a dense grid, but evaluate the grid only
-where such a bound cannot rule out a crossing (_may_reach_zero).
+zeroth closed gap.  Each pair of factors has a phase that rises strictly
+with w, and whose quarter turns are that pair's roots (_phase), so the
+phases count the edges below any w and place each one on the scan grid.
 scan_bands finds the edges once and returns them as a frozen BandStructure
 that holds one expansion of the factors by angle addition, about each band's
 k = 0 edge (row n - 1 for band n) and about every scanned root after them;
@@ -72,8 +70,6 @@ __all__ = [
 ]
 
 SCAN_POINTS_PER_UNIT = 4000   # omega-scan density per unit of omega*Lambda/(2 pi c)
-_COARSE_STRIDE = 16           # a scan evaluates every 16th grid point (and the last) first
-_ROUNDING = 1e-12             # relative margin of a bound test for rounding (~4500 ulps)
 _SCAN_CEILING = 64.0          # give up above this dimensionless frequency
 _SCAN_STEP_LIMIT = 0.25       # refuse a scan whose half-angles advance more than this * pi a step
 _CLOSED_GAP = (4e-12, 2e-14)  # (abs, rel): a gap narrower than abs + rel * w is closed
@@ -190,46 +186,27 @@ def _factors(sa, ca, sb, cb, x):
             sa * cb + x * ca * sb, sa * cb + ca * sb / x)
 
 
-def _factor_bounds(a: float, b: float, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds on |f|, |df/dw| and |d2f/dw2| of the four edge factors, at any w.
+def _phase(a: float, b: float, y, w, level=0.0) -> tuple:
+    """(Theta_y - level, dTheta_y/dw) at w, Theta_y the phase of the factor pair y.
 
-    By angle addition factor i is R cos theta+ + S cos theta- (sin for f2 and
-    f3), with R = (1 + y)/2, S = (1 - y)/2, y = x for f0 and f2, 1/x for f1
-    and f3, and theta+- = (a +- b) w / 2.  The bounds hold for any anchor
-    angles, so also on an expansion about any edge.
+    With A = a w / 2 and B = b w / 2, f0 = Re[e^(iA) (cos B + i x sin B)] =
+    rho cos Theta_x and f2 = rho sin Theta_x, and f1, f3 are the same with
+    y = 1/x.  Theta_y = A + B + atan2((y - 1) sin B cos B, cos^2 B + y sin^2 B)
+    is the Pruefer angle (Math. Ann. 95, 499 (1926)), within pi/2 of
+    (a + b) w / 2; its slope a/2 + (b/2) / (cos^2 B / y + y sin^2 B) is
+    positive, and in that form never overflows.  Rounding, with u = eps / 2
+    and sin and cos within k ulps (e <= 2 k u): on the rounded half-angles
+    that the factors use too, T = A' + arg(cos B' + i y sin B') never falls
+    as w rises.  The phase is within u (2 T + pi/2 + 5.5) + 2e of T (two
+    sums, atan2, 3u + 2e in each of its arguments, u/2 from y = fl(1/x)),
+    and a computed factor has the sign of cos T (sin T) farther than 2e + 3u
+    from a root (2e from sin and cos, 3u from its arithmetic).  tau =
+    4 eps (m pi / 2 + 8) covers both at root m for any k <= 6.
     """
-    y = np.array([x, 1.0 / x, x, 1.0 / x])
-    r, s = 0.5 * (1.0 + y), 0.5 * np.abs(1.0 - y)
-    plus, minus = 0.5 * (a + b), 0.5 * abs(a - b)
-    return r + s, r * plus + s * minus, r * plus ** 2 + s * minus ** 2
-
-
-def _may_reach_zero(values, slope_bound, width, scale) -> np.ndarray:
-    """Mask of the intervals between consecutive scan points in which a function may reach 0.
-
-    values holds the function's computed values at the points along its
-    last axis, width the widths of the intervals between them.  A function
-    whose slope is at most slope_bound stays below (g_l + g_r +
-    slope_bound width) / 2 between two points, so an interval is ruled out
-    only when that sum is negative by more than _ROUNDING * scale, where
-    scale bounds the size of what rounding moves in the computed values and
-    in the bound.  A nan value keeps its intervals.
-    """
-    return ~(values[..., :-1] + values[..., 1:] + slope_bound * width + _ROUNDING * scale < 0.0)
-
-
-def _coarse_points(last: int) -> np.ndarray:
-    """Every _COARSE_STRIDE-th index of the grid 0 .. last, and last."""
-    return np.append(np.arange(0, last, _COARSE_STRIDE), last)
-
-
-def _interval_mask(coarse: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Mask over the grid 0 .. coarse[-1] of every point of the intervals
-    between consecutive coarse indices that keep marks, their ends included."""
-    lo, hi = coarse[:-1][keep, None], coarse[1:][keep, None]
-    points = np.zeros(coarse[-1] + 1, dtype=bool)
-    points[np.minimum(lo + np.arange(_COARSE_STRIDE + 1), hi)] = True
-    return points
+    hb = 0.5 * b * w
+    s, c = np.sin(hb), np.cos(hb)
+    return (0.5 * a * w + hb + np.arctan2((y - 1.0) * s * c, c * c + y * s * s) - level,
+            0.5 * a + 0.5 * b / (c * c / y + y * s * s))
 
 
 def _gap_velocity(lower: tuple[float, float], upper: tuple[float, float]) -> float:
@@ -305,20 +282,22 @@ def dispersion_residual(spec: CrystalSpec, omega: float, k: float) -> float:
 
 def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     """The lowest n_bands bands of spec.  A single medium (l_b = 0, or equal
-    permittivities) needs no scan.  Otherwise each edge factor is scanned for
-    sign changes at SCAN_POINTS_PER_UNIT, one unit of w at a time, until the
-    scan holds enough brackets.  A unit evaluates the factors at every
-    _COARSE_STRIDE-th grid point and its end first, and then at every point
-    of each coarse interval where some factor may vanish: an interval
-    is ruled out when |f_l| + |f_r| exceeds the factor's slope bound times its
-    width (_may_reach_zero on -|f|).  Every sign change between neighbouring
-    grid points lies in one coarse interval, so the brackets, their order and
-    their values are those of the whole grid.  A crystal whose faster half-angle
-    max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT pi per scan step is
-    refused first: a layer of optical thickness above 1000 periods.  On 7000
-    random crystals at 0.05 to 0.52 pi a step, a 4x finer scan found the same
-    brackets on every one below 0.5 pi, and the first that differed lay just
-    above it.  Every bracket starts at the linear interpolation of its two
+    permittivities) needs no scan.  Otherwise each edge is bracketed by a
+    sign change of its own factor between neighbouring points of a grid of
+    SCAN_POINTS_PER_UNIT = N points per unit of w: point j of unit u is
+    j (1/N) + u, np.linspace(u, u + 1, N + 1)[j] bit for bit.  The phases
+    (_phase) say where to read it.  Their quarter turns alternate between
+    the pairs (two apart, 1 + RHS and 1 - RHS would both be negative), so
+    the roots up to the top of gap n_bands are Theta_y = m pi / 2 for
+    m = 1 .. n_bands, of f0 or f1 at odd m and f2 or f3 at even m; their
+    count below _SCAN_CEILING refuses a band above it before any work.  A
+    root's window spans Theta_y = m pi / 2 -+ tau and one grid point more on
+    each side.  Outside the windows each factor has its phase's sign, so the
+    sign changes of each root's factor in its window, once each, are the
+    whole grid's brackets; a window without one is refused.  A crystal whose
+    faster half-angle max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT pi
+    per scan step is refused first: a layer of optical thickness above 1000
+    periods.  Every bracket starts at the linear interpolation of its two
     scan values, and all are polished at once (_bracketed_newton) on the
     factor and its slope in w, read from its expansion about w itself at
     delta = 0 (_edge_expansion).  With w = 0 prepended once per odd factor,
@@ -347,35 +326,41 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
             "cannot resolve its band edges"
         )
     x = math.sqrt(spec.eps_rel_b / spec.eps_rel_a)
-    size, slope_bound, _ = (u[:, None] for u in _factor_bounds(a, b, x))
-
-    def factors_at(w):
-        ha, hb = 0.5 * a * w, 0.5 * b * w
-        return np.array(_factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x))
-
     need = 2 * n_bands    # scanned roots up to the top of gap n_bands
-    brackets = []         # per unit: (w, f(w)) at both scan points of each bracket, its factor
-    found = 0
-    w_hi = 0.0
-    coarse = _coarse_points(SCAN_POINTS_PER_UNIT)
-    while found < need:
-        w_lo, w_hi = w_hi, w_hi + 1.0
-        if w_lo >= _SCAN_CEILING:
-            raise InsufficientScanError(
-                f"no band edge below dimensionless frequency {_SCAN_CEILING:g} "
-                f"beyond the first {found}; band {n_bands} needs {need}"
-            )
-        grid = np.linspace(w_lo, w_hi, SCAN_POINTS_PER_UNIT + 1)
-        w = grid[coarse]
-        near = _may_reach_zero(-np.abs(factors_at(w)), slope_bound, np.diff(w),
-                               size * (1.0 + (a + b) * (1.0 + w[1:])))
-        j = np.flatnonzero(_interval_mask(coarse, near.any(axis=0)))
-        values = factors_at(grid[j])
-        negative = np.signbit(values)    # an exact 0.0 joins one side, so each root counts once
-        i, k = np.nonzero((negative[:, :-1] != negative[:, 1:]) & (np.diff(j) == 1))
-        brackets.append((grid[j[k]], values[i, k], grid[j[k] + 1], values[i, k + 1], i))
-        found += i.size
-    w_0, f_0, w_1, f_1, factor = (np.concatenate(column) for column in zip(*brackets))
+    found = sum(int(_phase(a, b, y, _SCAN_CEILING)[0] // (0.5 * math.pi)) for y in (x, 1.0 / x))
+    if found < need:
+        raise InsufficientScanError(
+            f"no band edge below dimensionless frequency {_SCAN_CEILING:g} "
+            f"beyond the first {found}; band {n_bands} needs {need}"
+        )
+    # root m = 1 .. n_bands of the pair y = x, then of y = 1/x, at Theta_y = m pi / 2
+    m = np.tile(np.arange(1, n_bands + 1), 2)
+    y = np.tile(np.repeat([x, 1.0 / x], n_bands), 2)
+    own = np.repeat([0, 1], n_bands) + 2 * (1 - m % 2)    # f0 or f1 at odd m, f2 or f3 at even
+    level = 0.5 * math.pi * m
+    tau = 4.0 * np.finfo(float).eps * (level + 8.0)    # Theta's rounding (_phase)
+    target = np.concatenate((level - tau, level + tau))
+    start, neg, pos = 2.0 / (a + b) * (target + np.array([[0.0], [-math.pi], [math.pi]]))
+    ends = np.floor(_bracketed_newton(lambda w, todo: _phase(a, b, y[todo], w, target[todo]),
+                                      start, neg, pos, 0.0)
+                    * SCAN_POINTS_PER_UNIT).astype(int)    # the grid points just below
+    lo = np.maximum(ends[:need] - 1, 0)
+    size = ends[need:] + 3 - lo    # the window's points, and one more on each side
+    window = np.repeat(np.arange(need), size)
+    j = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)    # grid index
+    unit = j // SCAN_POINTS_PER_UNIT
+    w = (j - unit * SCAN_POINTS_PER_UNIT) * (1.0 / SCAN_POINTS_PER_UNIT) + unit
+    ha, hb = 0.5 * a * w, 0.5 * b * w
+    values = np.choose(own[window], _factors(np.sin(ha), np.cos(ha), np.sin(hb), np.cos(hb), x))
+    negative = np.signbit(values)    # an exact 0.0 joins one side, so each root counts once
+    k = np.flatnonzero((negative[:-1] != negative[1:]) & (window[:-1] == window[1:]))
+    missed = np.flatnonzero(np.bincount(window[k], minlength=need) == 0)
+    if missed.size:
+        raise InsufficientScanError(
+            f"the band-edge scan finds no sign change of factor {own[missed[0]]} near "
+            f"w = {lo[missed[0]] / SCAN_POINTS_PER_UNIT:.6g}, where its phase places a root")
+    k = k[np.unique(4 * j[k] + own[window[k]], return_index=True)[1]]    # windows may overlap
+    w_0, f_0, w_1, f_1, factor = w[k], values[k], w[k + 1], values[k + 1], own[window[k]]
 
     def factor_at(w, which):    # (value, slope in w) of factor which[i] at w[i]
         f, df = _edge_expansion(a, b, x, w)(0.0, slice(None))
@@ -487,10 +472,7 @@ def _edge_expansion(a: float, b: float, x: float, w0):
 
 def _product(f, df, d2f=None) -> tuple:
     """(P, P', P'') of P = f2 f3 by the product rule, from the four factors
-    (f, f', f'') along their last axis; P'' only when d2f is given.
-
-    The same rule bounds |P|, |P'| and |P''| from _factor_bounds.
-    """
+    (f, f', f'') along their last axis; P'' only when d2f is given."""
     f2, f3, df2, df3 = f[..., 2], f[..., 3], df[..., 2], df[..., 3]
     p, dp = f2 * f3, df2 * f3 + f2 * df3
     if d2f is None:
@@ -578,41 +560,6 @@ def _check_slope(spec: CrystalSpec, dp, bands) -> None:
                                    "differentiation")
 
 
-def _vg_scan_points(structure: BandStructure, edge: int, deltas: np.ndarray,
-                    ratio: float) -> np.ndarray:
-    """The indices of deltas that tune_to_group_velocity's scan for v_g / c >= ratio reads.
-
-    v_g is read at every _COARSE_STRIDE-th offset and the last.  With none
-    of them at the target, every index.  Otherwise, up to the first, G =
-    4 pi^2 max(PQ, 0) - ratio^2 P'^2 (read off v_g = 2 pi sqrt(max(PQ, 0)) /
-    |P'|) rules out each coarse interval where its slope bound
-    |P'|max (4 pi^2 (|P|max + |Q|max) + 2 ratio^2 |P''|max) keeps it
-    negative (_may_reach_zero); the indices are the coarse ones, those of
-    every interval kept, and the one just before the first coarse hit.
-    """
-    spec = structure.spec
-    coarse = _coarse_points(deltas.size - 1)
-    vs, _, dp = _offset_velocity(structure.expansion, deltas[coarse], edge)
-    first = np.flatnonzero(vs >= ratio)[:1]
-    if first.size == 0:
-        return np.arange(deltas.size)
-    coarse, vs, dp = coarse[:first[0] + 1], vs[:first[0] + 1], dp[:first[0] + 1]
-    a, b, _ = _coeffs(spec)
-    size, slope, curve = _factor_bounds(a, b, math.sqrt(spec.eps_rel_b / spec.eps_rel_a))
-    size_p, slope_p, curve_p = _product(size, slope, curve)
-    size_q = size[0] * size[1]
-    maybe = _may_reach_zero((vs * dp) ** 2 - (ratio * dp) ** 2,
-                            slope_p * (4.0 * math.pi ** 2 * (size_p + size_q)
-                                       + 2.0 * ratio ** 2 * curve_p),
-                            np.abs(np.diff(deltas[coarse])),
-                            (4.0 * math.pi ** 2 * size_p * size_q + (ratio * slope_p) ** 2)
-                            * (1.0 + (a + b) * np.abs(deltas[coarse[1:]])))
-    points = _interval_mask(coarse, maybe)
-    points[coarse] = True
-    points[max(coarse[-1] - 1, 0)] = True
-    return np.flatnonzero(points)
-
-
 def tune_to_group_velocity(structure: BandStructure, band_index: int,
                            target_vg: float) -> TuningReport:
     """Smallest k in the band where v_g reaches target_vg, with the frequency shift.
@@ -635,12 +582,6 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
     at the near end and whose slope is P' (4 pi^2 (Q - P) - 2 (v/c)^2 P'')
     (_bracketed_newton).  delta_omega = |delta* - delta0| 2 pi c / Lambda and
     Lambda k* = 2 asin sqrt(P(delta*)).
-
-    The scan reads only the grid points that _vg_scan_points picks: those
-    where a bound on G's slope cannot rule out v_g reaching the target, and
-    the whole grid when no coarse point reaches it, for the first step or
-    for the maximum that the error reports.  So the step, its ends and the
-    report are those of the whole grid.
     """
     c = CODATA.c
     if not target_vg >= 0:
@@ -665,17 +606,15 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
     if not at_edge:
         delta0 = structure.delta0[edge]
         deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
-        points = _vg_scan_points(structure, edge, deltas, ratio)
-        vs = _offset_velocity(expansion, deltas[points], edge)[0]
+        vs = _offset_velocity(expansion, deltas, edge)[0]
         hit = np.flatnonzero(vs >= ratio)
         if hit.size == 0:
             raise UnachievableTargetError(
                 f"target v_g = {target_vg:.6g} m/s exceeds band {band_index}'s maximum "
                 f"(~{np.max(vs) * c:.6g} m/s)"
             )
-        i = hit[0]
-        j = points[i]
-        near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[i - 1])
+        j = hit[0]
+        near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
 
         def gap(delta, todo):    # one root, evaluated at a scalar delta
             f, df, d2f = expansion(delta[0], edge, curvature=True)
@@ -684,7 +623,7 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
             return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
                     dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
 
-        start = near + (ratio**2 - v_near**2) / (vs[i]**2 - v_near**2) * (deltas[j] - near)
+        start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
         delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
         _, p, dp = _offset_velocity(expansion, delta, edge)
         _check_slope(spec, dp, [band_index])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pcbs.bands
 from pcbs.bands import (
+    _CLOSED_GAP,
     _SCAN_CEILING,
     _SCAN_STEP_LIMIT,
     _SHIFT_RTOL,
@@ -22,7 +23,6 @@ from pcbs.bands import (
     _edge_expansion,
     _factors,
     _gap_velocity,
-    _may_reach_zero,
     _offset_velocity,
     _reduced_q,
     band_frequencies,
@@ -47,6 +47,9 @@ BAND8_EDGE_ZB = 2.2086669290571783
 
 # optical thicknesses 2:3, so gap 5 closes at w = 2.0, where both even factors vanish
 CLOSED = CrystalSpec(eps_rel_b=2.25)
+# 1/x ~ 2.4e98: the phase of f1 and f3 stays within 1e-35 of pi/2 over most
+# of gap 1, and bands 2 to 4 are narrower than one ulp of w
+EXTREME = CrystalSpec(l_a=4.57e-141, eps_rel_a=2.89e197)
 
 
 def test_crystal_spec_validation():
@@ -447,8 +450,23 @@ def test_weak_contrast_gaps_are_open_edges():
 
 
 def test_scan_ceiling_raises():
-    with pytest.raises(InsufficientScanError, match="no band edge below dimensionless frequency 64"):
-        band_frequencies(scan_bands(SPEC, 400), 0.0)
+    # 10**12 bands are refused by the phase count, before any array of that size
+    for n_bands in (400, 10**12):
+        with pytest.raises(InsufficientScanError,
+                           match="no band edge below dimensionless frequency 64"):
+            band_frequencies(scan_bands(SPEC, n_bands), 0.0)
+
+
+def test_an_edge_the_grid_cannot_resolve_is_refused(monkeypatch):
+    # two roots of f0 lie between neighbouring points of the 4000-point grid,
+    # which shows no sign change for either, so the scan refuses rather than
+    # return band 2 as (5.595e-4, 6.254e-4); a 4x finer grid resolves them
+    spec = CrystalSpec(l_a=4.4e-10, eps_rel_a=1e12, eps_rel_b=8e5)
+    with pytest.raises(InsufficientScanError, match="no sign change of factor 0 near w = 0.00025"):
+        scan_bands(spec, 4)
+    monkeypatch.setattr(pcbs.bands, "SCAN_POINTS_PER_UNIT", 4 * pcbs.bands.SCAN_POINTS_PER_UNIT)
+    np.testing.assert_allclose(scan_bands(spec, 4).edges[1, [2, 0]], [5.5761e-4, 5.5952e-4],
+                               rtol=1e-4)
 
 
 @pytest.mark.parametrize("thickness", [999.0, 1001.0])
@@ -586,10 +604,9 @@ def test_band_samples_on_random_crystals(eps_rel_b, thickness_ratio, band):
 
 
 # -- the dense scans ----------------------------------------------------------
-# scan_bands and tune_to_group_velocity skip the grid points where a bound
-# rules out a crossing.  These two bodies evaluate every point of each grid,
-# as both functions once did, and are the references they must match bit for
-# bit.
+# scan_bands reads its grid only in a window about each phase root.  These two
+# bodies evaluate every point of each grid, as both functions once did, and
+# are the references they must match bit for bit.
 
 
 def dense_scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
@@ -752,6 +769,7 @@ def _outcome(call, *args):
 @example(spec=SPEC, n_bands=8, finer=False)
 @example(spec=CrystalSpec(eps_rel_b=12.25), n_bands=8, finer=False)
 @example(spec=CLOSED, n_bands=12, finer=False)
+@example(spec=EXTREME, n_bands=4, finer=False)
 @example(spec=CrystalSpec(eps_rel_b=(2.0 * 999.0) ** 2), n_bands=8, finer=True)
 def test_edge_scan_gives_the_dense_scans_bits(spec, n_bands, finer):
     # finer: SCAN_POINTS_PER_UNIT patched to 4x, read by both at call time
@@ -807,10 +825,33 @@ def test_tuning_scan_gives_the_dense_scans_bits(spec, n_bands, data):
                 == _outcome(dense_tune_to_group_velocity, structure, band, ratio * CODATA.c))
 
 
-def test_a_bound_test_keeps_an_interval_within_rounding_of_its_bound():
-    # ends whose sizes exceed slope * width by a rounding error, such as two
-    # of opposite sign on either side of a root, may still hold a crossing
-    assert _may_reach_zero(-np.array([0.5, 0.5 + 1e-15]), 1.0, 1.0, 1.0).all()
-    assert not _may_reach_zero(-np.array([0.5, 0.5 + 1e-9]), 1.0, 1.0, 1.0).any()
-    assert _may_reach_zero(np.array([-5.0, np.nan, -5.0]), 1.0, 1.0, 1.0).all()
-    assert list(_may_reach_zero(-np.array([0.0, 1.0, 3.0]), 1.0, 1.0, 1e-300)) == [True, False]
+@settings(max_examples=60, deadline=None)
+@given(spec=CRYSTALS, n_bands=st.integers(1, 8))
+@example(spec=EXTREME, n_bands=4)
+def test_the_phase_count_below_each_edge_is_its_index(spec, n_bands):
+    # Theta_y = A + B + atan2((y - 1) sin B cos B, cos^2 B + y sin^2 B) passes
+    # m pi / 2 at root m of the pair y.  At 60 digits, the roots it counts
+    # below a point between two of the scan's edges are the edges below that
+    # point; edges within the closed-gap tolerance of each other share a place
+    mpmath = pytest.importorskip("mpmath")
+    structure = scan_bands(spec, n_bands)
+    if structure.expansion is None:
+        return
+    edges = np.sort(structure.edges[:, [0, 2]].ravel())    # w = 0, then the roots above it
+    apart = np.flatnonzero(np.diff(edges) > _CLOSED_GAP[0] + _CLOSED_GAP[1] * edges[1:])
+    with mpmath.workdps(60):
+        mpf = mpmath.mpf
+        lam = mpf(spec.l_a) + mpf(spec.l_b)
+        ha = mpmath.pi * mpf(spec.l_a) * mpmath.sqrt(mpf(spec.eps_rel_a)) / lam
+        hb = mpmath.pi * mpf(spec.l_b) * mpmath.sqrt(mpf(spec.eps_rel_b)) / lam
+        x = mpmath.sqrt(mpf(spec.eps_rel_b) / mpf(spec.eps_rel_a))
+
+        def count(w):    # phase roots below w, of both pairs
+            s, c = mpmath.sin(hb * w), mpmath.cos(hb * w)
+            return sum(int(mpmath.floor((ha * w + hb * w + mpmath.atan2((y - 1) * s * c,
+                                                                       c * c + y * s * s))
+                                        / (mpmath.pi / 2)))
+                       for y in (x, 1 / x))
+
+        for i in apart:
+            assert count((mpf(edges[i]) + mpf(edges[i + 1])) / 2) == i, (i, edges[i:i + 2])
