@@ -292,7 +292,11 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     m = 1 .. n_bands, of f0 or f1 at odd m and f2 or f3 at even m; their
     count below _SCAN_CEILING refuses a band above it before any work.  A
     root's window spans Theta_y = m pi / 2 -+ tau and one grid point more on
-    each side.  Outside the windows each factor has its phase's sign, so the
+    each side.  That point gives two kinds of window their sign change: where
+    a phase is steep, -+ tau spans less than one ulp of w and both ends solve
+    to the same float, and where a phase is flat at the level,
+    Theta_y - m pi / 2 reads exactly 0 at both ends, so an end can land on
+    the wrong side of the root.  Outside the windows each factor has its phase's sign, so the
     sign changes of each root's factor in its window, once each, are the
     whole grid's brackets; a window without one is refused.  A crystal whose
     faster half-angle max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT pi

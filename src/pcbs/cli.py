@@ -118,13 +118,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     r_min, r_max, steps = sw.r_min, sw.r_max, sw.steps
     if r_min == r_max:
         steps = 1
-    points = sweep_r(alpha, np.linspace(r_min, r_max, steps))
+    rows = zip(*sweep_r(alpha, np.linspace(r_min, r_max, steps)))
 
     # "r,p11,p1,pn1,error" rows, error always empty, in one % over a repeated format
-    cells = [x for pt in points for x in (pt.r, pt.p11, pt.p1, pt.pn1)]
     _write_csv(os.path.join(cfg.output.directory, "sweep.csv"),
                ["r", "p11", "p1", "pn1", "error"],
-               (f"{_FMT},{_FMT},{_FMT},{_FMT},\n" * len(points)) % tuple(cells))
+               (f"{_FMT},{_FMT},{_FMT},{_FMT},\n" * steps) % tuple(x for row in rows for x in row))
 
     maxima = {}
     for quantity in ("p11", "p1"):

@@ -24,7 +24,6 @@ from .fock import SqueezedInput, TruncationPolicy, _coincidence_11, output_ampli
 __all__ = [
     "HeraldedStats",
     "ThresholdProbs",
-    "SweepPoint",
     "joint_distribution",
     "herald_marginal",
     "heralded_stats",
@@ -78,16 +77,6 @@ class ThresholdProbs:
     baseline_miss: float
     attacked_miss: float
     simulated_attack_miss: float
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One row of an r-sweep."""
-
-    r: float
-    p11: float
-    p1: float
-    pn1: float
 
 
 def joint_distribution(state: SqueezedInput, policy: TruncationPolicy) -> np.ndarray:
@@ -162,8 +151,9 @@ def _herald_probability(r: float, alpha: float) -> float:
     return g * (0.25 * w * w + 8.0 * alpha * alpha * e / (1.0 + 3.0 * e) ** 2)
 
 
-def sweep_r(alpha: float, r_grid) -> tuple[SweepPoint, ...]:
-    """Evaluate (P(1,1), P1, pn1) across squeeze values, one point per r of the grid.
+def sweep_r(alpha: float, r_grid) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The columns (r, p11, p1, pn1) of a sweep over squeeze values: four
+    lists of floats, one entry per r of the grid.
 
     P(1,1) = psi_2^2 / 2 is read from psi_0..psi_2 alone
     (:func:`pcbs.fock._coincidence_11`) and P1 is exact
@@ -179,13 +169,11 @@ def sweep_r(alpha: float, r_grid) -> tuple[SweepPoint, ...]:
             raise ValueError(f"sweep r values must be >= 0, got {r}")
     if grid:
         SqueezedInput(r=max(grid), alpha=alpha)     # every r of the grid is a valid input
-    points = []
+    p11, p1 = [], []
     for r in grid:
-        p11 = _coincidence_11(r, alpha)
-        p1 = _herald_probability(r, alpha)
-        pn1 = p11 / p1 if p1 > 0.0 else math.nan
-        points.append(SweepPoint(r=r, p11=p11, p1=p1, pn1=pn1))
-    return tuple(points)
+        p11.append(_coincidence_11(r, alpha))
+        p1.append(_herald_probability(r, alpha))
+    return grid, p11, p1, [a / b if b > 0.0 else math.nan for a, b in zip(p11, p1)]
 
 
 _COARSE = 33            # points of the grid that brackets a maximum

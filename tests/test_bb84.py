@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pcbs.bb84 import (
     _MAX_PULSES,
+    MIN_HERALDS_FOR_TEST,
     Verdict,
     _binom_ppf,
     detect_attack,
@@ -19,7 +20,7 @@ from pcbs.bb84 import (
 )
 from pcbs.errors import NoHeraldError, UndefinedCdfError
 from pcbs.fock import SqueezedInput, TruncationPolicy
-from pcbs.stats import joint_distribution, threshold_probs
+from pcbs.stats import herald_marginal, joint_distribution, threshold_probs
 
 SEED = 20260813
 N_PULSES = 10**6
@@ -167,6 +168,37 @@ def test_terapulse_session_matches_exact_rates(jd, ratio):
     detect = tp.q1 - float(np.sum(jd[1:, :] * ratio ** np.arange(jd.shape[1])))
     for count, p in ((rep.herald_count, tp.q1), (rep.bob_detect_count, detect)):
         assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def flag_probability(p, n_pulses, ratio, z_threshold):
+    """P(attack_suspected) of a session, from the exact session law.
+
+    H ~ Binomial(n, h) heralds, and misses given H ~ Binomial(H, mu), with
+    h = q1 + overflow and mu = (sum_k m[k] ratio^k + overflow ratio^(n_max+1)) / h;
+    a session is flagged iff H >= 100 and misses > H b + z sqrt(b (1 - b) H),
+    with baseline b = m[0] / q1.
+    """
+    from scipy.stats import binom   # kept out of the package: it slows `import pcbs.cli`
+
+    m = herald_marginal(p)
+    q1 = float(np.sum(m))
+    overflow = max(0.0, 1.0 - float(np.sum(p)))
+    h = q1 + overflow
+    mu = (float(np.sum(m * np.power(ratio, np.arange(m.size)))) + overflow * ratio**m.size) / h
+    b = float(m[0]) / q1
+    heralds = np.arange(MIN_HERALDS_FOR_TEST, n_pulses + 1)
+    least = np.floor(heralds * b + z_threshold * np.sqrt(b * (1.0 - b) * heralds)) + 1
+    return float(np.sum(binom.pmf(heralds, n_pulses, h) * binom.sf(least - 1, heralds, mu)))
+
+
+@pytest.mark.parametrize("ratio, z_threshold", [(0.1, 5.0), (0.0, 2.0), (0.05, 3.0)])
+def test_verdict_frequencies_match_the_exact_session_law(jd, ratio, z_threshold):
+    # the whole session's distribution, where selftest judges one seed
+    n_pulses, seeds = 4000, 2000
+    exact = flag_probability(jd, n_pulses, ratio, z_threshold)
+    flagged = sum(simulate_session(jd, n_pulses, ratio, seed=seed, z_threshold=z_threshold).verdict
+                  is Verdict.ATTACK_SUSPECTED for seed in range(seeds))
+    assert abs(flagged / seeds - exact) < four_sigma(exact, seeds)
 
 
 @settings(max_examples=100, deadline=None)

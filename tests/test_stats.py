@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcbs.errors import NoHeraldError, TruncationError
-from pcbs.fock import SqueezedInput, TruncationPolicy, _single_mode_column, suggest_n_max
+from pcbs.fock import (
+    SqueezedInput,
+    TruncationPolicy,
+    _coincidence_11,
+    _single_mode_column,
+    suggest_n_max,
+)
 from pcbs.stats import (
     _golden_maximum,
     _herald_probability,
@@ -142,14 +148,13 @@ def test_threshold_probs_are_ordered_probabilities(r, alpha):
 
 
 def test_sweep_values_and_monotone_pn1():
-    points = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0])
-    pn1 = [pt.pn1 for pt in points]
+    _, _, _, pn1 = sweep_r(0.5, [0.0, 0.5, 1.0, 1.5, 1.8, 2.0])
     assert np.allclose(pn1, [0.110312113, 0.417130842, 0.520317643,
                              0.580237852, 0.605890982, 0.618424030], atol=1e-8)
     assert all(b >= a for a, b in zip(pn1, pn1[1:]))
     # r=0 rows are coherent light: pn(1) collapses to the Poisson weight
     lam = 0.5**2 / 2
-    assert np.isclose(points[0].pn1, lam * math.exp(-lam), atol=1e-12)
+    assert np.isclose(pn1[0], lam * math.exp(-lam), atol=1e-12)
 
 
 @pytest.mark.parametrize("r, n_max", [(2.0, 40), (3.0, 60)])
@@ -159,16 +164,27 @@ def test_sweep_serves_strong_squeeze(r, n_max):
     state = SqueezedInput(r=r, alpha=0.5)
     with pytest.raises(TruncationError):
         joint_distribution(state, TruncationPolicy(n_max=n_max))
-    (pt,) = sweep_r(0.5, [r])
+    _, (p11,), (p1,), (pn1,) = sweep_r(0.5, [r])
     t = np.arange(1, 402)     # the herald row P(1, n) = T psi_T^2 / 2^T, T = n + 1, n <= 400
     exact = float(np.sum(np.ldexp(t * _single_mode_column(r, 0.5, 401)[1:] ** 2, -t)))
-    assert abs(pt.p1 - exact) <= 1e-14 * exact
-    assert math.isfinite(pt.p11) and math.isfinite(pt.pn1)
+    assert abs(p1 - exact) <= 1e-14 * exact
+    assert math.isfinite(p11) and math.isfinite(pn1)
 
 
 def test_sweep_vacuum_row_has_no_herald():
-    (pt,) = sweep_r(0.0, [0.0])
-    assert pt.p1 == 0.0 and math.isnan(pt.pn1)
+    _, _, (p1,), (pn1,) = sweep_r(0.0, [0.0])
+    assert p1 == 0.0 and math.isnan(pn1)
+
+
+def test_sweep_returns_its_four_columns():
+    grid = np.linspace(0.0, 2.0, 5)
+    r, p11, p1, pn1 = sweep_r(0.5, grid)
+    assert r == grid.tolist()
+    assert p11 == [_coincidence_11(x, 0.5) for x in r]
+    assert p1 == [_herald_probability(x, 0.5) for x in r]
+    assert pn1 == [a / b for a, b in zip(p11, p1)]
+    assert all(type(x) is float for column in (r, p11, p1, pn1) for x in column)
+    assert sweep_r(0.5, []) == ([], [], [], [])
 
 
 def test_sweep_rejects_negative_r():
