@@ -85,6 +85,9 @@ _DEGENERACY_FLOOR = 1e-10     # |dRHS/dw| below floor * (a + b) counts as degene
 # w = n / 2, under 2^62 for an int64 n.  At this period 2 pi c / Lambda is
 # 1.9e289, so omega stays finite up to w = 9.5e18.
 _PERIOD_FLOOR = 1e-280        # m
+# the tuning scan's offsets from a k = 0 edge, as shares of the way to its k = pi edge
+_TUNING_GRID = np.geomspace(1e-16, 1.0, 2048)
+_TUNING_GRID.flags.writeable = False
 
 
 def brentq(*args, **kwargs):
@@ -303,8 +306,9 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     per scan step is refused first: a layer of optical thickness above 1000
     periods.  Every bracket starts at the linear interpolation of its two
     scan values, and all are polished at once (_bracketed_newton) on the
-    factor and its slope in w, read from its expansion about w itself at
-    delta = 0 (_edge_expansion).  With w = 0 prepended once per odd factor,
+    factor and its slope in w, read from the coefficients of its expansion
+    about w itself (_edge_terms), with no evaluation: the expansion's value
+    at delta = 0, bit for bit.  With w = 0 prepended once per odd factor,
     the sorted roots alternate gap, band, gap, ...: gap g spans roots 2g and
     2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower edge of
     an odd band, so band n's k = 0 edge is root 2n - n mod 2.  After the
@@ -367,9 +371,10 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     w_0, f_0, w_1, f_1, factor = w[k], values[k], w[k + 1], values[k + 1], own[window[k]]
 
     def factor_at(w, which):    # (value, slope in w) of factor which[i] at w[i]
-        f, df = _edge_expansion(a, b, x, w)(0.0, slice(None))
-        each = np.arange(w.size)
-        return f[each, which], df[each, which]
+        terms = _edge_terms(a, b, x, w)[np.arange(w.size), :, which]
+        # the expansion at delta = 0, bit for bit: its sum starts from int 0,
+        # which the + 0.0 repeats (-0.0 reads 0.0)
+        return terms[:, 0] + 0.0, 0.5 * a * terms[:, 1] + 0.5 * b * terms[:, 2] + 0.0
 
     first_negative = np.signbit(f_0)
     roots = _bracketed_newton(lambda w, todo: factor_at(w, factor[todo]),
@@ -435,28 +440,34 @@ def solve_band(spec: CrystalSpec, band_index: int,
     return k, omega[0], vg[0]
 
 
+def _edge_terms(a: float, b: float, x: float, w0) -> np.ndarray:
+    """f, df/dA, df/dB and d2f/dAdB of the four edge factors at each of the
+    edges w0, shape (edges, 4 terms, 4 factors): the coefficients of
+    _edge_expansion."""
+    sa, ca = np.sin(0.5 * a * w0), np.cos(0.5 * a * w0)
+    sb, cb = np.sin(0.5 * b * w0), np.cos(0.5 * b * w0)
+    # (sA, cA) -> (cA, -sA) and (sB, cB) -> (cB, -sB) for each derivative
+    return np.array(_factors(np.array([sa, ca, sa, ca]), np.array([ca, -sa, ca, -sa]),
+                             np.array([sb, sb, cb, cb]), np.array([cb, cb, -sb, -sb]),
+                             x)).transpose(2, 1, 0)
+
+
 def _edge_expansion(a: float, b: float, x: float, w0):
     """(edge, delta) -> (the four edge factors at w0[edge] + delta, their slopes in delta).
 
     w0 is an array of edges.  Each factor is bilinear in (sin A, cos A) and
     (sin B, cos B), so angle addition with u = a delta / 2, v = b delta / 2
     gives f(w0 + delta) = cu cv f + su cv f_A + cu sv f_B + su sv f_AB, where
-    f, df/dA, df/dB and d2f/dAdB are taken once at each edge: coefficients of
-    shape (edges, 4 terms, 4 factors).  On the factor that vanishes at w0
-    every term is O(delta) or the polished residual f(w0), so it keeps its
-    relative precision at a delta far below one ulp of w0.  delta may be a
-    float or an array, and edge an index, a slice, or an index array that
-    broadcasts with it, so each delta takes its own edge's coefficients; the
-    factors run along the last axis.  With curvature=True the second
-    derivatives in delta follow as a third item.
+    the terms are taken once at each edge (_edge_terms).  On the factor that
+    vanishes at w0 every term is O(delta) or the polished residual f(w0), so
+    it keeps its relative precision at a delta far below one ulp of w0.
+    delta may be a float or an array, and edge an index, a slice, or an index
+    array that broadcasts with it, so each delta takes its own edge's
+    coefficients; the factors run along the last axis.  With curvature=True
+    the second derivatives in delta follow as a third item.
     """
     ha, hb = 0.5 * a, 0.5 * b
-    sa, ca = np.sin(ha * w0), np.cos(ha * w0)
-    sb, cb = np.sin(hb * w0), np.cos(hb * w0)
-    # terms f, f_A, f_B, f_AB: (sA, cA) -> (cA, -sA) and (sB, cB) -> (cB, -sB)
-    coeffs = np.array(_factors(np.array([sa, ca, sa, ca]), np.array([ca, -sa, ca, -sa]),
-                               np.array([sb, sb, cb, cb]), np.array([cb, cb, -sb, -sb]),
-                               x)).transpose(2, 1, 0)
+    coeffs = _edge_terms(a, b, x, w0)
 
     def at(delta, edge, curvature=False):
         su, cu = np.sin(ha * delta), np.cos(ha * delta)
@@ -476,12 +487,13 @@ def _edge_expansion(a: float, b: float, x: float, w0):
 
 def _product(f, df, d2f=None) -> tuple:
     """(P, P', P'') of P = f2 f3 by the product rule, from the four factors
-    (f, f', f'') along their last axis; P'' only when d2f is given."""
-    f2, f3, df2, df3 = f[..., 2], f[..., 3], df[..., 2], df[..., 3]
+    (f, f', f'') along their first axis, so one row of them is four floats;
+    P'' only when d2f is given."""
+    f2, f3, df2, df3 = f[2], f[3], df[2], df[3]
     p, dp = f2 * f3, df2 * f3 + f2 * df3
     if d2f is None:
         return p, dp
-    return p, dp, d2f[..., 2] * f3 + 2.0 * df2 * df3 + f2 * d2f[..., 3]
+    return p, dp, d2f[2] * f3 + 2.0 * df2 * df3 + f2 * d2f[3]
 
 
 def _offset_velocity(expansion, delta, edge):
@@ -491,11 +503,11 @@ def _offset_velocity(expansion, delta, edge):
     gives v_g / c = 2 pi sqrt(P (1 - P)) / |dP/d delta|.  Where that slope is
     0 the velocity is undefined and reads nan; _check_slope refuses it.
     """
-    f, df = expansion(delta, edge)
+    f, df = (u.T for u in expansion(delta, edge))    # factors first, the other axes reversed
     p, dp = _product(f, df)
     slope = np.where(dp != 0.0, np.abs(dp), np.nan)
-    v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[..., 0] * f[..., 1], 0.0)) / slope
-    return v, p, dp
+    v = 2.0 * math.pi * np.sqrt(np.maximum(p * f[0] * f[1], 0.0)) / slope
+    return v.T, p.T, dp.T
 
 
 def _bracketed_newton(residual, x, neg, pos, anchor) -> np.ndarray:
@@ -543,7 +555,7 @@ def _solve_offsets(structure: BandStructure, edge, delta_pi, q: np.ndarray) -> n
     start = d0 + (d_pi - d0) * q / math.pi
 
     def residual(delta, todo):
-        p, dp = _product(*structure.expansion(delta, edge[todo // q.size]))
+        p, dp = _product(*(u.T for u in structure.expansion(delta, edge[todo // q.size])))
         return p - targets[todo % q.size], dp
 
     neg, pos = (np.broadcast_to(u, start.shape).ravel() for u in (d0, d_pi + 1e-9 * (d_pi - d0)))
@@ -609,7 +621,7 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
     p = shift = 0.0
     if not at_edge:
         delta0 = structure.delta0[edge]
-        deltas = delta0 + (w_far - w0 - delta0) * np.geomspace(1e-16, 1.0, 2048)
+        deltas = delta0 + (w_far - w0 - delta0) * _TUNING_GRID
         vs = _offset_velocity(expansion, deltas, edge)[0]
         hit = np.flatnonzero(vs >= ratio)
         if hit.size == 0:
@@ -620,7 +632,7 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
         j = hit[0]
         near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
 
-        def gap(delta, todo):    # one root, evaluated at a scalar delta
+        def gap(delta, todo):    # one root: a row of four factors at a scalar delta
             f, df, d2f = expansion(delta[0], edge, curvature=True)
             p, dp, d2p = _product(f, df, d2f)
             q = f[0] * f[1]

@@ -75,6 +75,18 @@ def _dist_rows(p: np.ndarray) -> str:
     return "".join(row.replace("{}", str(n1)) for n1 in range(dim)) % tuple(cells.ravel().tolist())
 
 
+def _bands_rows(bands: np.ndarray, k: np.ndarray, omega: np.ndarray, v_g: np.ndarray) -> str:
+    """Rows "band_index,k,omega,v_g" of sample_bands' arrays, band-major.
+
+    k is the same for every band, so each k and each band index is formatted
+    once, into a per-band row format, and one % fills omega and v_g.
+    """
+    k_cells = (((_FMT + ",") * k.size) % tuple(k.tolist())).split(",")[:-1]
+    row = "".join(f"{{}},{cell},{_FMT},{_FMT}\n" for cell in k_cells)    # {} takes the band
+    body = "".join(row.replace("{}", str(n)) for n in bands.tolist())
+    return body % tuple(np.stack((omega, v_g), axis=-1).ravel().tolist())
+
+
 def cmd_dist(cfg: RunConfig, args) -> int:
     state = cfg.source
     p = joint_distribution(state, cfg.truncation)    # the box it resolves is p's shape
@@ -159,12 +171,9 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     # one edge scan serves every band and the tuning report
     structure = scan_bands(cfg.crystal, max(n_bands, band_index))
     bands = np.arange(1, n_bands + 1)
-    k, omega, v_g = sample_bands(structure, bands, n_samples)
-    # "band,k,omega,v_g" rows, band-major, in one % over a repeated format
-    cells = np.stack(np.broadcast_arrays(bands[:, None], k, omega, v_g), axis=-1)
     _write_csv(os.path.join(cfg.output.directory, "bands.csv"),
                ["band_index", "k", "omega", "v_g"],
-               (f"%d,{_FMT},{_FMT},{_FMT}\n" * (cells.size // 4)) % tuple(cells.ravel().tolist()))
+               _bands_rows(bands, *sample_bands(structure, bands, n_samples)))
 
     payload = {"n_bands": n_bands, "samples_per_band": n_samples}
     try:

@@ -4,6 +4,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import pcbs
 import pcbs.selftest
-from pcbs.cli import _FLAGS, _build_parser, _emit, main
+from pcbs.cli import _FLAGS, _FMT, _bands_rows, _build_parser, _emit, main
 from pcbs.config import (
     ATTACK_KINDS,
     ROWS_CEILING,
@@ -571,6 +572,30 @@ def test_bands_csv_bytes_are_pinned(tmp_path, capsys, eps_rel_b, digest):
     assert main(["--config", str(cfg), "bands", "--n-bands", "8", "--samples", "121",
                  "--out-dir", str(out)]) == 0
     assert hashlib.sha256((out / "bands.csv").read_bytes()).hexdigest() == digest
+
+
+def one_format_bands_rows(bands, k, omega, v_g):
+    # the bands.csv body as one % over a repeated format: every cell formatted
+    # once per row, the earlier cmd_bands expression verbatim
+    cells = np.stack(np.broadcast_arrays(bands[:, None], k, omega, v_g), axis=-1)
+    return (f"%d,{_FMT},{_FMT},{_FMT}\n" * (cells.size // 4)) % tuple(cells.ravel().tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_bands=st.integers(1, 12), n_samples=st.integers(2, 300),
+       log10_period=st.floats(-280.0, 10.0),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=2 * 12 * 300))
+@example(n_bands=1, n_samples=2, log10_period=math.log10(1.1e-6),
+         values=[0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+def test_bands_rows_match_one_format(n_bands, n_samples, log10_period, values):
+    # omega and v_g (the values, repeated to fill both) across every exponent,
+    # with 0.0 and subnormals; k = np.linspace(0, pi / Lambda, n_samples)
+    omega, v_g = np.resize(np.array(values), (2, n_bands, n_samples))
+    bands = np.arange(1, n_bands + 1)
+    k = np.linspace(0.0, math.pi / 10.0 ** log10_period, n_samples)
+    assert (_bands_rows(bands, k, omega, v_g)
+            == one_format_bands_rows(bands, k, omega, v_g))
 
 
 @pytest.mark.parametrize("eps_rel_b, bands_digest, tune_digest", [
