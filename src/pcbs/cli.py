@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -46,6 +46,11 @@ _FMT = "%.12g"
 def _emit(payload: dict) -> None:
     """Print the payload as strict JSON: a non-finite value raises ValueError (exit 2)."""
     print(json.dumps(payload, indent=2, allow_nan=False))
+
+
+def _fields(report) -> dict:
+    """A flat frozen dataclass as {field: value}, the values themselves (asdict copies each)."""
+    return {field.name: getattr(report, field.name) for field in fields(report)}
 
 
 def _write_csv(path: str, header: list[str], body: str) -> None:
@@ -181,7 +186,7 @@ def cmd_bands(cfg: RunConfig, args) -> int:
     except (UnachievableTargetError, DegeneratePointError) as exc:
         payload["tuning"] = {"error": str(exc)}
     else:
-        payload["tuning"] = asdict(rep)
+        payload["tuning"] = _fields(rep)
         if target > 0.0:    # a zeta out of float range is refused (exit 2)
             payload["zeta_report"] = _zeta_report(cfg, 2.0 * math.pi * rep.nu_s,
                                                   target * CODATA.c)
@@ -196,7 +201,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     bs = cfg.bands
     rep = tune_to_group_velocity(scan_bands(cfg.crystal, bs.band_index), bs.band_index,
                                  bs.target_vg_over_c * CODATA.c)
-    _emit(asdict(rep))
+    _emit(_fields(rep))
     return 0
 
 
@@ -205,7 +210,7 @@ def cmd_bb84(cfg: RunConfig, args) -> int:
     section = cfg.bb84
     report = simulate_session(p, section.n_pulses, section.routed_fraction, seed=cfg.seed,
                               z_threshold=section.z_threshold)
-    _emit(asdict(report))
+    _emit(_fields(report))
     return 0
 
 

@@ -11,10 +11,12 @@ exponent, so that a column whose psi_0 underflows (alpha^2 e^r / (2 cosh r)
 above about 745) keeps its entries.  The pair is rescaled exactly, by a power
 of two, and only on the steps where it leaves a window of 400 binary orders.
 No entry depends on the column's length, so the process keeps the last
-state's column, and a shorter column for the same state is a prefix of it:
-the final box of :func:`output_amplitudes` reads the column that the
-largest search box of :func:`suggest_n_max` built, and a repeated state
-builds none.
+state's column with the recurrence's last pair: a shorter column for the
+same state is a prefix of it, and a longer one goes on from that pair.
+:func:`suggest_n_max` reads the state's photon-number tail off the column,
+which sets its first box, and that box and the final box of
+:func:`output_amplitudes` read the same column: one run of the recurrence
+serves all three, and a repeated state runs none.
 The splitter conserves total photon number and spreads each shell |T, 0>
 binomially over the outputs (n1, T - n1), so every output amplitude is one
 entry of psi times a binomial weight, taken in log space from a table of
@@ -183,7 +185,36 @@ def squeeze_matrix(s: float, n_max: int) -> np.ndarray:
 _WINDOW_LO, _WINDOW_HI, _WINDOW_MID = 1.0, 2.0**400, 200
 
 
-_column = (None, np.empty(0))     # (key, read-only psi) of the last state built
+# (key, read-only psi, (prev, cur, exp2)): the last state's column and the scaled
+# pair (psi_{n-1}, psi_n) after its last entry, with the pair's binary exponent
+_column = (None, np.empty(0), None)
+
+
+def _column_key(r: float, alpha: float) -> tuple:
+    """The kept column's key: the exact bits of (r, alpha), signed zeros apart."""
+    return (float(r).hex(), float(alpha).hex())
+
+
+def _run_recurrence(drive: float, pull: float, pair: tuple, first: int, n_top: int) -> tuple:
+    """Entries first + 1..n_top of the column, from the scaled pair (psi_{first-1}, psi_first).
+
+    Returns their mantissas and binary exponents, as lists, and the pair
+    (prev, cur, exp2) after psi_{n_top}, from which a longer column goes on.
+    """
+    prev, cur, exp2 = pair
+    mant, exps = [], []
+    roots = np.sqrt(np.arange(first, n_top + 1)).tolist()
+    pulls = [pull * root for root in roots]
+    for n in range(n_top - first):
+        prev, cur = cur, (drive * cur + pulls[n] * prev) / roots[n + 1]
+        # prev passed this test as cur: only cur can lift the pair above the window
+        size = abs(cur)
+        if size > _WINDOW_HI or (size < _WINDOW_LO and abs(prev) < _WINDOW_LO):
+            shift = math.frexp(max(abs(prev), size))[1] - _WINDOW_MID
+            prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
+        mant.append(cur)
+        exps.append(exp2)
+    return mant, exps, (prev, cur, exp2)
 
 
 def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
@@ -206,44 +237,40 @@ def _single_mode_column(r: float, alpha: float, n_top: int) -> np.ndarray:
     any length that fits in memory, and is returned as zeros.
 
     No entry depends on the column's length, so the process keeps the last
-    column built, keyed on the exact bits of (r, alpha), signed zeros apart.
-    A request for that state that it covers reads a prefix of it; any other
-    builds from n = 0 and replaces it.  A zero column keeps nothing.  The
-    entry is one tuple, read once per call, so threads never mix two
-    states' arrays.  Every caller in the package asks for at most
-    2 N_MAX_CEILING + 1 entries, so it holds at most 64 KB.
+    column built, keyed on the exact bits of (r, alpha), signed zeros apart,
+    with the scaled pair after its last entry.  A request for that state
+    that it covers reads a prefix of it; a longer one goes on from the kept
+    pair, so no step runs twice; any other state builds from n = 0 and
+    replaces it.  A zero column keeps nothing.  The entry is one tuple, read
+    once per call, so threads never mix two states' arrays.  Every caller
+    in the package asks for at most 2 N_MAX_CEILING + 1 entries, so it
+    holds at most 64 KB.
     """
     global _column
     r, alpha = float(r), float(alpha)
-    key = (r.hex(), alpha.hex())
-    kept_key, kept = _column
+    key = _column_key(r, alpha)
+    kept_key, kept, kept_pair = _column
     if kept_key == key and kept.size > n_top:
         return kept[:n_top + 1]
     cosh_r = math.cosh(r)
     drive, pull = alpha / cosh_r, math.tanh(r)
-    log_psi0 = -alpha * alpha * math.exp(r) / (2.0 * cosh_r) - 0.5 * math.log(cosh_r)
-    if not log_psi0 > -2.0**60:
-        zeros = np.zeros(n_top + 1)
-        zeros.flags.writeable = False
-        return zeros
-    # split a power of two off psi_0 only where exp(log_psi0) would underflow
-    exp2 = 0 if log_psi0 > -700.0 else math.floor(log_psi0 / math.log(2.0))
-    prev, cur = 0.0, math.exp(log_psi0 - exp2 * math.log(2.0))
-    mant, exps = [cur], [exp2]
-    roots = np.sqrt(np.arange(n_top + 1)).tolist()
-    pulls = [pull * root for root in roots]
-    for n in range(n_top):
-        prev, cur = cur, (drive * cur + pulls[n] * prev) / roots[n + 1]
-        # prev passed this test as cur: only cur can lift the pair above the window
-        size = abs(cur)
-        if size > _WINDOW_HI or (size < _WINDOW_LO and abs(prev) < _WINDOW_LO):
-            shift = math.frexp(max(abs(prev), size))[1] - _WINDOW_MID
-            prev, cur, exp2 = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exp2 + shift
-        mant.append(cur)
-        exps.append(exp2)
-    column = np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
+    if kept_key == key:
+        mant, exps, pair = _run_recurrence(drive, pull, kept_pair, kept.size - 1, n_top)
+        more = np.ldexp(np.array(mant), np.array(exps, dtype=np.int64))
+        column = np.concatenate((kept, more))
+    else:
+        log_psi0 = -alpha * alpha * math.exp(r) / (2.0 * cosh_r) - 0.5 * math.log(cosh_r)
+        if not log_psi0 > -2.0**60:
+            zeros = np.zeros(n_top + 1)
+            zeros.flags.writeable = False
+            return zeros
+        # split a power of two off psi_0 only where exp(log_psi0) would underflow
+        exp2 = 0 if log_psi0 > -700.0 else math.floor(log_psi0 / math.log(2.0))
+        psi0 = math.exp(log_psi0 - exp2 * math.log(2.0))
+        mant, exps, pair = _run_recurrence(drive, pull, (0.0, psi0, exp2), 0, n_top)
+        column = np.ldexp(np.array([psi0] + mant), np.array([exp2] + exps, dtype=np.int64))
     column.flags.writeable = False
-    _column = (key, column)
+    _column = (key, column, pair)
     return column
 
 
@@ -344,22 +371,52 @@ def box_probability(state: SqueezedInput, n_max: int) -> float:
     return float(np.sum(_shell_amplitudes(state, n_max) ** 2))
 
 
+def _first_box(r: float, alpha: float, target: float, top: int) -> int:
+    """The box suggest_n_max tries first, from the photon-number tail of psi.
+
+    Box N holds every shell T <= N whole and no part of a shell T > 2 N, so
+    its tail lies between P(T > 2 N) and P(T > N).  If M is the first T with
+    P(T > M) = 1 - sum_{T' <= M} psi_T'^2 at most the target, the first
+    passing N lies in [M / 2, M], and max(20, M // 2 + M // 20 + 8), capped
+    at top, held it at every state tried.  A column kept for the state is
+    read whole, so a repeated state takes one read; any other is read in
+    lengths from 40 growing by half, which the box's own column, about
+    1.1 M long, goes on from.  A state with no such M within 2 top + 1
+    entries starts at top.
+    """
+    kept_key, kept, _ = _column
+    n_top = max(40, kept.size - 1) if kept_key == _column_key(r, alpha) else 40
+    while True:
+        psi = _single_mode_column(r, alpha, n_top)
+        shells = np.flatnonzero(1.0 - np.cumsum(psi**2) <= target)
+        if shells.size:
+            m = int(shells[0])
+            return min(max(20, m // 2 + m // 20 + 8), top)
+        if n_top >= 2 * top:
+            return top
+        n_top = min(n_top * 3 // 2, 2 * top)
+
+
 def suggest_n_max(r: float, alpha: float, tail_tolerance: float = 1e-8) -> int:
     """Smallest truncation whose exact box tail is below half the tolerance, plus 2.
 
-    Built on the exact box mass rather than a decay model.  Each step of a
-    growing box squares its shell amplitudes once and reads the box mass at
-    every smaller N from cumulative sums (no entry depends on the box size),
-    so the suggestion is the smallest N >= 2 that passes, with a +2 safety
-    margin.  The box grows 20, 40, 72, ..., and its last step is cut to
-    N_MAX_CEILING - 2, so every N within the ceiling is tried.
+    Built on the exact box mass rather than a decay model.  Each box squares
+    its shell amplitudes once and reads the box mass at every smaller N from
+    cumulative sums, and no entry depends on the box size, so the
+    suggestion is the smallest N >= 2 that passes, with a +2 safety margin.
+    The first box comes from the state's photon-number tail
+    (:func:`_first_box`), which sets where the first passing N can lie, and
+    it holds that N at every state tried.  Only a box hi with no passing N
+    grows, to int(1.6 hi) + 8, its last step cut to N_MAX_CEILING - 2, so
+    every N within the ceiling is tried, and each answer and refusal is that
+    of a box grown 20, 40, 72, ... from the start.
     """
     _check_tail_tolerance(tail_tolerance)
     target = 0.5 * tail_tolerance
     state = SqueezedInput(r=r, alpha=alpha)
 
     top = N_MAX_CEILING - 2     # the largest box whose N + 2 stays within the ceiling
-    hi = 20
+    hi = _first_box(state.r, state.alpha, target, top)
     while True:
         cells = _shell_amplitudes(state, hi) ** 2
         tail = 1.0 - np.diagonal(cells.cumsum(axis=0).cumsum(axis=1))

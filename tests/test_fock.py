@@ -22,6 +22,7 @@ from pcbs.fock import (
     _binomial_weights,
     _coincidence_11,
     _log_factorials,
+    _run_recurrence,
     _shell_amplitudes,
     _single_mode_column,
     box_probability,
@@ -430,7 +431,7 @@ def test_kept_weights_give_the_fresh_bits(up, down, again, states):
         pcbs.fock._weights = kept
 
 
-EMPTY_COLUMN = (None, np.empty(0))      # pcbs.fock._column before any build
+EMPTY_COLUMN = (None, np.empty(0), None)    # pcbs.fock._column before any build
 
 
 def log_psi0(r, alpha):
@@ -455,6 +456,11 @@ lengths = st.lists(st.integers(0, 400), min_size=1, max_size=3)
 @example(up=[200, 5000], down=[4000, 10], again=[5000], states=[(0.5, 40.0)])
 # the zero column keeps nothing, so the state before it still reads its prefix
 @example(up=[20, 40], down=[30], again=[72, 144], states=[(1.0, 0.5), (1.0, 0.5), (0.5, 1e200)])
+# a longer column goes on from the kept pair: past psi_0's split and the rescales
+# at n = 188, 350, ..., 2898, past the one at 7406, and from a one-entry column
+@example(up=[100, 200], down=[3], again=[3000, 5000], states=[(0.5, 40.0)])
+@example(up=[0, 7400], down=[7000], again=[7410, 8000], states=[(2.0, 0.0)])
+@example(up=[0, 61], down=[1], again=[62, 400], states=[(0.0, 0.5)])
 def test_kept_column_gives_the_fresh_bits(up, down, again, states):
     # from an empty entry, lengths that grow, shrink and grow again, the state
     # switching at every call when more than one is drawn: every column has the
@@ -471,7 +477,7 @@ def test_kept_column_gives_the_fresh_bits(up, down, again, states):
             if not log_psi0(r, alpha) > -2.0**60:
                 assert pcbs.fock._column is before
             else:
-                key, column = pcbs.fock._column
+                key, column, _ = pcbs.fock._column
                 assert key == (r.hex(), alpha.hex()) and same_bits(column[:n_top + 1], got)
                 assert not column.flags.writeable
     finally:
@@ -479,10 +485,14 @@ def test_kept_column_gives_the_fresh_bits(up, down, again, states):
 
 
 def test_final_box_reads_the_kept_column(monkeypatch):
-    # suggest_n_max's boxes 20, 40, 72 extend one column to 145 entries, and the
+    # suggest_n_max's box extends one column to 2 box + 1 entries, and the
     # final box, 49, reads a prefix of it: the kept array is not rebuilt
     monkeypatch.setattr("pcbs.fock._column", EMPTY_COLUMN)
-    seen = []
+    boxes, seen = [], []
+
+    def box_spy(state, n_max):
+        boxes.append(n_max)
+        return _shell_amplitudes(state, n_max)
 
     def spy(state, policy):
         before = pcbs.fock._column
@@ -490,11 +500,39 @@ def test_final_box_reads_the_kept_column(monkeypatch):
         seen.append((policy.n_max, before, pcbs.fock._column))
         return amp
 
+    monkeypatch.setattr("pcbs.fock._shell_amplitudes", box_spy)
     monkeypatch.setattr("pcbs.stats.output_amplitudes", spy)
     joint_distribution(SqueezedInput(1.0, 0.5), TruncationPolicy())
     [(n_max, before, after)] = seen
-    assert n_max == 49 and before[1].size == 145
+    [search, final] = boxes
+    assert n_max == final == 49 and before[1].size == 2 * search + 1
     assert after[1] is before[1]
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.25, 1.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_search_builds_one_box_from_one_recurrence(monkeypatch, r, alpha):
+    # the dist-grid points, bb84's (1.0, 0.5) among them: the tail read and the
+    # box share one run of the recurrence from n = 0, and the first box serves
+    monkeypatch.setattr("pcbs.fock._column", EMPTY_COLUMN)
+    boxes, runs = [], []
+
+    def box_spy(state, n_max):
+        boxes.append(n_max)
+        return _shell_amplitudes(state, n_max)
+
+    def run_spy(drive, pull, pair, first, n_top):
+        runs.append((first, n_top))
+        return _run_recurrence(drive, pull, pair, first, n_top)
+
+    monkeypatch.setattr("pcbs.fock._shell_amplitudes", box_spy)
+    monkeypatch.setattr("pcbs.fock._run_recurrence", run_spy)
+    n_max = suggest_n_max(r, alpha, 1e-8)
+    [box] = boxes
+    assert n_max <= box                 # the final box reads the search's column and weights
+    # each run goes on where the last one stopped: no step runs twice
+    assert [first for first, _ in runs] == [0] + [n_top for _, n_top in runs[:-1]]
+    assert runs[-1][1] >= 2 * box and pcbs.fock._column[1].size == runs[-1][1] + 1
 
 
 def test_threads_get_the_fresh_column(monkeypatch):
@@ -581,8 +619,8 @@ def test_suggest_n_max_working_point(r, alpha, expected):
 
 
 def test_suggest_n_max_tries_the_last_box_within_the_ceiling(monkeypatch):
-    # the box grows 20, 40, 72, then 123, past a ceiling of 100: that step is
-    # cut to 98, so a state that first passes at N = 73 is served, not refused
+    # under a ceiling of 100, a state that first passes at N = 73 is served and
+    # one that needs n_max 161 is refused after a box of 98, the largest allowed
     assert suggest_n_max(1.23, 0.5, 1e-8) == 75
     monkeypatch.setattr("pcbs.fock.N_MAX_CEILING", 100)
     boxes = []
@@ -593,11 +631,69 @@ def test_suggest_n_max_tries_the_last_box_within_the_ceiling(monkeypatch):
 
     monkeypatch.setattr("pcbs.fock._shell_amplitudes", spy)
     assert suggest_n_max(1.23, 0.5, 1e-8) == 75
-    assert boxes == [20, 40, 72, 98]
+    assert len(boxes) == 1 and 73 <= boxes[0] <= 98
     boxes.clear()
     with pytest.raises(ValueError, match="no truncation below 100 reaches tail 1e-08"):
         suggest_n_max(1.5, 1.0, 1e-8)          # needs n_max 161
+    assert boxes == [98]
+    # a first box that falls short grows 20, 40, 72, then 123, past the
+    # ceiling: that step is cut to 98, so N = 73 is served, not refused
+    boxes.clear()
+    monkeypatch.setattr("pcbs.fock._first_box", lambda r, alpha, target, top: 20)
+    assert suggest_n_max(1.23, 0.5, 1e-8) == 75
     assert boxes == [20, 40, 72, 98]
+
+
+def dense_suggest_n_max(r, alpha, tail_tolerance=1e-8):
+    """suggest_n_max with its box grown 20, 40, 72, ... from the start, whatever the state."""
+    pcbs.fock._check_tail_tolerance(tail_tolerance)
+    target = 0.5 * tail_tolerance
+    state = SqueezedInput(r=r, alpha=alpha)
+
+    top = pcbs.fock.N_MAX_CEILING - 2     # the largest box whose N + 2 stays within the ceiling
+    hi = 20
+    while True:
+        cells = _shell_amplitudes(state, hi) ** 2
+        tail = 1.0 - np.diagonal(cells.cumsum(axis=0).cumsum(axis=1))
+        passing = np.flatnonzero(tail[2:] <= target)
+        if passing.size:
+            return (2 + int(passing[0])) + 2
+        if hi >= top:
+            raise ValueError(
+                f"no truncation below {pcbs.fock.N_MAX_CEILING} reaches tail {tail_tolerance:g} "
+                f"for r={r}, alpha={alpha}"
+            )
+        hi = min(int(hi * 1.6) + 8, top)
+
+
+def search_outcome(search, r, alpha, tail_tolerance):
+    try:
+        return search(r, alpha, tail_tolerance)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(0.0, 2.0), alpha=st.floats(-3.0, 3.0), log_tol=st.floats(-10.0, -2.0))
+@example(r=0.0, alpha=0.0, log_tol=-8.0)
+@example(r=0.0, alpha=-0.0, log_tol=-8.0)
+@example(r=0.5, alpha=40.0, log_tol=-8.0)     # n_max 2562: psi_0 needs its exponent split
+def test_suggest_n_max_is_the_dense_search(r, alpha, log_tol):
+    # the first box comes from the state's tail, but every answer is the one
+    # a box grown from 20 gives: a box's tail at N does not depend on its size
+    tol = 10.0**log_tol
+    assert (search_outcome(suggest_n_max, r, alpha, tol)
+            == search_outcome(dense_suggest_n_max, r, alpha, tol))
+
+
+@pytest.mark.parametrize("r, alpha", [(1.23, 0.5), (1.5, 1.0), (0.5, 1e200)])
+def test_suggest_n_max_is_the_dense_search_under_a_lower_ceiling(monkeypatch, r, alpha):
+    # N = 73 is served, n_max 161 is refused, and the zero column has no tail
+    # to read: it starts at the last box and is refused there
+    monkeypatch.setattr("pcbs.fock.N_MAX_CEILING", 100)
+    got = search_outcome(suggest_n_max, r, alpha, 1e-8)
+    assert got == search_outcome(dense_suggest_n_max, r, alpha, 1e-8)
+    assert got == 75 if r == 1.23 else got.startswith("no truncation below 100 reaches tail 1e-08")
 
 
 def test_suggest_n_max_vacuum_is_small():
