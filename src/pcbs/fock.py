@@ -379,10 +379,10 @@ def _first_box(r: float, alpha: float, target: float, top: int) -> int:
     P(T > M) = 1 - sum_{T' <= M} psi_T'^2 at most the target, the first
     passing N lies in [M / 2, M], and max(20, M // 2 + M // 20 + 8), capped
     at top, held it at every state tried.  A column kept for the state is
-    read whole, so a repeated state takes one read; any other is read in
-    lengths from 40 growing by half, which the box's own column, about
-    1.1 M long, goes on from.  A state with no such M within 2 top + 1
-    entries starts at top.
+    read whole, so a repeated state takes one read; any other is read at
+    lengths from 40 growing by half, and the box's own column, about 1.1 M
+    long, goes on from the last read.  A state with no such M within
+    2 top + 1 entries starts at top.
     """
     kept_key, kept, _ = _column
     n_top = max(40, kept.size - 1) if kept_key == _column_key(r, alpha) else 40
