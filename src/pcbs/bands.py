@@ -38,10 +38,10 @@ for both kinds of crystal: a target at the k = 0 edge's v_g (to 1e-12), or
 on a gapped band at or below it, is the edge itself, k* = 0.
 A slow-light shift of ~1e-13 of the edge frequency keeps its full relative
 precision there.  Edges, samples and the tuning point are all roots of one
-vectorised Newton-with-bisection solve (_bracketed_newton), on numpy
-alone.  Internally everything is dimensionless
-(w = omega Lambda / (2 pi c), q = k Lambda); the public functions take and
-return SI quantities.
+Newton-with-bisection solve (_bracketed_newton) on an array of any shape:
+window ends as two rows, samples as a (band, q) grid, the tuning point 0-d.
+Internally everything is dimensionless (w = omega Lambda / (2 pi c),
+q = k Lambda); the public functions take and return SI quantities.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def _bands(structure: BandStructure, bands, q) -> tuple[np.ndarray, np.ndarray]:
     v = np.where(cos_q == 1.0, v0, v_pi)
     inside = np.abs(cos_q) != 1.0
     if inside.any():
-        delta = _solve_offsets(structure, n[:, 0] - 1, (w_pi - w0)[:, 0], q[inside])
+        delta = _solve_offsets(structure, n - 1, w_pi - w0, q[inside])
         v_inside, _, dp = _offset_velocity(structure.expansion, delta, n - 1)
         _check_slope(spec, dp, bands)
         w[:, inside] = w0 + delta
@@ -293,33 +293,33 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
     the pairs (two apart, 1 + RHS and 1 - RHS would both be negative), so
     the roots up to the top of gap n_bands are Theta_y = m pi / 2 for
     m = 1 .. n_bands, of f0 or f1 at odd m and f2 or f3 at even m; their
-    count below _SCAN_CEILING refuses a band above it before any work.  A
-    root's window spans Theta_y = m pi / 2 -+ tau and one grid point more on
-    each side.  That point gives two kinds of window their sign change: where
-    a phase is steep, -+ tau spans less than one ulp of w and both ends solve
-    to the same float, and where a phase is flat at the level,
-    Theta_y - m pi / 2 reads exactly 0 at both ends, so an end can land on
-    the wrong side of the root.  Outside the windows each factor has its phase's sign, so the
-    sign changes of each root's factor in its window, once each, are the
-    whole grid's brackets; a window without one is refused.  A crystal whose
-    faster half-angle max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT pi
-    per scan step is refused first: a layer of optical thickness above 1000
-    periods.  Every bracket starts at the linear interpolation of its two
-    scan values, and all are polished at once (_bracketed_newton) on the
-    factor and its slope in w, read from the coefficients of its expansion
-    about w itself (_edge_terms), with no evaluation: the expansion's value
-    at delta = 0, bit for bit.  With w = 0 prepended once per odd factor,
-    the sorted roots alternate gap, band, gap, ...: gap g spans roots 2g and
-    2g + 1, band n spans roots 2n - 1 and 2n, and k = 0 is the lower edge of
-    an odd band, so band n's k = 0 edge is root 2n - n mod 2.  After the
-    polish one expansion is built, about each band's k = 0 edge (rows 0 to
-    n_bands - 1) and then about every root (rows n_bands on): the structure's
-    expansion.  Its root rows at delta = 0 give every factor and slope at
-    every root, for _gap_velocity's velocity beside each gap.  Last, each
-    k = 0 edge is polished as the root delta0 of its own odd factor's
-    expansion about it (two Newton steps from 0, all edges at once, the first
-    from the edge's root row, the second on its edge row).  A band's values
-    do not depend on n_bands.
+    count below _SCAN_CEILING refuses a band above it before any work.  A root's
+    window spans Theta_y = m pi / 2 -+ tau and one grid point more on each side;
+    the ends of all windows are one solve, a (2, 2 n_bands) array with the lower
+    ends as its first row.  That point gives two kinds of window their sign
+    change: where a phase is steep, -+ tau spans less than one ulp of w and both
+    ends solve to the same float, and where a phase is flat at the level,
+    Theta_y - m pi / 2 reads exactly 0 at both ends, so an end can land on the
+    wrong side of the root.  Outside the windows each factor has its phase's
+    sign, so the sign changes of each root's factor in its window, once each,
+    are the whole grid's brackets; a window without one is refused.  A crystal
+    whose faster half-angle max(a, b) w / 2 advances more than _SCAN_STEP_LIMIT
+    pi per scan step is refused first: a layer of optical thickness above 1000
+    periods.  Every bracket starts at the linear interpolation of its two scan
+    values, and all are polished at once (_bracketed_newton) on the factor and
+    its slope in w, read from the coefficients of its expansion about w itself
+    (_edge_terms), with no evaluation: the expansion's value at delta = 0, bit
+    for bit.  With w = 0 prepended once per odd factor, the sorted roots
+    alternate gap, band, gap, ...: gap g spans roots 2g and 2g + 1, band n spans
+    roots 2n - 1 and 2n, and k = 0 is the lower edge of an odd band, so band n's
+    k = 0 edge is root 2n - n mod 2.  After the polish one expansion is built,
+    about each band's k = 0 edge (rows 0 to n_bands - 1) and then about every
+    root (rows n_bands on): the structure's expansion.  Its root rows at
+    delta = 0 give every factor and slope at every root, for _gap_velocity's
+    velocity beside each gap.  Last, each k = 0 edge is polished as the root
+    delta0 of its own odd factor's expansion about it (two Newton steps from 0,
+    all edges at once, the first from the edge's root row, the second on its
+    edge row).  A band's values do not depend on n_bands.
     """
     if not (_is_index(n_bands) and n_bands >= 1):
         raise ValueError(f"n_bands must be an integer >= 1, got {n_bands!r}")
@@ -343,17 +343,16 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
         )
     # root m = 1 .. n_bands of the pair y = x, then of y = 1/x, at Theta_y = m pi / 2
     m = np.tile(np.arange(1, n_bands + 1), 2)
-    y = np.tile(np.repeat([x, 1.0 / x], n_bands), 2)
+    y = np.repeat([x, 1.0 / x], n_bands)
     own = np.repeat([0, 1], n_bands) + 2 * (1 - m % 2)    # f0 or f1 at odd m, f2 or f3 at even
     level = 0.5 * math.pi * m
     tau = 4.0 * np.finfo(float).eps * (level + 8.0)    # Theta's rounding (_phase)
-    target = np.concatenate((level - tau, level + tau))
-    start, neg, pos = 2.0 / (a + b) * (target + np.array([[0.0], [-math.pi], [math.pi]]))
-    ends = np.floor(_bracketed_newton(lambda w, todo: _phase(a, b, y[todo], w, target[todo]),
-                                      start, neg, pos, 0.0)
-                    * SCAN_POINTS_PER_UNIT).astype(int)    # the grid points just below
-    lo = np.maximum(ends[:need] - 1, 0)
-    size = ends[need:] + 3 - lo    # the window's points, and one more on each side
+    target = np.array([level - tau, level + tau])    # the window's two ends, as rows
+    start, neg, pos = 2.0 / (a + b) * (target + np.array([0.0, -math.pi, math.pi])[:, None, None])
+    ends = _bracketed_newton(lambda w: _phase(a, b, y, w, target), start, neg, pos, 0.0)
+    first, last = np.floor(ends * SCAN_POINTS_PER_UNIT).astype(int)    # the grid points just below
+    lo = np.maximum(first - 1, 0)
+    size = last + 3 - lo    # the window's points, and one more on each side
     window = np.repeat(np.arange(need), size)
     j = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)    # grid index
     unit = j // SCAN_POINTS_PER_UNIT
@@ -377,7 +376,7 @@ def scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
         return terms[:, 0] + 0.0, 0.5 * a * terms[:, 1] + 0.5 * b * terms[:, 2] + 0.0
 
     first_negative = np.signbit(f_0)
-    roots = _bracketed_newton(lambda w, todo: factor_at(w, factor[todo]),
+    roots = _bracketed_newton(lambda w: factor_at(w, factor),
                               w_0 + f_0 / (f_0 - f_1) * (w_1 - w_0),
                               np.where(first_negative, w_0, w_1),
                               np.where(first_negative, w_1, w_0), 0.0)
@@ -513,53 +512,51 @@ def _offset_velocity(expansion, delta, edge):
 def _bracketed_newton(residual, x, neg, pos, anchor) -> np.ndarray:
     """Roots of residual, one in each bracket between neg and pos, all solved at once.
 
-    residual(x, todo) gives (value, slope) at the array x of the roots todo
-    (indices into x).  Each value has its sign bit set at its neg end and
-    clear at its pos end, and x starts inside.  A root takes Newton steps; a
-    step off a zero slope, or one that leaves its bracket (tested
-    inclusively), bisects instead.  It stops, keeping its value whatever else
-    is solved with it, once its step is <= _STEP_TOL |x - anchor| or it lands
-    on a bracket end (near a flat extremum Newton would cycle between two
-    ends one ulp apart).  anchor is one value, or one per root.
+    residual(x) gives (value, slope) at every root of the array x, of any
+    shape; neg, pos and anchor broadcast with it.  Each value has its sign
+    bit set at its neg end and clear at its pos end, and x starts inside.  A
+    root takes Newton steps; a step off a zero slope, or one that leaves its
+    bracket (tested inclusively), bisects instead.  It stops, keeping its
+    value whatever else is solved with it, once its step is <= _STEP_TOL
+    |x - anchor| or it lands on a bracket end (near a flat extremum Newton
+    would cycle between two ends one ulp apart).  A stopped root is still
+    evaluated with the rest, and its step discarded.
     """
-    x, neg, pos = (np.array(u, dtype=float) for u in (x, neg, pos))
-    anchor = np.broadcast_to(anchor, x.shape)
-    todo = np.arange(x.size)
+    x = np.asarray(x, dtype=float)
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
-        d = x[todo]
-        f, df = residual(d, todo)
+        f, df = residual(x)
         below = np.signbit(f)
-        neg[todo] = lo = np.where(below, d, neg[todo])
-        pos[todo] = hi = np.where(below, pos[todo], d)
+        neg, pos = np.where(below, x, neg), np.where(below, pos, x)
         sloped = df != 0.0
-        step = d - f / np.where(sloped, df, 1.0)
-        inside = sloped & (np.minimum(lo, hi) <= step) & (step <= np.maximum(lo, hi))
-        x[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
-        done = ((np.abs(new - d) <= _STEP_TOL * np.abs(new - anchor[todo]))
-                | (new == lo) | (new == hi))
-        todo = todo[~done]
-        if todo.size == 0:
+        step = x - f / np.where(sloped, df, 1.0)
+        inside = sloped & (np.minimum(neg, pos) <= step) & (step <= np.maximum(neg, pos))
+        new = np.where(inside, step, 0.5 * (neg + pos))
+        done = ((np.abs(new - x) <= _STEP_TOL * np.abs(new - anchor))
+                | (new == neg) | (new == pos))
+        x = np.where(live, new, x)
+        live &= ~done
+        if not live.any():
             return x
     raise RuntimeError(f"roots did not converge in {_MAX_STEPS} steps")
 
 
 def _solve_offsets(structure: BandStructure, edge, delta_pi, q: np.ndarray) -> np.ndarray:
-    """Offsets, shape (edge.size, q.size), where P(delta) = sin^2(q/2) on each edge's band.
+    """Offsets where P(delta) = sin^2(q/2), one row per band: edge and delta_pi are columns.
 
     P rises from 0 at the edge's delta0 to 1 at its delta_pi.  Each q starts
     a share q/pi of the way, bracketed by delta0 and a point just past the
-    scanned edge delta_pi; every root is one of a single solve.
+    scanned edge delta_pi; the (band, q) grid is one solve.
     """
     targets = np.sin(0.5 * q) ** 2
-    d0, d_pi = structure.delta0[edge][:, None], delta_pi[:, None]
-    start = d0 + (d_pi - d0) * q / math.pi
+    d0 = structure.delta0[edge]
+    start = d0 + (delta_pi - d0) * q / math.pi
 
-    def residual(delta, todo):
-        p, dp = _product(*(u.T for u in structure.expansion(delta, edge[todo // q.size])))
-        return p - targets[todo % q.size], dp
+    def residual(delta):
+        p, dp = _product(*(u.T for u in structure.expansion(delta, edge)))
+        return p.T - targets, dp.T
 
-    neg, pos = (np.broadcast_to(u, start.shape).ravel() for u in (d0, d_pi + 1e-9 * (d_pi - d0)))
-    return _bracketed_newton(residual, start.ravel(), neg, pos, neg).reshape(start.shape)
+    return _bracketed_newton(residual, start, d0, delta_pi + 1e-9 * (delta_pi - d0), d0)
 
 
 def _check_slope(spec: CrystalSpec, dp, bands) -> None:
@@ -632,15 +629,15 @@ def tune_to_group_velocity(structure: BandStructure, band_index: int,
         j = hit[0]
         near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
 
-        def gap(delta, todo):    # one root: a row of four factors at a scalar delta
-            f, df, d2f = expansion(delta[0], edge, curvature=True)
+        def gap(delta):    # one root: a row of four factors at a 0-d delta
+            f, df, d2f = expansion(delta, edge, curvature=True)
             p, dp, d2p = _product(f, df, d2f)
             q = f[0] * f[1]
             return (4.0 * math.pi ** 2 * p * q - ratio ** 2 * dp ** 2,
                     dp * (4.0 * math.pi ** 2 * (q - p) - 2.0 * ratio ** 2 * d2p))
 
         start = near + (ratio**2 - v_near**2) / (vs[j]**2 - v_near**2) * (deltas[j] - near)
-        delta = _bracketed_newton(gap, [start], [near], [deltas[j]], delta0)[0]
+        delta = _bracketed_newton(gap, start, near, deltas[j], delta0)
         _, p, dp = _offset_velocity(expansion, delta, edge)
         _check_slope(spec, dp, [band_index])
         shift = float(abs(delta - delta0))

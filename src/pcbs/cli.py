@@ -3,10 +3,10 @@
 Commands share a JSON config tree (--config, see config.py).  Each flag
 sets one key of it, named by its argparse dest and shown by --help, on
 the loaded RunConfig, through the config_from_tree that reads the file;
-every command but selftest (which checks it, then runs at the reference
-point) reads its inputs from that alone.  Numeric CSV output is written
-with 12 significant digits and '\\n' line endings so repeated runs are
-byte-identical.
+every command reads its inputs from that alone but selftest, which checks
+it, then runs at RunConfig()'s defaults, using none of the file's or the
+flags' values.  Numeric CSV output is written with 12 significant digits
+and '\\n' line endings so repeated runs are byte-identical.
 
 Exit codes are the exit_code of the error raised (see errors.py): 0
 success, 2 validation/configuration error (any ValueError, and every

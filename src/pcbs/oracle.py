@@ -170,8 +170,9 @@ def _single_mode(state: SqueezedInput, sizes) -> list[np.ndarray]:
     vac = np.zeros(sum(sizes))
     vac[np.r_[0, seams]] = 1.0
     # alpha (a^dag - a) and (r/2) (a^dag^2 - a^2): creation sits below the diagonal
-    out = _expm_apply(2, 0.5 * state.r * _seamed(pair, 2, sizes),
-                      _expm_apply(1, state.alpha * _seamed(root, 1, sizes), vac))
+    with np.errstate(over="ignore"):    # an overflow is refused by _expm_apply's finiteness checks
+        out = _expm_apply(2, 0.5 * state.r * _seamed(pair, 2, sizes),
+                          _expm_apply(1, state.alpha * _seamed(root, 1, sizes), vac))
     return np.split(out, seams)
 
 

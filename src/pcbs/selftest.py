@@ -1,7 +1,7 @@
 """End-to-end checks of every reference number the package models.
 
 Each check compares computed values against the published reference data
-for the default crystal/pump/source working point and reports one line per
+at the study point, RunConfig()'s defaults, and reports one line per
 quantity, so ``pcbs selftest`` can print a pass/fail table and the test
 suite can assert on the same results.  Probabilities carry an absolute
 tolerance of 0.002 (three-figure references); physical quantities carry
@@ -24,9 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bands import CrystalSpec, band_frequencies, scan_bands, tune_to_group_velocity
+from .bands import band_frequencies, scan_bands, tune_to_group_velocity
 from .bb84 import Verdict, simulate_session
-from .fock import SqueezedInput, TruncationPolicy, output_amplitudes
+from .config import RunConfig
+from .fock import SqueezedInput, output_amplitudes
 from .oracle import oracle_state
 from .source import (
     CODATA,
@@ -41,9 +42,7 @@ from .stats import heralded_stats, joint_distribution, locate_maximum, threshold
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
-WORKING_R = 1.0
-WORKING_ALPHA = 0.5
-TAIL = 1e-8
+STUDY = RunConfig()     # the study point: the config's defaults, never a file's or the flags'
 P_ATOL = 0.002          # absolute, for probabilities quoted to 3 figures
 
 SEED = 20260813
@@ -75,13 +74,12 @@ class CheckResult:
 
 @lru_cache(maxsize=1)
 def _working_p():
-    return joint_distribution(SqueezedInput(r=WORKING_R, alpha=WORKING_ALPHA),
-                              TruncationPolicy(tail_tolerance=TAIL))
+    return joint_distribution(STUDY.source, STUDY.truncation)
 
 
 @lru_cache(maxsize=1)
 def _working_bands():
-    return scan_bands(CrystalSpec(), 8)
+    return scan_bands(STUDY.crystal, STUDY.bands.n_bands)
 
 
 def check_joint_distribution() -> CheckResult:
@@ -117,10 +115,11 @@ def check_threshold_probabilities() -> CheckResult:
 
 def check_sweep_maxima() -> CheckResult:
     res = CheckResult("sweep maxima over r")
-    r11, v11 = locate_maximum(WORKING_ALPHA, "p11", 0.0, 2.0)
+    alpha, r_min, r_max = STUDY.source.alpha, STUDY.sweep.r_min, STUDY.sweep.r_max
+    r11, v11 = locate_maximum(alpha, "p11", r_min, r_max)
     res.close("max P(1,1)", v11, 0.0799, atol=P_ATOL)
     res.close("argmax P(1,1)", r11, 0.85, atol=0.01)
-    r1, v1 = locate_maximum(WORKING_ALPHA, "p1", 0.0, 2.0)
+    r1, v1 = locate_maximum(alpha, "p1", r_min, r_max)
     res.close("max P1", v1, 0.165, atol=P_ATOL)
     res.close("argmax P1", r1, 0.675, atol=0.01)
     return res
@@ -128,16 +127,16 @@ def check_sweep_maxima() -> CheckResult:
 
 def check_band_structure() -> CheckResult:
     res = CheckResult("band structure")
-    spec = CrystalSpec()
+    spec, signal, top = STUDY.crystal, STUDY.bands.band_index - 1, STUDY.bands.n_bands - 1
     scale = 2.0 * math.pi * CODATA.c / spec.period
     w0 = band_frequencies(_working_bands(), 0.0) / scale
     wpi = band_frequencies(_working_bands(), math.pi / spec.period) / scale
-    res.close("band-4 zone-center edge", w0[3], 1.18, atol=0.01)
-    pump = 2.0 * w0[3]
+    res.close(f"band-{signal + 1} zone-center edge", w0[signal], 1.18, atol=0.01)
+    pump = 2.0 * w0[signal]
     res.close("doubled signal frequency", pump, 2.36, atol=0.01)
-    res.holds(f"pump inside band 8 ({wpi[7]:.4f} < {pump:.4f} < {w0[7]:.4f})",
-              wpi[7] < pump < w0[7])
-    lam_s = spec.period / w0[3]
+    res.holds(f"pump inside band {top + 1} ({wpi[top]:.4f} < {pump:.4f} < {w0[top]:.4f})",
+              wpi[top] < pump < w0[top])
+    lam_s = spec.period / w0[signal]
     res.close("lambda_s", lam_s, 9.27e-7, rtol=0.01)
     res.close("lambda_p", lam_s / 2.0, 4.64e-7, rtol=0.01)
     return res
@@ -145,12 +144,12 @@ def check_band_structure() -> CheckResult:
 
 def check_tuning() -> CheckResult:
     res = CheckResult("group-velocity tuning")
-    spec = CrystalSpec()
-    rep = tune_to_group_velocity(_working_bands(), 4, 4.59e-3 * CODATA.c)
+    spec, ratio = STUDY.crystal, STUDY.bands.target_vg_over_c
+    rep = tune_to_group_velocity(_working_bands(), STUDY.bands.band_index, ratio * CODATA.c)
     res.close("Lambda * k_star", rep.k_star * spec.period, 4.33e-3, rtol=0.02)
     res.close("nu_s [Hz]", rep.nu_s, 3.23e14, rtol=0.02)
     # band-edge identity delta_omega = v_g k*/2 over the reference pair
-    delta_nu = 4.59e-3 * CODATA.c * 4.33e-3 / (4.0 * math.pi * spec.period)
+    delta_nu = ratio * CODATA.c * 4.33e-3 / (4.0 * math.pi * spec.period)
     res.close("delta_nu [Hz]", rep.delta_nu, delta_nu, rtol=0.02)
     res.close("delta_nu / nu_s", rep.delta_nu / rep.nu_s, delta_nu / 3.23e14, rtol=0.02)
     return res
@@ -158,14 +157,14 @@ def check_tuning() -> CheckResult:
 
 def check_source_model() -> CheckResult:
     res = CheckResult("source model")
-    spec = CrystalSpec()
-    omega_s = float(band_frequencies(_working_bands(), 0.0)[3])
-    v_g = 4.59e-3 * CODATA.c
+    spec = STUDY.crystal
+    omega_s = float(band_frequencies(_working_bands(), 0.0)[STUDY.bands.band_index - 1])
+    v_g = STUDY.bands.target_vg_over_c * CODATA.c
 
     a_unit = amplitude_for_target_squeeze(1.0, omega_s, spec.chi2_tilde, v_g, spec.l_nl)
     res.close("A(zeta=1) / (v_g/c)", a_unit / (v_g / CODATA.c), 1.17e8, rtol=0.01)
 
-    pump = flux_to_amplitude(PumpSpec(radiant_flux=0.03, beam_radius=5.0e-6))
+    pump = flux_to_amplitude(STUDY.pump)
     res.close("pump amplitude [V/m]", pump, 5.36e5, rtol=0.01)
 
     signal = flux_to_amplitude(PumpSpec(radiant_flux=2.0e-7, beam_radius=5.0e-6))
@@ -191,7 +190,7 @@ def check_oracle_equivalence() -> CheckResult:
     for r in _R_GRID:
         for alpha in _ALPHA_GRID:
             state = SqueezedInput(r=float(r), alpha=float(alpha))
-            policy = TruncationPolicy(tail_tolerance=TAIL).for_state(state)
+            policy = STUDY.truncation.for_state(state)
             n_max = policy.n_max
             amp = output_amplitudes(state, policy)
             orc = oracle_state(state, n_max)

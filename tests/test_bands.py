@@ -13,6 +13,7 @@ from pcbs.bands import (
     _SCAN_CEILING,
     _SCAN_STEP_LIMIT,
     _SHIFT_RTOL,
+    _STEP_TOL,
     BandStructure,
     CrystalSpec,
     TuningReport,
@@ -650,7 +651,7 @@ def dense_scan_bands(spec: CrystalSpec, n_bands: int) -> BandStructure:
         return f[each, which], df[each, which]
 
     first_negative = np.signbit(f_0)
-    roots = _bracketed_newton(lambda w, todo: factor_at(w, factor[todo]),
+    roots = _bracketed_newton(lambda w: factor_at(w, factor),
                               w_0 + f_0 / (f_0 - f_1) * (w_1 - w_0),
                               np.where(first_negative, w_0, w_1),
                               np.where(first_negative, w_1, w_0), 0.0)
@@ -717,7 +718,7 @@ def dense_tune_to_group_velocity(structure: BandStructure, band_index: int,
     j = hit[0]
     near, v_near = (delta0, vg0 / c) if j == 0 else (deltas[j - 1], vs[j - 1])
 
-    def gap(delta, todo):    # one root, evaluated as a scalar: cheaper than a 1-element array
+    def gap(delta):    # one root, evaluated as a scalar: cheaper than a 1-element array
         f, df, d2f = expansion(delta[0], edge, curvature=True)
         p, q = f[2] * f[3], f[0] * f[1]
         dp = df[2] * f[3] + f[2] * df[3]
@@ -855,3 +856,107 @@ def test_the_phase_count_below_each_edge_is_its_index(spec, n_bands):
 
         for i in apart:
             assert count((mpf(edges[i]) + mpf(edges[i + 1])) / 2) == i, (i, edges[i:i + 2])
+
+
+# -- the root solver ----------------------------------------------------------
+# _bracketed_newton once took residual(x, todo) on the flattened live roots
+# and gathered and scattered them through todo.  That body is the reference:
+# the masked solve must give its roots, bit for bit, from as many calls.
+
+
+def indexed_bracketed_newton(residual, x, neg, pos, anchor) -> np.ndarray:
+    x, neg, pos = (np.array(u, dtype=float) for u in (x, neg, pos))
+    anchor = np.broadcast_to(anchor, x.shape)
+    todo = np.arange(x.size)
+    for _ in range(pcbs.bands._MAX_STEPS):
+        d = x[todo]
+        f, df = residual(d, todo)
+        below = np.signbit(f)
+        neg[todo] = lo = np.where(below, d, neg[todo])
+        pos[todo] = hi = np.where(below, pos[todo], d)
+        sloped = df != 0.0
+        step = d - f / np.where(sloped, df, 1.0)
+        inside = sloped & (np.minimum(lo, hi) <= step) & (step <= np.maximum(lo, hi))
+        x[todo] = new = np.where(inside, step, 0.5 * (lo + hi))
+        done = ((np.abs(new - d) <= _STEP_TOL * np.abs(new - anchor[todo]))
+                | (new == lo) | (new == hi))
+        todo = todo[~done]
+        if todo.size == 0:
+            return x
+    raise RuntimeError(f"roots did not converge in {pcbs.bands._MAX_STEPS} steps")
+
+
+def _test_residual(kind, sign, root, c):
+    # kind 0 is linear, 1 a cubic u^3 + c u (flat at its root when c = 0), and
+    # 2 linear with a zero slope, so that every one of its steps bisects
+    def residual(x, i=...):
+        u = x - root[i]
+        f = sign[i] * np.where(kind[i] == 1, u ** 3 + c[i] * u, u)
+        df = sign[i] * np.where(kind[i] == 0, 1.0, np.where(kind[i] == 1, 3.0 * u * u + c[i], 0.0))
+        return f, df
+    return residual
+
+
+SHAPES = [(), (1,), (5,), (2, 3), (3, 1), (1, 4)]
+# (kind, sign, lo, width, root's share, start's share, root at, c, anchored at neg)
+ROOTS = st.tuples(st.integers(0, 2), st.sampled_from([1.0, -1.0]), st.floats(-10.0, 10.0),
+                  st.floats(1e-12, 10.0), st.floats(0.0, 1.0), st.floats(0.01, 0.99),
+                  st.sampled_from(["inside", "lo", "hi"]), st.sampled_from([0.0, 1e-3, 1.0]),
+                  st.booleans())
+SOLVES = st.sampled_from(SHAPES).flatmap(lambda shape: st.tuples(
+    st.just(shape), st.lists(ROOTS, min_size=math.prod(shape), max_size=math.prod(shape))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve=SOLVES)
+# bisections (kind 2), roots on a bracket end, a flat cubic, a 1e-12 bracket
+@example(solve=((2, 3), [(2, 1.0, 0.0, 1.0, 0.3, 0.5, "inside", 0.0, False),
+                         (0, -1.0, -2.0, 3.0, 0.0, 0.2, "hi", 0.0, True),
+                         (0, 1.0, 1.0, 2.0, 0.0, 0.7, "lo", 0.0, False),
+                         (1, 1.0, -5.0, 10.0, 0.5, 0.9, "inside", 0.0, True),
+                         (1, -1.0, 3.0, 1e-12, 0.5, 0.5, "inside", 1.0, False),
+                         (2, -1.0, 0.5, 4.0, 0.0, 0.5, "hi", 0.0, True)]))
+@example(solve=((), [(2, -1.0, -1.0, 2.0, 0.25, 0.6, "inside", 0.0, True)]))
+# a flat cubic whose root is its lower end and its anchor: 620 steps, beside two short solves
+@example(solve=((3, 1), [(1, 1.0, 0.0, 10.0, 0.0, 0.99, "lo", 0.0, False),
+                         (0, 1.0, 0.0, 1.0, 0.5, 0.5, "inside", 0.0, False),
+                         (2, 1.0, 0.0, 1.0, 0.5, 0.5, "inside", 0.0, False)]))
+def test_the_masked_solve_is_the_indexed_solve(solve):
+    shape, roots = solve
+    kind, sign, lo, width, share, start, end, c, anchored = (
+        np.array(column).reshape(shape) for column in zip(*roots))
+    hi = lo + width
+    root = np.where(end == "lo", lo, np.where(end == "hi", hi, np.clip(lo + share * width, lo, hi)))
+    neg, pos = np.where(sign > 0, lo, hi), np.where(sign > 0, hi, lo)
+    x = lo + start * width
+    anchor = np.where(anchored, neg, 0.0)
+    shaped = _test_residual(kind, sign, root, c)
+    flat = _test_residual(*(u.ravel() for u in (kind, sign, root, c)))
+    calls = []
+
+    def masked(x):
+        calls.append("masked")
+        return shaped(x)
+
+    def indexed(x, todo):
+        calls.append("indexed")
+        return flat(x, todo)
+
+    def outcome(solver, *args):    # the roots' shape and bytes, or the refusal
+        try:
+            roots = solver(*args)
+        except RuntimeError as exc:
+            return str(exc)
+        return np.shape(roots), roots.tobytes()
+
+    got = outcome(_bracketed_newton, masked, x, neg, pos, anchor)
+    want = outcome(indexed_bracketed_newton, indexed, *(u.ravel() for u in (x, neg, pos, anchor)))
+    assert got == (want if isinstance(want, str) else (shape, want[1]))
+    assert calls.count("masked") == calls.count("indexed")
+
+
+def test_a_solve_that_runs_out_of_steps_is_refused(monkeypatch):
+    # a zero slope bisects: 3 halvings of [0, 1] cannot reach the root 1/3
+    monkeypatch.setattr(pcbs.bands, "_MAX_STEPS", 3)
+    with pytest.raises(RuntimeError, match="roots did not converge in 3 steps"):
+        _bracketed_newton(lambda x: (x - 1.0 / 3.0, 0.0 * x), np.array([0.5, 0.25]), 0.0, 1.0, 0.0)

@@ -3,6 +3,7 @@ import inspect
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,16 @@ def test_expm_apply_refuses_a_non_finite_vector(monkeypatch):
     monkeypatch.setattr(pcbs.oracle, "_kept_column", lambda state, dim: np.full(dim, np.nan))
     with pytest.raises(ValueError, match="not finite"):
         oracle_state(SqueezedInput(r=1.0, alpha=0.5), 5)
+
+
+@pytest.mark.parametrize("r, alpha", [(0.0, 1e308), (0.0, -1e308), (700.0, 1e308)])
+def test_an_overflowing_generator_is_refused_without_a_warning(r, alpha):
+    # alpha sqrt(n) and its 1-norm's column sums pass the largest float: the
+    # documented refusal, not numpy's overflow warning, reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the generator's 1-norm is inf"):
+            oracle_state(SqueezedInput(r=r, alpha=alpha), 1)
 
 
 @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 2.2e-308])

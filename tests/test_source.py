@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pcbs.fock import SqueezedInput, squeeze_matrix
 from pcbs.source import (
     CODATA,
     PumpSpec,
@@ -12,6 +13,7 @@ from pcbs.source import (
     pulse_volume,
     squeeze_parameter,
 )
+from pcbs.stats import locate_maximum
 
 
 def test_constants():
@@ -121,3 +123,20 @@ def test_pulse_volume_refuses_a_non_finite_volume(args):
 def test_amplitude_for_target_squeeze_refuses_a_non_finite_amplitude():
     with pytest.raises(ValueError, match="field amplitude is not a finite number"):
         amplitude_for_target_squeeze(1e300, 2.0e15, 25.2e-12, 1e300, 5.0e-5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: locate_maximum(0.5, "p11", 1.0, 1.0), "need 0 <= r_lo < r_hi"),
+    (lambda: SqueezedInput(1j, 0.5), "r and alpha must be real numbers"),
+    (lambda: squeeze_matrix(-0.1, 3), "squeeze magnitude s must be >= 0"),
+    (lambda: amplitude_for_target_squeeze(1.0, 2.0e15, 25.2e-12, 1.0e6, 0.0),
+     "omega_s, chi2_tilde and l_nl must all be positive"),
+    (lambda: pulse_volume(0.0, 5.0e-6), "duration and beam radius must be positive"),
+    (lambda: photon_number(1.0, 0.0, 1.0),
+     "omega must be positive; amplitude and volume non-negative"),
+], ids=["empty r range", "complex r", "negative squeeze", "no nonlinear length",
+        "zero duration", "zero frequency"])
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
